@@ -24,10 +24,8 @@ from .core import (
 from .density import (
     DensityModel,
     EmFitReport,
-    eval_density,
     fit_gmm,
     fit_kde,
-    sample_density,
     select_gmm,
 )
 from .divergence import (
@@ -75,10 +73,8 @@ __all__ = [
     "write_dataset",
     "DensityModel",
     "EmFitReport",
-    "eval_density",
     "fit_gmm",
     "fit_kde",
-    "sample_density",
     "select_gmm",
     "CheckReport",
     "DivergenceScore",

@@ -4,7 +4,7 @@ Six methods share one convention: a bag's score is low when the bag looks
 positive. ``rd_kl``/``rd_bh`` threshold the ratio of bag-to-class
 divergences, ``ckl`` thresholds the class-conditional KL score (oriented
 so that bag mass covered only by the positive class pulls the score down,
-see ``_ckl_score``), ``b2b_kl``/``b2b_bh`` score by minimum bag-to-bag
+see ``_bundle_scores``), ``b2b_kl``/``b2b_bh`` score by minimum bag-to-bag
 dissimilarity against each class, and ``svm_divs`` feeds per-dimension
 divergences into a linear SVM and scores by signed margin. AUC is computed
 exactly via the rank (Mann-Whitney) statistic and cross-checked against
@@ -13,7 +13,6 @@ the trapezoidal ROC area.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from .simulate import SimConfig, sample_experiment
 
 __all__ = [
     "METHODS",
+    "CLASS_METHODS",
     "ESTIMATORS",
     "TABLE1_GRID",
     "EstimatorConfig",
@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 METHODS = ("rd_kl", "rd_bh", "ckl", "b2b_kl", "b2b_bh", "svm_divs")
+# The bag-to-class methods; their per-dimension values are the svm_divs features.
+CLASS_METHODS = METHODS[:3]
 ESTIMATORS = ("kde-epan", "kde-gauss", "gmm-aic")
 TABLE1_GRID = tuple((p, n) for p in (1, 5, 10) for n in (5, 10, 25))
 
@@ -163,58 +165,11 @@ class ClassModel:
 
 
 # --------------------------------------------------------------------------
-# fused per-bag divergence estimation
-#
-# All measures requested for one bag share the same evaluation points per
-# dimension: one importance sample from the bag density (or one Riemann
-# grid), against which every reference density is evaluated once.
+# per-bag scoring
 
-
-def _est_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx: float | None) -> float:
-    logratio, _ = dv._kl_pointwise(fb, fr, spec)
-    if dx is None:
-        return max(float(logratio.mean()), 0.0)
-    active = fb > 0
-    return max(float((fb[active] * logratio[active]).sum() * dx), 0.0)
-
-
-def _est_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx: float | None) -> float:
-    if dx is None:
-        overlap = float(np.sqrt(fr / np.maximum(fb, dv._TINY)).mean())
-    else:
-        overlap = float(np.sqrt(fb * fr).sum() * dx)
-    overlap = min(max(overlap, dv._TINY), 1.0)
-    return -math.log(overlap)
-
-
-def _est_ckl(
-    fb: np.ndarray, fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, dx: float | None
-) -> float:
-    logratio, _ = dv._kl_pointwise(fb, fp, spec)
-    w = np.minimum(fn / np.maximum(fp, spec.floor), spec.ratio_clip)
-    if dx is None:
-        return float((w * logratio).mean())
-    active = fb > 0
-    return float((w[active] * fb[active] * logratio[active]).sum() * dx)
-
-
-def _ckl_score(
-    fb: np.ndarray, fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, dx: float | None
-) -> float:
-    """Classifier orientation of the class-conditional KL (lower = positive).
-
-    The bag is compared to the negative class, conditioned on the positive:
-    minus the integral of (f_pos/f_neg) * f_bag * log(f_bag/f_neg). Bag mass
-    in positive-only coverage then drives the score strongly down, mass in
-    negative-only coverage drives it up, and regions unseen by both classes
-    contribute nothing, which is what makes the method robust to sparse
-    training sets.
-    """
-    return -_est_ckl(fb, fn, fp, spec, dx)
-
-
-def _ratio(num: float, den: float) -> float:
-    return num / max(den, dv._RD_DENOMINATOR_FLOOR)
+_REDUCERS = {
+    "rd_kl": dv.reduce_kl, "rd_bh": dv.reduce_bh, "b2b_kl": dv.reduce_kl, "b2b_bh": dv.reduce_bh
+}
 
 
 def _bundle_scores(
@@ -225,56 +180,62 @@ def _bundle_scores(
     seed,
     methods: tuple[str, ...],
     train_bags: tuple[tuple[Label, tuple[DensityModel, ...]], ...] = (),
-) -> dict[str, float]:
-    """Scores for every requested non-SVM method, re-using evaluation points."""
-    need_class = any(m in ("rd_kl", "rd_bh", "ckl") for m in methods)
-    need_b2b = any(m in ("b2b_kl", "b2b_bh") for m in methods)
-    klp = kln = bhp = bhn = cklv = 0.0
-    b2b_kl_d = np.zeros(len(train_bags))
-    b2b_bh_d = np.zeros(len(train_bags))
+    per_dim: bool = False,
+) -> dict:
+    """Scores of one bag under every requested method, sharing evaluation points.
+
+    Per dimension, the divergence core makes one point set (seed stream
+    ``"dim"``) over the bag and every reference density, and every measure
+    is reduced on it. Divergences are summed over dimensions before the rd
+    ratio and the b2b minima are taken. With ``per_dim`` each method maps to
+    its per-dimension values instead: the svm-divs features, drawn from the
+    seed stream ``"feat"``.
+    """
+    train_pos = np.array([lab == Label.POS for lab, _ in train_bags], dtype=bool)
+    if any(m.startswith("b2b") for m in methods) and (train_pos.all() or not train_pos.any()):
+        raise ValueError("bag-to-bag scoring needs training bags of both classes")
+    need_class = any(m in CLASS_METHODS for m in methods)
+    # Summed from 0.0 in dimension order; another order moves scores in the last bits.
+    totals = dict.fromkeys(methods, 0.0)
+    rows = []
     for d, fb_model in enumerate(bag_models):
-        child = derive_seed(seed, "dim", d)
-        if spec.integrator == "IMPORTANCE":
-            z = fb_model.sample(spec.n_imp, child)
-            dx = None
-        else:
-            grid_models = [fb_model, f_pos[d], f_neg[d]]
-            grid_models += [tb[1][d] for tb in train_bags]
-            z, dx = dv._riemann_grid(tuple(grid_models), spec)
-        fb = fb_model.pdf(z)
+        refs = (f_pos[d], f_neg[d]) + tuple(models[d] for _, models in train_bags)
+        child = derive_seed(seed, "feat" if per_dim else "dim", d)
+        x, dx = dv.evaluation_points(fb_model, refs, spec, child)
+        fb = fb_model.pdf(x)
         if need_class:
-            fp = f_pos[d].pdf(z)
-            fn = f_neg[d].pdf(z)
-            if "rd_kl" in methods:
-                klp += _est_kl(fb, fp, spec, dx)
-                kln += _est_kl(fb, fn, spec, dx)
-            if "rd_bh" in methods:
-                bhp += _est_bh(fb, fp, spec, dx)
-                bhn += _est_bh(fb, fn, spec, dx)
-            if "ckl" in methods:
-                cklv += _ckl_score(fb, fp, fn, spec, dx)
-        if need_b2b:
-            for j, (_, tb_models) in enumerate(train_bags):
-                ft = tb_models[d].pdf(z)
-                if "b2b_kl" in methods:
-                    b2b_kl_d[j] += _est_kl(fb, ft, spec, dx)
-                if "b2b_bh" in methods:
-                    b2b_bh_d[j] += _est_bh(fb, ft, spec, dx)
-    scores: dict[str, float] = {}
-    if "rd_kl" in methods:
-        scores["rd_kl"] = _ratio(klp, kln)
-    if "rd_bh" in methods:
-        scores["rd_bh"] = _ratio(bhp, bhn)
-    if "ckl" in methods:
-        scores["ckl"] = cklv
-    if need_b2b:
-        labels = np.array([lab == Label.POS for lab, _ in train_bags])
-        if not labels.any() or labels.all():
-            raise ValueError("bag-to-bag scoring needs training bags of both classes")
-        for name, dists in (("b2b_kl", b2b_kl_d), ("b2b_bh", b2b_bh_d)):
-            if name in methods:
-                scores[name] = float(dists[labels].min() - dists[~labels].min())
-    return scores
+            fp, fn = f_pos[d].pdf(x), f_neg[d].pdf(x)
+        f_train = [models[d].pdf(x) for _, models in train_bags]
+        terms = {}
+        for m in methods:
+            if m == "ckl":
+                # The bag is compared to the negative class, conditioned on the
+                # positive: minus the integral of (f_pos/f_neg) * f_bag *
+                # log(f_bag/f_neg). Bag mass in positive-only coverage then
+                # drives the score strongly down, mass in negative-only coverage
+                # drives it up, and regions unseen by both classes contribute
+                # nothing, which is what makes the method robust to sparse
+                # training sets.
+                terms[m] = -dv.reduce_ckl(fb, fn, fp, spec, dx).value
+            else:
+                against = (fp, fn) if m.startswith("rd") else f_train
+                terms[m] = np.array([_REDUCERS[m](fb, fr, spec, dx).value for fr in against])
+        if per_dim:
+            rows.append({m: _finish(m, t, train_pos) for m, t in terms.items()})
+        else:
+            totals = {m: totals[m] + terms[m] for m in methods}
+    if per_dim:
+        return {m: np.array([row[m] for row in rows]) for m in methods}
+    return {m: _finish(m, totals[m], train_pos) for m in methods}
+
+
+def _finish(method: str, divs, train_pos: np.ndarray) -> float:
+    """A method's score from its divergences (see ``_bundle_scores``)."""
+    if method == "ckl":
+        return divs
+    if method.startswith("rd"):
+        return float(dv.rd_value(divs[0], divs[1]))
+    return float(divs[train_pos].min() - divs[~train_pos].min())
 
 
 def _fit_bag_models(
@@ -289,55 +250,28 @@ def _fit_bag_models(
         raise ValueError(f"bag {bag.id!r}: {exc}") from exc
 
 
-def _divergence_features(
-    bag_models, f_pos, f_neg, spec: DivergenceSpec, measure: str, seed
-) -> np.ndarray:
-    """Per-dimension divergence feature vector (the SVM input)."""
-    feats = np.empty(len(bag_models))
-    for d, fb_model in enumerate(bag_models):
-        child = derive_seed(seed, "feat", d)
-        if spec.integrator == "IMPORTANCE":
-            z = fb_model.sample(spec.n_imp, child)
-            dx = None
-        else:
-            z, dx = dv._riemann_grid((fb_model, f_pos[d], f_neg[d]), spec)
-        fb = fb_model.pdf(z)
-        fp = f_pos[d].pdf(z)
-        fn = f_neg[d].pdf(z)
-        if measure == "rd_kl":
-            feats[d] = _ratio(_est_kl(fb, fp, spec, dx), _est_kl(fb, fn, spec, dx))
-        elif measure == "rd_bh":
-            feats[d] = _ratio(_est_bh(fb, fp, spec, dx), _est_bh(fb, fn, spec, dx))
-        elif measure == "ckl":
-            feats[d] = _ckl_score(fb, fp, fn, spec, dx)
-        else:
-            raise ValueError(f"unknown feature measure {measure!r}")
-    return feats
-
-
 def score_bag(model: ClassModel, bag: Bag, seed) -> float:
     """Score one bag under the model's method; lower means more positive."""
     if bag.dimension != model.dimension:
         raise ValueError(
             f"bag {bag.id!r} has dimension {bag.dimension}, model expects {model.dimension}"
         )
-    bag_models = _fit_bag_models(bag, model.estimator, seed)
-    if model.method == "svm_divs":
-        feats = _divergence_features(
-            bag_models, model.f_pos, model.f_neg, model.spec, model.svm_measure, seed
-        )
-        x = (feats - model.scaler_mean) / model.scaler_sd
-        return float(x @ model.svm_weights + model.svm_bias)
-    scores = _bundle_scores(
-        bag_models,
+    svm = model.method == "svm_divs"
+    method = model.svm_measure if svm else model.method
+    score = _bundle_scores(
+        _fit_bag_models(bag, model.estimator, seed),
         model.f_pos,
         model.f_neg,
         model.spec,
         seed,
-        methods=(model.method,),
-        train_bags=model.train_bags if model.method.startswith("b2b") else (),
-    )
-    return scores[model.method]
+        (method,),
+        model.train_bags,
+        per_dim=svm,
+    )[method]
+    if not svm:
+        return score
+    x = (score - model.scaler_mean) / model.scaler_sd
+    return float(x @ model.svm_weights + model.svm_bias)
 
 
 # --------------------------------------------------------------------------
@@ -374,6 +308,21 @@ def train_linear_svm(
     return w, b
 
 
+def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool):
+    """Class densities and, for the b2b methods, every training bag's densities."""
+    f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(seed, "class-fit"))
+    if not b2b:
+        return f_pos, f_neg, ()
+    train_bags = []
+    for bag in train.bags:
+        if bag.label is None:
+            raise ValueError(f"bag {bag.id!r} is unlabelled")
+        train_bags.append(
+            (bag.label, _fit_bag_models(bag, estimator, derive_seed(seed, "b2b", bag.id)))
+        )
+    return f_pos, f_neg, tuple(train_bags)
+
+
 def fit_svm_on_divergences(
     train: Dataset,
     measure: str,
@@ -389,17 +338,18 @@ def fit_svm_on_divergences(
     Features are standardized before training.
     """
     measure = normalize_method(measure)
-    if measure not in ("rd_kl", "rd_bh", "ckl"):
+    if measure not in CLASS_METHODS:
         raise ValueError("svm feature measure must be rd_kl, rd_bh or ckl")
     estimator = estimator or EstimatorConfig(kind="kde-gauss")
-    f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(seed, "class-fit"))
+    f_pos, f_neg, _ = _fit_references(train, estimator, seed, b2b=False)
     feats = np.empty((len(train.bags), train.dimension))
     labels = np.empty(len(train.bags), dtype=bool)
     for i, bag in enumerate(train.bags):
-        bag_models = _fit_bag_models(bag, estimator, derive_seed(seed, "train-bag", bag.id))
-        feats[i] = _divergence_features(
-            bag_models, f_pos, f_neg, spec, measure, derive_seed(seed, "train-bag", bag.id)
-        )
+        bag_seed = derive_seed(seed, "train-bag", bag.id)
+        bag_models = _fit_bag_models(bag, estimator, bag_seed)
+        feats[i] = _bundle_scores(
+            bag_models, f_pos, f_neg, spec, bag_seed, (measure,), per_dim=True
+        )[measure]
         if bag.label is None:
             raise ValueError(f"bag {bag.id!r} is unlabelled")
         labels[i] = bag.label == Label.POS
@@ -442,17 +392,7 @@ def fit_classifier(
         return fit_svm_on_divergences(
             train, svm_measure, spec, svm or SvmConfig(), seed, estimator=estimator
         )
-    f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(seed, "class-fit"))
-    train_bags = ()
-    if method.startswith("b2b"):
-        fitted = []
-        for bag in train.bags:
-            if bag.label is None:
-                raise ValueError(f"bag {bag.id!r} is unlabelled")
-            fitted.append(
-                (bag.label, _fit_bag_models(bag, estimator, derive_seed(seed, "b2b", bag.id)))
-            )
-        train_bags = tuple(fitted)
+    f_pos, f_neg, train_bags = _fit_references(train, estimator, seed, method.startswith("b2b"))
     model = ClassModel(
         method=method,
         dimension=train.dimension,
@@ -664,6 +604,34 @@ def _stratified_folds(bags, k_folds: int, rng: np.random.Generator) -> np.ndarra
     return assignment
 
 
+def _fit_and_score(train: Dataset, test: Dataset, pipeline: PipelineConfig, seed, run=()):
+    """Fit PCA and the classifier on ``train``, then score the ``test`` bags.
+
+    Seeds derive from ``seed`` and the ``run`` labels: none for a holdout
+    run, (repeat, fold) in cross-validation. Returns one record (bag id,
+    score, label, prediction) per test bag and the accuracy.
+    """
+    if pipeline.pca_components is not None:
+        transform = fit_pca(train, pipeline.pca_components)
+        train = apply_pca(transform, train)
+        test = apply_pca(transform, test)
+    model = fit_classifier(
+        train,
+        pipeline.method,
+        pipeline.estimator,
+        pipeline.spec,
+        derive_seed(seed, "fit", *run),
+        threshold=pipeline.threshold,
+        svm=pipeline.svm,
+        svm_measure=pipeline.svm_measure,
+    )
+    scores = [score_bag(model, bag, derive_seed(seed, "score", *run, bag.id)) for bag in test.bags]
+    records = [
+        (bag.id, s, int(bag.label), int(s < model.threshold)) for bag, s in zip(test.bags, scores)
+    ]
+    return records, accuracy_at(scores, [bag.label for bag in test.bags], model.threshold)
+
+
 def cross_validate(
     data: Dataset, k_folds: int, pipeline: PipelineConfig, repeats: int = 1, seed=0
 ) -> EvalReport:
@@ -697,36 +665,17 @@ def cross_validate(
             if not test_bags:
                 continue
             train_ds = data.replace_bags(train_bags)
-            test_ds = data.replace_bags(test_bags)
             if not train_ds.with_label(Label.POS) or not train_ds.with_label(Label.NEG):
                 raise ValueError(f"fold {fold} leaves a training split missing a class")
-            if pipeline.pca_components is not None:
-                transform = fit_pca(train_ds, pipeline.pca_components)
-                train_ds = apply_pca(transform, train_ds)
-                test_ds = apply_pca(transform, test_ds)
-            model = fit_classifier(
-                train_ds,
-                pipeline.method,
-                pipeline.estimator,
-                pipeline.spec,
-                derive_seed(seed, "fit", rep, fold),
-                threshold=pipeline.threshold,
-                svm=pipeline.svm,
-                svm_measure=pipeline.svm_measure,
+            fold_records, acc = _fit_and_score(
+                train_ds, data.replace_bags(test_bags), pipeline, seed, (rep, fold)
             )
             provenance[(rep, fold)] = tuple(sorted(b.id for b in train_bags))
-            fold_scores, fold_labels = [], []
-            for bag in test_ds.bags:
-                s = score_bag(model, bag, derive_seed(seed, "score", rep, fold, bag.id))
-                pred = s < model.threshold
-                records.append((bag.id, s, int(bag.label), int(pred)))
-                fold_scores.append(s)
-                fold_labels.append(bag.label)
-            fold_acc.append(accuracy_at(fold_scores, fold_labels, model.threshold))
-            if any(l == Label.POS for l in fold_labels) and any(
-                l == Label.NEG for l in fold_labels
-            ):
-                fold_auc.append(auc(fold_scores, fold_labels))
+            records += fold_records
+            fold_acc.append(acc)
+            fold_labels = [r[2] for r in fold_records]
+            if 0 < sum(fold_labels) < len(fold_labels):
+                fold_auc.append(auc([r[1] for r in fold_records], fold_labels))
     return _make_report(records, folds_map, provenance, fold_acc, fold_auc, seed)
 
 
@@ -736,31 +685,9 @@ def evaluate_holdout(
     """Fit on the training set, score a labelled held-out test set."""
     if any(b.label is None for b in test.bags):
         raise ValueError("holdout evaluation needs labelled test bags")
-    if pipeline.pca_components is not None:
-        transform = fit_pca(train, pipeline.pca_components)
-        train = apply_pca(transform, train)
-        test = apply_pca(transform, test)
-    model = fit_classifier(
-        train,
-        pipeline.method,
-        pipeline.estimator,
-        pipeline.spec,
-        derive_seed(seed, "fit"),
-        threshold=pipeline.threshold,
-        svm=pipeline.svm,
-        svm_measure=pipeline.svm_measure,
-    )
-    records = []
-    scores, labels = [], []
-    for bag in test.bags:
-        s = score_bag(model, bag, derive_seed(seed, "score", bag.id))
-        pred = s < model.threshold
-        records.append((bag.id, s, int(bag.label), int(pred)))
-        scores.append(s)
-        labels.append(bag.label)
+    records, acc = _fit_and_score(train, test, pipeline, seed)
     provenance = {(0, 0): tuple(sorted(b.id for b in train.bags))}
-    acc = [accuracy_at(scores, labels, model.threshold)]
-    return _make_report(records, {0: {b.id: 0 for b in test.bags}}, provenance, acc, [], seed)
+    return _make_report(records, {0: {b.id: 0 for b in test.bags}}, provenance, [acc], [], seed)
 
 
 # --------------------------------------------------------------------------
@@ -809,16 +736,10 @@ def _run_study_cell(
     for rep in range(repetitions):
         cell_seed = derive_seed(seed, config.scenario, pos, neg, rep)
         train, test = sample_experiment(config, pos, neg, n_test, cell_seed)
-        f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(cell_seed, "class-fit"))
-        train_bags = ()
-        if need_b2b:
-            train_bags = tuple(
-                (b.label, _fit_bag_models(b, estimator, derive_seed(cell_seed, "b2b", b.id)))
-                for b in train.bags
-            )
+        f_pos, f_neg, train_bags = _fit_references(train, estimator, cell_seed, need_b2b)
         scores: dict[str, list[float]] = {m: [] for m in methods}
         labels = []
-        for i, bag in enumerate(test.bags):
+        for bag in test.bags:
             bag_seed = derive_seed(cell_seed, "bag", bag.id)
             bag_models = _fit_bag_models(bag, estimator, bag_seed)
             bundle = _bundle_scores(

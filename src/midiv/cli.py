@@ -22,6 +22,9 @@ import numpy as np
 
 from . import __version__
 from .classify import (
+    CLASS_METHODS,
+    ESTIMATORS,
+    METHODS,
     EstimatorConfig,
     PipelineConfig,
     SvmConfig,
@@ -36,8 +39,6 @@ from .divergence import DivergenceSpec
 from .simulate import SCENARIOS, SimConfig, sample_experiment_bags
 
 __all__ = ["main", "RunManifest", "REFERENCE_AUC100"]
-
-_STUDY_METHODS = ("rd_bh", "rd_kl", "ckl")
 
 # Published reference AUC*100 values for the six simulation scenarios,
 # keyed by (scenario, pos, neg). Written next to fresh results for the
@@ -329,7 +330,8 @@ def _override_out_dir(argv: list[str], out_dir: str) -> list[str]:
 # argument parsing
 
 
-ESTIMATOR_CHOICES = ("kde-epan", "kde-gauss", "gmm-aic")
+def _dashed(names) -> list[str]:
+    return [n.replace("_", "-") for n in names]
 
 
 def _add_divergence_flags(p: argparse.ArgumentParser) -> None:
@@ -338,7 +340,7 @@ def _add_divergence_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-points", type=int, default=4096, help="Riemann grid resolution")
     p.add_argument("--ratio-clip", type=float, default=3e4, help="density-ratio clip")
     p.add_argument(
-        "--estimator", choices=list(ESTIMATOR_CHOICES), default="kde-epan", help="density estimator"
+        "--estimator", choices=list(ESTIMATORS), default="kde-epan", help="density estimator"
     )
     p.add_argument("--bandwidth", type=float, default=None, help="explicit KDE bandwidth")
     p.add_argument("--k-max", type=int, default=5, help="GMM-AIC component ceiling")
@@ -364,16 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="fit, score and report on BAG_CSV data")
     p_eval.add_argument("--train", required=True, help="training BAG_CSV path")
     p_eval.add_argument("--test", default=None, help="held-out BAG_CSV path (else cross-validate)")
-    p_eval.add_argument(
-        "--method",
-        choices=["rd-kl", "rd-bh", "ckl", "b2b-kl", "b2b-bh", "svm-divs"],
-        default="ckl",
-    )
+    p_eval.add_argument("--method", choices=_dashed(METHODS), default="ckl")
     p_eval.add_argument("--threshold", default="loocv", help="'loocv' or 'fixed:<t>'")
     p_eval.add_argument("--folds", type=int, default=4, help="CV folds when no test file given")
     p_eval.add_argument("--repeats", type=int, default=1, help="CV repetitions")
     p_eval.add_argument("--pca", type=int, default=None, help="PCA components (default: none)")
-    p_eval.add_argument("--svm-measure", default="ckl", help="feature measure for svm-divs")
+    p_eval.add_argument(
+        "--svm-measure", choices=_dashed(CLASS_METHODS), default="ckl",
+        help="feature measure for svm-divs",
+    )
     p_eval.add_argument("--svm-epochs", type=int, default=200)
     p_eval.add_argument("--svm-lambda", type=float, default=1e-3)
     p_eval.add_argument("--seed", type=int, default=0)

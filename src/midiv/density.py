@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .seeds import as_seed_sequence
+
 __all__ = [
     "KDE_EPANECHNIKOV",
     "KDE_GAUSSIAN",
@@ -25,8 +27,6 @@ __all__ = [
     "fit_kde",
     "fit_gmm",
     "select_gmm",
-    "eval_density",
-    "sample_density",
     "silverman_bandwidth",
 ]
 
@@ -360,7 +360,7 @@ def fit_gmm(
         raise ValueError("samples must be finite")
     if np.var(x) <= 0:
         raise ValueError("zero sample variance; GMM fit is degenerate")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss = as_seed_sequence(seed)
     best = None
     for child in ss.spawn(max(1, n_restarts)):
         rng = np.random.default_rng(child)
@@ -413,7 +413,7 @@ def select_gmm(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss = as_seed_sequence(seed)
     children = ss.spawn(k_max)
     best_k: int | None = None
     best_aic = np.inf
@@ -435,12 +435,3 @@ def select_gmm(
         samples, best_k, children[best_k - 1], n_restarts=n_restarts, max_iter=max_iter, tol=tol
     )
 
-
-def eval_density(model: DensityModel, x):
-    """Evaluate the model density at x (scalar or array); total on finite x."""
-    return model.pdf(x)
-
-
-def sample_density(model: DensityModel, n: int, seed) -> np.ndarray:
-    """Draw n i.i.d. samples from the model; deterministic given seed."""
-    return model.sample(n, seed)

@@ -40,6 +40,11 @@ __all__ = [
     "bhattacharyya",
     "ckl",
     "rd_ratio",
+    "evaluation_points",
+    "reduce_kl",
+    "reduce_bh",
+    "reduce_ckl",
+    "rd_value",
     "PropertyStage",
     "PropertyScenario",
     "CheckReport",
@@ -111,7 +116,17 @@ class DivergenceScore:
 
 
 # --------------------------------------------------------------------------
-# shared estimator internals
+# the estimator core
+#
+# Every measure integrates a pointwise term under the bag density, over one
+# set of evaluation points: an importance sample drawn from the bag density
+# itself (cell width ``dx`` None; the estimate is a mean), or a midpoint
+# Riemann grid over the bag and every reference density (width ``dx``).
+# ``evaluation_points`` makes the points and the ``reduce_*`` functions turn
+# densities evaluated there into scores. A caller scoring one bag against
+# several references passes them all, so every measure shares the points.
+# Importance estimates are ``.mean()``s and Riemann products run left to
+# right; summing weighted terms or re-associating moves values in the last bits.
 
 
 def _riemann_grid(models: tuple[DensityModel, ...], spec: DivergenceSpec):
@@ -124,12 +139,30 @@ def _riemann_grid(models: tuple[DensityModel, ...], spec: DivergenceSpec):
     return x, dx
 
 
+def evaluation_points(
+    f_bag: DensityModel, refs: tuple[DensityModel, ...], spec: DivergenceSpec, seed
+) -> tuple[np.ndarray, float | None]:
+    """Points to integrate over under ``f_bag``, and the Riemann cell width.
+
+    Importance sampling draws ``spec.n_imp`` points from ``f_bag`` (width
+    None); the Riemann grid spans the support hints of ``f_bag`` and every
+    density in ``refs`` and ignores ``seed``.
+    """
+    if spec.integrator == "IMPORTANCE":
+        return f_bag.sample(spec.n_imp, seed), None
+    return _riemann_grid((f_bag, *refs), spec)
+
+
 def _ess(weights: np.ndarray) -> float:
     s2 = float((weights * weights).sum())
     if s2 <= 0.0:
         return float(weights.size)  # all-equal (degenerate) weights
     s = float(weights.sum())
     return s * s / s2
+
+
+def _fraction(mask: np.ndarray) -> float:
+    return float(mask.mean()) if mask.size else 0.0
 
 
 def _kl_pointwise(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec):
@@ -141,61 +174,79 @@ def _kl_pointwise(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec):
     return np.minimum(logratio, cap), clipped
 
 
+def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> DivergenceScore:
+    """KL information from the bag and reference densities at the points.
+
+    The estimate is truncated at zero: the estimand is non-negative and
+    Monte-Carlo noise below zero carries no information. Riemann sums skip
+    points where the bag density vanishes.
+    """
+    logratio, clipped = _kl_pointwise(fb, fr, spec)
+    if dx is None:
+        value = max(float(logratio.mean()), 0.0)
+        # the proposal is the bag density itself: unit weights
+        return DivergenceScore(value, "KL", _fraction(clipped), ess=float(spec.n_imp))
+    active = fb > 0
+    value = max(float((fb[active] * logratio[active]).sum() * dx), 0.0)
+    return DivergenceScore(value, "KL", _fraction(clipped[active]))
+
+
+def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> DivergenceScore:
+    """Bhattacharyya distance; the overlap integral is clamped into (0, 1]."""
+    ess = None
+    if dx is None:
+        w = np.sqrt(fr / np.maximum(fb, _TINY))
+        overlap = float(w.mean())
+        ess = _ess(w)
+    else:
+        overlap = float(np.sqrt(fb * fr).sum() * dx)
+    clipped = 1.0 if (overlap > 1.0 or overlap < _TINY) else 0.0
+    overlap = min(max(overlap, _TINY), 1.0)
+    low_ess = ess is not None and ess < 0.01 * spec.n_imp
+    return DivergenceScore(-math.log(overlap), "BH", clipped, ess, low_ess)
+
+
+def reduce_ckl(
+    fb: np.ndarray, fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, dx
+) -> DivergenceScore:
+    """Class-conditional KL of the bag against ``fp``, weighted by ``fn/fp``.
+
+    The weight is clipped at ``spec.ratio_clip``. Unlike KL the value may be
+    negative. Riemann sums skip points where the bag density vanishes.
+    """
+    logratio, clipped = _kl_pointwise(fb, fp, spec)
+    w = fn / np.maximum(fp, spec.floor)
+    clipped |= w > spec.ratio_clip
+    w = np.minimum(w, spec.ratio_clip)
+    if dx is None:
+        ess = _ess(w)
+        value = float((w * logratio).mean())
+        return DivergenceScore(value, "CKL", _fraction(clipped), ess, ess < 0.01 * spec.n_imp)
+    active = fb > 0
+    value = float((w[active] * fb[active] * logratio[active]).sum() * dx)
+    return DivergenceScore(value, "CKL", _fraction(clipped[active]))
+
+
+def rd_value(num: float, den: float) -> float:
+    """The rd ratio of two divergence values; the denominator is floored at 1e-12."""
+    return num / max(den, _RD_DENOMINATOR_FLOOR)
+
+
 def kl(f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed) -> DivergenceScore:
     """KL information of the bag density relative to a reference density.
 
-    The estimate is truncated at zero: the estimand is non-negative and
-    Monte-Carlo noise below zero carries no information.
+    The estimate is truncated at zero (see ``reduce_kl``).
     """
-    if spec.integrator == "IMPORTANCE":
-        z = f_bag.sample(spec.n_imp, seed)
-        fb = f_bag.pdf(z)
-        fr = f_ref.pdf(z)
-        logratio, clipped = _kl_pointwise(fb, fr, spec)
-        value = max(float(logratio.mean()), 0.0)
-        return DivergenceScore(
-            value=value,
-            measure="KL",
-            clipped_fraction=float(clipped.mean()),
-            ess=float(spec.n_imp),  # proposal equals the bag density: unit weights
-        )
-    x, dx = _riemann_grid((f_bag, f_ref), spec)
-    fb = f_bag.pdf(x)
-    fr = f_ref.pdf(x)
-    active = fb > 0
-    logratio, clipped = _kl_pointwise(fb[active], fr[active], spec)
-    value = max(float((fb[active] * logratio).sum() * dx), 0.0)
-    frac = float(clipped.mean()) if clipped.size else 0.0
-    return DivergenceScore(value=value, measure="KL", clipped_fraction=frac)
+    x, dx = evaluation_points(f_bag, (f_ref,), spec, seed)
+    return reduce_kl(f_bag.pdf(x), f_ref.pdf(x), spec, dx)
 
 
 def bhattacharyya(
     f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed
 ) -> DivergenceScore:
     """Bhattacharyya distance; the overlap integral is clamped into (0, 1]."""
-    if spec.integrator == "IMPORTANCE":
-        z = f_bag.sample(spec.n_imp, seed)
-        fb = f_bag.pdf(z)
-        fr = f_ref.pdf(z)
-        w = np.sqrt(fr / np.maximum(fb, _TINY))
-        overlap = float(w.mean())
-        ess = _ess(w)
-        clipped = 1.0 if (overlap > 1.0 or overlap < _TINY) else 0.0
-        overlap = min(max(overlap, _TINY), 1.0)
-        assert overlap > 0.0
-        return DivergenceScore(
-            value=-math.log(overlap),
-            measure="BH",
-            clipped_fraction=clipped,
-            ess=ess,
-            low_ess=ess < 0.01 * spec.n_imp,
-        )
-    x, dx = _riemann_grid((f_bag, f_ref), spec)
-    overlap = float(np.sqrt(f_bag.pdf(x) * f_ref.pdf(x)).sum() * dx)
-    clipped = 1.0 if (overlap > 1.0 or overlap < _TINY) else 0.0
-    overlap = min(max(overlap, _TINY), 1.0)
-    assert overlap > 0.0
-    return DivergenceScore(value=-math.log(overlap), measure="BH", clipped_fraction=clipped)
+    x, dx = evaluation_points(f_bag, (f_ref,), spec, seed)
+    return reduce_bh(f_bag.pdf(x), f_ref.pdf(x), spec, dx)
 
 
 def ckl(
@@ -211,35 +262,8 @@ def ckl(
     ``f_neg/f_pos`` (clipped at ``spec.ratio_clip``). Unlike KL the value
     may be negative.
     """
-    if spec.integrator == "IMPORTANCE":
-        z = f_bag.sample(spec.n_imp, seed)
-        fb = f_bag.pdf(z)
-        fp = f_pos.pdf(z)
-        fn = f_neg.pdf(z)
-        logratio, lclip = _kl_pointwise(fb, fp, spec)
-        w = fn / np.maximum(fp, spec.floor)
-        wclip = w > spec.ratio_clip
-        w = np.minimum(w, spec.ratio_clip)
-        ess = _ess(w)
-        return DivergenceScore(
-            value=float((w * logratio).mean()),
-            measure="CKL",
-            clipped_fraction=float((lclip | wclip).mean()),
-            ess=ess,
-            low_ess=ess < 0.01 * spec.n_imp,
-        )
-    x, dx = _riemann_grid((f_bag, f_pos, f_neg), spec)
-    fb = f_bag.pdf(x)
-    active = fb > 0
-    fp = f_pos.pdf(x[active])
-    fn = f_neg.pdf(x[active])
-    logratio, lclip = _kl_pointwise(fb[active], fp, spec)
-    w = fn / np.maximum(fp, spec.floor)
-    wclip = w > spec.ratio_clip
-    w = np.minimum(w, spec.ratio_clip)
-    value = float((w * fb[active] * logratio).sum() * dx)
-    frac = float((lclip | wclip).mean()) if lclip.size else 0.0
-    return DivergenceScore(value=value, measure="CKL", clipped_fraction=frac)
+    x, dx = evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
+    return reduce_ckl(f_bag.pdf(x), f_pos.pdf(x), f_neg.pdf(x), spec, dx)
 
 
 def rd_ratio(
@@ -252,17 +276,17 @@ def rd_ratio(
 ) -> float:
     """Ratio D(bag, pos) / D(bag, neg); small values indicate positive bags.
 
-    Both divergences share one set of evaluation points. The denominator is
-    floored at 1e-12.
+    Both divergences share one set of evaluation points: one importance
+    sample, or one Riemann grid over the bag and both classes. The
+    denominator is floored at 1e-12.
     """
     if measure not in ("KL", "BH"):
         raise ValueError(f"rd_ratio measure must be KL or BH, got {measure!r}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    fn = kl if measure == "KL" else bhattacharyya
-    child = ss.spawn(1)[0]
-    num = fn(f_bag, f_pos, spec, child).value
-    den = fn(f_bag, f_neg, spec, child).value
-    return num / max(den, _RD_DENOMINATOR_FLOOR)
+    reduce = reduce_kl if measure == "KL" else reduce_bh
+    x, dx = evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
+    fb = f_bag.pdf(x)
+    num = reduce(fb, f_pos.pdf(x), spec, dx).value
+    return rd_value(num, reduce(fb, f_neg.pdf(x), spec, dx).value)
 
 
 # --------------------------------------------------------------------------

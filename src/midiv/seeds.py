@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed"]
+__all__ = ["as_seed_sequence", "derive_seed"]
 
 
 def derive_seed(*parts) -> np.random.SeedSequence:
@@ -19,6 +19,11 @@ def derive_seed(*parts) -> np.random.SeedSequence:
     text = "\x1f".join(_canonical(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return np.random.SeedSequence(int.from_bytes(digest, "little"))
+
+
+def as_seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` itself if it is a SeedSequence, else a SeedSequence built from it."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def _canonical(part) -> str:

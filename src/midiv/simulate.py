@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bag, Dataset, Label
+from .seeds import as_seed_sequence
 
 __all__ = [
     "SimConfig",
@@ -201,7 +202,7 @@ def sample_experiment_bags(
     """Independent train/test bags with per-bag seeds split from one stream."""
     if min(n_train_pos, n_train_neg, n_test) < 1:
         raise ValueError("bag counts must be >= 1")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss = as_seed_sequence(seed)
     n_test_pos = n_test // 2  # odd test counts get the extra negative bag
     n_test_neg = n_test - n_test_pos
     plan = (

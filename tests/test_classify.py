@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midiv.classify import (
+    ESTIMATORS,
     EstimatorConfig,
     PipelineConfig,
     SvmConfig,
@@ -14,6 +15,7 @@ from midiv.classify import (
     evaluate_holdout,
     fit_class_densities,
     fit_classifier,
+    fit_density_1d,
     fit_svm_on_divergences,
     roc_points,
     run_sim_study,
@@ -21,7 +23,8 @@ from midiv.classify import (
     train_linear_svm,
 )
 from midiv.core import Bag, Dataset, Label
-from midiv.divergence import DivergenceSpec
+from midiv.divergence import DivergenceSpec, ckl, rd_ratio
+from midiv.seeds import derive_seed
 from midiv.simulate import SimConfig, sample_experiment
 
 FAST_SPEC = DivergenceSpec(n_imp=512)
@@ -252,6 +255,30 @@ class TestScoreBag:
         model = fit_classifier(train, "rd_bh", EstimatorConfig(), FAST_SPEC, seed=0)
         probe = make_bag(rng.standard_normal((20, 1)), None, "p")
         assert score_bag(model, probe, seed=5) == score_bag(model, probe, seed=5)
+
+
+class TestScoreBagMatchesPublicDivergences:
+    """The classifier and the public divergence functions share one estimator."""
+
+    @pytest.mark.parametrize("integrator", ["IMPORTANCE", "RIEMANN"])
+    @pytest.mark.parametrize("kind", ESTIMATORS)
+    def test_one_dimensional_scores_equal_exactly(self, kind, integrator):
+        spec = DivergenceSpec(integrator=integrator, n_imp=200, grid_points=512)
+        est = EstimatorConfig(kind=kind)
+        train, test = sample_experiment(SimConfig.preset("sim1", n_instances=30), 3, 3, 4, seed=5)
+        for method in ("rd_kl", "rd_bh", "ckl"):
+            model = fit_classifier(train, method, est, spec, seed=11, threshold=0.0)
+            f_pos, f_neg = model.f_pos[0], model.f_neg[0]
+            for i, bag in enumerate(test.bags):
+                s = derive_seed(3, i)
+                bag_model = fit_density_1d(bag.column(0), est, derive_seed(s, "bagfit", 0))
+                points_seed = derive_seed(s, "dim", 0)
+                if method == "ckl":
+                    expected = -ckl(bag_model, f_neg, f_pos, spec, points_seed).value
+                else:
+                    measure = "KL" if method == "rd_kl" else "BH"
+                    expected = rd_ratio(bag_model, f_pos, f_neg, measure, spec, points_seed)
+                assert score_bag(model, bag, s) == expected, (method, bag.id)
 
 
 class TestLinearSvm:

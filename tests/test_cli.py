@@ -107,6 +107,14 @@ class TestEvaluateCommand:
                     "--method", "magic", "-o", tmp_path / "o"])
         assert code == 2
 
+    @pytest.mark.parametrize("measure", ["b2b-kl", "foo"])
+    def test_bad_svm_measure_usage_error(self, sim_files, tmp_path, capsys, measure):
+        code = run(["evaluate", "--train", sim_files / "train.csv", "--method", "svm-divs",
+                    "--svm-measure", measure, "-o", tmp_path / "o"])
+        assert code == 2
+        assert "--svm-measure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_svm_divs_method(self, sim_files, tmp_path):
         out = tmp_path / "svm"
         code = run(["evaluate", "--train", sim_files / "train.csv",

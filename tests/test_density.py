@@ -9,10 +9,8 @@ from midiv.density import (
     GMM,
     KDE_EPANECHNIKOV,
     KDE_GAUSSIAN,
-    eval_density,
     fit_gmm,
     fit_kde,
-    sample_density,
     select_gmm,
     silverman_bandwidth,
 )
@@ -29,16 +27,16 @@ def numeric_integral(model, n_grid=10_000):
 class TestFitKde:
     def test_single_center_epanechnikov_peak(self):
         model = fit_kde([0.0], "EPANECHNIKOV", bandwidth=1.0)
-        assert eval_density(model, 0.0) == pytest.approx(0.75)
+        assert model.pdf(0.0) == pytest.approx(0.75)
 
     def test_single_center_gaussian_peak(self):
         model = fit_kde([0.0], "GAUSSIAN", bandwidth=1.0)
-        assert eval_density(model, 0.0) == pytest.approx(PHI0, abs=1e-6)
+        assert model.pdf(0.0) == pytest.approx(PHI0, abs=1e-6)
 
     def test_two_center_hand_sum(self):
         # (1/2)*(K(1.5) + K(0.5)) = (1/2)*(0 + 0.75*0.75) = 0.28125
         model = fit_kde([-1.0, 1.0], "EPANECHNIKOV", bandwidth=1.0)
-        assert eval_density(model, 0.5) == pytest.approx(0.28125)
+        assert model.pdf(0.5) == pytest.approx(0.28125)
 
     def test_matches_direct_kernel_sum(self):
         rng = np.random.default_rng(0)
@@ -184,14 +182,14 @@ class TestSelectGmm:
 class TestEvalAndSample:
     def test_gmm_standard_normal_at_zero(self):
         model = DensityModel(kind=GMM, support_hint=(-5, 5), components=[[1.0, 0.0, 1.0]])
-        assert eval_density(model, 0.0) == pytest.approx(PHI0, abs=1e-9)
+        assert model.pdf(0.0) == pytest.approx(PHI0, abs=1e-9)
 
     def test_gmm_two_component_value(self):
         model = DensityModel(
             kind=GMM, support_hint=(-6, 6), components=[[0.5, -1.0, 1.0], [0.5, 1.0, 1.0]]
         )
         expected = PHI0 * math.exp(-0.5)  # 0.5*phi(1) + 0.5*phi(-1)
-        assert eval_density(model, 0.0) == pytest.approx(expected, abs=1e-9)
+        assert model.pdf(0.0) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.24197, abs=5e-6)
 
     def test_normalization_all_kinds(self):
@@ -207,22 +205,22 @@ class TestEvalAndSample:
 
     def test_sampler_determinism(self):
         model = fit_kde(np.arange(10.0), "EPANECHNIKOV")
-        a = sample_density(model, 50, seed=123)
-        b = sample_density(model, 50, seed=123)
+        a = model.sample(50, seed=123)
+        b = model.sample(50, seed=123)
         np.testing.assert_array_equal(a, b)
 
     def test_epanechnikov_samples_within_support(self):
         model = fit_kde([0.0], "EPANECHNIKOV", bandwidth=1.0)
-        s = sample_density(model, 5000, seed=0)
+        s = model.sample(5000, seed=0)
         assert np.all(np.abs(s) <= 1.0)
 
     def test_gmm_sample_mean(self):
         model = DensityModel(kind=GMM, support_hint=(4.9, 5.1), components=[[1.0, 5.0, 1e-6]])
-        s = sample_density(model, 10_000, seed=1)
+        s = model.sample(10_000, seed=1)
         assert abs(s.mean() - 5.0) < 0.01
 
     def test_sampler_matches_density_ks(self):
-        # empirical CDF of draws vs numeric CDF of eval_density
+        # empirical CDF of draws vs numeric CDF of model.pdf
         rng = np.random.default_rng(9)
         x = np.concatenate([rng.standard_normal(150) - 2, rng.standard_normal(150) + 2])
         models = [
@@ -231,7 +229,7 @@ class TestEvalAndSample:
             fit_gmm(x, 2, seed=3)[0],
         ]
         for model in models:
-            draws = np.sort(sample_density(model, 100_000, seed=11))
+            draws = np.sort(model.sample(100_000, seed=11))
             lo, hi = model.support_hint
             grid = np.linspace(lo, hi, 20_001)
             pdf = model.pdf(grid)
