@@ -199,13 +199,15 @@ def _bundle_scores(
     totals = dict.fromkeys(methods, 0.0)
     rows = []
     for d, fb_model in enumerate(bag_models):
-        refs = (f_pos[d], f_neg[d]) + tuple(models[d] for _, models in train_bags)
+        class_refs = (f_pos[d], f_neg[d])
+        train_refs = tuple(models[d] for _, models in train_bags)
         child = derive_seed(seed, "feat" if per_dim else "dim", d)
-        x, dx = dv.evaluation_points(fb_model, refs, spec, child)
-        fb = fb_model.pdf(x)
+        x, dx = dv.evaluation_points(fb_model, class_refs + train_refs, spec, child)
+        fb, *f_train = dv.densities_at(
+            x, (fb_model,) + (class_refs if need_class else ()) + train_refs
+        )
         if need_class:
-            fp, fn = f_pos[d].pdf(x), f_neg[d].pdf(x)
-        f_train = [models[d].pdf(x) for _, models in train_bags]
+            fp, fn, *f_train = f_train
         terms = {}
         for m in methods:
             if m == "ckl":
@@ -447,12 +449,13 @@ def roc_points(scores, labels) -> tuple[tuple[float, float], ...]:
     n_neg = int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs both classes present")
-    points = [(0.0, 0.0)]
-    for v in np.unique(scores):
-        fpr = float((scores[~pos] <= v).sum()) / n_neg
-        tpr = float((scores[pos] <= v).sum()) / n_pos
-        points.append((fpr, tpr))
-    return tuple(points)
+    if np.isnan(scores).any():
+        raise ValueError("ROC needs scores without NaN")
+    uniq = np.unique(scores)
+    # per class, the number of scores at or below each unique score
+    fpr = np.searchsorted(np.sort(scores[~pos]), uniq, side="right") / n_neg
+    tpr = np.searchsorted(np.sort(scores[pos]), uniq, side="right") / n_pos
+    return ((0.0, 0.0),) + tuple(zip(fpr.tolist(), tpr.tolist()))
 
 
 def _trapezoid(points) -> float:
@@ -489,7 +492,9 @@ def choose_threshold(train_scores, train_labels, policy="loocv") -> float:
     if uniq.size == 1:
         return float(uniq[0])
     candidates = (uniq[:-1] + uniq[1:]) / 2.0
-    accs = np.array([accuracy_at(scores, train_labels, t) for t in candidates])
+    pos = _as_pos_mask(train_labels)
+    # accuracy_at's arithmetic, with the label mask built once
+    accs = np.array([float(((scores < t) == pos).mean()) for t in candidates])
     best = np.flatnonzero(accs == accs.max())
     median_idx = (len(candidates) - 1) / 2.0
     winner = best[np.lexsort((best, np.abs(best - median_idx)))][0]

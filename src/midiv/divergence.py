@@ -41,6 +41,7 @@ __all__ = [
     "ckl",
     "rd_ratio",
     "evaluation_points",
+    "densities_at",
     "reduce_kl",
     "reduce_bh",
     "reduce_ckl",
@@ -122,9 +123,10 @@ class DivergenceScore:
 # set of evaluation points: an importance sample drawn from the bag density
 # itself (cell width ``dx`` None; the estimate is a mean), or a midpoint
 # Riemann grid over the bag and every reference density (width ``dx``).
-# ``evaluation_points`` makes the points and the ``reduce_*`` functions turn
-# densities evaluated there into scores. A caller scoring one bag against
-# several references passes them all, so every measure shares the points.
+# ``evaluation_points`` makes the points, ``densities_at`` evaluates densities
+# there and the ``reduce_*`` functions turn those values into scores. A caller
+# scoring one bag against several references passes them all, so every
+# measure shares the points.
 # Importance estimates are ``.mean()``s and Riemann products run left to
 # right; summing weighted terms or re-associating moves values in the last bits.
 
@@ -151,6 +153,24 @@ def evaluation_points(
     if spec.integrator == "IMPORTANCE":
         return f_bag.sample(spec.n_imp, seed), None
     return _riemann_grid((f_bag, *refs), spec)
+
+
+def densities_at(x: np.ndarray, models: tuple[DensityModel, ...]) -> tuple[np.ndarray, ...]:
+    """Each model's density at the points ``x``, in the order of ``x``.
+
+    The points are sorted once and every model is evaluated on the sorted
+    array (the Epanechnikov lookups then walk their tables in order). Every
+    evaluation is elementwise, so scattering the values back into draw order
+    gives the same bits as evaluating ``x`` directly.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    values = []
+    for model in models:
+        f = np.empty(x.shape)
+        f[order] = model.pdf(xs)
+        values.append(f)
+    return tuple(values)
 
 
 def _ess(weights: np.ndarray) -> float:
@@ -238,7 +258,7 @@ def kl(f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed) -> 
     The estimate is truncated at zero (see ``reduce_kl``).
     """
     x, dx = evaluation_points(f_bag, (f_ref,), spec, seed)
-    return reduce_kl(f_bag.pdf(x), f_ref.pdf(x), spec, dx)
+    return reduce_kl(*densities_at(x, (f_bag, f_ref)), spec, dx)
 
 
 def bhattacharyya(
@@ -246,7 +266,7 @@ def bhattacharyya(
 ) -> DivergenceScore:
     """Bhattacharyya distance; the overlap integral is clamped into (0, 1]."""
     x, dx = evaluation_points(f_bag, (f_ref,), spec, seed)
-    return reduce_bh(f_bag.pdf(x), f_ref.pdf(x), spec, dx)
+    return reduce_bh(*densities_at(x, (f_bag, f_ref)), spec, dx)
 
 
 def ckl(
@@ -263,7 +283,7 @@ def ckl(
     may be negative.
     """
     x, dx = evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
-    return reduce_ckl(f_bag.pdf(x), f_pos.pdf(x), f_neg.pdf(x), spec, dx)
+    return reduce_ckl(*densities_at(x, (f_bag, f_pos, f_neg)), spec, dx)
 
 
 def rd_ratio(
@@ -284,9 +304,8 @@ def rd_ratio(
         raise ValueError(f"rd_ratio measure must be KL or BH, got {measure!r}")
     reduce = reduce_kl if measure == "KL" else reduce_bh
     x, dx = evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
-    fb = f_bag.pdf(x)
-    num = reduce(fb, f_pos.pdf(x), spec, dx).value
-    return rd_value(num, reduce(fb, f_neg.pdf(x), spec, dx).value)
+    fb, fp, fn = densities_at(x, (f_bag, f_pos, f_neg))
+    return rd_value(reduce(fb, fp, spec, dx).value, reduce(fb, fn, spec, dx).value)
 
 
 # --------------------------------------------------------------------------

@@ -119,6 +119,27 @@ class TestRoc:
             area = sum((x1 - x0) * (y1 + y0) / 2 for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
             assert area == pytest.approx(auc(scores, labels), abs=1e-12)
 
+    def test_counts_match_per_score_brute_force(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(4, 80))
+            scores = rng.integers(0, 10, n) / 4.0  # heavy ties
+            labels = rng.integers(0, 2, n).astype(bool)
+            if labels.all() or not labels.any():
+                continue
+            expected = [(0.0, 0.0)] + [
+                (
+                    float((scores[~labels] <= v).sum()) / int((~labels).sum()),
+                    float((scores[labels] <= v).sum()) / int(labels.sum()),
+                )
+                for v in np.unique(scores)
+            ]
+            assert roc_points(scores, labels) == tuple(expected)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            roc_points([0.1, float("nan"), 0.3], [POS, NEG, NEG])
+
 
 class TestChooseThreshold:
     def test_fixed_policies(self):
@@ -159,6 +180,22 @@ class TestChooseThreshold:
             for j in (idx - 1, idx + 1):
                 if 0 <= j < len(candidates):
                     assert acc >= accuracy_at(scores, labels, candidates[j])
+
+    def test_equals_per_candidate_accuracy_loop_with_ties(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(2, 120))
+            scores = rng.integers(0, 12, n) / 8.0  # heavy ties
+            labels = list(rng.choice([POS, NEG], n))
+            uniq = np.unique(scores)
+            if uniq.size == 1:
+                continue
+            candidates = (uniq[:-1] + uniq[1:]) / 2.0
+            accs = np.array([accuracy_at(scores, labels, t) for t in candidates])
+            best = np.flatnonzero(accs == accs.max())
+            median_idx = (len(candidates) - 1) / 2.0
+            winner = best[np.lexsort((best, np.abs(best - median_idx)))][0]
+            assert choose_threshold(scores, labels, "loocv") == float(candidates[winner])
 
     def test_needs_two_bags(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from midiv import density
 from midiv.density import (
     DensityModel,
     GMM,
@@ -239,6 +240,43 @@ class TestEvalAndSample:
             empirical = np.arange(1, draws.size + 1) / draws.size
             ks = np.max(np.abs(model_cdf_at_draws - empirical))
             assert ks < 0.01
+
+
+def dense_gauss_pdf(x, centers, h):
+    """The Gaussian KDE as one dense points-by-centers sum, in blocks of 2^18."""
+    n = centers.size
+    out = np.empty(x.size)
+    block = max(1, (1 << 18) // n)
+    for start in range(0, x.size, block):
+        u = (x[start : start + block, None] - centers[None, :]) / h
+        out[start : start + block] = np.exp(-0.5 * u * u).sum(axis=1)
+    return out / (n * h * math.sqrt(2.0 * math.pi))
+
+
+class TestGaussianKernelBits:
+    """The blocked evaluator gives the dense sum's bits at every block edge."""
+
+    @pytest.mark.parametrize("n_centers", [1, 17, 130, density._GAUSS_BLOCK + 5])
+    def test_matches_dense_sum_exactly(self, n_centers):
+        rng = np.random.default_rng(n_centers)
+        model = fit_kde(rng.standard_normal(n_centers) * 1.3, "GAUSSIAN", bandwidth=0.4)
+        rows = max(1, density._GAUSS_BLOCK // n_centers)  # points per block
+        for n_points in sorted({0, 1, rows - 1, rows, rows + 1, 3 * rows + 7}):
+            x = rng.uniform(-6.0, 6.0, n_points)
+            expected = dense_gauss_pdf(x, model.centers, model.bandwidth)
+            assert np.array_equal(model.pdf(x), expected), n_points
+
+    @pytest.mark.parametrize("kind", [KDE_EPANECHNIKOV, KDE_GAUSSIAN, GMM])
+    def test_permutation_equivariant(self, kind):
+        rng = np.random.default_rng(12)
+        samples = np.concatenate([rng.standard_normal(150) - 2, rng.standard_normal(150) + 2])
+        if kind == GMM:
+            model = fit_gmm(samples, 2, seed=4)[0]
+        else:
+            model = fit_kde(samples, kind)
+        x = rng.uniform(-7.0, 7.0, 5000)
+        p = rng.permutation(x.size)
+        assert np.array_equal(model.pdf(x[p]), model.pdf(x)[p])
 
 
 class TestSerialization:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from midiv.density import DensityModel, GMM, fit_kde
+from midiv import divergence as dv
+from midiv.density import DensityModel, GMM, fit_gmm, fit_kde
 from midiv.divergence import DivergenceSpec, bhattacharyya, ckl, kl, rd_ratio
 
 
@@ -247,6 +248,46 @@ class TestRdRatio:
         f = gaussian(0, 1)
         with pytest.raises(ValueError):
             rd_ratio(f, f, f, "CKL", RIEMANN, seed=0)
+
+
+def fitted_triple(kind, rng):
+    """Bag, positive-class and negative-class densities of one estimator kind."""
+    bag = rng.standard_normal(30) + 0.5
+    pos = np.concatenate([rng.standard_normal(60), rng.standard_normal(60) + 3.0])
+    neg = rng.standard_normal(120) * 1.5 - 1.0
+    if kind == "GMM":
+        return tuple(fit_gmm(x, 2, seed=i)[0] for i, x in enumerate((bag, pos, neg)))
+    return tuple(fit_kde(x, kind) for x in (bag, pos, neg))
+
+
+class TestSortedEvaluationIsInvisible:
+    """Scores equal the reductions of direct, unsorted ``pdf`` calls, bit for bit."""
+
+    @pytest.mark.parametrize("integrator", ["IMPORTANCE", "RIEMANN"])
+    @pytest.mark.parametrize("kind", ["EPANECHNIKOV", "GAUSSIAN", "GMM"])
+    def test_public_scores_equal_direct_reductions(self, kind, integrator):
+        spec = DivergenceSpec(integrator=integrator, n_imp=500, grid_points=512)
+        f_bag, f_pos, f_neg = fitted_triple(kind, np.random.default_rng(7))
+        seed = 21
+        x, dx = dv.evaluation_points(f_bag, (f_pos,), spec, seed)
+        fb, fp = f_bag.pdf(x), f_pos.pdf(x)
+        assert kl(f_bag, f_pos, spec, seed) == dv.reduce_kl(fb, fp, spec, dx)
+        assert bhattacharyya(f_bag, f_pos, spec, seed) == dv.reduce_bh(fb, fp, spec, dx)
+        x, dx = dv.evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
+        fb, fp, fn = f_bag.pdf(x), f_pos.pdf(x), f_neg.pdf(x)
+        assert ckl(f_bag, f_pos, f_neg, spec, seed) == dv.reduce_ckl(fb, fp, fn, spec, dx)
+        for measure, reduce in (("KL", dv.reduce_kl), ("BH", dv.reduce_bh)):
+            expected = dv.rd_value(reduce(fb, fp, spec, dx).value, reduce(fb, fn, spec, dx).value)
+            assert rd_ratio(f_bag, f_pos, f_neg, measure, spec, seed) == expected
+
+    @pytest.mark.parametrize("kind", ["EPANECHNIKOV", "GAUSSIAN", "GMM"])
+    def test_densities_at_keeps_draw_order(self, kind):
+        models = fitted_triple(kind, np.random.default_rng(8))
+        x = models[0].sample(700, seed=3)
+        values = dv.densities_at(x, models)
+        assert len(values) == len(models)
+        for model, f in zip(models, values):
+            assert np.array_equal(f, model.pdf(x))
 
 
 class TestDeterminismAndSerialization:
