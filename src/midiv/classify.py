@@ -14,6 +14,7 @@ the trapezoidal ROC area.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -51,22 +52,12 @@ __all__ = [
     "normalize_method",
 ]
 
-METHODS = ("rd_kl", "rd_bh", "ckl", "b2b_kl", "b2b_bh", "svm_divs")
-# The bag-to-class methods; their per-dimension values are the svm_divs features.
+METHODS = ("rd_bh", "rd_kl", "ckl", "b2b_kl", "b2b_bh", "svm_divs")
+# The bag-to-class methods in the published table's order; their
+# per-dimension values are the svm_divs features.
 CLASS_METHODS = METHODS[:3]
 ESTIMATORS = ("kde-epan", "kde-gauss", "gmm-aic")
 TABLE1_GRID = tuple((p, n) for p in (1, 5, 10) for n in (5, 10, 25))
-
-_ESTIMATOR_ALIASES = {
-    "kde-epan": "kde-epan",
-    "kde_epan": "kde-epan",
-    "kde_epanechnikov": "kde-epan",
-    "kde-gauss": "kde-gauss",
-    "kde_gauss": "kde-gauss",
-    "kde_gaussian": "kde-gauss",
-    "gmm-aic": "gmm-aic",
-    "gmm_aic": "gmm-aic",
-}
 
 
 def normalize_method(name: str) -> str:
@@ -78,25 +69,15 @@ def normalize_method(name: str) -> str:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """How per-bag and per-class densities are fitted.
-
-    ``robust_sigma`` controls the spread estimate of the KDE bandwidth
-    rule: None (default) uses the robust spread for per-bag fits and the
-    plain sample sd for pooled class fits, which is where the pooled
-    sample is multimodal; True/False force one choice everywhere.
-    """
+    """How per-bag and per-class densities are fitted; ``kind`` is one of ``ESTIMATORS``."""
 
     kind: str = "kde-epan"
     bandwidth: float | None = None  # explicit KDE bandwidth; None = rule of thumb
     k_max: int = 5  # GMM-AIC model search ceiling
-    n_restarts: int = 3
-    robust_sigma: bool | None = None
 
     def __post_init__(self):
-        key = self.kind.strip().lower()
-        if key not in _ESTIMATOR_ALIASES:
+        if self.kind not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.kind!r}; choose from {ESTIMATORS}")
-        object.__setattr__(self, "kind", _ESTIMATOR_ALIASES[key])
 
 
 @dataclass(frozen=True)
@@ -108,15 +89,13 @@ class SvmConfig:
 def fit_density_1d(
     samples: np.ndarray, estimator: EstimatorConfig, seed, pooled: bool = False
 ) -> DensityModel:
-    robust = estimator.robust_sigma
-    if robust is None:
-        robust = not pooled
-    if estimator.kind == "kde-epan":
-        return fit_kde(samples, "EPANECHNIKOV", estimator.bandwidth, robust_sigma=robust)
-    if estimator.kind == "kde-gauss":
-        return fit_kde(samples, "GAUSSIAN", estimator.bandwidth, robust_sigma=robust)
-    model, _ = select_gmm(samples, estimator.k_max, seed, n_restarts=estimator.n_restarts)
-    return model
+    """A GMM chosen by AIC, or a KDE whose rule-of-thumb bandwidth uses the
+    robust spread for a bag and the plain sd for a ``pooled`` class sample
+    (see ``silverman_bandwidth``)."""
+    if estimator.kind == "gmm-aic":
+        return select_gmm(samples, estimator.k_max, seed)[0]
+    kernel = "EPANECHNIKOV" if estimator.kind == "kde-epan" else "GAUSSIAN"
+    return fit_kde(samples, kernel, estimator.bandwidth, robust_sigma=not pooled)
 
 
 def fit_class_densities(
@@ -155,13 +134,25 @@ class ClassModel:
     scaler_mean: np.ndarray | None = None
     scaler_sd: np.ndarray | None = None
     train_bags: tuple[tuple[Label, tuple[DensityModel, ...]], ...] = ()
-    train_bag_ids: tuple[str, ...] = ()  # provenance of every pooled fit
 
     def __post_init__(self):
         if len(self.f_pos) != self.dimension or len(self.f_neg) != self.dimension:
             raise ValueError("need one density per dimension per class")
         if self.svm_weights is not None and len(self.svm_weights) != self.dimension:
             raise ValueError("SVM weight length must equal the feature dimension")
+
+    def scores(self, bags, seeds) -> list[float]:
+        """Scores of ``bags``, one seed each, under the method; lower means more positive."""
+        svm = self.method == "svm_divs"
+        method = self.svm_measure if svm else self.method
+        refs = (self.f_pos, self.f_neg, self.train_bags)
+        values = _score_bags(bags, seeds, self.estimator, self.spec, refs, (method,), svm)[method]
+        if not svm:
+            return values
+        # The margin is taken bag by bag: one matrix product over all bags may
+        # round differently.
+        mean, sd, w, b = self.scaler_mean, self.scaler_sd, self.svm_weights, self.svm_bias
+        return [float((s - mean) / sd @ w + b) for s in values]
 
 
 # --------------------------------------------------------------------------
@@ -192,8 +183,6 @@ def _bundle_scores(
     seed stream ``"feat"``.
     """
     train_pos = np.array([lab == Label.POS for lab, _ in train_bags], dtype=bool)
-    if any(m.startswith("b2b") for m in methods) and (train_pos.all() or not train_pos.any()):
-        raise ValueError("bag-to-bag scoring needs training bags of both classes")
     need_class = any(m in CLASS_METHODS for m in methods)
     # Summed from 0.0 in dimension order; another order moves scores in the last bits.
     totals = dict.fromkeys(methods, 0.0)
@@ -252,28 +241,30 @@ def _fit_bag_models(
         raise ValueError(f"bag {bag.id!r}: {exc}") from exc
 
 
+def _score_bags(bags, seeds, estimator, spec, refs, methods, per_dim=False) -> dict[str, list]:
+    """Every bag's scores under each of ``methods``: one list per method.
+
+    This is the one per-bag loop. Each bag's densities are fitted from its
+    seed and scored by ``_bundle_scores`` against ``refs``, the class
+    densities and the b2b training-bag densities.
+    """
+    f_pos, f_neg, train_bags = refs
+    scores = {m: [] for m in methods}
+    for bag, seed in zip(bags, seeds, strict=True):
+        if bag.dimension != len(f_pos):
+            raise ValueError(
+                f"bag {bag.id!r} has dimension {bag.dimension}, model expects {len(f_pos)}"
+            )
+        bag_models = _fit_bag_models(bag, estimator, seed)
+        bundle = _bundle_scores(bag_models, f_pos, f_neg, spec, seed, methods, train_bags, per_dim)
+        for m in methods:
+            scores[m].append(bundle[m])
+    return scores
+
+
 def score_bag(model: ClassModel, bag: Bag, seed) -> float:
     """Score one bag under the model's method; lower means more positive."""
-    if bag.dimension != model.dimension:
-        raise ValueError(
-            f"bag {bag.id!r} has dimension {bag.dimension}, model expects {model.dimension}"
-        )
-    svm = model.method == "svm_divs"
-    method = model.svm_measure if svm else model.method
-    score = _bundle_scores(
-        _fit_bag_models(bag, model.estimator, seed),
-        model.f_pos,
-        model.f_neg,
-        model.spec,
-        seed,
-        (method,),
-        model.train_bags,
-        per_dim=svm,
-    )[method]
-    if not svm:
-        return score
-    x = (score - model.scaler_mean) / model.scaler_sd
-    return float(x @ model.svm_weights + model.svm_bias)
+    return model.scores([bag], [seed])[0]
 
 
 # --------------------------------------------------------------------------
@@ -311,18 +302,20 @@ def train_linear_svm(
 
 
 def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool):
-    """Class densities and, for the b2b methods, every training bag's densities."""
-    f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(seed, "class-fit"))
-    if not b2b:
-        return f_pos, f_neg, ()
-    train_bags = []
+    """Class densities and, for the b2b methods, every training bag's densities.
+
+    Every training bag must be labelled: the class fits skip an unlabelled
+    bag, but its training score would still count toward the threshold.
+    """
     for bag in train.bags:
         if bag.label is None:
-            raise ValueError(f"bag {bag.id!r} is unlabelled")
-        train_bags.append(
-            (bag.label, _fit_bag_models(bag, estimator, derive_seed(seed, "b2b", bag.id)))
-        )
-    return f_pos, f_neg, tuple(train_bags)
+            raise ValueError(f"training bag {bag.id!r} is unlabelled")
+    f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(seed, "class-fit"))
+    train_bags = tuple(
+        (bag.label, _fit_bag_models(bag, estimator, derive_seed(seed, "b2b", bag.id)))
+        for bag in (train.bags if b2b else ())
+    )
+    return f_pos, f_neg, train_bags
 
 
 def fit_svm_on_divergences(
@@ -341,20 +334,15 @@ def fit_svm_on_divergences(
     """
     measure = normalize_method(measure)
     if measure not in CLASS_METHODS:
-        raise ValueError("svm feature measure must be rd_kl, rd_bh or ckl")
+        raise ValueError(f"svm feature measure must be one of {CLASS_METHODS}")
     estimator = estimator or EstimatorConfig(kind="kde-gauss")
-    f_pos, f_neg, _ = _fit_references(train, estimator, seed, b2b=False)
-    feats = np.empty((len(train.bags), train.dimension))
-    labels = np.empty(len(train.bags), dtype=bool)
-    for i, bag in enumerate(train.bags):
-        bag_seed = derive_seed(seed, "train-bag", bag.id)
-        bag_models = _fit_bag_models(bag, estimator, bag_seed)
-        feats[i] = _bundle_scores(
-            bag_models, f_pos, f_neg, spec, bag_seed, (measure,), per_dim=True
-        )[measure]
-        if bag.label is None:
-            raise ValueError(f"bag {bag.id!r} is unlabelled")
-        labels[i] = bag.label == Label.POS
+    refs = _fit_references(train, estimator, seed, b2b=False)
+    f_pos, f_neg, _ = refs
+    seeds = [derive_seed(seed, "train-bag", bag.id) for bag in train.bags]
+    feats = np.array(
+        _score_bags(train.bags, seeds, estimator, spec, refs, (measure,), per_dim=True)[measure]
+    )
+    labels = np.array([bag.label == Label.POS for bag in train.bags])
     if not np.all(np.isfinite(feats)):
         raise AssertionError("divergence features must be finite after clipping")
     mean = feats.mean(axis=0)
@@ -374,7 +362,6 @@ def fit_svm_on_divergences(
         svm_measure=measure,
         scaler_mean=mean,
         scaler_sd=sd,
-        train_bag_ids=tuple(b_.id for b_ in train.bags),
     )
 
 
@@ -403,13 +390,10 @@ def fit_classifier(
         f_pos=f_pos,
         f_neg=f_neg,
         train_bags=train_bags,
-        train_bag_ids=tuple(b.id for b in train.bags),
     )
-    train_scores = [
-        score_bag(model, bag, derive_seed(seed, "train-score", bag.id)) for bag in train.bags
-    ]
-    train_labels = [bag.label for bag in train.bags]
-    t = choose_threshold(train_scores, train_labels, threshold)
+    seeds = [derive_seed(seed, "train-score", bag.id) for bag in train.bags]
+    train_scores = model.scores(train.bags, seeds)
+    t = choose_threshold(train_scores, [bag.label for bag in train.bags], threshold)
     return replace(model, threshold=t)
 
 
@@ -418,7 +402,8 @@ def fit_classifier(
 
 
 def _as_pos_mask(labels) -> np.ndarray:
-    return np.array([lab == Label.POS or lab == 1 or lab is True for lab in labels], dtype=bool)
+    # Label.POS, 1, True and numpy True all equal 1; Label.NEG, 0, False and None do not.
+    return np.asarray(labels) == 1
 
 
 def auc(scores, labels) -> float:
@@ -493,8 +478,13 @@ def choose_threshold(train_scores, train_labels, policy="loocv") -> float:
         return float(uniq[0])
     candidates = (uniq[:-1] + uniq[1:]) / 2.0
     pos = _as_pos_mask(train_labels)
-    # accuracy_at's arithmetic, with the label mask built once
-    accs = np.array([float(((scores < t) == pos).mean()) for t in candidates])
+    # A candidate t classifies a positive right when its score is below t and
+    # a negative when its score is not. Counting both with one sort per class
+    # and dividing by n gives accuracy_at's mean bit for bit.
+    neg = np.sort(scores[~pos])
+    pos_below = np.searchsorted(np.sort(scores[pos]), candidates, side="left")
+    neg_below = np.searchsorted(neg, candidates, side="left")
+    accs = (pos_below + (neg.size - neg_below)) / scores.size
     best = np.flatnonzero(accs == accs.max())
     median_idx = (len(candidates) - 1) / 2.0
     winner = best[np.lexsort((best, np.abs(best - median_idx)))][0]
@@ -630,7 +620,7 @@ def _fit_and_score(train: Dataset, test: Dataset, pipeline: PipelineConfig, seed
         svm=pipeline.svm,
         svm_measure=pipeline.svm_measure,
     )
-    scores = [score_bag(model, bag, derive_seed(seed, "score", *run, bag.id)) for bag in test.bags]
+    scores = model.scores(test.bags, [derive_seed(seed, "score", *run, b.id) for b in test.bags])
     records = [
         (bag.id, s, int(bag.label), int(s < model.threshold)) for bag, s in zip(test.bags, scores)
     ]
@@ -727,32 +717,24 @@ class StudyResult:
 
 def _run_study_cell(
     config: SimConfig,
-    pos: int,
-    neg: int,
     repetitions: int,
     methods: tuple[str, ...],
     seed,
     estimator: EstimatorConfig,
     spec: DivergenceSpec,
     n_test: int,
+    pos: int,
+    neg: int,
 ) -> StudyCell:
     rep_aucs: dict[str, list[float]] = {m: [] for m in methods}
     need_b2b = any(m.startswith("b2b") for m in methods)
     for rep in range(repetitions):
         cell_seed = derive_seed(seed, config.scenario, pos, neg, rep)
         train, test = sample_experiment(config, pos, neg, n_test, cell_seed)
-        f_pos, f_neg, train_bags = _fit_references(train, estimator, cell_seed, need_b2b)
-        scores: dict[str, list[float]] = {m: [] for m in methods}
-        labels = []
-        for bag in test.bags:
-            bag_seed = derive_seed(cell_seed, "bag", bag.id)
-            bag_models = _fit_bag_models(bag, estimator, bag_seed)
-            bundle = _bundle_scores(
-                bag_models, f_pos, f_neg, spec, bag_seed, methods, train_bags=train_bags
-            )
-            for m in methods:
-                scores[m].append(bundle[m])
-            labels.append(bag.label)
+        refs = _fit_references(train, estimator, cell_seed, need_b2b)
+        seeds = [derive_seed(cell_seed, "bag", bag.id) for bag in test.bags]
+        scores = _score_bags(test.bags, seeds, estimator, spec, refs, methods)
+        labels = [bag.label for bag in test.bags]
         for m in methods:
             rep_aucs[m].append(auc(scores[m], labels))
     return StudyCell(
@@ -767,7 +749,7 @@ def run_sim_study(
     config: SimConfig,
     grid=TABLE1_GRID,
     repetitions: int = 50,
-    methods=("rd_bh", "rd_kl", "ckl"),
+    methods=CLASS_METHODS,
     seed=0,
     estimator: EstimatorConfig | None = None,
     spec: DivergenceSpec | None = None,
@@ -786,17 +768,15 @@ def run_sim_study(
         raise ValueError("the simulation study compares score-based methods; svm_divs is not one")
     estimator = estimator or EstimatorConfig()
     spec = spec or DivergenceSpec()
-    args = [
-        (config, pos, neg, repetitions, methods, seed, estimator, spec, n_test)
-        for pos, neg in grid
-    ]
-    if max_workers > 1 and len(args) > 1:
+    run_cell = partial(_run_study_cell, config, repetitions, methods, seed, estimator, spec, n_test)
+    poss, negs = [p for p, _ in grid], [n for _, n in grid]
+    if max_workers > 1 and len(grid) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            cells = tuple(pool.map(_run_study_cell_packed, args))
+            cells = tuple(pool.map(run_cell, poss, negs))
     else:
-        cells = tuple(_run_study_cell(*a) for a in args)
+        cells = tuple(map(run_cell, poss, negs))
     return StudyResult(
         scenario=config.scenario,
         repetitions=repetitions,
@@ -805,6 +785,3 @@ def run_sim_study(
         seed=seed,
     )
 
-
-def _run_study_cell_packed(packed) -> StudyCell:
-    return _run_study_cell(*packed)

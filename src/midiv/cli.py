@@ -65,14 +65,11 @@ _REFERENCE_ROWS = {
     ("sim6", 10): (66, 64, 66, 70, 69, 72, 72, 73, 74),
 }
 
-REFERENCE_AUC100: dict[tuple[str, int, int], dict[str, int]] = {}
-for (_scn, _pos), _vals in _REFERENCE_ROWS.items():
-    for _j, _neg in enumerate((5, 10, 25)):
-        REFERENCE_AUC100[(_scn, _pos, _neg)] = {
-            "rd_bh": _vals[3 * _j],
-            "rd_kl": _vals[3 * _j + 1],
-            "ckl": _vals[3 * _j + 2],
-        }
+REFERENCE_AUC100: dict[tuple[str, int, int], dict[str, int]] = {
+    (scn, pos, neg): dict(zip(CLASS_METHODS, vals[3 * j : 3 * j + 3]))
+    for (scn, pos), vals in _REFERENCE_ROWS.items()
+    for j, neg in enumerate((5, 10, 25))
+}
 
 
 @dataclass
@@ -100,19 +97,21 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _versions() -> dict:
-    return {"midiv": __version__, "numpy": np.__version__, "python": sys.version.split()[0]}
-
-
-def _new_manifest(command: str, args: argparse.Namespace, argv: list[str]) -> RunManifest:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    return RunManifest(
-        command=command,
+def _write_manifest(out: Path, args, argv, started: float, outputs, inputs=()) -> None:
+    """``out/manifest.json`` for the command in ``args``; ``inputs`` are hashed."""
+    config = {
+        k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items() if k != "func"
+    }
+    RunManifest(
+        command=args.command,
         argv=argv,
-        config={k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
+        config=config,
         seed=args.seed,
-        versions=_versions(),
-    )
+        versions={"midiv": __version__, "numpy": np.__version__, "python": sys.version.split()[0]},
+        inputs={str(path): _sha256(path) for path in inputs},
+        outputs=[str(path) for path in outputs],
+        wall_clock_seconds=time.perf_counter() - started,
+    ).write(out / "manifest.json")
 
 
 def _max_workers() -> int:
@@ -154,10 +153,7 @@ def cmd_simulate(args, argv) -> int:
     write_dataset(test, test_path)
     latents = {g.bag.id: dict(g.latent, true_label=int(g.true_label)) for g in train_gen + test_gen}
     latent_path.write_text(json.dumps(latents, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest = _new_manifest("simulate", args, argv)
-    manifest.outputs = [str(train_path), str(test_path), str(latent_path)]
-    manifest.wall_clock_seconds = time.perf_counter() - started
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, args, argv, started, [train_path, test_path, latent_path])
     print(f"wrote {train_path}, {test_path}, {latent_path}")
     return 0
 
@@ -176,13 +172,13 @@ def cmd_evaluate(args, argv) -> int:
     started = time.perf_counter()
     train = load_dataset(args.train)
     pipeline = PipelineConfig(
-        method=normalize_method(args.method),
+        method=args.method,
         estimator=_estimator(args),
         spec=_divergence_spec(args),
         pca_components=args.pca,
         threshold=args.threshold,
         svm=SvmConfig(epochs=args.svm_epochs, lam=args.svm_lambda),
-        svm_measure=normalize_method(args.svm_measure),
+        svm_measure=args.svm_measure,
     )
     if args.test is not None:
         test = load_dataset(args.test)
@@ -194,13 +190,8 @@ def cmd_evaluate(args, argv) -> int:
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     _write_roc_csv(report, roc_path)
-    manifest = _new_manifest("evaluate", args, argv)
-    manifest.inputs = {str(args.train): _sha256(args.train)}
-    if args.test is not None:
-        manifest.inputs[str(args.test)] = _sha256(args.test)
-    manifest.outputs = [str(report_path), str(roc_path)]
-    manifest.wall_clock_seconds = time.perf_counter() - started
-    manifest.write(out / "manifest.json")
+    inputs = [args.train] + ([] if args.test is None else [args.test])
+    _write_manifest(out, args, argv, started, [report_path, roc_path], inputs)
     print(f"auc={report.auc:.4f} accuracy={report.accuracy:.4f} -> {report_path}")
     return 0
 
@@ -242,10 +233,7 @@ def cmd_table1(args, argv) -> int:
     wide_path = out / "table_wide.csv"
     _write_table_long(results, methods, long_path)
     _write_table_wide(results, methods, wide_path)
-    manifest = _new_manifest("table1", args, argv)
-    manifest.outputs = [str(long_path), str(wide_path)]
-    manifest.wall_clock_seconds = time.perf_counter() - started
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, args, argv, started, [long_path, wide_path])
     print(f"wrote {long_path}, {wide_path}")
     return 0
 
@@ -386,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--scenario", choices=list(SCENARIOS[:-1]) + ["all"], default="sim1")
     p_tab.add_argument("--reps", type=int, default=50)
     p_tab.add_argument("--cell", default=None, help="restrict to one cell, e.g. pos=1,neg=5")
-    p_tab.add_argument("--methods", default="rd-bh,rd-kl,ckl")
+    p_tab.add_argument("--methods", default=",".join(_dashed(CLASS_METHODS)))
     p_tab.add_argument("--test", type=int, default=100, help="test bags per repetition")
     p_tab.add_argument("--n-instances", type=int, default=50)
     p_tab.add_argument("--seed", type=int, default=0)

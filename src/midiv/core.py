@@ -130,15 +130,13 @@ class Dataset:
 # BAG_CSV ingestion
 
 
-def load_dataset(path: str | Path, fmt: str = "BAG_CSV") -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Parse a BAG_CSV file into a Dataset.
 
     Rows are grouped by ``bag_id`` preserving row order within each bag.
     A bag's rows must agree on the label: mixing 0/1, or labelled and NA
     rows, within one bag is an error.
     """
-    if fmt != "BAG_CSV":
-        raise DatasetError(f"unknown dataset format {fmt!r}")
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

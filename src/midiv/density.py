@@ -41,10 +41,8 @@ GMM = "GMM"
 
 _KERNEL_ALIASES = {
     "EPANECHNIKOV": KDE_EPANECHNIKOV,
-    "EPAN": KDE_EPANECHNIKOV,
     KDE_EPANECHNIKOV: KDE_EPANECHNIKOV,
     "GAUSSIAN": KDE_GAUSSIAN,
-    "GAUSS": KDE_GAUSSIAN,
     KDE_GAUSSIAN: KDE_GAUSSIAN,
 }
 

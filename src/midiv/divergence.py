@@ -64,7 +64,6 @@ _RD_DENOMINATOR_FLOOR = 1e-12
 class DivergenceSpec:
     """Integral-approximation policy shared by all divergence estimators."""
 
-    measure: str = "KL"
     integrator: str = "IMPORTANCE"
     n_imp: int = 2000
     grid_points: int = 4096
@@ -75,8 +74,6 @@ class DivergenceSpec:
     floor: float = 1e-12
 
     def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ValueError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         if self.integrator not in ("IMPORTANCE", "RIEMANN"):
             raise ValueError(f"integrator must be IMPORTANCE or RIEMANN, got {self.integrator!r}")
         if self.n_imp < 100:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from midiv.classify import (
     ESTIMATORS,
+    METHODS,
     EstimatorConfig,
     PipelineConfig,
     SvmConfig,
@@ -183,8 +184,8 @@ class TestChooseThreshold:
 
     def test_equals_per_candidate_accuracy_loop_with_ties(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(2, 120))
+        for trial in range(51):
+            n = int(rng.integers(2, 120)) if trial < 50 else 5000
             scores = rng.integers(0, 12, n) / 8.0  # heavy ties
             labels = list(rng.choice([POS, NEG], n))
             uniq = np.unique(scores)
@@ -200,6 +201,27 @@ class TestChooseThreshold:
     def test_needs_two_bags(self):
         with pytest.raises(ValueError):
             choose_threshold([1.0], [POS], "loocv")
+
+
+LABEL_CONTAINERS = {
+    "Label": lambda mask: [POS if m else NEG for m in mask],
+    "int": lambda mask: [int(m) for m in mask],
+    "bool": lambda mask: [bool(m) for m in mask],
+    "numpy-bool": lambda mask: np.asarray(mask, dtype=bool),
+    "numpy-int": lambda mask: np.asarray(mask, dtype=np.int64),
+}
+
+
+class TestLabelContainers:
+    @pytest.mark.parametrize("container", sorted(LABEL_CONTAINERS))
+    def test_auc_and_threshold_agree(self, container):
+        rng = np.random.default_rng(25)
+        scores = rng.integers(0, 40, 300) / 4.0
+        mask = rng.integers(0, 2, 300).astype(bool)
+        labels = LABEL_CONTAINERS[container](mask)
+        reference = LABEL_CONTAINERS["Label"](mask)
+        assert auc(scores, labels) == auc(scores, reference) == brute_force_auc(scores, mask)
+        assert choose_threshold(scores, labels) == choose_threshold(scores, reference)
 
 
 def make_bag(values, label, bag_id="b"):
@@ -292,6 +314,54 @@ class TestScoreBag:
         model = fit_classifier(train, "rd_bh", EstimatorConfig(), FAST_SPEC, seed=0)
         probe = make_bag(rng.standard_normal((20, 1)), None, "p")
         assert score_bag(model, probe, seed=5) == score_bag(model, probe, seed=5)
+
+
+class TestEstimatorConfig:
+    @pytest.mark.parametrize("kind", ["kde_gauss", "KDE-EPAN", "gmm"])
+    def test_only_listed_estimators(self, kind):
+        with pytest.raises(ValueError, match="estimator"):
+            EstimatorConfig(kind=kind)
+
+
+class TestUnlabelledTrainingBags:
+    """An unlabelled training bag is left out of the class fits but would
+    still count toward the LOOCV threshold, so fitting rejects it."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_rejects_and_names_bag(self, method):
+        rng = np.random.default_rng(24)
+        stray = make_bag(rng.standard_normal((30, 1)) + 4.0, None, "stray-bag")
+        train = Dataset(bags=two_class_dataset(rng).bags + (stray,), dimension=1)
+        with pytest.raises(ValueError, match="stray-bag"):
+            fit_classifier(train, method, EstimatorConfig(), FAST_SPEC, seed=0)
+
+
+class TestOneScoringPath:
+    """Held-out and study scores are the public score_bag's, bit for bit."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_holdout_scores_are_score_bag_calls(self, method):
+        train, test = sample_experiment(SimConfig.preset("sim1", n_instances=20), 3, 3, 6, seed=8)
+        est, seed = EstimatorConfig(), 4
+        report = evaluate_holdout(train, test, PipelineConfig(method, est, FAST_SPEC), seed=seed)
+        model = fit_classifier(train, method, est, FAST_SPEC, derive_seed(seed, "fit"))
+        expected = [score_bag(model, b, derive_seed(seed, "score", b.id)) for b in test.bags]
+        assert report.scores == tuple(expected)
+
+    def test_study_aucs_are_score_bag_aucs(self):
+        config = SimConfig.preset("sim1", n_instances=20)
+        methods = ("rd_bh", "rd_kl", "ckl", "b2b_kl", "b2b_bh")
+        res = run_sim_study(
+            config, grid=((2, 3),), repetitions=1, methods=methods, seed=7, spec=FAST_SPEC,
+            n_test=8,
+        )
+        cell_seed = derive_seed(7, "sim1", 2, 3, 0)
+        train, test = sample_experiment(config, 2, 3, 8, cell_seed)
+        labels = [b.label for b in test.bags]
+        for m in methods:
+            model = fit_classifier(train, m, EstimatorConfig(), FAST_SPEC, cell_seed, threshold=0.0)
+            scores = [score_bag(model, b, derive_seed(cell_seed, "bag", b.id)) for b in test.bags]
+            assert res.cells[0].rep_aucs[m] == (auc(scores, labels),), m
 
 
 class TestScoreBagMatchesPublicDivergences:

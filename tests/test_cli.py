@@ -115,6 +115,15 @@ class TestEvaluateCommand:
         assert "--svm-measure" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unlabelled_training_bag_runtime_error(self, sim_files, tmp_path, capsys):
+        train = tmp_path / "train_na.csv"
+        rows = [f"stray,NA,{0.1 * i!r}" for i in range(20)]
+        train.write_text((sim_files / "train.csv").read_text() + "\n".join(rows) + "\n")
+        code = run(["evaluate", "--train", train, "--test", sim_files / "test.csv",
+                    "-o", tmp_path / "o"] + FAST_EVAL)
+        assert code == 1
+        assert "stray" in capsys.readouterr().err
+
     def test_svm_divs_method(self, sim_files, tmp_path):
         out = tmp_path / "svm"
         code = run(["evaluate", "--train", sim_files / "train.csv",
