@@ -282,9 +282,7 @@ def train_linear_svm(
     x = np.asarray(features, dtype=float)
     y = np.where(np.asarray(labels, dtype=bool), -1.0, 1.0)
     n, d = x.shape
-    rng = np.random.default_rng(
-        seed if isinstance(seed, (int, np.random.SeedSequence)) else derive_seed("svm", str(seed))
-    )
+    rng = np.random.default_rng(seed)
     w = np.zeros(d)
     b = 0.0
     t = 0
@@ -401,9 +399,13 @@ def fit_classifier(
 # evaluation primitives
 
 
-def _as_pos_mask(labels) -> np.ndarray:
+def _scores_and_pos(scores, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as floats, rejecting NaN, and the positive-label mask."""
+    scores = np.asarray(scores, dtype=float)
+    if np.isnan(scores).any():
+        raise ValueError(f"{what} needs scores without NaN")
     # Label.POS, 1, True and numpy True all equal 1; Label.NEG, 0, False and None do not.
-    return np.asarray(labels) == 1
+    return scores, np.asarray(labels) == 1
 
 
 def auc(scores, labels) -> float:
@@ -412,8 +414,7 @@ def auc(scores, labels) -> float:
     Equals P(score_pos < score_neg) + 0.5 * P(tie) over all positive/negative
     pairs, computed by mid-rank sums.
     """
-    scores = np.asarray(scores, dtype=float)
-    pos = _as_pos_mask(labels)
+    scores, pos = _scores_and_pos(scores, labels, "AUC")
     n_pos = int(pos.sum())
     n_neg = int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
@@ -428,14 +429,11 @@ def auc(scores, labels) -> float:
 
 def roc_points(scores, labels) -> tuple[tuple[float, float], ...]:
     """ROC staircase swept over every unique score, from (0,0) to (1,1)."""
-    scores = np.asarray(scores, dtype=float)
-    pos = _as_pos_mask(labels)
+    scores, pos = _scores_and_pos(scores, labels, "ROC")
     n_pos = int(pos.sum())
     n_neg = int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs both classes present")
-    if np.isnan(scores).any():
-        raise ValueError("ROC needs scores without NaN")
     uniq = np.unique(scores)
     # per class, the number of scores at or below each unique score
     fpr = np.searchsorted(np.sort(scores[~pos]), uniq, side="right") / n_neg
@@ -451,8 +449,7 @@ def _trapezoid(points) -> float:
 
 
 def accuracy_at(scores, labels, threshold: float) -> float:
-    scores = np.asarray(scores, dtype=float)
-    pos = _as_pos_mask(labels)
+    scores, pos = _scores_and_pos(scores, labels, "accuracy")
     pred_pos = scores < threshold
     return float((pred_pos == pos).mean())
 
@@ -470,14 +467,13 @@ def choose_threshold(train_scores, train_labels, policy="loocv") -> float:
         return float(policy.split(":", 1)[1])
     if not (isinstance(policy, str) and policy.lower() == "loocv"):
         raise ValueError(f"threshold policy must be 'loocv', 'fixed:<t>' or a number, got {policy!r}")
-    scores = np.asarray(train_scores, dtype=float)
+    scores, pos = _scores_and_pos(train_scores, train_labels, "LOOCV threshold")
     if scores.size < 2:
         raise ValueError("LOOCV threshold needs at least 2 training bags")
     uniq = np.unique(scores)
     if uniq.size == 1:
         return float(uniq[0])
     candidates = (uniq[:-1] + uniq[1:]) / 2.0
-    pos = _as_pos_mask(train_labels)
     # A candidate t classifies a positive right when its score is below t and
     # a negative when its score is not. Counting both with one sort per class
     # and dividing by n gives accuracy_at's mean bit for bit.

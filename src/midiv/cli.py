@@ -151,7 +151,7 @@ def cmd_simulate(args, argv) -> int:
     latent_path = out / "latents.json"
     write_dataset(train, train_path)
     write_dataset(test, test_path)
-    latents = {g.bag.id: dict(g.latent, true_label=int(g.true_label)) for g in train_gen + test_gen}
+    latents = {g.bag.id: dict(g.latent, true_label=int(g.bag.label)) for g in train_gen + test_gen}
     latent_path.write_text(json.dumps(latents, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_manifest(out, args, argv, started, [train_path, test_path, latent_path])
     print(f"wrote {train_path}, {test_path}, {latent_path}")
@@ -208,7 +208,7 @@ def cmd_table1(args, argv) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    scenarios = list(SCENARIOS[:-1]) if args.scenario == "all" else [args.scenario]
+    scenarios = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     grid = TABLE1_GRID if args.cell is None else (_parse_cell(args.cell),)
     methods = tuple(normalize_method(m) for m in args.methods.split(","))
     estimator = _estimator(args)
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a train/test experiment as BAG_CSV")
-    p_sim.add_argument("--scenario", choices=list(SCENARIOS[:-1]), required=True)
+    p_sim.add_argument("--scenario", choices=list(SCENARIOS), required=True)
     p_sim.add_argument("--pos", type=int, default=5, help="positive training bags")
     p_sim.add_argument("--neg", type=int, default=5, help="negative training bags")
     p_sim.add_argument("--test", type=int, default=100, help="test bags (balanced)")
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_tab = sub.add_parser("table1", help="mean AUC over the training-size grid")
-    p_tab.add_argument("--scenario", choices=list(SCENARIOS[:-1]) + ["all"], default="sim1")
+    p_tab.add_argument("--scenario", choices=list(SCENARIOS) + ["all"], default="sim1")
     p_tab.add_argument("--reps", type=int, default=50)
     p_tab.add_argument("--cell", default=None, help="restrict to one cell, e.g. pos=1,neg=5")
     p_tab.add_argument("--methods", default=",".join(_dashed(CLASS_METHODS)))

@@ -39,17 +39,15 @@ KDE_EPANECHNIKOV = "KDE_EPANECHNIKOV"
 KDE_GAUSSIAN = "KDE_GAUSSIAN"
 GMM = "GMM"
 
-_KERNEL_ALIASES = {
-    "EPANECHNIKOV": KDE_EPANECHNIKOV,
-    KDE_EPANECHNIKOV: KDE_EPANECHNIKOV,
-    "GAUSSIAN": KDE_GAUSSIAN,
-    KDE_GAUSSIAN: KDE_GAUSSIAN,
-}
-
 # Support padding in bandwidths: the Epanechnikov kernel is exactly zero
 # beyond one bandwidth; the Gaussian kernel is negligible beyond five.
 _SUPPORT_PAD = {KDE_EPANECHNIKOV: 1.0, KDE_GAUSSIAN: 5.0}
 _GMM_SUPPORT_SIGMAS = 5.0
+# EM: k-means++ restarts per fit, the iteration cap, and the early-stopping
+# tolerance at which select_gmm compares candidate sizes.
+_EM_RESTARTS = 3
+_EM_MAX_ITER = 500
+_SELECTION_TOL = 3e-4
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Points x centers per block of the dense Gaussian sum (two float64 buffers
@@ -68,16 +66,18 @@ def _epanechnikov_ppf(p: np.ndarray) -> np.ndarray:
     return np.clip(u, -1.0, 1.0)
 
 
-def silverman_bandwidth(samples: np.ndarray, kernel: str, robust: bool = True) -> float:
+def silverman_bandwidth(samples: np.ndarray, kind: str, robust: bool = True) -> float:
     """Rule-of-thumb bandwidth h = C * sigma * n^(-1/5).
 
     With ``robust`` (the default) sigma is min(sample sd, IQR/1.349), the
     right scale for unimodal samples such as a single bag. For pooled
     multimodal samples (class-level fits) the robust spread collapses onto
     the dominant mode and under-smooths badly, so ``robust=False`` uses the
-    plain sample sd. C is 1.06 for the Gaussian kernel and 2.345 for the
-    Epanechnikov kernel; h decreases strictly with n for fixed spread.
+    plain sample sd. C is 1.06 for ``KDE_GAUSSIAN`` and 2.345 for
+    ``KDE_EPANECHNIKOV``; h decreases strictly with n for fixed spread.
     """
+    if kind not in _SUPPORT_PAD:
+        raise ValueError(f"kind must be {KDE_EPANECHNIKOV} or {KDE_GAUSSIAN}, got {kind!r}")
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 2:
@@ -91,7 +91,7 @@ def silverman_bandwidth(samples: np.ndarray, kernel: str, robust: bool = True) -
         sigma = sd
     if sigma <= 0:
         raise ValueError("zero sample variance, bandwidth rule degenerates; pass an explicit bandwidth")
-    c = 1.06 if _KERNEL_ALIASES[kernel.upper()] == KDE_GAUSSIAN else 2.345
+    c = 1.06 if kind == KDE_GAUSSIAN else 2.345
     return c * sigma * n ** (-0.2)
 
 
@@ -271,14 +271,14 @@ def fit_kde(
 ) -> DensityModel:
     """Fit a kernel density estimate; bandwidth defaults to the rule of thumb.
 
-    With an explicit bandwidth a single sample is allowed; the automatic
-    rule needs at least 2 samples with positive spread. ``robust_sigma``
-    selects the spread estimate of the rule (see
-    :func:`silverman_bandwidth`).
+    ``kernel`` is ``"EPANECHNIKOV"`` or ``"GAUSSIAN"``. With an explicit
+    bandwidth a single sample is allowed; the automatic rule needs at least
+    2 samples with positive spread. ``robust_sigma`` selects the spread
+    estimate of the rule (see :func:`silverman_bandwidth`).
     """
-    kind = _KERNEL_ALIASES.get(kernel.upper())
-    if kind is None:
-        raise ValueError(f"unknown kernel {kernel!r}")
+    if kernel not in ("EPANECHNIKOV", "GAUSSIAN"):
+        raise ValueError(f"kernel must be 'EPANECHNIKOV' or 'GAUSSIAN', got {kernel!r}")
+    kind = f"KDE_{kernel}"
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 1 or not np.all(np.isfinite(x)):
         raise ValueError("samples must be non-empty and finite")
@@ -322,7 +322,7 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _em_once(
-    x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, tol: float
+    x: np.ndarray, k: int, rng: np.random.Generator, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool]:
     n = x.size
     sample_var = float(np.var(x))
@@ -333,7 +333,7 @@ def _em_once(
     trace: list[float] = []
     converged = False
     prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         log_joint = _log_gmm_matrix(x, w, mu, var)
         log_norm = _logsumexp(log_joint)
         ll = float(log_norm.sum())
@@ -354,18 +354,13 @@ def _em_once(
 
 
 def fit_gmm(
-    samples: Sequence[float],
-    k: int,
-    seed,
-    n_restarts: int = 3,
-    max_iter: int = 500,
-    tol: float = 1e-8,
+    samples: Sequence[float], k: int, seed, tol: float = 1e-8
 ) -> tuple[DensityModel, EmFitReport]:
     """Fit a k-component univariate GMM by EM, deterministic given seed.
 
-    Runs ``n_restarts`` EM fits from k-means++ initializations and keeps
-    the best final log-likelihood. A variance floor of 1e-6 times the
-    sample variance is applied at every M-step.
+    Runs three EM fits of at most 500 iterations from k-means++
+    initializations and keeps the best final log-likelihood. A variance
+    floor of 1e-6 times the sample variance is applied at every M-step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -378,9 +373,9 @@ def fit_gmm(
         raise ValueError("zero sample variance; GMM fit is degenerate")
     ss = as_seed_sequence(seed)
     best = None
-    for child in ss.spawn(max(1, n_restarts)):
+    for child in ss.spawn(_EM_RESTARTS):
         rng = np.random.default_rng(child)
-        w, mu, var, trace, converged = _em_once(x, k, rng, max_iter, tol)
+        w, mu, var, trace, converged = _em_once(x, k, rng, tol)
         if best is None or trace[-1] > best[3][-1]:
             best = (w, mu, var, trace, converged)
     w, mu, var, trace, converged = best
@@ -409,23 +404,15 @@ def fit_gmm(
     return model, report
 
 
-def select_gmm(
-    samples: Sequence[float],
-    k_max: int,
-    seed,
-    n_restarts: int = 3,
-    max_iter: int = 500,
-    tol: float = 1e-8,
-    selection_tol: float = 3e-4,
-) -> tuple[DensityModel, EmFitReport]:
+def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel, EmFitReport]:
     """Fit k = 1..k_max and return the fit with minimum AIC (ties: smaller k).
 
-    Candidate sizes are compared with early-stopped EM fits
-    (``selection_tol``): running every candidate to full convergence lets
-    spurious maximizers (single-point spikes, split components) squeeze out
-    tiny likelihood gains that routinely beat the AIC penalty, which breaks
-    the selection. The winning size is then refitted at the strict ``tol``
-    and that fully converged fit is returned.
+    Candidate sizes are compared with early-stopped EM fits (tolerance
+    3e-4): running every candidate to full convergence lets spurious
+    maximizers (single-point spikes, split components) squeeze out tiny
+    likelihood gains that routinely beat the AIC penalty, which breaks the
+    selection. The winning size is then refitted at ``fit_gmm``'s strict
+    default tolerance and that fully converged fit is returned.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -436,10 +423,7 @@ def select_gmm(
     last_error: Exception | None = None
     for k in range(1, k_max + 1):
         try:
-            _, report = fit_gmm(
-                samples, k, children[k - 1], n_restarts=n_restarts, max_iter=max_iter,
-                tol=selection_tol,
-            )
+            _, report = fit_gmm(samples, k, children[k - 1], tol=_SELECTION_TOL)
         except ValueError as exc:
             last_error = exc
             continue
@@ -447,7 +431,5 @@ def select_gmm(
             best_k, best_aic = k, report.aic
     if best_k is None:
         raise ValueError(f"no GMM size in 1..{k_max} could be fitted: {last_error}")
-    return fit_gmm(
-        samples, best_k, children[best_k - 1], n_restarts=n_restarts, max_iter=max_iter, tol=tol
-    )
+    return fit_gmm(samples, best_k, children[best_k - 1])
 

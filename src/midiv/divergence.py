@@ -57,6 +57,7 @@ __all__ = [
 MEASURES = ("KL", "BH", "CKL")
 
 _TINY = 1e-300  # guards log/division only; never changes a zero-bag term
+_DENSITY_FLOOR = 1e-12  # reference densities below it count as floored
 _RD_DENOMINATOR_FLOOR = 1e-12
 
 
@@ -71,19 +72,20 @@ class DivergenceSpec:
     # the published operating characteristics; raise it when estimating
     # divergences between well-behaved overlapping densities.
     ratio_clip: float = 3e4
-    floor: float = 1e-12
 
     def __post_init__(self):
         if self.integrator not in ("IMPORTANCE", "RIEMANN"):
             raise ValueError(f"integrator must be IMPORTANCE or RIEMANN, got {self.integrator!r}")
+        for name in ("n_imp", "grid_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_imp < 100:
             raise ValueError("n_imp must be >= 100")
         if self.grid_points < 256:
             raise ValueError("grid_points must be >= 256")
         if not self.ratio_clip > 1:
             raise ValueError("ratio_clip must be > 1")
-        if not 0 < self.floor < 1e-6:
-            raise ValueError("floor must lie in (0, 1e-6)")
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,8 @@ def _fraction(mask: np.ndarray) -> float:
 def _kl_pointwise(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec):
     """Clipped log-ratio log(fb/fr) and the mask of floored/clipped points."""
     cap = math.log(spec.ratio_clip)
-    floored = fr < spec.floor
-    logratio = np.log(np.maximum(fb, _TINY)) - np.log(np.maximum(fr, spec.floor))
+    floored = fr < _DENSITY_FLOOR
+    logratio = np.log(np.maximum(fb, _TINY)) - np.log(np.maximum(fr, _DENSITY_FLOOR))
     clipped = floored | (logratio > cap)
     return np.minimum(logratio, cap), clipped
 
@@ -232,7 +234,7 @@ def reduce_ckl(
     negative. Riemann sums skip points where the bag density vanishes.
     """
     logratio, clipped = _kl_pointwise(fb, fp, spec)
-    w = fn / np.maximum(fp, spec.floor)
+    w = fn / np.maximum(fp, _DENSITY_FLOOR)
     clipped |= w > spec.ratio_clip
     w = np.minimum(w, spec.ratio_clip)
     if dx is None:

@@ -33,71 +33,53 @@ __all__ = [
     "SCENARIOS",
 ]
 
-SCENARIOS = ("sim1", "sim2", "sim3", "sim4", "sim5", "sim6", "custom")
+SCENARIOS = ("sim1", "sim2", "sim3", "sim4", "sim5", "sim6")
 
-_GAUSSIAN_FAMILY = ("sim1", "sim2", "sim3", "sim4", "custom")
+# The Gaussian hierarchy (sim1-sim4) per scenario: the positive-component
+# mean locations (sim4 picks one per bag by a uniform draw), the mean of the
+# positive-component variance prior (eta_pos) and the positive-instance
+# probability in negative bags (pi_neg).
+GAUSSIAN_SCENARIOS = {
+    "sim1": ((15.0,), 1.0, 0.0),
+    "sim2": ((15.0,), 1.0, 0.01),
+    "sim3": ((0.0,), 100.0, 0.0),
+    "sim4": ((-15.0, 15.0), 1.0, 0.01),
+}
+PI_POS = 0.10  # positive-instance probability in positive bags
+MU_NEG_MEAN = 0.0
+MEAN_PRIOR_VAR = 10.0
+ZETA_NEG_MEAN = 1.0
+ZETA_PRIOR_VAR = 1.0
+VARIANCE_FLOOR = 1e-8
+# The uncertain-object family (sim5, sim6); sim6 draws the locations per bag
+# with the hyper-variances.
+LOGNORMAL_MU = math.log(10.0)
+LOGNORMAL_VAR = 0.04
+MIXTURE_MU1 = 9.5
+MIXTURE_MU2 = 13.5
+MIXTURE_VAR = 2.5
+MIXTURE_W1 = 0.9
+HYPER_VAR_MIXTURE = 1.0
+HYPER_VAR_LOGNORMAL = 0.04
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full parameterization of the generator; presets pin the scenarios."""
+    """A named scenario and the number of instances per bag."""
 
-    scenario: str = "custom"
+    scenario: str
     n_instances: int = 50
-    # Gaussian hierarchy (sim1-sim4, custom)
-    nu_pos: float = 15.0  # mean of the positive-component mean prior
-    eta_pos: float = 1.0  # mean of the positive-component variance prior
-    pi_neg: float = 0.0  # positive-instance probability in negative bags
-    pi_pos: float = 0.10  # positive-instance probability in positive bags
-    mu_neg_mean: float = 0.0
-    mean_prior_var: float = 10.0
-    zeta_neg_mean: float = 1.0
-    zeta_prior_var: float = 1.0
-    nu_pos_choices: tuple[float, ...] | None = None  # sim4: one coin flip per bag
-    # Uncertain-object family (sim5, sim6)
-    lognormal_mu: float = math.log(10.0)
-    lognormal_var: float = 0.04
-    mixture_mu1: float = 9.5
-    mixture_mu2: float = 13.5
-    mixture_var: float = 2.5
-    mixture_w1: float = 0.9
-    hyper_var_mixture: float = 1.0
-    hyper_var_lognormal: float = 0.04
-    # How the second argument of the mean/variance priors is read.
-    variance_notation: str = "variance"  # "variance" or "sd"
-    variance_floor: float = 1e-8
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
-        for name in ("pi_neg", "pi_pos", "mixture_w1"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.variance_notation not in ("variance", "sd"):
-            raise ValueError("variance_notation must be 'variance' or 'sd'")
 
     @classmethod
-    def preset(cls, scenario: str, **overrides) -> "SimConfig":
-        """Named scenario with its pinned parameters; overrides apply last."""
-        scenario = scenario.lower()
-        presets: dict[str, dict] = {
-            "sim1": dict(nu_pos=15.0, eta_pos=1.0, pi_neg=0.0),
-            "sim2": dict(nu_pos=15.0, eta_pos=1.0, pi_neg=0.01),
-            "sim3": dict(nu_pos=0.0, eta_pos=100.0, pi_neg=0.0),
-            "sim4": dict(nu_pos_choices=(-15.0, 15.0), eta_pos=1.0, pi_neg=0.01),
-            "sim5": {},
-            "sim6": {},
-            "custom": {},
-        }
-        if scenario not in presets:
-            raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-        return cls(scenario=scenario, **{**presets[scenario], **overrides})
-
-    def _prior_scale(self, second_arg: float) -> float:
-        return math.sqrt(second_arg) if self.variance_notation == "variance" else second_arg
+    def preset(cls, scenario: str, n_instances: int = 50) -> "SimConfig":
+        """The named scenario (case-insensitive)."""
+        return cls(scenario=scenario.lower(), n_instances=n_instances)
 
 
 @dataclass(frozen=True)
@@ -105,7 +87,6 @@ class GeneratedBag:
     """A simulated bag plus the latent draws that produced it."""
 
     bag: Bag
-    true_label: Label
     latent: dict
 
 
@@ -113,31 +94,28 @@ def sample_bag(config: SimConfig, label: Label, seed, bag_id: str = "bag") -> Ge
     """Draw one bag: latent parameters first, then its instances.
 
     Draw order (replayable from the seed): positive mean location (one
-    uniform choice if ``nu_pos_choices`` is set), positive mean, positive
-    variance, negative mean, negative variance, then per instance the
-    mixing indicators followed by one standard normal each. sim5/sim6 use
-    their own documented order (hyperparameters, component choices,
-    normals).
+    uniform choice in sim4), positive mean, positive variance, negative
+    mean, negative variance, then per instance the mixing indicators
+    followed by one standard normal each. sim5/sim6 use their own
+    documented order (hyperparameters, component choices, normals).
     """
     rng = np.random.default_rng(seed)
-    if config.scenario in _GAUSSIAN_FAMILY:
+    if config.scenario in GAUSSIAN_SCENARIOS:
         return _sample_gaussian_hierarchy(config, label, rng, bag_id, seed)
     return _sample_uncertain_object(config, label, rng, bag_id, seed)
 
 
 def _sample_gaussian_hierarchy(config, label, rng, bag_id, seed) -> GeneratedBag:
     n = config.n_instances
-    mean_scale = config._prior_scale(config.mean_prior_var)
-    zeta_scale = config._prior_scale(config.zeta_prior_var)
-    if config.nu_pos_choices is not None:
-        nu = float(config.nu_pos_choices[rng.integers(len(config.nu_pos_choices))])
-    else:
-        nu = config.nu_pos
+    locations, eta_pos, pi_neg = GAUSSIAN_SCENARIOS[config.scenario]
+    mean_scale = math.sqrt(MEAN_PRIOR_VAR)
+    zeta_scale = math.sqrt(ZETA_PRIOR_VAR)
+    nu = locations[rng.integers(len(locations))] if len(locations) > 1 else locations[0]
     mu_pos = nu + mean_scale * rng.standard_normal()
-    var_pos = max(abs(config.eta_pos + zeta_scale * rng.standard_normal()), config.variance_floor)
-    mu_neg = config.mu_neg_mean + mean_scale * rng.standard_normal()
-    var_neg = max(abs(config.zeta_neg_mean + zeta_scale * rng.standard_normal()), config.variance_floor)
-    pi = config.pi_pos if label == Label.POS else config.pi_neg
+    var_pos = max(abs(eta_pos + zeta_scale * rng.standard_normal()), VARIANCE_FLOOR)
+    mu_neg = MU_NEG_MEAN + mean_scale * rng.standard_normal()
+    var_neg = max(abs(ZETA_NEG_MEAN + zeta_scale * rng.standard_normal()), VARIANCE_FLOOR)
+    pi = PI_POS if label == Label.POS else pi_neg
     tau = rng.random(n) < pi
     z = rng.standard_normal(n)
     x = np.where(tau, mu_pos + math.sqrt(var_pos) * z, mu_neg + math.sqrt(var_neg) * z)
@@ -151,43 +129,42 @@ def _sample_gaussian_hierarchy(config, label, rng, bag_id, seed) -> GeneratedBag
         "tau": tau.astype(int).tolist(),
         "seed": _seed_repr(seed),
     }
-    bag = Bag(id=bag_id, instances=x[:, None], label=label)
-    return GeneratedBag(bag=bag, true_label=label, latent=latent)
+    return GeneratedBag(bag=Bag(id=bag_id, instances=x[:, None], label=label), latent=latent)
 
 
 def _sample_uncertain_object(config, label, rng, bag_id, seed) -> GeneratedBag:
     n = config.n_instances
     hierarchical = config.scenario == "sim6"
     if label == Label.POS:
-        mu = config.lognormal_mu
+        mu = LOGNORMAL_MU
         if hierarchical:
-            mu = mu + math.sqrt(config.hyper_var_lognormal) * rng.standard_normal()
-        x = rng.lognormal(mean=mu, sigma=math.sqrt(config.lognormal_var), size=n)
+            mu = mu + math.sqrt(HYPER_VAR_LOGNORMAL) * rng.standard_normal()
+        x = rng.lognormal(mean=mu, sigma=math.sqrt(LOGNORMAL_VAR), size=n)
         latent = {
             "family": "lognormal",
             "mu": mu,
-            "var": config.lognormal_var,
+            "var": LOGNORMAL_VAR,
             "seed": _seed_repr(seed),
         }
     else:
-        mu1, mu2 = config.mixture_mu1, config.mixture_mu2
+        mu1, mu2 = MIXTURE_MU1, MIXTURE_MU2
         if hierarchical:
-            mu1 = mu1 + math.sqrt(config.hyper_var_mixture) * rng.standard_normal()
-            mu2 = mu2 + math.sqrt(config.hyper_var_mixture) * rng.standard_normal()
-        first = rng.random(n) < config.mixture_w1
+            mu1 = mu1 + math.sqrt(HYPER_VAR_MIXTURE) * rng.standard_normal()
+            mu2 = mu2 + math.sqrt(HYPER_VAR_MIXTURE) * rng.standard_normal()
+        first = rng.random(n) < MIXTURE_W1
         z = rng.standard_normal(n)
-        x = np.where(first, mu1, mu2) + math.sqrt(config.mixture_var) * z
+        x = np.where(first, mu1, mu2) + math.sqrt(MIXTURE_VAR) * z
         latent = {
             "family": "gaussian_mixture",
             "mu1": mu1,
             "mu2": mu2,
-            "var": config.mixture_var,
-            "w1": config.mixture_w1,
+            "var": MIXTURE_VAR,
+            "w1": MIXTURE_W1,
             "component1": first.astype(int).tolist(),
             "seed": _seed_repr(seed),
         }
     bag = Bag(id=bag_id, instances=np.asarray(x)[:, None], label=label)
-    return GeneratedBag(bag=bag, true_label=label, latent=latent)
+    return GeneratedBag(bag=bag, latent=latent)
 
 
 def _seed_repr(seed) -> str:

@@ -142,6 +142,25 @@ class TestRoc:
             roc_points([0.1, float("nan"), 0.3], [POS, NEG, NEG])
 
 
+class TestNanScores:
+    # auc and choose_threshold used to return a number for NaN scores.
+    def test_auc_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auc([np.nan, 1.0, 2.0], [1, 0, 1])
+
+    def test_choose_threshold_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            choose_threshold([np.nan, 1, 2, 3], [1, 0, 1, 0])
+
+    def test_accuracy_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            accuracy_at([np.nan, 1.0, 2.0], [1, 0, 1], 1.5)
+
+    def test_infinite_scores_still_accepted(self):
+        assert auc([-np.inf, 1.0, np.inf], [1, 1, 0]) == 1.0
+        assert choose_threshold([-np.inf, 0.0, 1.0, np.inf], [1, 1, 0, 0]) == 0.5
+
+
 class TestChooseThreshold:
     def test_fixed_policies(self):
         assert choose_threshold([1, 2], [POS, NEG], 0.8) == 0.8

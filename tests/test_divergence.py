@@ -37,9 +37,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DivergenceSpec(ratio_clip=1.0)
         with pytest.raises(ValueError):
-            DivergenceSpec(floor=1e-3)
-        with pytest.raises(ValueError):
             DivergenceSpec(integrator="SIMPSON")
+
+    @pytest.mark.parametrize("field", ["n_imp", "grid_points"])
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, "1000", True])
+    def test_counts_must_be_integers(self, field, value):
+        # A fractional grid_points used to build a grid of the wrong width and
+        # a fractional n_imp to fail deep inside sampling.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DivergenceSpec(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = DivergenceSpec(n_imp=np.int64(500), grid_points=np.int32(1024))
+        assert (spec.n_imp, spec.grid_points) == (500, 1024)
 
 
 class TestKl:

@@ -4,32 +4,44 @@ import numpy as np
 import pytest
 
 from midiv.core import Label
-from midiv.simulate import SimConfig, sample_bag, sample_experiment, sample_experiment_bags
+from midiv.simulate import (
+    GAUSSIAN_SCENARIOS,
+    LOGNORMAL_MU,
+    MEAN_PRIOR_VAR,
+    MU_NEG_MEAN,
+    PI_POS,
+    VARIANCE_FLOOR,
+    ZETA_NEG_MEAN,
+    ZETA_PRIOR_VAR,
+    SimConfig,
+    sample_bag,
+    sample_experiment,
+    sample_experiment_bags,
+)
 
 
 class TestPresets:
     def test_pinned_scenario_parameters(self):
-        s1 = SimConfig.preset("sim1")
-        assert (s1.nu_pos, s1.eta_pos, s1.pi_neg) == (15.0, 1.0, 0.0)
-        s2 = SimConfig.preset("sim2")
-        assert s2.pi_neg == 0.01
-        s3 = SimConfig.preset("sim3")
-        assert (s3.nu_pos, s3.eta_pos, s3.pi_neg) == (0.0, 100.0, 0.0)
-        s4 = SimConfig.preset("sim4")
-        assert s4.nu_pos_choices == (-15.0, 15.0) and s4.pi_neg == 0.01
+        # (positive mean locations, eta_pos, pi_neg) per Gaussian-family scenario
+        assert GAUSSIAN_SCENARIOS["sim1"] == ((15.0,), 1.0, 0.0)
+        assert GAUSSIAN_SCENARIOS["sim2"][2] == 0.01
+        assert GAUSSIAN_SCENARIOS["sim3"] == ((0.0,), 100.0, 0.0)
+        locations, _, pi_neg = GAUSSIAN_SCENARIOS["sim4"]
+        assert locations == (-15.0, 15.0) and pi_neg == 0.01
 
     def test_defaults(self):
         cfg = SimConfig.preset("sim1")
-        assert cfg.n_instances == 50 and cfg.pi_pos == 0.10
-        assert cfg.lognormal_mu == pytest.approx(math.log(10.0))
+        assert cfg.n_instances == 50 and PI_POS == 0.10
+        assert LOGNORMAL_MU == pytest.approx(math.log(10.0))
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="scenario"):
             SimConfig.preset("sim9")
 
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            SimConfig(pi_neg=1.5)
+    def test_scenario_parameters_are_not_settable(self):
+        # sim5 used to accept pi_neg=0.5 and ignore it
+        with pytest.raises(TypeError):
+            SimConfig.preset("sim5", pi_neg=0.5)
 
 
 class TestSampleBag:
@@ -66,14 +78,15 @@ class TestSampleBag:
         # replaying the documented draw order from the recorded seed must
         # reproduce instances, with tau picking the positive component
         cfg = SimConfig.preset("sim2")
+        (nu_pos,), eta_pos, _ = GAUSSIAN_SCENARIOS["sim2"]
         seed = 321
         gen = sample_bag(cfg, Label.POS, seed)
         rng = np.random.default_rng(seed)
-        mu_pos = cfg.nu_pos + math.sqrt(cfg.mean_prior_var) * rng.standard_normal()
-        var_pos = max(abs(cfg.eta_pos + math.sqrt(cfg.zeta_prior_var) * rng.standard_normal()), cfg.variance_floor)
-        mu_neg = cfg.mu_neg_mean + math.sqrt(cfg.mean_prior_var) * rng.standard_normal()
-        var_neg = max(abs(cfg.zeta_neg_mean + math.sqrt(cfg.zeta_prior_var) * rng.standard_normal()), cfg.variance_floor)
-        tau = rng.random(cfg.n_instances) < cfg.pi_pos
+        mu_pos = nu_pos + math.sqrt(MEAN_PRIOR_VAR) * rng.standard_normal()
+        var_pos = max(abs(eta_pos + math.sqrt(ZETA_PRIOR_VAR) * rng.standard_normal()), VARIANCE_FLOOR)
+        mu_neg = MU_NEG_MEAN + math.sqrt(MEAN_PRIOR_VAR) * rng.standard_normal()
+        var_neg = max(abs(ZETA_NEG_MEAN + math.sqrt(ZETA_PRIOR_VAR) * rng.standard_normal()), VARIANCE_FLOOR)
+        tau = rng.random(cfg.n_instances) < PI_POS
         z = rng.standard_normal(cfg.n_instances)
         x = np.where(tau, mu_pos + math.sqrt(var_pos) * z, mu_neg + math.sqrt(var_neg) * z)
         np.testing.assert_array_equal(gen.bag.instances[:, 0], x)
@@ -137,11 +150,6 @@ class TestSampleBag:
         assert mu1s.mean() == pytest.approx(9.5, abs=0.1)
         assert mu1s.var() == pytest.approx(1.0, abs=0.1)
 
-    def test_variance_notation_toggle(self):
-        wide = SimConfig.preset("sim1", variance_notation="sd")
-        mus = np.array([sample_bag(wide, Label.NEG, s).latent["mu_neg"] for s in range(20_000)])
-        assert mus.var() == pytest.approx(100.0, rel=0.05)
-
 
 class TestSampleExperiment:
     def test_counts_and_balance(self):
@@ -172,7 +180,7 @@ class TestSampleExperiment:
         for seed in range(20):
             train, _ = sample_experiment_bags(cfg, 25, 25, 1, seed=seed)
             for gen in train:
-                if gen.true_label == Label.NEG:
+                if gen.bag.label == Label.NEG:
                     positive += sum(gen.latent["tau"])
                     total += len(gen.latent["tau"])
         assert positive / total == pytest.approx(0.01, abs=0.003)
