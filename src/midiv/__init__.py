@@ -38,7 +38,6 @@ from .divergence import (
     ckl,
     default_scenario,
     kl,
-    rd_ratio,
 )
 from .simulate import GeneratedBag, SimConfig, sample_bag, sample_experiment
 from .classify import (
@@ -54,7 +53,6 @@ from .classify import (
     evaluate_holdout,
     fit_class_densities,
     fit_classifier,
-    fit_svm_on_divergences,
     roc_points,
     run_sim_study,
     score_bag,
@@ -85,7 +83,6 @@ __all__ = [
     "ckl",
     "default_scenario",
     "kl",
-    "rd_ratio",
     "GeneratedBag",
     "SimConfig",
     "sample_bag",
@@ -102,7 +99,6 @@ __all__ = [
     "evaluate_holdout",
     "fit_class_densities",
     "fit_classifier",
-    "fit_svm_on_divergences",
     "roc_points",
     "run_sim_study",
     "score_bag",

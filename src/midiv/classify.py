@@ -39,7 +39,6 @@ __all__ = [
     "StudyResult",
     "fit_class_densities",
     "fit_classifier",
-    "fit_svm_on_divergences",
     "train_linear_svm",
     "score_bag",
     "auc",
@@ -82,8 +81,17 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class SvmConfig:
+    """Linear SVM training: passes over the training bags and the L2 weight."""
+
     epochs: int = 200
     lam: float = 1e-3
+
+    def __post_init__(self):
+        epochs = self.epochs
+        if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)) or epochs < 1:
+            raise ValueError(f"SvmConfig.epochs must be an integer >= 1, got {epochs!r}")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"SvmConfig.lam must be positive and finite, got {self.lam!r}")
 
 
 def fit_density_1d(
@@ -122,7 +130,6 @@ class ClassModel:
     """A fitted bag classifier: class densities plus method parameters."""
 
     method: str
-    dimension: int
     spec: DivergenceSpec
     estimator: EstimatorConfig
     f_pos: tuple[DensityModel, ...]
@@ -136,10 +143,14 @@ class ClassModel:
     train_bags: tuple[tuple[Label, tuple[DensityModel, ...]], ...] = ()
 
     def __post_init__(self):
-        if len(self.f_pos) != self.dimension or len(self.f_neg) != self.dimension:
+        if len(self.f_neg) != self.dimension:
             raise ValueError("need one density per dimension per class")
         if self.svm_weights is not None and len(self.svm_weights) != self.dimension:
             raise ValueError("SVM weight length must equal the feature dimension")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.f_pos)
 
     def scores(self, bags, seeds) -> list[float]:
         """Scores of ``bags``, one seed each, under the method; lower means more positive."""
@@ -316,53 +327,6 @@ def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool)
     return f_pos, f_neg, train_bags
 
 
-def fit_svm_on_divergences(
-    train: Dataset,
-    measure: str,
-    spec: DivergenceSpec,
-    svm_config: SvmConfig,
-    seed,
-    estimator: EstimatorConfig | None = None,
-) -> ClassModel:
-    """Linear SVM on per-dimension divergence features of the training bags.
-
-    Class densities are fitted once to the full training pool; training-bag
-    features therefore include each bag's own instances in its class pool.
-    Features are standardized before training.
-    """
-    measure = normalize_method(measure)
-    if measure not in CLASS_METHODS:
-        raise ValueError(f"svm feature measure must be one of {CLASS_METHODS}")
-    estimator = estimator or EstimatorConfig(kind="kde-gauss")
-    refs = _fit_references(train, estimator, seed, b2b=False)
-    f_pos, f_neg, _ = refs
-    seeds = [derive_seed(seed, "train-bag", bag.id) for bag in train.bags]
-    feats = np.array(
-        _score_bags(train.bags, seeds, estimator, spec, refs, (measure,), per_dim=True)[measure]
-    )
-    labels = np.array([bag.label == Label.POS for bag in train.bags])
-    if not np.all(np.isfinite(feats)):
-        raise AssertionError("divergence features must be finite after clipping")
-    mean = feats.mean(axis=0)
-    sd = feats.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
-    w, b = train_linear_svm((feats - mean) / sd, labels, svm_config, derive_seed(seed, "svm"))
-    return ClassModel(
-        method="svm_divs",
-        dimension=train.dimension,
-        spec=spec,
-        estimator=estimator,
-        f_pos=f_pos,
-        f_neg=f_neg,
-        threshold=0.0,
-        svm_weights=w,
-        svm_bias=b,
-        svm_measure=measure,
-        scaler_mean=mean,
-        scaler_sd=sd,
-    )
-
-
 def fit_classifier(
     train: Dataset,
     method: str,
@@ -370,29 +334,56 @@ def fit_classifier(
     spec: DivergenceSpec,
     seed,
     threshold: str | float = "loocv",
-    svm: SvmConfig | None = None,
+    svm: SvmConfig = SvmConfig(),
     svm_measure: str = "ckl",
 ) -> ClassModel:
-    """Fit any method on a labelled training set, including its threshold."""
+    """Fit any method on a labelled training set, including its threshold.
+
+    A score method's threshold is chosen on the training bags' scores.
+    ``svm_divs`` trains a linear SVM on the standardized per-dimension
+    ``svm_measure`` divergences of the training bags and thresholds its
+    margin at 0. The class densities are fitted once to the full training
+    pool, so each training bag's features include its own instances in its
+    class pool.
+    """
     method = normalize_method(method)
-    if method == "svm_divs":
-        return fit_svm_on_divergences(
-            train, svm_measure, spec, svm or SvmConfig(), seed, estimator=estimator
-        )
-    f_pos, f_neg, train_bags = _fit_references(train, estimator, seed, method.startswith("b2b"))
+    refs = _fit_references(train, estimator, seed, method.startswith("b2b"))
+    f_pos, f_neg, train_bags = refs
     model = ClassModel(
         method=method,
-        dimension=train.dimension,
         spec=spec,
         estimator=estimator,
         f_pos=f_pos,
         f_neg=f_neg,
         train_bags=train_bags,
     )
-    seeds = [derive_seed(seed, "train-score", bag.id) for bag in train.bags]
-    train_scores = model.scores(train.bags, seeds)
-    t = choose_threshold(train_scores, [bag.label for bag in train.bags], threshold)
-    return replace(model, threshold=t)
+    if method != "svm_divs":
+        seeds = [derive_seed(seed, "train-score", bag.id) for bag in train.bags]
+        train_scores = model.scores(train.bags, seeds)
+        t = choose_threshold(train_scores, [bag.label for bag in train.bags], threshold)
+        return replace(model, threshold=t)
+    measure = normalize_method(svm_measure)
+    if measure not in CLASS_METHODS:
+        raise ValueError(f"svm feature measure must be one of {CLASS_METHODS}")
+    seeds = [derive_seed(seed, "train-bag", bag.id) for bag in train.bags]
+    scores = _score_bags(train.bags, seeds, estimator, spec, refs, (measure,), per_dim=True)
+    feats = np.array(scores[measure])
+    if not np.all(np.isfinite(feats)):
+        raise AssertionError("divergence features must be finite after clipping")
+    labels = np.array([bag.label == Label.POS for bag in train.bags])
+    mean = feats.mean(axis=0)
+    sd = feats.std(axis=0)
+    sd = np.where(sd > 0, sd, 1.0)
+    w, b = train_linear_svm((feats - mean) / sd, labels, svm, derive_seed(seed, "svm"))
+    return replace(
+        model,
+        threshold=0.0,
+        svm_weights=w,
+        svm_bias=b,
+        svm_measure=measure,
+        scaler_mean=mean,
+        scaler_sd=sd,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -700,15 +691,6 @@ class StudyResult:
     methods: tuple[str, ...]
     cells: tuple[StudyCell, ...]
     seed: object
-
-    def cell(self, pos: int, neg: int) -> StudyCell:
-        for c in self.cells:
-            if c.pos == pos and c.neg == neg:
-                return c
-        raise KeyError(f"no cell pos={pos}, neg={neg}")
-
-    def mean_auc100(self, pos: int, neg: int, method: str) -> float:
-        return 100.0 * self.cell(pos, neg).mean_auc[normalize_method(method)]
 
 
 def _run_study_cell(

@@ -14,7 +14,7 @@ Rows of one bag need not be contiguous but must agree on the label.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -53,8 +53,8 @@ class Label(IntEnum):
         raise DatasetError(f"label must be 0, 1 or NA, got {text!r}")
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -130,6 +130,21 @@ class Dataset:
 # BAG_CSV ingestion
 
 
+def _records(path: Path, fh):
+    """Each CSV record of ``fh`` with the file line it ends on.
+
+    A decoding or CSV error becomes a DatasetError naming the file.
+    """
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Parse a BAG_CSV file into a Dataset.
 
@@ -139,9 +154,9 @@ def load_dataset(path: str | Path) -> Dataset:
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        records = _records(path, fh)
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -153,7 +168,7 @@ def load_dataset(path: str | Path) -> Dataset:
         labels_by_bag: dict[str, Label | None] = {}
         order: list[str] = []
         n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # tolerate blank lines
             bag_id = row[0].strip()
@@ -165,8 +180,6 @@ def load_dataset(path: str | Path) -> Dataset:
             try:
                 label = Label.from_field(row[1])
                 values = [float(v) for v in row[2:]]
-            except DatasetError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from None
             except ValueError as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from None
             if not all(np.isfinite(values)):
@@ -211,12 +224,10 @@ class PcaTransform:
 
     mean: np.ndarray  # (d,)
     components: np.ndarray  # (m, d), rows orthonormal
-    explained_variance: np.ndarray = field(repr=False, default=None)  # (m,), non-increasing
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _frozen_array(self.mean))
         object.__setattr__(self, "components", _frozen_array(np.atleast_2d(self.components)))
-        object.__setattr__(self, "explained_variance", _frozen_array(self.explained_variance))
 
     @property
     def input_dimension(self) -> int:
@@ -252,12 +263,11 @@ def fit_pca(train: Dataset, m: int) -> PcaTransform:
     eigval, eigvec = np.linalg.eigh(cov)
     idx = np.argsort(eigval)[::-1][:m]
     components = eigvec[:, idx].T
-    variances = np.maximum(eigval[idx], 0.0)
     for i in range(components.shape[0]):
         pivot = np.argmax(np.abs(components[i]))
         if components[i, pivot] < 0:
             components[i] = -components[i]
-    return PcaTransform(mean=mean, components=components, explained_variance=variances)
+    return PcaTransform(mean=mean, components=components)
 
 
 def apply_pca(transform: PcaTransform, data: Dataset) -> Dataset:

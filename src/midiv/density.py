@@ -1,20 +1,19 @@
 """Univariate density estimation: KDE and Gaussian mixtures fitted by EM.
 
 Every fitted model is an immutable :class:`DensityModel` that can be
-evaluated exactly (analytic kernel/mixture sums), sampled from, and
-serialized to JSON. The Epanechnikov evaluator exploits the kernel's
-compact support: with sorted centers and prefix sums one query costs
-O(log n) instead of O(n), which keeps large experiment sweeps cheap. The
-Gaussian evaluator sums every center densely, in cache-sized blocks of
-points computed in place. Every evaluation is elementwise in the query
-points, so a value does not depend on the order or the number of the other
-points: the divergence estimators sort each point set once and evaluate
-every density on it, which keeps the Epanechnikov lookups in order.
+evaluated exactly (analytic kernel/mixture sums) and sampled from. The
+Epanechnikov evaluator exploits the kernel's compact support: with sorted
+centers and prefix sums one query costs O(log n) instead of O(n), which
+keeps large experiment sweeps cheap. The Gaussian evaluator sums every
+center densely, in cache-sized blocks of points computed in place. Every
+evaluation is elementwise in the query points, so a value does not depend
+on the order or the number of the other points: the divergence estimators
+sort each point set once and evaluate every density on it, which keeps the
+Epanechnikov lookups in order.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -227,28 +226,6 @@ class DensityModel:
         if self.kind == KDE_GAUSSIAN:
             return base + self.bandwidth * rng.standard_normal(n)
         return base + self.bandwidth * _epanechnikov_ppf(rng.random(n))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        doc: dict = {"kind": self.kind, "support_hint": list(self.support_hint)}
-        if self.kind == GMM:
-            doc["components"] = [list(row) for row in self.components]
-        else:
-            doc["bandwidth"] = self.bandwidth
-            doc["centers"] = list(self.centers)
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityModel":
-        doc = json.loads(text)
-        return cls(
-            kind=doc["kind"],
-            support_hint=tuple(doc["support_hint"]),
-            bandwidth=doc.get("bandwidth"),
-            centers=None if "centers" not in doc else np.asarray(doc["centers"]),
-            components=None if "components" not in doc else np.asarray(doc["components"]),
-        )
 
 
 @dataclass(frozen=True)

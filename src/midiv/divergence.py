@@ -25,7 +25,6 @@ scenarios where subregion contributions reduce to restricted sums.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +38,6 @@ __all__ = [
     "kl",
     "bhattacharyya",
     "ckl",
-    "rd_ratio",
     "evaluation_points",
     "densities_at",
     "reduce_kl",
@@ -93,26 +91,14 @@ class DivergenceScore:
     """One bag-vs-reference divergence value with estimator diagnostics."""
 
     value: float
-    measure: str
     clipped_fraction: float
     ess: float | None = None
-    low_ess: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.clipped_fraction <= 1.0:
             raise ValueError("clipped_fraction must lie in [0, 1]")
         if self.ess is not None and not self.ess > 0.0:
             raise ValueError("ess must be positive")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "measure": self.measure,
-                "value": self.value,
-                "clipped_fraction": self.clipped_fraction,
-                "ess": self.ess,
-            }
-        )
 
 
 # --------------------------------------------------------------------------
@@ -204,10 +190,10 @@ def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> Diver
     if dx is None:
         value = max(float(logratio.mean()), 0.0)
         # the proposal is the bag density itself: unit weights
-        return DivergenceScore(value, "KL", _fraction(clipped), ess=float(spec.n_imp))
+        return DivergenceScore(value, _fraction(clipped), ess=float(spec.n_imp))
     active = fb > 0
     value = max(float((fb[active] * logratio[active]).sum() * dx), 0.0)
-    return DivergenceScore(value, "KL", _fraction(clipped[active]))
+    return DivergenceScore(value, _fraction(clipped[active]))
 
 
 def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> DivergenceScore:
@@ -221,8 +207,7 @@ def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> Diver
         overlap = float(np.sqrt(fb * fr).sum() * dx)
     clipped = 1.0 if (overlap > 1.0 or overlap < _TINY) else 0.0
     overlap = min(max(overlap, _TINY), 1.0)
-    low_ess = ess is not None and ess < 0.01 * spec.n_imp
-    return DivergenceScore(-math.log(overlap), "BH", clipped, ess, low_ess)
+    return DivergenceScore(-math.log(overlap), clipped, ess)
 
 
 def reduce_ckl(
@@ -238,12 +223,11 @@ def reduce_ckl(
     clipped |= w > spec.ratio_clip
     w = np.minimum(w, spec.ratio_clip)
     if dx is None:
-        ess = _ess(w)
         value = float((w * logratio).mean())
-        return DivergenceScore(value, "CKL", _fraction(clipped), ess, ess < 0.01 * spec.n_imp)
+        return DivergenceScore(value, _fraction(clipped), _ess(w))
     active = fb > 0
     value = float((w[active] * fb[active] * logratio[active]).sum() * dx)
-    return DivergenceScore(value, "CKL", _fraction(clipped[active]))
+    return DivergenceScore(value, _fraction(clipped[active]))
 
 
 def rd_value(num: float, den: float) -> float:
@@ -283,28 +267,6 @@ def ckl(
     """
     x, dx = evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
     return reduce_ckl(*densities_at(x, (f_bag, f_pos, f_neg)), spec, dx)
-
-
-def rd_ratio(
-    f_bag: DensityModel,
-    f_pos: DensityModel,
-    f_neg: DensityModel,
-    measure: str,
-    spec: DivergenceSpec,
-    seed,
-) -> float:
-    """Ratio D(bag, pos) / D(bag, neg); small values indicate positive bags.
-
-    Both divergences share one set of evaluation points: one importance
-    sample, or one Riemann grid over the bag and both classes. The
-    denominator is floored at 1e-12.
-    """
-    if measure not in ("KL", "BH"):
-        raise ValueError(f"rd_ratio measure must be KL or BH, got {measure!r}")
-    reduce = reduce_kl if measure == "KL" else reduce_bh
-    x, dx = evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
-    fb, fp, fn = densities_at(x, (f_bag, f_pos, f_neg))
-    return rd_value(reduce(fb, fp, spec, dx).value, reduce(fb, fn, spec, dx).value)
 
 
 # --------------------------------------------------------------------------

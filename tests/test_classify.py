@@ -17,14 +17,14 @@ from midiv.classify import (
     fit_class_densities,
     fit_classifier,
     fit_density_1d,
-    fit_svm_on_divergences,
     roc_points,
     run_sim_study,
     score_bag,
     train_linear_svm,
 )
 from midiv.core import Bag, Dataset, Label
-from midiv.divergence import DivergenceSpec, ckl, rd_ratio
+from midiv import divergence as dv
+from midiv.divergence import DivergenceSpec, ckl
 from midiv.seeds import derive_seed
 from midiv.simulate import SimConfig, sample_experiment
 
@@ -402,9 +402,28 @@ class TestScoreBagMatchesPublicDivergences:
                 if method == "ckl":
                     expected = -ckl(bag_model, f_neg, f_pos, spec, points_seed).value
                 else:
-                    measure = "KL" if method == "rd_kl" else "BH"
-                    expected = rd_ratio(bag_model, f_pos, f_neg, measure, spec, points_seed)
+                    reduce = dv.reduce_kl if method == "rd_kl" else dv.reduce_bh
+                    x, dx = dv.evaluation_points(bag_model, (f_pos, f_neg), spec, points_seed)
+                    fb, fp, fn = dv.densities_at(x, (bag_model, f_pos, f_neg))
+                    expected = dv.rd_value(
+                        reduce(fb, fp, spec, dx).value, reduce(fb, fn, spec, dx).value
+                    )
                 assert score_bag(model, bag, s) == expected, (method, bag.id)
+
+
+class TestSvmConfig:
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, float("inf"), float("nan")])
+    def test_rejects_non_positive_or_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="SvmConfig.lam"):
+            SvmConfig(lam=lam)
+
+    @pytest.mark.parametrize("epochs", [0, -1, 2.5, True])
+    def test_rejects_epochs_below_one_or_non_integer(self, epochs):
+        with pytest.raises(ValueError, match="SvmConfig.epochs"):
+            SvmConfig(epochs=epochs)
+
+    def test_numpy_integer_epochs_accepted(self):
+        assert SvmConfig(epochs=np.int64(3)).epochs == 3
 
 
 class TestLinearSvm:
@@ -436,7 +455,10 @@ class TestLinearSvm:
     def test_svm_on_divergences_separates_shifted_classes(self):
         rng = np.random.default_rng(15)
         train = two_class_dataset(rng, n_pos=6, n_neg=6, n_inst=40, shift=6.0, d=2)
-        model = fit_svm_on_divergences(train, "ckl", FAST_SPEC, SvmConfig(), seed=0)
+        model = fit_classifier(
+            train, "svm_divs", EstimatorConfig("kde-gauss"), FAST_SPEC, seed=0,
+            svm=SvmConfig(), svm_measure="ckl",
+        )
         assert model.svm_weights.shape == (2,)
         correct = 0
         for bag in train.bags:
@@ -540,15 +562,6 @@ class TestRunSimStudy:
         )
         for m in ("b2b_kl", "b2b_bh"):
             assert 0.0 <= res.cells[0].mean_auc[m] <= 1.0
-
-    def test_mean_auc100_lookup(self):
-        cfg = SimConfig.preset("sim1", n_instances=20)
-        res = run_sim_study(
-            cfg, grid=((2, 2),), repetitions=1, seed=1, spec=DivergenceSpec(n_imp=256), n_test=8
-        )
-        assert res.mean_auc100(2, 2, "ckl") == pytest.approx(100 * res.cells[0].mean_auc["ckl"])
-        with pytest.raises(KeyError):
-            res.cell(9, 9)
 
     def test_svm_not_a_study_method(self):
         cfg = SimConfig.preset("sim1")

@@ -124,6 +124,12 @@ class TestEvaluateCommand:
         assert code == 1
         assert "stray" in capsys.readouterr().err
 
+    def test_zero_svm_lambda_runtime_error(self, sim_files, tmp_path, capsys):
+        code = run(["evaluate", "--train", sim_files / "train.csv", "--method", "svm-divs",
+                    "--svm-lambda", "0", "-o", tmp_path / "o"] + FAST_EVAL)
+        assert code == 1
+        assert "SvmConfig.lam must be positive" in capsys.readouterr().err
+
     def test_svm_divs_method(self, sim_files, tmp_path):
         out = tmp_path / "svm"
         code = run(["evaluate", "--train", sim_files / "train.csv",

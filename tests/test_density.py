@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -277,30 +276,6 @@ class TestGaussianKernelBits:
         x = rng.uniform(-7.0, 7.0, 5000)
         p = rng.permutation(x.size)
         assert np.array_equal(model.pdf(x[p]), model.pdf(x)[p])
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kernel", ["EPANECHNIKOV", "GAUSSIAN"])
-    def test_kde_round_trip_exact(self, kernel):
-        rng = np.random.default_rng(10)
-        model = fit_kde(rng.standard_normal(40), kernel)
-        back = DensityModel.from_json(model.to_json())
-        assert back.kind == model.kind
-        assert back.bandwidth == model.bandwidth  # bit-exact
-        np.testing.assert_array_equal(back.centers, model.centers)
-        assert back.support_hint == model.support_hint
-
-    def test_gmm_round_trip_exact(self):
-        rng = np.random.default_rng(11)
-        model, _ = fit_gmm(rng.standard_normal(100), 2, seed=5)
-        back = DensityModel.from_json(model.to_json())
-        np.testing.assert_array_equal(back.components, model.components)
-        assert back.support_hint == model.support_hint
-
-    def test_json_fields(self):
-        model = fit_kde([0.0, 1.0], "EPANECHNIKOV", bandwidth=0.7)
-        doc = json.loads(model.to_json())
-        assert set(doc) == {"kind", "support_hint", "bandwidth", "centers"}
 
 
 class TestModelValidation:
