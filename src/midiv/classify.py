@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import divergence as dv
-from .core import Bag, Dataset, Label, apply_pca, fit_pca
+from .core import Bag, Dataset, Label, PcaTransform, apply_pca, fit_pca
 from .density import fit_kde, select_gmm, DensityModel
 from .divergence import DivergenceSpec
 from .seeds import derive_seed
@@ -59,10 +59,10 @@ ESTIMATORS = ("kde-epan", "kde-gauss", "gmm-aic")
 TABLE1_GRID = tuple((p, n) for p in (1, 5, 10) for n in (5, 10, 25))
 
 
-def normalize_method(name: str) -> str:
+def normalize_method(name: str, choices=METHODS, setting: str = "method") -> str:
     method = name.strip().lower().replace("-", "_")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {name!r}; choose from {METHODS}")
+    if method not in choices:
+        raise ValueError(f"unknown {setting} {name!r}; choose from {choices}")
     return method
 
 
@@ -92,6 +92,25 @@ class SvmConfig:
             raise ValueError(f"SvmConfig.epochs must be an integer >= 1, got {epochs!r}")
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"SvmConfig.lam must be positive and finite, got {self.lam!r}")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """A classifier's settings: method, densities, divergences, optional PCA,
+    threshold policy and, for ``svm_divs``, the SVM and its feature measure."""
+
+    method: str = "ckl"
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
+    spec: DivergenceSpec = field(default_factory=DivergenceSpec)
+    pca_components: int | None = None
+    threshold: str | float = "loocv"
+    svm: SvmConfig = field(default_factory=SvmConfig)
+    svm_measure: str = "ckl"
+
+    def __post_init__(self):
+        object.__setattr__(self, "method", normalize_method(self.method))
+        measure = normalize_method(self.svm_measure, CLASS_METHODS, "svm_measure")
+        object.__setattr__(self, "svm_measure", measure)
 
 
 def fit_density_1d(
@@ -127,17 +146,16 @@ def fit_class_densities(
 
 @dataclass(frozen=True)
 class ClassModel:
-    """A fitted bag classifier: class densities plus method parameters."""
+    """A fitted pipeline: the optional PCA, the class densities (plus the
+    training-bag densities for b2b) and the threshold or linear SVM."""
 
-    method: str
-    spec: DivergenceSpec
-    estimator: EstimatorConfig
+    pipeline: PipelineConfig
+    pca: PcaTransform | None
     f_pos: tuple[DensityModel, ...]
     f_neg: tuple[DensityModel, ...]
     threshold: float | None = None
     svm_weights: np.ndarray | None = None
     svm_bias: float = 0.0
-    svm_measure: str = "ckl"
     scaler_mean: np.ndarray | None = None
     scaler_sd: np.ndarray | None = None
     train_bags: tuple[tuple[Label, tuple[DensityModel, ...]], ...] = ()
@@ -153,11 +171,20 @@ class ClassModel:
         return len(self.f_pos)
 
     def scores(self, bags, seeds) -> list[float]:
-        """Scores of ``bags``, one seed each, under the method; lower means more positive."""
-        svm = self.method == "svm_divs"
-        method = self.svm_measure if svm else self.method
+        """Scores of raw ``bags``, one seed each, under the method; lower means more positive."""
+        expects = self.dimension if self.pca is None else self.pca.input_dimension
+        for bag in bags:
+            if bag.dimension != expects:
+                raise ValueError(
+                    f"bag {bag.id!r} has dimension {bag.dimension}, model expects {expects}"
+                )
+        if self.pca is not None:
+            bags = apply_pca(self.pca, Dataset(bags, expects)).bags
+        p = self.pipeline
+        svm = p.method == "svm_divs"
+        method = p.svm_measure if svm else p.method
         refs = (self.f_pos, self.f_neg, self.train_bags)
-        values = _score_bags(bags, seeds, self.estimator, self.spec, refs, (method,), svm)[method]
+        values = _score_bags(bags, seeds, p.estimator, p.spec, refs, (method,), svm)[method]
         if not svm:
             return values
         # The margin is taken bag by bag: one matrix product over all bags may
@@ -262,10 +289,6 @@ def _score_bags(bags, seeds, estimator, spec, refs, methods, per_dim=False) -> d
     f_pos, f_neg, train_bags = refs
     scores = {m: [] for m in methods}
     for bag, seed in zip(bags, seeds, strict=True):
-        if bag.dimension != len(f_pos):
-            raise ValueError(
-                f"bag {bag.id!r} has dimension {bag.dimension}, model expects {len(f_pos)}"
-            )
         bag_models = _fit_bag_models(bag, estimator, seed)
         bundle = _bundle_scores(bag_models, f_pos, f_neg, spec, seed, methods, train_bags, per_dim)
         for m in methods:
@@ -327,62 +350,45 @@ def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool)
     return f_pos, f_neg, train_bags
 
 
-def fit_classifier(
-    train: Dataset,
-    method: str,
-    estimator: EstimatorConfig,
-    spec: DivergenceSpec,
-    seed,
-    threshold: str | float = "loocv",
-    svm: SvmConfig = SvmConfig(),
-    svm_measure: str = "ckl",
-) -> ClassModel:
-    """Fit any method on a labelled training set, including its threshold.
+def fit_classifier(train: Dataset, pipeline: PipelineConfig, seed) -> ClassModel:
+    """Fit the whole pipeline on a labelled training set.
 
-    A score method's threshold is chosen on the training bags' scores.
-    ``svm_divs`` trains a linear SVM on the standardized per-dimension
-    ``svm_measure`` divergences of the training bags and thresholds its
-    margin at 0. The class densities are fitted once to the full training
-    pool, so each training bag's features include its own instances in its
-    class pool.
+    PCA, when configured, is fitted on the pooled training instances and
+    the rest of the pipeline on the projected bags. A score method's
+    threshold is chosen on the training bags' scores. ``svm_divs`` trains a
+    linear SVM on the standardized per-dimension ``svm_measure``
+    divergences of the training bags and thresholds its margin at 0. The
+    class densities are fitted once to the full training pool, so each
+    training bag's scores include its own instances in its class pool.
     """
-    method = normalize_method(method)
-    refs = _fit_references(train, estimator, seed, method.startswith("b2b"))
+    pca = None
+    if pipeline.pca_components is not None:
+        pca = fit_pca(train, pipeline.pca_components)
+        train = apply_pca(pca, train)
+    method = pipeline.method
+    refs = _fit_references(train, pipeline.estimator, seed, method.startswith("b2b"))
     f_pos, f_neg, train_bags = refs
-    model = ClassModel(
-        method=method,
-        spec=spec,
-        estimator=estimator,
-        f_pos=f_pos,
-        f_neg=f_neg,
-        train_bags=train_bags,
-    )
-    if method != "svm_divs":
-        seeds = [derive_seed(seed, "train-score", bag.id) for bag in train.bags]
-        train_scores = model.scores(train.bags, seeds)
-        t = choose_threshold(train_scores, [bag.label for bag in train.bags], threshold)
+    model = ClassModel(pipeline, pca, f_pos, f_neg, train_bags=train_bags)
+    svm = method == "svm_divs"
+    measure = pipeline.svm_measure if svm else method
+    stream = "train-bag" if svm else "train-score"
+    seeds = [derive_seed(seed, stream, bag.id) for bag in train.bags]
+    scores = _score_bags(
+        train.bags, seeds, pipeline.estimator, pipeline.spec, refs, (measure,), per_dim=svm
+    )[measure]
+    if not svm:
+        t = choose_threshold(scores, [bag.label for bag in train.bags], pipeline.threshold)
         return replace(model, threshold=t)
-    measure = normalize_method(svm_measure)
-    if measure not in CLASS_METHODS:
-        raise ValueError(f"svm feature measure must be one of {CLASS_METHODS}")
-    seeds = [derive_seed(seed, "train-bag", bag.id) for bag in train.bags]
-    scores = _score_bags(train.bags, seeds, estimator, spec, refs, (measure,), per_dim=True)
-    feats = np.array(scores[measure])
+    feats = np.array(scores)
     if not np.all(np.isfinite(feats)):
         raise AssertionError("divergence features must be finite after clipping")
     labels = np.array([bag.label == Label.POS for bag in train.bags])
     mean = feats.mean(axis=0)
     sd = feats.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
-    w, b = train_linear_svm((feats - mean) / sd, labels, svm, derive_seed(seed, "svm"))
+    w, b = train_linear_svm((feats - mean) / sd, labels, pipeline.svm, derive_seed(seed, "svm"))
     return replace(
-        model,
-        threshold=0.0,
-        svm_weights=w,
-        svm_bias=b,
-        svm_measure=measure,
-        scaler_mean=mean,
-        scaler_sd=sd,
+        model, threshold=0.0, svm_weights=w, svm_bias=b, scaler_mean=mean, scaler_sd=sd
     )
 
 
@@ -552,22 +558,6 @@ def _make_report(records, folds, provenance, fold_acc, fold_auc, seed) -> EvalRe
     )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything cross_validate needs to fit and score within folds."""
-
-    method: str = "ckl"
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    spec: DivergenceSpec = field(default_factory=DivergenceSpec)
-    pca_components: int | None = None
-    threshold: str | float = "loocv"
-    svm: SvmConfig = field(default_factory=SvmConfig)
-    svm_measure: str = "ckl"
-
-    def __post_init__(self):
-        object.__setattr__(self, "method", normalize_method(self.method))
-
-
 def _stratified_folds(bags, k_folds: int, rng: np.random.Generator) -> np.ndarray:
     """Fold index per bag, stratified by label, bags never split.
 
@@ -587,26 +577,13 @@ def _stratified_folds(bags, k_folds: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _fit_and_score(train: Dataset, test: Dataset, pipeline: PipelineConfig, seed, run=()):
-    """Fit PCA and the classifier on ``train``, then score the ``test`` bags.
+    """Fit the pipeline on ``train``, then score the ``test`` bags.
 
     Seeds derive from ``seed`` and the ``run`` labels: none for a holdout
     run, (repeat, fold) in cross-validation. Returns one record (bag id,
     score, label, prediction) per test bag and the accuracy.
     """
-    if pipeline.pca_components is not None:
-        transform = fit_pca(train, pipeline.pca_components)
-        train = apply_pca(transform, train)
-        test = apply_pca(transform, test)
-    model = fit_classifier(
-        train,
-        pipeline.method,
-        pipeline.estimator,
-        pipeline.spec,
-        derive_seed(seed, "fit", *run),
-        threshold=pipeline.threshold,
-        svm=pipeline.svm,
-        svm_measure=pipeline.svm_measure,
-    )
+    model = fit_classifier(train, pipeline, derive_seed(seed, "fit", *run))
     scores = model.scores(test.bags, [derive_seed(seed, "score", *run, b.id) for b in test.bags])
     records = [
         (bag.id, s, int(bag.label), int(s < model.threshold)) for bag, s in zip(test.bags, scores)
@@ -629,6 +606,8 @@ def cross_validate(
         raise ValueError("cross-validation needs every bag labelled")
     if k_folds < 2 or k_folds > len(bags):
         raise ValueError("k_folds must lie in [2, number of bags]")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
     for label in (Label.POS, Label.NEG):
         if len(data.with_label(label)) < 2:
             raise ValueError(f"need at least 2 {label.name} bags for stratified folds")
@@ -644,13 +623,9 @@ def cross_validate(
         for fold in range(k_folds):
             train_bags = [b for b, f in zip(bags, assignment) if f != fold]
             test_bags = [b for b, f in zip(bags, assignment) if f == fold]
-            if not test_bags:
-                continue
-            train_ds = data.replace_bags(train_bags)
-            if not train_ds.with_label(Label.POS) or not train_ds.with_label(Label.NEG):
-                raise ValueError(f"fold {fold} leaves a training split missing a class")
             fold_records, acc = _fit_and_score(
-                train_ds, data.replace_bags(test_bags), pipeline, seed, (rep, fold)
+                data.replace_bags(train_bags), data.replace_bags(test_bags), pipeline, seed,
+                (rep, fold),
             )
             provenance[(rep, fold)] = tuple(sorted(b.id for b in train_bags))
             records += fold_records
@@ -744,6 +719,10 @@ def run_sim_study(
     methods = tuple(normalize_method(m) for m in methods)
     if "svm_divs" in methods:
         raise ValueError("the simulation study compares score-based methods; svm_divs is not one")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions!r}")
+    if n_test < 2:
+        raise ValueError(f"n_test must be at least 2, one test bag per class, got {n_test!r}")
     estimator = estimator or EstimatorConfig()
     spec = spec or DivergenceSpec()
     run_cell = partial(_run_study_cell, config, repetitions, methods, seed, estimator, spec, n_test)

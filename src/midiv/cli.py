@@ -296,6 +296,9 @@ def _write_table_wide(results, methods, path: Path) -> None:
 
 def cmd_replay(args, argv) -> int:
     manifest = RunManifest.load(args.manifest)
+    for path, digest in manifest.inputs.items():
+        if _sha256(path) != digest:
+            raise ValueError(f"input {path} has changed since the recorded run (sha256 differs)")
     replay_argv = list(manifest.argv)
     if args.out_dir is not None:
         replay_argv = _override_out_dir(replay_argv, str(args.out_dir))

@@ -22,6 +22,7 @@ from midiv.classify import (
     score_bag,
     train_linear_svm,
 )
+from midiv.classify import _stratified_folds
 from midiv.core import Bag, Dataset, Label
 from midiv import divergence as dv
 from midiv.divergence import DivergenceSpec, ckl
@@ -294,28 +295,41 @@ class TestScoreBag:
     def test_bag_from_pos_distribution_scores_low(self):
         rng = np.random.default_rng(8)
         train = two_class_dataset(rng, n_pos=5, n_neg=5, n_inst=50, shift=6.0)
-        model = fit_classifier(train, "rd_kl", EstimatorConfig(), FAST_SPEC, seed=0)
+        model = fit_classifier(train, PipelineConfig("rd_kl", EstimatorConfig(), FAST_SPEC), seed=0)
         pos_bag = make_bag(rng.standard_normal((80, 1)) + 6.0, None, "probe")
         assert score_bag(model, pos_bag, seed=1) < 0.2
 
     def test_bag_identical_to_pos_training_bag_b2b(self):
         rng = np.random.default_rng(9)
         train = two_class_dataset(rng, n_pos=3, n_neg=3, n_inst=40, shift=5.0)
-        model = fit_classifier(train, "b2b_kl", EstimatorConfig(), FAST_SPEC, seed=0)
+        pipeline = PipelineConfig("b2b_kl", EstimatorConfig(), FAST_SPEC)
+        model = fit_classifier(train, pipeline, seed=0)
         clone = Bag(id="clone", instances=train.bags[0].instances, label=None)
         assert score_bag(model, clone, seed=2) < 0.0
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(10)
         train = two_class_dataset(rng)
-        model = fit_classifier(train, "ckl", EstimatorConfig(), FAST_SPEC, seed=0)
+        model = fit_classifier(train, PipelineConfig("ckl", EstimatorConfig(), FAST_SPEC), seed=0)
         with pytest.raises(ValueError, match="dimension"):
             score_bag(model, make_bag(np.zeros((3, 2)), None, "wide"), seed=0)
+
+    @pytest.mark.parametrize("pca_components", [None, 1])
+    def test_wrong_input_dimension_names_bag(self, pca_components):
+        # With PCA the model takes raw bags: the projected dimension is wrong too.
+        rng = np.random.default_rng(27)
+        train = two_class_dataset(rng, d=2)
+        pipeline = PipelineConfig("ckl", spec=FAST_SPEC, pca_components=pca_components)
+        model = fit_classifier(train, pipeline, seed=0)
+        for width in (1, 3):
+            bag = make_bag(np.zeros((3, width)), None, f"width-{width}")
+            with pytest.raises(ValueError, match=f"'width-{width}' has dimension {width}"):
+                score_bag(model, bag, seed=0)
 
     def test_density_failure_names_bag(self):
         rng = np.random.default_rng(11)
         train = two_class_dataset(rng)
-        model = fit_classifier(train, "ckl", EstimatorConfig(), FAST_SPEC, seed=0)
+        model = fit_classifier(train, PipelineConfig("ckl", EstimatorConfig(), FAST_SPEC), seed=0)
         single = make_bag([[0.5]], None, "tiny-bag")
         with pytest.raises(ValueError, match="tiny-bag"):
             score_bag(model, single, seed=0)
@@ -324,13 +338,13 @@ class TestScoreBag:
         rng = np.random.default_rng(12)
         train = two_class_dataset(rng)
         est = EstimatorConfig(bandwidth=1.0)
-        model = fit_classifier(train, "ckl", est, FAST_SPEC, seed=0)
+        model = fit_classifier(train, PipelineConfig("ckl", est, FAST_SPEC), seed=0)
         assert np.isfinite(score_bag(model, make_bag([[0.5]], None, "one"), seed=0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         train = two_class_dataset(rng)
-        model = fit_classifier(train, "rd_bh", EstimatorConfig(), FAST_SPEC, seed=0)
+        model = fit_classifier(train, PipelineConfig("rd_bh", EstimatorConfig(), FAST_SPEC), seed=0)
         probe = make_bag(rng.standard_normal((20, 1)), None, "p")
         assert score_bag(model, probe, seed=5) == score_bag(model, probe, seed=5)
 
@@ -340,6 +354,17 @@ class TestEstimatorConfig:
     def test_only_listed_estimators(self, kind):
         with pytest.raises(ValueError, match="estimator"):
             EstimatorConfig(kind=kind)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("measure", ["b2b_kl", "svm-divs", "foo"])
+    def test_invalid_svm_measure_rejected(self, measure):
+        with pytest.raises(ValueError, match="svm_measure"):
+            PipelineConfig(method="svm_divs", svm_measure=measure)
+
+    def test_names_normalised(self):
+        pipeline = PipelineConfig(method="SVM-Divs", svm_measure=" RD-KL")
+        assert (pipeline.method, pipeline.svm_measure) == ("svm_divs", "rd_kl")
 
 
 class TestUnlabelledTrainingBags:
@@ -352,7 +377,7 @@ class TestUnlabelledTrainingBags:
         stray = make_bag(rng.standard_normal((30, 1)) + 4.0, None, "stray-bag")
         train = Dataset(bags=two_class_dataset(rng).bags + (stray,), dimension=1)
         with pytest.raises(ValueError, match="stray-bag"):
-            fit_classifier(train, method, EstimatorConfig(), FAST_SPEC, seed=0)
+            fit_classifier(train, PipelineConfig(method, EstimatorConfig(), FAST_SPEC), seed=0)
 
 
 class TestOneScoringPath:
@@ -362,9 +387,22 @@ class TestOneScoringPath:
     def test_holdout_scores_are_score_bag_calls(self, method):
         train, test = sample_experiment(SimConfig.preset("sim1", n_instances=20), 3, 3, 6, seed=8)
         est, seed = EstimatorConfig(), 4
-        report = evaluate_holdout(train, test, PipelineConfig(method, est, FAST_SPEC), seed=seed)
-        model = fit_classifier(train, method, est, FAST_SPEC, derive_seed(seed, "fit"))
+        pipeline = PipelineConfig(method, est, FAST_SPEC)
+        report = evaluate_holdout(train, test, pipeline, seed=seed)
+        model = fit_classifier(train, pipeline, derive_seed(seed, "fit"))
         expected = [score_bag(model, b, derive_seed(seed, "score", b.id)) for b in test.bags]
+        assert report.scores == tuple(expected)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_pca_holdout_scores_are_score_bag_calls_on_raw_bags(self, method):
+        rng = np.random.default_rng(26)
+        train = two_class_dataset(rng, n_pos=3, n_neg=3, n_inst=20, shift=2.0, d=2)
+        test = two_class_dataset(rng, n_pos=3, n_neg=3, n_inst=20, shift=2.0, d=2)
+        pipeline = PipelineConfig(method, EstimatorConfig(), FAST_SPEC, pca_components=1)
+        report = evaluate_holdout(train, test, pipeline, seed=4)
+        model = fit_classifier(train, pipeline, derive_seed(4, "fit"))
+        assert model.pca.input_dimension == 2 and model.dimension == 1
+        expected = [score_bag(model, b, derive_seed(4, "score", b.id)) for b in test.bags]
         assert report.scores == tuple(expected)
 
     def test_study_aucs_are_score_bag_aucs(self):
@@ -378,7 +416,8 @@ class TestOneScoringPath:
         train, test = sample_experiment(config, 2, 3, 8, cell_seed)
         labels = [b.label for b in test.bags]
         for m in methods:
-            model = fit_classifier(train, m, EstimatorConfig(), FAST_SPEC, cell_seed, threshold=0.0)
+            pipeline = PipelineConfig(m, EstimatorConfig(), FAST_SPEC, threshold=0.0)
+            model = fit_classifier(train, pipeline, cell_seed)
             scores = [score_bag(model, b, derive_seed(cell_seed, "bag", b.id)) for b in test.bags]
             assert res.cells[0].rep_aucs[m] == (auc(scores, labels),), m
 
@@ -393,7 +432,7 @@ class TestScoreBagMatchesPublicDivergences:
         est = EstimatorConfig(kind=kind)
         train, test = sample_experiment(SimConfig.preset("sim1", n_instances=30), 3, 3, 4, seed=5)
         for method in ("rd_kl", "rd_bh", "ckl"):
-            model = fit_classifier(train, method, est, spec, seed=11, threshold=0.0)
+            model = fit_classifier(train, PipelineConfig(method, est, spec, threshold=0.0), seed=11)
             f_pos, f_neg = model.f_pos[0], model.f_neg[0]
             for i, bag in enumerate(test.bags):
                 s = derive_seed(3, i)
@@ -456,8 +495,12 @@ class TestLinearSvm:
         rng = np.random.default_rng(15)
         train = two_class_dataset(rng, n_pos=6, n_neg=6, n_inst=40, shift=6.0, d=2)
         model = fit_classifier(
-            train, "svm_divs", EstimatorConfig("kde-gauss"), FAST_SPEC, seed=0,
-            svm=SvmConfig(), svm_measure="ckl",
+            train,
+            PipelineConfig(
+                "svm_divs", EstimatorConfig("kde-gauss"), FAST_SPEC, svm=SvmConfig(),
+                svm_measure="ckl",
+            ),
+            seed=0,
         )
         assert model.svm_weights.shape == (2,)
         correct = 0
@@ -522,6 +565,26 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="at least 2"):
             cross_validate(data, 2, PipelineConfig(spec=FAST_SPEC), seed=0)
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_rejected(self, repeats):
+        # Zero repeats used to fail later with "AUC needs both classes present".
+        data = two_class_dataset(np.random.default_rng(28))
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            cross_validate(data, 2, PipelineConfig(spec=FAST_SPEC), repeats=repeats, seed=0)
+
+    @given(st.integers(2, 12), st.integers(2, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stratified_folds_fill_every_fold_and_keep_both_classes(self, n_pos, n_neg, data):
+        n = n_pos + n_neg
+        k = data.draw(st.integers(2, n), label="k")
+        labels = data.draw(st.permutations([POS] * n_pos + [NEG] * n_neg), label="labels")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        bags = [make_bag([[0.0]], label, f"b{i}") for i, label in enumerate(labels)]
+        assignment = _stratified_folds(bags, k, np.random.default_rng(seed))
+        assert set(assignment.tolist()) == set(range(k))
+        for fold in range(k):
+            assert {b.label for b, f in zip(bags, assignment) if f != fold} == {POS, NEG}
+
     def test_unlabelled_bag_rejected(self):
         rng = np.random.default_rng(22)
         bags = two_class_dataset(rng).bags + (make_bag(rng.standard_normal((5, 1)), None, "u"),)
@@ -563,6 +626,15 @@ class TestRunSimStudy:
         for m in ("b2b_kl", "b2b_bh"):
             assert 0.0 <= res.cells[0].mean_auc[m] <= 1.0
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"repetitions": 0}, {"repetitions": -2}, {"n_test": 1}, {"n_test": 0}]
+    )
+    def test_empty_study_rejected_naming_setting(self, kwargs):
+        # repetitions=0 used to give NaN mean AUCs; n_test=1 failed in auc().
+        (setting,) = kwargs
+        with pytest.raises(ValueError, match=f"{setting} must be at least"):
+            run_sim_study(SimConfig.preset("sim1"), grid=((2, 2),), seed=0, **kwargs)
+
     def test_svm_not_a_study_method(self):
         cfg = SimConfig.preset("sim1")
         with pytest.raises(ValueError, match="svm"):
@@ -591,7 +663,7 @@ class TestScoreOrderingConvention:
         cfg = SimConfig.preset("sim1", n_instances=30)
         train, test = sample_experiment(cfg, 4, 4, 20, seed=11)
         est = EstimatorConfig()
-        model = fit_classifier(train, "rd_kl", est, FAST_SPEC, seed=0)
+        model = fit_classifier(train, PipelineConfig("rd_kl", est, FAST_SPEC), seed=0)
         swapped = Dataset(
             bags=tuple(
                 Bag(id=b.id, instances=b.instances, label=POS if b.label == NEG else NEG)
@@ -599,7 +671,7 @@ class TestScoreOrderingConvention:
             ),
             dimension=1,
         )
-        model_swapped = fit_classifier(swapped, "rd_kl", est, FAST_SPEC, seed=0)
+        model_swapped = fit_classifier(swapped, PipelineConfig("rd_kl", est, FAST_SPEC), seed=0)
         scores = [score_bag(model, b, seed=i) for i, b in enumerate(test.bags)]
         scores_swapped = [score_bag(model_swapped, b, seed=i) for i, b in enumerate(test.bags)]
         labels = [b.label for b in test.bags]

@@ -130,6 +130,15 @@ class TestEvaluateCommand:
         assert code == 1
         assert "SvmConfig.lam must be positive" in capsys.readouterr().err
 
+    def test_zero_repeats_runtime_error(self, sim_files, tmp_path, capsys):
+        # Used to fail with "AUC needs both classes present".
+        out = tmp_path / "o"
+        code = run(["evaluate", "--train", sim_files / "train.csv", "--folds", "2",
+                    "--repeats", "0", "-o", out] + FAST_EVAL)
+        assert code == 1
+        assert "repeats must be at least 1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_svm_divs_method(self, sim_files, tmp_path):
         out = tmp_path / "svm"
         code = run(["evaluate", "--train", sim_files / "train.csv",
@@ -185,6 +194,20 @@ class TestTable1Command:
         assert wide[0].startswith("scenario,pos,")
         assert "diff_ckl_neg5" in wide[0]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--reps", "0"], "repetitions must be at least 1"),
+         (["--test", "1"], "n_test must be at least 2")],
+    )
+    def test_empty_study_runtime_error(self, tmp_path, capsys, flags, message):
+        # --reps 0 used to exit 0 with nan AUC rows; --test 1 failed inside auc().
+        out = tmp_path / "tab"
+        code = run(["table1", "--scenario", "sim1", "--cell", "pos=1,neg=5", "--seed", "5",
+                    "-o", out] + flags + FAST_EVAL)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "table_long.csv").exists() and not (out / "table_wide.csv").exists()
+
     def test_reference_values_embedded(self):
         assert REFERENCE_AUC100[("sim1", 1, 5)] == {"rd_bh": 61, "rd_kl": 69, "ckl": 85}
         assert REFERENCE_AUC100[("sim5", 10, 10)] == {"rd_bh": 75, "rd_kl": 73, "ckl": 69}
@@ -226,6 +249,24 @@ class TestReplay:
         assert run(["replay", first / "manifest.json", "-o", redo]) == 0
         assert digest(first / "report.json") == digest(redo / "report.json")
         assert digest(first / "roc.csv") == digest(redo / "roc.csv")
+
+    def test_replay_rejects_changed_input(self, sim_files, tmp_path, capsys):
+        # The input hashes were recorded but never checked: an edited train.csv
+        # replayed with exit 0 and a different report.json.
+        train = tmp_path / "train.csv"
+        train.write_bytes((sim_files / "train.csv").read_bytes())
+        first = tmp_path / "first"
+        assert run(["evaluate", "--train", train, "--test", sim_files / "test.csv",
+                    "--seed", "21", "-o", first] + FAST_EVAL) == 0
+        lines = train.read_text().splitlines()
+        bag_id, label, value = lines[1].split(",")
+        lines[1] = f"{bag_id},{label},{float(value) + 0.5!r}"
+        train.write_text("\n".join(lines) + "\n")
+        redo = tmp_path / "redo"
+        assert run(["replay", first / "manifest.json", "-o", redo]) == 1
+        err = capsys.readouterr().err
+        assert str(train) in err and "sha256" in err
+        assert not redo.exists()
 
     def test_replay_missing_manifest(self, tmp_path, capsys):
         assert run(["replay", tmp_path / "none.json"]) == 1
