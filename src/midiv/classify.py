@@ -13,6 +13,7 @@ the trapezoidal ROC area.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -77,6 +78,22 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.kind!r}; choose from {ESTIMATORS}")
+        bandwidth = self.bandwidth
+        if bandwidth is not None and not (_is_real(bandwidth) and 0.0 < bandwidth < np.inf):
+            raise ValueError(
+                f"EstimatorConfig.bandwidth must be None or positive and finite, got {bandwidth!r}"
+            )
+        if not _is_count(self.k_max):
+            raise ValueError(f"EstimatorConfig.k_max must be an integer >= 1, got {self.k_max!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """An integer (Python or numpy, not bool) of at least 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -87,9 +104,8 @@ class SvmConfig:
     lam: float = 1e-3
 
     def __post_init__(self):
-        epochs = self.epochs
-        if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)) or epochs < 1:
-            raise ValueError(f"SvmConfig.epochs must be an integer >= 1, got {epochs!r}")
+        if not _is_count(self.epochs):
+            raise ValueError(f"SvmConfig.epochs must be an integer >= 1, got {self.epochs!r}")
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"SvmConfig.lam must be positive and finite, got {self.lam!r}")
 
@@ -97,7 +113,12 @@ class SvmConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     """A classifier's settings: method, densities, divergences, optional PCA,
-    threshold policy and, for ``svm_divs``, the SVM and its feature measure."""
+    threshold policy and, for ``svm_divs``, the SVM and its feature measure.
+
+    ``threshold`` is given as ``"loocv"`` (any case), ``"fixed:<t>"`` or a
+    number, and stored as ``"loocv"`` or a finite float. ``svm_divs``
+    always thresholds its margin at 0 but checks the policy all the same.
+    """
 
     method: str = "ckl"
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
@@ -111,6 +132,27 @@ class PipelineConfig:
         object.__setattr__(self, "method", normalize_method(self.method))
         measure = normalize_method(self.svm_measure, CLASS_METHODS, "svm_measure")
         object.__setattr__(self, "svm_measure", measure)
+        object.__setattr__(self, "threshold", _threshold_policy(self.threshold))
+
+
+def _threshold_policy(policy) -> str | float:
+    value = None
+    if isinstance(policy, str):
+        if policy.lower() == "loocv":
+            return "loocv"
+        if policy.lower().startswith("fixed:"):
+            try:
+                value = float(policy.split(":", 1)[1])
+            except ValueError:
+                pass
+    elif _is_real(policy):
+        value = float(policy)
+    if value is None or not np.isfinite(value):
+        raise ValueError(
+            f"PipelineConfig.threshold must be 'loocv', 'fixed:<t>' or a finite number, "
+            f"got {policy!r}"
+        )
+    return value
 
 
 def fit_density_1d(
@@ -125,6 +167,17 @@ def fit_density_1d(
     return fit_kde(samples, kernel, estimator.bandwidth, robust_sigma=not pooled)
 
 
+def _fit_columns(
+    x: np.ndarray, estimator: EstimatorConfig, seed, labels: tuple, pooled: bool = False
+) -> tuple[DensityModel, ...]:
+    """One density per column of ``x``, column d from ``derive_seed(seed, *labels, d)``:
+    the one loop over ``fit_density_1d``, for class and bag densities alike."""
+    return tuple(
+        fit_density_1d(x[:, d], estimator, derive_seed(seed, *labels, d), pooled)
+        for d in range(x.shape[1])
+    )
+
+
 def fit_class_densities(
     train: Dataset, estimator: EstimatorConfig, seed
 ) -> tuple[tuple[DensityModel, ...], tuple[DensityModel, ...]]:
@@ -134,14 +187,23 @@ def fit_class_densities(
         pooled = train.pooled_instances(label)
         if pooled.shape[0] == 0:
             raise ValueError(f"training set has no {label.name} bags")
-        models = tuple(
-            fit_density_1d(
-                pooled[:, d], estimator, derive_seed(seed, "class", label.name, d), pooled=True
-            )
-            for d in range(train.dimension)
-        )
-        out.append(models)
+        out.append(_fit_columns(pooled, estimator, seed, ("class", label.name), pooled=True))
     return out[0], out[1]
+
+
+def _fit_bags(bags, estimator: EstimatorConfig, seeds) -> list[tuple[DensityModel, ...]]:
+    """The fit phase: every bag's per-dimension densities, one seed per bag.
+
+    Scored bags, the training bags behind a LOOCV threshold or the svm-divs
+    features, and the b2b reference bags are all fitted here.
+    """
+    fits = []
+    for bag, seed in zip(bags, seeds, strict=True):
+        try:
+            fits.append(_fit_columns(bag.instances, estimator, seed, ("bagfit",)))
+        except ValueError as exc:
+            raise ValueError(f"bag {bag.id!r}: {exc}") from exc
+    return fits
 
 
 @dataclass(frozen=True)
@@ -184,7 +246,8 @@ class ClassModel:
         svm = p.method == "svm_divs"
         method = p.svm_measure if svm else p.method
         refs = (self.f_pos, self.f_neg, self.train_bags)
-        values = _score_bags(bags, seeds, p.estimator, p.spec, refs, (method,), svm)[method]
+        fits = _fit_bags(bags, p.estimator, seeds)
+        values = _score_bags(fits, seeds, p.spec, refs, (method,), svm)[method]
         if not svm:
             return values
         # The margin is taken bag by bag: one matrix product over all bags may
@@ -267,29 +330,16 @@ def _finish(method: str, divs, train_pos: np.ndarray) -> float:
     return float(divs[train_pos].min() - divs[~train_pos].min())
 
 
-def _fit_bag_models(
-    bag: Bag, estimator: EstimatorConfig, seed
-) -> tuple[DensityModel, ...]:
-    try:
-        return tuple(
-            fit_density_1d(bag.column(d), estimator, derive_seed(seed, "bagfit", d))
-            for d in range(bag.dimension)
-        )
-    except ValueError as exc:
-        raise ValueError(f"bag {bag.id!r}: {exc}") from exc
+def _score_bags(fits, seeds, spec, refs, methods, per_dim=False) -> dict[str, list]:
+    """The score phase: every fitted bag's scores under each of ``methods``.
 
-
-def _score_bags(bags, seeds, estimator, spec, refs, methods, per_dim=False) -> dict[str, list]:
-    """Every bag's scores under each of ``methods``: one list per method.
-
-    This is the one per-bag loop. Each bag's densities are fitted from its
-    seed and scored by ``_bundle_scores`` against ``refs``, the class
-    densities and the b2b training-bag densities.
+    One list per method. Each bag's densities, from ``_fit_bags``, are
+    scored with its seed by ``_bundle_scores`` against ``refs``, the class
+    densities and the b2b training-bag densities. Nothing is fitted here.
     """
     f_pos, f_neg, train_bags = refs
     scores = {m: [] for m in methods}
-    for bag, seed in zip(bags, seeds, strict=True):
-        bag_models = _fit_bag_models(bag, estimator, seed)
+    for bag_models, seed in zip(fits, seeds, strict=True):
         bundle = _bundle_scores(bag_models, f_pos, f_neg, spec, seed, methods, train_bags, per_dim)
         for m in methods:
             scores[m].append(bundle[m])
@@ -343,19 +393,18 @@ def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool)
         if bag.label is None:
             raise ValueError(f"training bag {bag.id!r} is unlabelled")
     f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(seed, "class-fit"))
-    train_bags = tuple(
-        (bag.label, _fit_bag_models(bag, estimator, derive_seed(seed, "b2b", bag.id)))
-        for bag in (train.bags if b2b else ())
-    )
-    return f_pos, f_neg, train_bags
+    ref_bags = train.bags if b2b else ()
+    fits = _fit_bags(ref_bags, estimator, [derive_seed(seed, "b2b", bag.id) for bag in ref_bags])
+    return f_pos, f_neg, tuple((bag.label, models) for bag, models in zip(ref_bags, fits))
 
 
 def fit_classifier(train: Dataset, pipeline: PipelineConfig, seed) -> ClassModel:
     """Fit the whole pipeline on a labelled training set.
 
     PCA, when configured, is fitted on the pooled training instances and
-    the rest of the pipeline on the projected bags. A score method's
-    threshold is chosen on the training bags' scores. ``svm_divs`` trains a
+    the rest of the pipeline on the projected bags. A score method's LOOCV
+    threshold is chosen on the training bags' scores; a fixed threshold
+    scores no training bag. ``svm_divs`` trains a
     linear SVM on the standardized per-dimension ``svm_measure``
     divergences of the training bags and thresholds its margin at 0. The
     class densities are fitted once to the full training pool, so each
@@ -370,15 +419,15 @@ def fit_classifier(train: Dataset, pipeline: PipelineConfig, seed) -> ClassModel
     f_pos, f_neg, train_bags = refs
     model = ClassModel(pipeline, pca, f_pos, f_neg, train_bags=train_bags)
     svm = method == "svm_divs"
+    if not svm and pipeline.threshold != "loocv":
+        return replace(model, threshold=pipeline.threshold)
     measure = pipeline.svm_measure if svm else method
     stream = "train-bag" if svm else "train-score"
     seeds = [derive_seed(seed, stream, bag.id) for bag in train.bags]
-    scores = _score_bags(
-        train.bags, seeds, pipeline.estimator, pipeline.spec, refs, (measure,), per_dim=svm
-    )[measure]
+    fits = _fit_bags(train.bags, pipeline.estimator, seeds)
+    scores = _score_bags(fits, seeds, pipeline.spec, refs, (measure,), per_dim=svm)[measure]
     if not svm:
-        t = choose_threshold(scores, [bag.label for bag in train.bags], pipeline.threshold)
-        return replace(model, threshold=t)
+        return replace(model, threshold=choose_threshold(scores, [b.label for b in train.bags]))
     feats = np.array(scores)
     if not np.all(np.isfinite(feats)):
         raise AssertionError("divergence features must be finite after clipping")
@@ -451,19 +500,13 @@ def accuracy_at(scores, labels, threshold: float) -> float:
     return float((pred_pos == pos).mean())
 
 
-def choose_threshold(train_scores, train_labels, policy="loocv") -> float:
-    """Threshold from training scores: LOOCV over midpoint candidates, or fixed.
+def choose_threshold(train_scores, train_labels) -> float:
+    """The LOOCV threshold from training scores, over midpoint candidates.
 
     Candidates are the midpoints of consecutive sorted unique scores; the
     one maximizing leave-one-out accuracy wins, ties broken toward the
     median candidate (then toward the smaller one).
     """
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        return float(policy)
-    if isinstance(policy, str) and policy.lower().startswith("fixed:"):
-        return float(policy.split(":", 1)[1])
-    if not (isinstance(policy, str) and policy.lower() == "loocv"):
-        raise ValueError(f"threshold policy must be 'loocv', 'fixed:<t>' or a number, got {policy!r}")
     scores, pos = _scores_and_pos(train_scores, train_labels, "LOOCV threshold")
     if scores.size < 2:
         raise ValueError("LOOCV threshold needs at least 2 training bags")
@@ -686,7 +729,7 @@ def _run_study_cell(
         train, test = sample_experiment(config, pos, neg, n_test, cell_seed)
         refs = _fit_references(train, estimator, cell_seed, need_b2b)
         seeds = [derive_seed(cell_seed, "bag", bag.id) for bag in test.bags]
-        scores = _score_bags(test.bags, seeds, estimator, spec, refs, methods)
+        scores = _score_bags(_fit_bags(test.bags, estimator, seeds), seeds, spec, refs, methods)
         labels = [bag.label for bag in test.bags]
         for m in methods:
             rep_aucs[m].append(auc(scores[m], labels))
@@ -717,6 +760,9 @@ def run_sim_study(
     may be computed in parallel without changing the result.
     """
     methods = tuple(normalize_method(m) for m in methods)
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"methods lists {', '.join(repeated)} more than once")
     if "svm_divs" in methods:
         raise ValueError("the simulation study compares score-based methods; svm_divs is not one")
     if repetitions < 1:
@@ -730,7 +776,8 @@ def run_sim_study(
     if max_workers > 1 and len(grid) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        # The pool may start every worker at once: start no more than there are cells.
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(grid))) as pool:
             cells = tuple(pool.map(run_cell, poss, negs))
     else:
         cells = tuple(map(run_cell, poss, negs))

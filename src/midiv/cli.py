@@ -84,6 +84,7 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)  # path -> sha256
     outputs: list[str] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
+    cwd: str = ""  # the run's working directory, which relative paths in argv start from
 
     def write(self, path: Path) -> None:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -111,15 +112,19 @@ def _write_manifest(out: Path, args, argv, started: float, outputs, inputs=()) -
         inputs={str(path): _sha256(path) for path in inputs},
         outputs=[str(path) for path in outputs],
         wall_clock_seconds=time.perf_counter() - started,
+        cwd=os.getcwd(),
     ).write(out / "manifest.json")
 
 
 def _max_workers() -> int:
     raw = os.environ.get("MIDIV_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"MIDIV_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _divergence_spec(args) -> DivergenceSpec:
@@ -167,10 +172,6 @@ def _write_roc_csv(report, path: Path) -> None:
 
 
 def cmd_evaluate(args, argv) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    train = load_dataset(args.train)
     pipeline = PipelineConfig(
         method=args.method,
         estimator=_estimator(args),
@@ -180,6 +181,10 @@ def cmd_evaluate(args, argv) -> int:
         svm=SvmConfig(epochs=args.svm_epochs, lam=args.svm_lambda),
         svm_measure=args.svm_measure,
     )
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    train = load_dataset(args.train)
     if args.test is not None:
         test = load_dataset(args.test)
         report = evaluate_holdout(train, test, pipeline, seed=args.seed)
@@ -197,22 +202,27 @@ def cmd_evaluate(args, argv) -> int:
 
 
 def _parse_cell(text: str) -> tuple[int, int]:
+    """``pos=<p>,neg=<n>``: exactly these two keys, each once."""
     try:
-        parts = dict(p.split("=", 1) for p in text.split(","))
-        return int(parts["pos"]), int(parts["neg"])
-    except Exception:
-        raise ValueError(f"--cell must look like pos=1,neg=5, got {text!r}") from None
+        pairs = [p.split("=", 1) for p in text.split(",")]
+        parts = dict(pairs)
+        if len(pairs) == 2 and parts.keys() == {"pos", "neg"}:
+            return int(parts["pos"]), int(parts["neg"])
+    except ValueError:
+        pass
+    raise ValueError(f"--cell must look like pos=1,neg=5, got {text!r}")
 
 
 def cmd_table1(args, argv) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
     scenarios = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     grid = TABLE1_GRID if args.cell is None else (_parse_cell(args.cell),)
     methods = tuple(normalize_method(m) for m in args.methods.split(","))
     estimator = _estimator(args)
     spec = _divergence_spec(args)
+    max_workers = _max_workers()
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
     results = []
     for scenario in scenarios:
         config = SimConfig.preset(scenario, n_instances=args.n_instances)
@@ -226,7 +236,7 @@ def cmd_table1(args, argv) -> int:
                 estimator=estimator,
                 spec=spec,
                 n_test=args.test,
-                max_workers=_max_workers(),
+                max_workers=max_workers,
             )
         )
     long_path = out / "table_long.csv"
@@ -295,14 +305,24 @@ def _write_table_wide(results, methods, path: Path) -> None:
 
 
 def cmd_replay(args, argv) -> int:
+    """Re-run a manifest's argv in the run's working directory, after checking its inputs."""
     manifest = RunManifest.load(args.manifest)
+    # A manifest without the record, or whose directory is gone, replays from
+    # the current directory; the input hashes still guard what is read.
+    run_dir = Path(manifest.cwd) if Path(manifest.cwd).is_dir() else Path.cwd()
     for path, digest in manifest.inputs.items():
+        path = run_dir / path
         if _sha256(path) != digest:
             raise ValueError(f"input {path} has changed since the recorded run (sha256 differs)")
     replay_argv = list(manifest.argv)
     if args.out_dir is not None:
-        replay_argv = _override_out_dir(replay_argv, str(args.out_dir))
-    return main(replay_argv)
+        replay_argv = _override_out_dir(replay_argv, str(Path(args.out_dir).resolve()))
+    here = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        return main(replay_argv)
+    finally:
+        os.chdir(here)
 
 
 def _override_out_dir(argv: list[str], out_dir: str) -> list[str]:

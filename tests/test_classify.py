@@ -1,3 +1,6 @@
+import concurrent.futures
+from functools import lru_cache, partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +20,13 @@ from midiv.classify import (
     fit_class_densities,
     fit_classifier,
     fit_density_1d,
+    normalize_method,
     roc_points,
     run_sim_study,
     score_bag,
     train_linear_svm,
 )
+from midiv import classify
 from midiv.classify import _stratified_folds
 from midiv.core import Bag, Dataset, Label
 from midiv import divergence as dv
@@ -163,14 +168,10 @@ class TestNanScores:
 
 
 class TestChooseThreshold:
-    def test_fixed_policies(self):
-        assert choose_threshold([1, 2], [POS, NEG], 0.8) == 0.8
-        assert choose_threshold([1, 2], [POS, NEG], "fixed:0.8") == 0.8
-
     def test_separated_scores_median_gap(self):
         scores = [1.0, 2.0, 10.0, 11.0]
         labels = [POS, POS, NEG, NEG]
-        t = choose_threshold(scores, labels, "loocv")
+        t = choose_threshold(scores, labels)
         # all three midpoints are perfect; the median candidate wins
         assert t == pytest.approx(6.0)
         assert accuracy_at(scores, labels, t) == 1.0
@@ -181,7 +182,7 @@ class TestChooseThreshold:
         candidates = [1.5, 2.5, 3.5]
         accs = [accuracy_at(scores, labels, t) for t in candidates]
         best = max(accs)
-        t = choose_threshold(scores, labels, "loocv")
+        t = choose_threshold(scores, labels)
         assert accuracy_at(scores, labels, t) == best
         assert t == 1.5  # ties toward the median candidate, then the smaller
 
@@ -195,7 +196,7 @@ class TestChooseThreshold:
                 continue
             uniq = np.unique(scores)
             candidates = (uniq[:-1] + uniq[1:]) / 2
-            t = choose_threshold(scores, labels, "loocv")
+            t = choose_threshold(scores, labels)
             idx = int(np.argmin(np.abs(candidates - t)))
             acc = accuracy_at(scores, labels, candidates[idx])
             for j in (idx - 1, idx + 1):
@@ -216,11 +217,11 @@ class TestChooseThreshold:
             best = np.flatnonzero(accs == accs.max())
             median_idx = (len(candidates) - 1) / 2.0
             winner = best[np.lexsort((best, np.abs(best - median_idx)))][0]
-            assert choose_threshold(scores, labels, "loocv") == float(candidates[winner])
+            assert choose_threshold(scores, labels) == float(candidates[winner])
 
     def test_needs_two_bags(self):
         with pytest.raises(ValueError):
-            choose_threshold([1.0], [POS], "loocv")
+            choose_threshold([1.0], [POS])
 
 
 LABEL_CONTAINERS = {
@@ -355,6 +356,22 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="estimator"):
             EstimatorConfig(kind=kind)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("inf"), float("nan"), True])
+    def test_rejects_non_positive_or_non_finite_bandwidth(self, bandwidth):
+        # inf used to fail only after loading, -1 inside the first fit.
+        with pytest.raises(ValueError, match="EstimatorConfig.bandwidth"):
+            EstimatorConfig(bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("k_max", [0, -1, 2.5, True])
+    def test_rejects_k_max_below_one_or_non_integer(self, k_max):
+        # k_max=0 used to pass silently under kde-epan.
+        with pytest.raises(ValueError, match="EstimatorConfig.k_max"):
+            EstimatorConfig(k_max=k_max)
+
+    def test_numpy_values_accepted(self):
+        est = EstimatorConfig(bandwidth=np.float64(0.3), k_max=np.int64(3))
+        assert (est.bandwidth, est.k_max) == (0.3, 3)
+
 
 class TestPipelineConfig:
     @pytest.mark.parametrize("measure", ["b2b_kl", "svm-divs", "foo"])
@@ -365,6 +382,26 @@ class TestPipelineConfig:
     def test_names_normalised(self):
         pipeline = PipelineConfig(method="SVM-Divs", svm_measure=" RD-KL")
         assert (pipeline.method, pipeline.svm_measure) == ("svm_divs", "rd_kl")
+
+    @pytest.mark.parametrize(
+        "given, stored",
+        [("loocv", "loocv"), ("LOOCV", "loocv"), ("LooCV", "loocv"), ("fixed:0.5", 0.5),
+         ("FIXED:-2", -2.0), (0.8, 0.8), (1, 1.0), (np.float64(0.25), 0.25)],
+    )
+    def test_threshold_spellings(self, given, stored):
+        threshold = PipelineConfig("ckl", threshold=given).threshold
+        assert threshold == stored and type(threshold) is type(stored)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "threshold",
+        ["garbage", "fixed:abc", "fixed:", "fixed:nan", "fixed:inf", float("nan"), True, None],
+    )
+    def test_invalid_threshold_rejected(self, method, threshold):
+        # svm-divs used to accept any policy; the score methods rejected it
+        # only after the class densities were fitted.
+        with pytest.raises(ValueError, match="threshold"):
+            PipelineConfig(method, threshold=threshold)
 
 
 class TestUnlabelledTrainingBags:
@@ -378,6 +415,73 @@ class TestUnlabelledTrainingBags:
         train = Dataset(bags=two_class_dataset(rng).bags + (stray,), dimension=1)
         with pytest.raises(ValueError, match="stray-bag"):
             fit_classifier(train, PipelineConfig(method, EstimatorConfig(), FAST_SPEC), seed=0)
+
+
+def _count_bundle_calls(monkeypatch) -> list:
+    calls = []
+    bundle = classify._bundle_scores
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return bundle(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "_bundle_scores", counting)
+    return calls
+
+
+class TestFixedThreshold:
+    @pytest.mark.parametrize("method", METHODS[:5])
+    def test_scores_no_training_bag(self, method, monkeypatch):
+        # A fixed threshold used to score every training bag and drop the scores.
+        rng = np.random.default_rng(29)
+        train = two_class_dataset(rng)
+        if not method.startswith("b2b"):  # b2b fits every training bag as a reference
+            train = Dataset(train.bags + (make_bag([[0.5]], NEG, "one"),), dimension=1)
+        calls = _count_bundle_calls(monkeypatch)
+        pipeline = PipelineConfig(method, EstimatorConfig(), FAST_SPEC, threshold="fixed:0.5")
+        model = fit_classifier(train, pipeline, seed=0)
+        assert model.threshold == 0.5 and calls == []
+        probes = [make_bag(rng.standard_normal((20, 1)), None, f"p{i}") for i in range(2)]
+        model.scores(probes, [1, 2])
+        assert len(calls) == 2
+
+    def test_same_test_scores_as_loocv(self):
+        rng = np.random.default_rng(31)
+        train = two_class_dataset(rng)
+        probes = [make_bag(rng.standard_normal((20, 1)), None, f"p{i}") for i in range(3)]
+        scores = [
+            fit_classifier(train, PipelineConfig("ckl", spec=FAST_SPEC, threshold=t), 0).scores(
+                probes, [1, 2, 3]
+            )
+            for t in ("loocv", 0.0)
+        ]
+        assert scores[0] == scores[1]
+
+
+@lru_cache(maxsize=None)
+def _order_case(method, kind):
+    """A fitted model and six probe bags with their seeds."""
+    rng = np.random.default_rng(32)
+    train = two_class_dataset(rng, n_pos=3, n_neg=3, n_inst=20, shift=2.0)
+    model = fit_classifier(train, PipelineConfig(method, EstimatorConfig(kind), FAST_SPEC), 0)
+    probes = two_class_dataset(rng, n_pos=3, n_neg=3, n_inst=20, shift=2.0).bags
+    return model, probes, tuple(derive_seed(5, b.id) for b in probes)
+
+
+class TestOrderAndBatching:
+    """Scores do not depend on the order the bags come in or on how they are batched."""
+
+    @pytest.mark.parametrize("kind", ESTIMATORS)
+    @pytest.mark.parametrize("method", METHODS)
+    @given(order=st.permutations(range(6)), cut=st.integers(0, 6))
+    @settings(max_examples=3, deadline=None)
+    def test_shuffled_or_split_scores_are_score_bag_calls(self, method, kind, order, cut):
+        model, bags, seeds = _order_case(method, kind)
+        one_by_one = [score_bag(model, b, s) for b, s in zip(bags, seeds)]
+        shuffled = model.scores([bags[i] for i in order], [seeds[i] for i in order])
+        assert shuffled == [one_by_one[i] for i in order]
+        split = model.scores(bags[:cut], seeds[:cut]) + model.scores(bags[cut:], seeds[cut:])
+        assert split == one_by_one
 
 
 class TestOneScoringPath:
@@ -634,6 +738,43 @@ class TestRunSimStudy:
         (setting,) = kwargs
         with pytest.raises(ValueError, match=f"{setting} must be at least"):
             run_sim_study(SimConfig.preset("sim1"), grid=((2, 2),), seed=0, **kwargs)
+
+    @pytest.mark.parametrize("methods", [("ckl", "ckl"), ("ckl", "CKL"), ("rd-kl", "ckl", "RD_KL")])
+    def test_repeated_method_rejected_before_sampling(self, methods, monkeypatch):
+        # Used to run the whole study, then fail in auc() with a boolean index error.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the methods were checked")
+
+        monkeypatch.setattr(classify, "sample_experiment", no_sampling)
+        repeated = normalize_method(methods[-1])
+        with pytest.raises(ValueError, match=f"methods lists {repeated} more than once"):
+            run_sim_study(SimConfig.preset("sim1"), grid=((2, 2),), methods=methods, seed=0)
+
+    def test_workers_capped_at_cell_count(self, monkeypatch):
+        # The pool used to start MIDIV_THREADS processes whatever the grid size.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        study = partial(
+            run_sim_study, SimConfig.preset("sim1", n_instances=10), grid=((1, 2), (2, 1)),
+            repetitions=1, seed=0, spec=DivergenceSpec(n_imp=128), n_test=4,
+        )
+        pooled = study(max_workers=64)
+        assert started == [2]
+        assert pooled == study(max_workers=1)
 
     def test_svm_not_a_study_method(self):
         cfg = SimConfig.preset("sim1")

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from midiv import classify
 from midiv.cli import REFERENCE_AUC100, RunManifest, main
 
 
@@ -139,6 +140,40 @@ class TestEvaluateCommand:
         assert "repeats must be at least 1" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("method", ["rd-bh", "rd-kl", "ckl", "b2b-kl", "b2b-bh", "svm-divs"])
+    @pytest.mark.parametrize("threshold", ["garbage", "fixed:abc"])
+    def test_bad_threshold_rejected_before_fitting(
+        self, sim_files, tmp_path, capsys, monkeypatch, method, threshold
+    ):
+        # svm-divs used to exit 0 and record the policy; the score methods
+        # failed only after the class densities were fitted.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a density was fitted")
+
+        monkeypatch.setattr(classify, "fit_density_1d", no_fit)
+        out = tmp_path / "o"
+        code = run(["evaluate", "--train", sim_files / "train.csv", "--test",
+                    sim_files / "test.csv", "--method", method, "--threshold", threshold,
+                    "-o", out] + FAST_EVAL)
+        assert code == 1
+        assert "PipelineConfig.threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--bandwidth", "inf"], "EstimatorConfig.bandwidth"),
+         (["--bandwidth", "-1"], "EstimatorConfig.bandwidth"),
+         (["--k-max", "0"], "EstimatorConfig.k_max")],
+    )
+    def test_bad_estimator_settings_runtime_error(self, sim_files, tmp_path, capsys, flags, message):
+        # --bandwidth inf failed after loading, -1 inside the first fit; --k-max 0 exited 0.
+        out = tmp_path / "o"
+        code = run(["evaluate", "--train", sim_files / "train.csv", "--test",
+                    sim_files / "test.csv", "-o", out] + flags + FAST_EVAL)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_svm_divs_method(self, sim_files, tmp_path):
         out = tmp_path / "svm"
         code = run(["evaluate", "--train", sim_files / "train.csv",
@@ -213,10 +248,35 @@ class TestTable1Command:
         assert REFERENCE_AUC100[("sim5", 10, 10)] == {"rd_bh": 75, "rd_kl": 73, "ckl": 69}
         assert len(REFERENCE_AUC100) == 54  # 6 scenarios x 9 cells
 
-    def test_bad_cell_spec(self, tmp_path, capsys):
-        code = run(["table1", "--cell", "pos=1", "-o", tmp_path / "t"])
+    @pytest.mark.parametrize(
+        "cell", ["pos=1", "pos=1,neg=5,foo=9", "pos=1,neg=5,pos=2", "pos=1,neg=x", "pos=1;neg=5"]
+    )
+    def test_bad_cell_spec(self, tmp_path, capsys, cell):
+        # A stray key such as foo=9 used to run silently.
+        code = run(["table1", "--cell", cell, "-o", tmp_path / "t"])
         assert code == 1
-        assert "cell" in capsys.readouterr().err
+        assert "--cell must look like pos=1,neg=5" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("methods", ["ckl,ckl", "ckl,CKL"])
+    def test_repeated_method_runtime_error(self, tmp_path, capsys, methods):
+        # Used to run the whole study, then fail with a boolean index error.
+        out = tmp_path / "tab"
+        code = run(["table1", "--cell", "pos=1,neg=5", "--methods", methods, "--reps", "1",
+                    "-o", out] + FAST_EVAL)
+        assert code == 1
+        assert "methods lists ckl more than once" in capsys.readouterr().err
+        assert not (out / "table_long.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_count_runtime_error(self, tmp_path, capsys, monkeypatch, threads):
+        # Used to run serial without a word.
+        monkeypatch.setenv("MIDIV_THREADS", threads)
+        out = tmp_path / "tab"
+        code = run(["table1", "--cell", "pos=1,neg=5", "--reps", "1", "-o", out] + FAST_EVAL)
+        assert code == 1
+        assert "MIDIV_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         args = ["table1", "--scenario", "sim1", "--cell", "pos=1,neg=5", "--reps", "2",
@@ -267,6 +327,33 @@ class TestReplay:
         err = capsys.readouterr().err
         assert str(train) in err and "sha256" in err
         assert not redo.exists()
+
+    def test_replay_from_another_directory(self, tmp_path, monkeypatch):
+        # Relative inputs were read from the replaying directory:
+        # "[Errno 2] No such file or directory: 'sim/test.csv'".
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert run(["simulate", "--scenario", "sim1", "--pos", "2", "--neg", "2", "--test", "6",
+                    "--seed", "1", "-o", "sim"]) == 0
+        assert run(["evaluate", "--train", "sim/train.csv", "--test", "sim/test.csv",
+                    "--seed", "1", "-o", "eval"] + FAST_EVAL) == 0
+        monkeypatch.chdir(tmp_path)
+        assert run(["replay", "run/eval/manifest.json", "-o", "redo"]) == 0
+        assert os.getcwd() == str(tmp_path)
+        for name in ("report.json", "roc.csv"):
+            assert digest(run_dir / "eval" / name) == digest(tmp_path / "redo" / name)
+
+    def test_replay_when_run_directory_is_gone(self, tmp_path):
+        first = tmp_path / "first"
+        assert run(["simulate", "--scenario", "sim1", "--pos", "1", "--neg", "1",
+                    "--test", "2", "--seed", "4", "-o", first]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["cwd"] = str(tmp_path / "gone")
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        redo = tmp_path / "redo"
+        assert run(["replay", first / "manifest.json", "-o", redo]) == 0
+        assert digest(first / "train.csv") == digest(redo / "train.csv")
 
     def test_replay_missing_manifest(self, tmp_path, capsys):
         assert run(["replay", tmp_path / "none.json"]) == 1
