@@ -129,6 +129,11 @@ class PipelineConfig:
     svm_measure: str = "ckl"
 
     def __post_init__(self):
+        if self.pca_components is not None and not _is_count(self.pca_components):
+            raise ValueError(
+                "PipelineConfig.pca_components must be None or an integer >= 1, "
+                f"got {self.pca_components!r}"
+            )
         object.__setattr__(self, "method", normalize_method(self.method))
         measure = normalize_method(self.svm_measure, CLASS_METHODS, "svm_measure")
         object.__setattr__(self, "svm_measure", measure)
@@ -187,7 +192,10 @@ def fit_class_densities(
         pooled = train.pooled_instances(label)
         if pooled.shape[0] == 0:
             raise ValueError(f"training set has no {label.name} bags")
-        out.append(_fit_columns(pooled, estimator, seed, ("class", label.name), pooled=True))
+        try:
+            out.append(_fit_columns(pooled, estimator, seed, ("class", label.name), pooled=True))
+        except ValueError as exc:
+            raise ValueError(f"class {label.name}: {exc}") from exc
     return out[0], out[1]
 
 
@@ -547,7 +555,6 @@ class EvalReport:
     fold_accuracies: tuple[float, ...] = ()
     auc_fold_mean: float | None = None
     bag_ids: tuple[str, ...] = ()
-    provenance: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         pts = self.roc
@@ -576,31 +583,6 @@ class EvalReport:
         }
 
 
-def _make_report(records, folds, provenance, fold_acc, fold_auc, seed) -> EvalReport:
-    scores = [r[1] for r in records]
-    labels = [int(r[2]) for r in records]
-    preds = [int(r[3]) for r in records]
-    pooled_auc = auc(scores, labels)
-    roc = roc_points(scores, labels)
-    acc = float(np.mean(fold_acc))
-    acc_sd = float(np.std(fold_acc, ddof=1)) if len(fold_acc) > 1 else 0.0
-    return EvalReport(
-        scores=tuple(scores),
-        labels=tuple(labels),
-        predictions=tuple(preds),
-        auc=pooled_auc,
-        accuracy=acc,
-        roc=roc,
-        folds=folds,
-        seed=seed,
-        accuracy_sd=acc_sd,
-        fold_accuracies=tuple(fold_acc),
-        auc_fold_mean=(float(np.mean(fold_auc)) if fold_auc else None),
-        bag_ids=tuple(r[0] for r in records),
-        provenance=provenance,
-    )
-
-
 def _stratified_folds(bags, k_folds: int, rng: np.random.Generator) -> np.ndarray:
     """Fold index per bag, stratified by label, bags never split.
 
@@ -619,19 +601,41 @@ def _stratified_folds(bags, k_folds: int, rng: np.random.Generator) -> np.ndarra
     return assignment
 
 
-def _fit_and_score(train: Dataset, test: Dataset, pipeline: PipelineConfig, seed, run=()):
-    """Fit the pipeline on ``train``, then score the ``test`` bags.
+def _evaluate(splits, folds, pipeline: PipelineConfig, seed) -> EvalReport:
+    """Fit on each split's training bags, score its test bags, report them all.
 
-    Seeds derive from ``seed`` and the ``run`` labels: none for a holdout
-    run, (repeat, fold) in cross-validation. Returns one record (bag id,
-    score, label, prediction) per test bag and the accuracy.
+    A split is ``(run, train, test)``. Its seeds derive from ``seed`` and the
+    ``run`` labels: none for a holdout run, (repeat, fold) in
+    cross-validation. The AUC and ROC pool every split's scores; accuracy is
+    the mean of the per-split accuracies, and a cross-validation split that
+    holds both classes adds a fold AUC.
     """
-    model = fit_classifier(train, pipeline, derive_seed(seed, "fit", *run))
-    scores = model.scores(test.bags, [derive_seed(seed, "score", *run, b.id) for b in test.bags])
-    records = [
-        (bag.id, s, int(bag.label), int(s < model.threshold)) for bag, s in zip(test.bags, scores)
-    ]
-    return records, accuracy_at(scores, [bag.label for bag in test.bags], model.threshold)
+    ids, scores, labels, preds, split_acc, fold_auc = [], [], [], [], [], []
+    for run, train, test in splits:
+        model = fit_classifier(train, pipeline, derive_seed(seed, "fit", *run))
+        s = model.scores(test.bags, [derive_seed(seed, "score", *run, b.id) for b in test.bags])
+        y = [int(b.label) for b in test.bags]
+        ids += [b.id for b in test.bags]
+        scores += s
+        labels += y
+        preds += [int(v < model.threshold) for v in s]
+        split_acc.append(accuracy_at(s, y, model.threshold))
+        if run and 0 < sum(y) < len(y):
+            fold_auc.append(auc(s, y))
+    return EvalReport(
+        scores=tuple(scores),
+        labels=tuple(labels),
+        predictions=tuple(preds),
+        auc=auc(scores, labels),
+        accuracy=float(np.mean(split_acc)),
+        roc=roc_points(scores, labels),
+        folds=folds,
+        seed=seed,
+        accuracy_sd=float(np.std(split_acc, ddof=1)) if len(split_acc) > 1 else 0.0,
+        fold_accuracies=tuple(split_acc),
+        auc_fold_mean=float(np.mean(fold_auc)) if fold_auc else None,
+        bag_ids=tuple(ids),
+    )
 
 
 def cross_validate(
@@ -640,9 +644,8 @@ def cross_validate(
     """Repeated stratified k-fold CV at the bag level.
 
     PCA (when configured) and class densities are fitted inside training
-    folds only; the report records the training bag ids behind every fold's
-    fits so the hygiene is checkable. Accuracy is aggregated over
-    repeats x folds; AUC pools all test-fold scores.
+    folds only. Accuracy is aggregated over repeats x folds; AUC pools all
+    test-fold scores.
     """
     bags = data.bags
     if any(b.label is None for b in bags):
@@ -654,40 +657,27 @@ def cross_validate(
     for label in (Label.POS, Label.NEG):
         if len(data.with_label(label)) < 2:
             raise ValueError(f"need at least 2 {label.name} bags for stratified folds")
-    records = []
-    folds_map: dict[int, dict[str, int]] = {}
-    provenance: dict[tuple[int, int], tuple[str, ...]] = {}
-    fold_acc: list[float] = []
-    fold_auc: list[float] = []
+    folds: dict[int, dict[str, int]] = {}
+    splits = []
     for rep in range(repeats):
         rng = np.random.default_rng(derive_seed(seed, "folds", rep))
         assignment = _stratified_folds(bags, k_folds, rng)
-        folds_map[rep] = {b.id: int(f) for b, f in zip(bags, assignment)}
+        folds[rep] = {b.id: int(f) for b, f in zip(bags, assignment)}
         for fold in range(k_folds):
-            train_bags = [b for b, f in zip(bags, assignment) if f != fold]
-            test_bags = [b for b, f in zip(bags, assignment) if f == fold]
-            fold_records, acc = _fit_and_score(
-                data.replace_bags(train_bags), data.replace_bags(test_bags), pipeline, seed,
-                (rep, fold),
-            )
-            provenance[(rep, fold)] = tuple(sorted(b.id for b in train_bags))
-            records += fold_records
-            fold_acc.append(acc)
-            fold_labels = [r[2] for r in fold_records]
-            if 0 < sum(fold_labels) < len(fold_labels):
-                fold_auc.append(auc([r[1] for r in fold_records], fold_labels))
-    return _make_report(records, folds_map, provenance, fold_acc, fold_auc, seed)
+            train = data.replace_bags([b for b, f in zip(bags, assignment) if f != fold])
+            test = data.replace_bags([b for b, f in zip(bags, assignment) if f == fold])
+            splits.append(((rep, fold), train, test))
+    return _evaluate(splits, folds, pipeline, seed)
 
 
 def evaluate_holdout(
     train: Dataset, test: Dataset, pipeline: PipelineConfig, seed=0
 ) -> EvalReport:
-    """Fit on the training set, score a labelled held-out test set."""
+    """Fit on the training set, score a labelled held-out test set: the
+    cross-validation loop run on one split with no seed labels."""
     if any(b.label is None for b in test.bags):
         raise ValueError("holdout evaluation needs labelled test bags")
-    records, acc = _fit_and_score(train, test, pipeline, seed)
-    provenance = {(0, 0): tuple(sorted(b.id for b in train.bags))}
-    return _make_report(records, {0: {b.id: 0 for b in test.bags}}, provenance, [acc], [], seed)
+    return _evaluate([((), train, test)], {0: {b.id: 0 for b in test.bags}}, pipeline, seed)
 
 
 # --------------------------------------------------------------------------

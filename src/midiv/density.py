@@ -408,5 +408,12 @@ def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel
             best_k, best_aic = k, report.aic
     if best_k is None:
         raise ValueError(f"no GMM size in 1..{k_max} could be fitted: {last_error}")
-    return fit_gmm(samples, best_k, children[best_k - 1])
+    # The refit draws the next _EM_RESTARTS children of the winning size's seed,
+    # after the ones its selection fit used.
+    child = children[best_k - 1]
+    refit_seed = np.random.SeedSequence(
+        child.entropy, spawn_key=child.spawn_key, pool_size=child.pool_size,
+        n_children_spawned=_EM_RESTARTS,
+    )
+    return fit_gmm(samples, best_k, refit_seed)
 

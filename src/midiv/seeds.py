@@ -22,8 +22,19 @@ def derive_seed(*parts) -> np.random.SeedSequence:
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """``seed`` itself if it is a SeedSequence, else a SeedSequence built from it."""
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """A copy of ``seed`` if it is a SeedSequence, else a SeedSequence built from it.
+
+    ``spawn`` advances the SeedSequence it is called on, so spawning from the
+    copy leaves the caller's seed as it was: the same seed gives the same draws.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(
+        seed.entropy,
+        spawn_key=seed.spawn_key,
+        pool_size=seed.pool_size,
+        n_children_spawned=seed.n_children_spawned,
+    )
 
 
 def _canonical(part) -> str:

@@ -291,6 +291,16 @@ class TestFitClassDensities:
         with pytest.raises(ValueError, match="NEG"):
             fit_class_densities(ds, EstimatorConfig(), seed=0)
 
+    def test_failed_fit_names_its_class(self):
+        # The error used to say only "bandwidth rule needs at least 2 samples".
+        rng = np.random.default_rng(7)
+        ds = Dataset(
+            bags=(make_bag([[0.5]], POS, "p"), make_bag(rng.standard_normal((20, 1)), NEG, "n")),
+            dimension=1,
+        )
+        with pytest.raises(ValueError, match="^class POS: bandwidth rule needs at least 2"):
+            fit_class_densities(ds, EstimatorConfig(), seed=0)
+
 
 class TestScoreBag:
     def test_bag_from_pos_distribution_scores_low(self):
@@ -378,6 +388,15 @@ class TestPipelineConfig:
     def test_invalid_svm_measure_rejected(self, measure):
         with pytest.raises(ValueError, match="svm_measure"):
             PipelineConfig(method="svm_divs", svm_measure=measure)
+
+    @pytest.mark.parametrize("components", [0, -1, 1.5, True, "2"])
+    def test_invalid_pca_components_rejected(self, components):
+        # 0 used to fail later inside fit_pca without naming the setting; True fitted 1 component.
+        with pytest.raises(ValueError, match="PipelineConfig.pca_components"):
+            PipelineConfig(pca_components=components)
+
+    def test_numpy_pca_components_accepted(self):
+        assert PipelineConfig(pca_components=np.int64(2)).pca_components == 2
 
     def test_names_normalised(self):
         pipeline = PipelineConfig(method="SVM-Divs", svm_measure=" RD-KL")
@@ -642,14 +661,24 @@ class TestCrossValidate:
         r2 = cross_validate(data, 4, pipeline, repeats=2, seed=9)
         assert r1.folds == r2.folds and r1.scores == r2.scores
 
-    def test_fold_hygiene_no_test_bag_in_training_provenance(self):
+    def test_fold_hygiene_fits_exactly_the_bags_outside_the_fold(self, monkeypatch):
+        # Every fit, PCA included, sees the bags outside its fold and no other.
+        fitted = []
+
+        def spy(train, pipeline, seed):
+            fitted.append({b.id for b in train.bags})
+            return fit_classifier(train, pipeline, seed)
+
+        monkeypatch.setattr(classify, "fit_classifier", spy)
         rng = np.random.default_rng(19)
         data = two_class_dataset(rng, n_pos=4, n_neg=4)
         pipeline = PipelineConfig(method="ckl", spec=FAST_SPEC, pca_components=1)
         report = cross_validate(data, 4, pipeline, repeats=2, seed=0)
+        assert len(fitted) == 2 * 4  # one fit per (rep, fold), rep-major
         for rep, assignment in report.folds.items():
-            for bag_id, fold in assignment.items():
-                assert bag_id not in report.provenance[(rep, fold)]
+            for fold in range(4):
+                outside = {bag_id for bag_id, f in assignment.items() if f != fold}
+                assert fitted[rep * 4 + fold] == outside
 
     def test_stratification_keeps_classes_in_folds(self):
         rng = np.random.default_rng(20)
@@ -706,6 +735,7 @@ class TestEvaluateHoldout:
         assert len(report.scores) == 20 and len(report.predictions) == 20
         assert report.roc[0] == (0.0, 0.0) and report.roc[-1] == (1.0, 1.0)
         assert 0.0 <= report.auc <= 1.0
+        assert report.fold_accuracies == (report.accuracy,) and report.auc_fold_mean is None
         doc = report.to_json_dict()
         assert set(doc) >= {"scores", "labels", "auc", "accuracy", "roc", "folds", "seed"}
 
@@ -775,6 +805,23 @@ class TestRunSimStudy:
         pooled = study(max_workers=64)
         assert started == [2]
         assert pooled == study(max_workers=1)
+
+    def test_real_pool_matches_serial(self, monkeypatch):
+        # The other pool tests run one cell or a serial fake and start no process.
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __exit__(self, *exc):
+                started.append(len(self._processes))
+                return super().__exit__(*exc)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        study = partial(
+            run_sim_study, SimConfig.preset("sim1", n_instances=10), grid=((1, 2), (2, 1)),
+            repetitions=1, seed=0, spec=DivergenceSpec(n_imp=128), n_test=4,
+        )
+        assert study(max_workers=2) == study(max_workers=1)
+        assert started == [2]
 
     def test_svm_not_a_study_method(self):
         cfg = SimConfig.preset("sim1")

@@ -174,6 +174,15 @@ class TestEvaluateCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_pca_runtime_error_before_loading(self, tmp_path, capsys):
+        # --pca 0 used to fail inside the first fit with "m must be in [1, 1], got 0".
+        out = tmp_path / "o"
+        code = run(["evaluate", "--train", tmp_path / "nope.csv", "--pca", "0", "-o", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "PipelineConfig.pca_components" in err and "nope.csv" not in err
+        assert not out.exists()
+
     def test_svm_divs_method(self, sim_files, tmp_path):
         out = tmp_path / "svm"
         code = run(["evaluate", "--train", sim_files / "train.csv",
@@ -277,6 +286,13 @@ class TestTable1Command:
         assert code == 1
         assert "MIDIV_THREADS must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_class_fit_names_its_class(self, tmp_path, capsys):
+        # The one positive bag pools one instance; the error did not say which class failed.
+        code = run(["table1", "--cell", "pos=1,neg=5", "--n-instances", "1", "--reps", "1",
+                    "-o", tmp_path / "tab"] + FAST_EVAL)
+        assert code == 1
+        assert "error: class POS: bandwidth rule needs at least 2 samples" in capsys.readouterr().err
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         args = ["table1", "--scenario", "sim1", "--cell", "pos=1,neg=5", "--reps", "2",

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ class TestFitGmm:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least"):
             fit_gmm([1.0, 2.0, 3.0, 4.0, 5.0], 2, seed=0)
+
+    @pytest.mark.parametrize("fit", [partial(fit_gmm, k=3), partial(select_gmm, k_max=4)])
+    def test_same_seed_sequence_twice_gives_same_fit(self, fit):
+        # spawn used to advance the caller's SeedSequence, so a second call
+        # with the same object drew other EM starts.
+        x = np.random.default_rng(12).standard_normal(200)
+        ss = np.random.SeedSequence(7)
+        (m1, r1), (m2, r2) = fit(x, seed=ss), fit(x, seed=ss)
+        np.testing.assert_array_equal(m1.components, m2.components)
+        assert r1.log_likelihood_trace == r2.log_likelihood_trace
+        assert ss.n_children_spawned == 0
 
     def test_k_below_one(self):
         with pytest.raises(ValueError):

@@ -174,6 +174,17 @@ class TestSampleExperiment:
         for x, y in zip(a_train.bags + a_test.bags, b_train.bags + b_test.bags):
             np.testing.assert_array_equal(x.instances, y.instances)
 
+    def test_same_seed_sequence_twice_gives_same_bags(self):
+        # spawn used to advance the caller's SeedSequence, so a second call
+        # with the same object drew other bags.
+        cfg = SimConfig.preset("sim1", n_instances=10)
+        ss = np.random.SeedSequence(5)
+        a_train, a_test = sample_experiment(cfg, 2, 3, 4, ss)
+        b_train, b_test = sample_experiment(cfg, 2, 3, 4, ss)
+        for x, y in zip(a_train.bags + a_test.bags, b_train.bags + b_test.bags):
+            np.testing.assert_array_equal(x.instances, y.instances)
+        assert ss.n_children_spawned == 0
+
     def test_sim2_contamination_rate(self):
         cfg = SimConfig.preset("sim2")
         total, positive = 0, 0
