@@ -26,8 +26,8 @@ SCENARIOS = ("sim1", "sim2", "sim3", "sim4", "sim5", "sim6")
 METHODS = ("rd-bh", "rd-kl", "ckl", "b2b-kl", "b2b-bh", "svm-divs")
 TABLE_CELL = ["--cell", "pos=1,neg=5", "--reps", "2", "--test", "20", "--n-instances", "20"]
 
-# case name -> argv without the output directory; {sim} and {cv} name the
-# shared input files.
+# case name -> argv without the output directory; {sim}, {cv} and {mixed}
+# name the shared input files.
 CASES = {
     **{
         f"simulate-{s}": ["simulate", "--scenario", s, "--pos", "3", "--neg", "3", "--test", "6",
@@ -44,6 +44,10 @@ CASES = {
                     "--n-imp", "500", "--seed", "3"]
         for m in ("ckl", "svm-divs")
     },
+    "holdout-gmm-aic": ["evaluate", "--train", "{sim}/train.csv", "--test", "{sim}/test.csv",
+                        "--estimator", "gmm-aic", "--seed", "2"],
+    "cv-gmm-aic": ["evaluate", "--train", "{mixed}", "--folds", "2", "--estimator", "gmm-aic",
+                   "--n-imp", "500", "--seed", "3"],
     "table1-kde-epan": ["table1", "--scenario", "sim4", "--estimator", "kde-epan",
                         "--methods", ",".join(METHODS[:5]), "--seed", "4", *TABLE_CELL],
     "table1-kde-gauss": ["table1", "--scenario", "sim3", "--estimator", "kde-gauss",
@@ -60,6 +64,10 @@ GOLDEN = {
         "report.json": "13fc91c2380c312a1eef5c5500810e70a31b2d6a2b51ea396ecd0f4fb5323a43",
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
+    "cv-gmm-aic": {
+        "report.json": "1c64a352be853fe6c406b015e5fcec9e007958cb9e0da5666d2df7c828a2795f",
+        "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
+    },
     "cv-svm-divs": {
         "report.json": "8b0661739f8b40f825448010fa7e0dd22880e9e99e5f48ca39bcbb0d7f61eb4c",
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
@@ -74,6 +82,10 @@ GOLDEN = {
     },
     "holdout-ckl": {
         "report.json": "ecf59619c7bbb1719b924f0b32fb8868b18d3503ebd904907025fd65f066d66a",
+        "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
+    },
+    "holdout-gmm-aic": {
+        "report.json": "de64a9687751cca54502f4757e506d3ddee073545966d46c10aef161822aa91b",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-rd-bh": {
@@ -148,6 +160,18 @@ def _write_cv_data(path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_mixed_cv_data(path):
+    """Ten labelled two-feature bags of 12 to 20 instances: bags of one size
+    share a stacked EM group, and a 12-instance bag is too small for k = 5."""
+    rng = np.random.default_rng(8)
+    lines = ["bag_id,label,f1,f2"]
+    for i, size in enumerate((12, 20, 15, 12, 17, 20, 12, 15, 18, 20)):
+        label = i % 2
+        x = rng.standard_normal((size, 2)) + [0.0, 1.2 * label]
+        lines += [f"m{i},{label},{a!r},{b!r}" for a, b in x.tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-inputs")
@@ -156,7 +180,9 @@ def inputs(tmp_path_factory):
                  "--n-instances", "20", "--seed", "11", "-o", str(sim)]) == 0
     cv = root / "cv.csv"
     _write_cv_data(cv)
-    return {"sim": str(sim), "cv": str(cv)}
+    mixed = root / "mixed.csv"
+    _write_mixed_cv_data(mixed)
+    return {"sim": str(sim), "cv": str(cv), "mixed": str(mixed)}
 
 
 def output_hashes(out):
