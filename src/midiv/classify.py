@@ -21,7 +21,7 @@ import numpy as np
 
 from . import divergence as dv
 from .core import Bag, Dataset, Label, PcaTransform, apply_pca, fit_pca
-from .density import fit_kde, select_gmm, DensityModel
+from .density import _select_gmms, fit_kde, DensityModel
 from .divergence import DivergenceSpec
 from .seeds import derive_seed
 from .simulate import SimConfig, sample_experiment
@@ -166,21 +166,53 @@ def fit_density_1d(
     """A GMM chosen by AIC, or a KDE whose rule-of-thumb bandwidth uses the
     robust spread for a bag and the plain sd for a ``pooled`` class sample
     (see ``silverman_bandwidth``)."""
+    fit = _fit_densities([samples], estimator, [seed], pooled)[0]
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
+
+
+def _fit_densities(samples, estimator: EstimatorConfig, seeds, pooled: bool = False) -> list:
+    """``fit_density_1d`` of every sample, one seed each, in one call: under
+    ``gmm-aic`` every EM of every sample runs in a few stacked loops (see
+    ``density._em``). A sample that cannot be fitted gets its ``ValueError``
+    in its place."""
     if estimator.kind == "gmm-aic":
-        return select_gmm(samples, estimator.k_max, seed)[0]
+        fits = _select_gmms(samples, estimator.k_max, seeds)
+        return [fit if isinstance(fit, ValueError) else fit[0] for fit in fits]
     kernel = "EPANECHNIKOV" if estimator.kind == "kde-epan" else "GAUSSIAN"
-    return fit_kde(samples, kernel, estimator.bandwidth, robust_sigma=not pooled)
+    fits = []
+    for x in samples:
+        try:
+            fits.append(fit_kde(x, kernel, estimator.bandwidth, robust_sigma=not pooled))
+        except ValueError as exc:
+            fits.append(exc)
+    return fits
 
 
 def _fit_columns(
-    x: np.ndarray, estimator: EstimatorConfig, seed, labels: tuple, pooled: bool = False
-) -> tuple[DensityModel, ...]:
-    """One density per column of ``x``, column d from ``derive_seed(seed, *labels, d)``:
-    the one loop over ``fit_density_1d``, for class and bag densities alike."""
-    return tuple(
-        fit_density_1d(x[:, d], estimator, derive_seed(seed, *labels, d), pooled)
-        for d in range(x.shape[1])
-    )
+    arrays, estimator: EstimatorConfig, seeds, labels: tuple, names, pooled: bool = False
+) -> list[tuple[DensityModel, ...]]:
+    """One density per column of each 2-D array, column d of ``arrays[i]`` from
+    ``derive_seed(seeds[i], *labels, d)``: the one ``_fit_densities`` call of a
+    fit phase, for class and bag densities alike. The first array, in order,
+    with a column that cannot be fitted raises that error, prefixed with its
+    entry of ``names``."""
+    columns = [(x, seed, d) for x, seed in zip(arrays, seeds, strict=True) for d in range(x.shape[1])]
+    fits = iter(_fit_densities(
+        [x[:, d] for x, _, d in columns],
+        estimator,
+        [derive_seed(seed, *labels, d) for _, seed, d in columns],
+        pooled,
+    ))
+    out = []
+    for x, name in zip(arrays, names, strict=True):
+        models = tuple(next(fits) for _ in range(x.shape[1]))
+        for fit in models:
+            if isinstance(fit, ValueError):
+                raise ValueError(f"{name}: {fit}") from fit
+        out.append(models)
+    return out
 
 
 def fit_class_densities(
@@ -192,10 +224,8 @@ def fit_class_densities(
         pooled = train.pooled_instances(label)
         if pooled.shape[0] == 0:
             raise ValueError(f"training set has no {label.name} bags")
-        try:
-            out.append(_fit_columns(pooled, estimator, seed, ("class", label.name), pooled=True))
-        except ValueError as exc:
-            raise ValueError(f"class {label.name}: {exc}") from exc
+        labels = ("class", label.name)
+        out += _fit_columns([pooled], estimator, [seed], labels, [f"class {label.name}"], True)
     return out[0], out[1]
 
 
@@ -205,13 +235,9 @@ def _fit_bags(bags, estimator: EstimatorConfig, seeds) -> list[tuple[DensityMode
     Scored bags, the training bags behind a LOOCV threshold or the svm-divs
     features, and the b2b reference bags are all fitted here.
     """
-    fits = []
-    for bag, seed in zip(bags, seeds, strict=True):
-        try:
-            fits.append(_fit_columns(bag.instances, estimator, seed, ("bagfit",)))
-        except ValueError as exc:
-            raise ValueError(f"bag {bag.id!r}: {exc}") from exc
-    return fits
+    arrays = [bag.instances for bag in bags]
+    names = [f"bag {bag.id!r}" for bag in bags]
+    return _fit_columns(arrays, estimator, seeds, ("bagfit",), names)
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,16 @@ GMM = "GMM"
 # beyond one bandwidth; the Gaussian kernel is negligible beyond five.
 _SUPPORT_PAD = {KDE_EPANECHNIKOV: 1.0, KDE_GAUSSIAN: 5.0}
 _GMM_SUPPORT_SIGMAS = 5.0
-# EM: k-means++ restarts per fit, the iteration cap, and the early-stopping
-# tolerance at which select_gmm compares candidate sizes.
+# EM: k-means++ restarts per fit, the iteration cap, the early-stopping
+# tolerance at which select_gmm compares candidate sizes and the strict one
+# of every other fit.
 _EM_RESTARTS = 3
 _EM_MAX_ITER = 500
 _SELECTION_TOL = 3e-4
+_STRICT_TOL = 1e-8
+# Elements per (rows, n, k) array of the stacked EM: it bounds the memory a
+# fit phase of many samples takes at once.
+_EM_BLOCK = 1 << 16
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Points x centers per block of the dense Gaussian sum (two float64 buffers
@@ -274,17 +279,6 @@ def fit_kde(
     )
 
 
-def _log_gmm_matrix(x: np.ndarray, w: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """log(w_j * N(x_i; mu_j, var_j)) as an (n, k) matrix."""
-    d = x[:, None] - mu[None, :]
-    return np.log(w)[None, :] - 0.5 * (np.log(2.0 * np.pi * var)[None, :] + d * d / var[None, :])
-
-
-def _logsumexp(rows: np.ndarray) -> np.ndarray:
-    m = rows.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))).ravel()
-
-
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     means = np.empty(k)
     means[0] = x[rng.integers(x.size)]
@@ -298,47 +292,84 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _em_once(
-    x: np.ndarray, k: int, rng: np.random.Generator, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool]:
-    n = x.size
-    sample_var = float(np.var(x))
-    var_floor = 1e-6 * sample_var
-    w = np.full(k, 1.0 / k)
-    mu = _kmeanspp_means(x, k, rng)
-    var = np.full(k, sample_var)
-    trace: list[float] = []
-    converged = False
-    prev = -np.inf
+def _em(runs, tol: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool]]:
+    """EM for every run ``(x, k, rng)`` in ``runs`` at once: ``(w, mu, var,
+    log-likelihood trace, converged)`` per run, in order.
+
+    A run starts from k-means++ means drawn with its own ``rng`` and stops
+    once its log-likelihood changes by at most ``tol`` relative to the last
+    value, or after ``_EM_MAX_ITER`` iterations. Runs of one sample length n
+    and size k are stacked as rows of (rows, n, k) arrays, at most
+    ``_EM_BLOCK`` elements each, and iterated together; a row leaves the
+    stack when it stops. Every sum runs along the same axis, in the same
+    memory layout, as for a run fitted alone, so a run's result is the same
+    bits whatever is stacked with it. Padding runs to a common k would not
+    keep that: it changes how the sums over components round.
+    """
+    out: list = [None] * len(runs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (x, k, _) in enumerate(runs):
+        groups.setdefault((x.size, k), []).append(i)
+    for (n, k), members in groups.items():
+        per_block = max(1, _EM_BLOCK // (n * k))
+        for start in range(0, len(members), per_block):
+            block = members[start : start + per_block]
+            for i, fit in zip(block, _em_stack([runs[i] for i in block], n, k, tol)):
+                out[i] = fit
+    return out
+
+
+def _em_stack(runs, n: int, k: int, tol: float) -> list:
+    """``_em`` for runs that all have sample length ``n`` and size ``k``."""
+    x = np.array([run[0] for run in runs])
+    sample_var = np.array([float(np.var(xi)) for xi in x])
+    var_floor = 1e-6 * sample_var[:, None]
+    w = np.full((len(runs), k), 1.0 / k)
+    mu = np.array([_kmeanspp_means(xi, k, rng) for xi, (_, _, rng) in zip(x, runs)])
+    var = np.repeat(sample_var[:, None], k, axis=1)
+    rows = np.arange(len(runs))  # the runs still iterating, in stack order
+    traces: list[list[float]] = [[] for _ in runs]
+    out: list = [None] * len(runs)
+    prev = None
     for _ in range(_EM_MAX_ITER):
-        log_joint = _log_gmm_matrix(x, w, mu, var)
-        log_norm = _logsumexp(log_joint)
-        ll = float(log_norm.sum())
-        trace.append(ll)
-        if np.isfinite(prev) and abs(ll - prev) <= tol * max(1.0, abs(prev)):
-            converged = True
-            break
+        d = x[:, :, None] - mu[:, None, :]
+        log_joint = np.log(w)[:, None, :] - 0.5 * (
+            np.log(2.0 * np.pi * var)[:, None, :] + d * d / var[:, None, :]
+        )
+        m = log_joint.max(axis=2, keepdims=True)
+        log_norm = (m + np.log(np.exp(log_joint - m).sum(axis=2, keepdims=True)))[:, :, 0]
+        ll = log_norm.sum(axis=1)
+        for r, value in zip(rows.tolist(), ll.tolist()):
+            traces[r].append(value)
+        if prev is not None:
+            # The relative change is only compared where the previous value is
+            # finite; where it is not, its arithmetic must not warn.
+            with np.errstate(invalid="ignore"):
+                done = np.isfinite(prev) & (np.abs(ll - prev) <= tol * np.maximum(1.0, np.abs(prev)))
+            if done.any():
+                for j in np.flatnonzero(done).tolist():
+                    out[rows[j]] = (w[j], mu[j], var[j], traces[rows[j]], True)
+                keep = ~done
+                x, w, mu, var, var_floor = x[keep], w[keep], mu[keep], var[keep], var_floor[keep]
+                rows, ll, log_joint, log_norm = rows[keep], ll[keep], log_joint[keep], log_norm[keep]
+                if rows.size == 0:
+                    return out
         prev = ll
-        resp = np.exp(log_joint - log_norm[:, None])
-        nj = resp.sum(axis=0)
+        resp = np.exp(log_joint - log_norm[:, :, None])
+        nj = resp.sum(axis=1)
         nj = np.maximum(nj, 1e-300)
         w = nj / n
-        mu = (resp * x[:, None]).sum(axis=0) / nj
-        d = x[:, None] - mu[None, :]
-        var = (resp * d * d).sum(axis=0) / nj
+        mu = (resp * x[:, :, None]).sum(axis=1) / nj
+        d = x[:, :, None] - mu[:, None, :]
+        var = (resp * d * d).sum(axis=1) / nj
         var = np.maximum(var, var_floor)
-    return w, mu, var, trace, converged
+    for j, r in enumerate(rows.tolist()):
+        out[r] = (w[j], mu[j], var[j], traces[r], False)
+    return out
 
 
-def fit_gmm(
-    samples: Sequence[float], k: int, seed, tol: float = 1e-8
-) -> tuple[DensityModel, EmFitReport]:
-    """Fit a k-component univariate GMM by EM, deterministic given seed.
-
-    Runs three EM fits of at most 500 iterations from k-means++
-    initializations and keeps the best final log-likelihood. A variance
-    floor of 1e-6 times the sample variance is applied at every M-step.
-    """
+def _gmm_sample(samples, k: int) -> np.ndarray:
+    """``samples`` as a flat float array, checked for a k-component fit."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(samples, dtype=float).ravel()
@@ -348,14 +379,12 @@ def fit_gmm(
         raise ValueError("samples must be finite")
     if np.var(x) <= 0:
         raise ValueError("zero sample variance; GMM fit is degenerate")
-    ss = as_seed_sequence(seed)
-    best = None
-    for child in ss.spawn(_EM_RESTARTS):
-        rng = np.random.default_rng(child)
-        w, mu, var, trace, converged = _em_once(x, k, rng, tol)
-        if best is None or trace[-1] > best[3][-1]:
-            best = (w, mu, var, trace, converged)
-    w, mu, var, trace, converged = best
+    return x
+
+
+def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
+    """The model and report of a k-component EM fit ``(w, mu, var, trace, converged)``."""
+    w, mu, var, trace, converged = fit
     order = np.argsort(mu)  # canonical component order
     w, mu, var = w[order], mu[order], var[order]
     w = w / w.sum()
@@ -381,6 +410,103 @@ def fit_gmm(
     return model, report
 
 
+def _fit_gmms(samples, ks, seeds, tol: float) -> list:
+    """``fit_gmm`` of every (sample, k, seed) job, all restarts in one ``_em`` call.
+
+    A job that cannot be fitted gets its ``ValueError`` in its place.
+    """
+    results: list = [None] * len(samples)
+    runs, owners = [], []
+    for i, (sample, k, seed) in enumerate(zip(samples, ks, seeds, strict=True)):
+        try:
+            x = _gmm_sample(sample, k)
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        for child in as_seed_sequence(seed).spawn(_EM_RESTARTS):
+            runs.append((x, k, np.random.default_rng(child)))
+            owners.append(i)
+    fits = _em(runs, tol)
+    for start in range(0, len(runs), _EM_RESTARTS):
+        best = None
+        for fit in fits[start : start + _EM_RESTARTS]:
+            if best is None or fit[3][-1] > best[3][-1]:
+                best = fit
+        i = owners[start]
+        try:
+            results[i] = _gmm_result(ks[i], best)
+        except ValueError as exc:
+            results[i] = exc
+    return results
+
+
+def _select_gmms(samples, k_max: int, seeds) -> list:
+    """``select_gmm`` of every sample, one seed each: every selection fit in one
+    ``_fit_gmms`` call, then every refit in another.
+
+    A sample that cannot be fitted gets its ``ValueError`` in its place.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    children = [as_seed_sequence(seed).spawn(k_max) for seed in seeds]
+    sizes = range(1, k_max + 1)
+    selection = _fit_gmms(
+        [sample for sample in samples for _ in sizes],
+        [k for _ in samples for k in sizes],
+        [child for row in children for child in row],
+        _SELECTION_TOL,
+    )
+    results: list = [None] * len(samples)
+    winners = []
+    for i, row in enumerate(children):
+        best_k: int | None = None
+        best_aic = np.inf
+        last_error: Exception | None = None
+        for k, fit in zip(sizes, selection[i * k_max : (i + 1) * k_max]):
+            if isinstance(fit, ValueError):
+                last_error = fit
+            elif fit[1].aic < best_aic:
+                best_k, best_aic = k, fit[1].aic
+        if best_k is None:
+            results[i] = ValueError(f"no GMM size in 1..{k_max} could be fitted: {last_error}")
+            continue
+        # The refit draws the next _EM_RESTARTS children of the winning size's
+        # seed, after the ones its selection fit used.
+        child = row[best_k - 1]
+        refit_seed = np.random.SeedSequence(
+            child.entropy, spawn_key=child.spawn_key, pool_size=child.pool_size,
+            n_children_spawned=_EM_RESTARTS,
+        )
+        winners.append((i, best_k, refit_seed))
+    refits = _fit_gmms(
+        [samples[i] for i, _, _ in winners],
+        [k for _, k, _ in winners],
+        [seed for _, _, seed in winners],
+        _STRICT_TOL,
+    )
+    for (i, _, _), fit in zip(winners, refits):
+        results[i] = fit
+    return results
+
+
+def _unwrap(result):
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def fit_gmm(
+    samples: Sequence[float], k: int, seed, tol: float = _STRICT_TOL
+) -> tuple[DensityModel, EmFitReport]:
+    """Fit a k-component univariate GMM by EM, deterministic given seed.
+
+    Runs three EM fits of at most 500 iterations from k-means++
+    initializations and keeps the best final log-likelihood. A variance
+    floor of 1e-6 times the sample variance is applied at every M-step.
+    """
+    return _unwrap(_fit_gmms([samples], [k], [seed], tol)[0])
+
+
 def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel, EmFitReport]:
     """Fit k = 1..k_max and return the fit with minimum AIC (ties: smaller k).
 
@@ -391,29 +517,4 @@ def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel
     selection. The winning size is then refitted at ``fit_gmm``'s strict
     default tolerance and that fully converged fit is returned.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    ss = as_seed_sequence(seed)
-    children = ss.spawn(k_max)
-    best_k: int | None = None
-    best_aic = np.inf
-    last_error: Exception | None = None
-    for k in range(1, k_max + 1):
-        try:
-            _, report = fit_gmm(samples, k, children[k - 1], tol=_SELECTION_TOL)
-        except ValueError as exc:
-            last_error = exc
-            continue
-        if report.aic < best_aic:
-            best_k, best_aic = k, report.aic
-    if best_k is None:
-        raise ValueError(f"no GMM size in 1..{k_max} could be fitted: {last_error}")
-    # The refit draws the next _EM_RESTARTS children of the winning size's seed,
-    # after the ones its selection fit used.
-    child = children[best_k - 1]
-    refit_seed = np.random.SeedSequence(
-        child.entropy, spawn_key=child.spawn_key, pool_size=child.pool_size,
-        n_children_spawned=_EM_RESTARTS,
-    )
-    return fit_gmm(samples, best_k, refit_seed)
-
+    return _unwrap(_select_gmms([samples], k_max, [seed])[0])

@@ -183,17 +183,18 @@ def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> Diver
     """KL information from the bag and reference densities at the points.
 
     The estimate is truncated at zero: the estimand is non-negative and
-    Monte-Carlo noise below zero carries no information. Riemann sums skip
-    points where the bag density vanishes.
+    Monte-Carlo noise below zero carries no information. Both integrators
+    skip points where the bag density vanishes: the integrand is zero there.
     """
     logratio, clipped = _kl_pointwise(fb, fr, spec)
+    active = fb > 0
+    fb, logratio, clipped = fb[active], logratio[active], clipped[active]
     if dx is None:
         value = max(float(logratio.mean()), 0.0)
         # the proposal is the bag density itself: unit weights
-        return DivergenceScore(value, _fraction(clipped), ess=float(spec.n_imp))
-    active = fb > 0
-    value = max(float((fb[active] * logratio[active]).sum() * dx), 0.0)
-    return DivergenceScore(value, _fraction(clipped[active]))
+        return DivergenceScore(value, _fraction(clipped), ess=float(logratio.size))
+    value = max(float((fb * logratio).sum() * dx), 0.0)
+    return DivergenceScore(value, _fraction(clipped))
 
 
 def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> DivergenceScore:
@@ -216,18 +217,19 @@ def reduce_ckl(
     """Class-conditional KL of the bag against ``fp``, weighted by ``fn/fp``.
 
     The weight is clipped at ``spec.ratio_clip``. Unlike KL the value may be
-    negative. Riemann sums skip points where the bag density vanishes.
+    negative. Both integrators skip points where the bag density vanishes.
     """
     logratio, clipped = _kl_pointwise(fb, fp, spec)
     w = fn / np.maximum(fp, _DENSITY_FLOOR)
     clipped |= w > spec.ratio_clip
     w = np.minimum(w, spec.ratio_clip)
+    active = fb > 0
+    fb, logratio, clipped, w = fb[active], logratio[active], clipped[active], w[active]
     if dx is None:
         value = float((w * logratio).mean())
         return DivergenceScore(value, _fraction(clipped), _ess(w))
-    active = fb > 0
-    value = float((w[active] * fb[active] * logratio[active]).sum() * dx)
-    return DivergenceScore(value, _fraction(clipped[active]))
+    value = float((w * fb * logratio).sum() * dx)
+    return DivergenceScore(value, _fraction(clipped))
 
 
 def rd_value(num: float, den: float) -> float:

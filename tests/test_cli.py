@@ -150,7 +150,7 @@ class TestEvaluateCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("a density was fitted")
 
-        monkeypatch.setattr(classify, "fit_density_1d", no_fit)
+        monkeypatch.setattr(classify, "_fit_densities", no_fit)
         out = tmp_path / "o"
         code = run(["evaluate", "--train", sim_files / "train.csv", "--test",
                     sim_files / "test.csv", "--method", method, "--threshold", threshold,

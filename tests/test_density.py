@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from midiv import density
+from midiv.seeds import as_seed_sequence
 from midiv.density import (
     DensityModel,
     GMM,
@@ -302,3 +303,163 @@ class TestModelValidation:
     def test_kde_requires_bandwidth(self):
         with pytest.raises(ValueError):
             DensityModel(kind=KDE_EPANECHNIKOV, support_hint=(0, 1), centers=[0.5])
+
+
+# --------------------------------------------------------------------------
+# the stacked EM against the one-run loop it replaced
+
+
+def _log_gmm_matrix(x: np.ndarray, w: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """log(w_j * N(x_i; mu_j, var_j)) as an (n, k) matrix."""
+    d = x[:, None] - mu[None, :]
+    return np.log(w)[None, :] - 0.5 * (np.log(2.0 * np.pi * var)[None, :] + d * d / var[None, :])
+
+
+def _logsumexp(rows: np.ndarray) -> np.ndarray:
+    m = rows.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))).ravel()
+
+
+def _em_once(
+    x: np.ndarray, k: int, rng: np.random.Generator, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool]:
+    n = x.size
+    sample_var = float(np.var(x))
+    var_floor = 1e-6 * sample_var
+    w = np.full(k, 1.0 / k)
+    mu = density._kmeanspp_means(x, k, rng)
+    var = np.full(k, sample_var)
+    trace: list[float] = []
+    converged = False
+    prev = -np.inf
+    for _ in range(density._EM_MAX_ITER):
+        log_joint = _log_gmm_matrix(x, w, mu, var)
+        log_norm = _logsumexp(log_joint)
+        ll = float(log_norm.sum())
+        trace.append(ll)
+        if np.isfinite(prev) and abs(ll - prev) <= tol * max(1.0, abs(prev)):
+            converged = True
+            break
+        prev = ll
+        resp = np.exp(log_joint - log_norm[:, None])
+        nj = resp.sum(axis=0)
+        nj = np.maximum(nj, 1e-300)
+        w = nj / n
+        mu = (resp * x[:, None]).sum(axis=0) / nj
+        d = x[:, None] - mu[None, :]
+        var = (resp * d * d).sum(axis=0) / nj
+        var = np.maximum(var, var_floor)
+    return w, mu, var, trace, converged
+
+
+def oracle_fit(x, k, seed, tol=1e-8):
+    """fit_gmm's components and report, from three ``_em_once`` restarts."""
+    best = None
+    for child in as_seed_sequence(seed).spawn(3):
+        fit = _em_once(x, k, np.random.default_rng(child), tol)
+        if best is None or fit[3][-1] > best[3][-1]:
+            best = fit
+    w, mu, var, trace, converged = best
+    order = np.argsort(mu)
+    w, mu, var = w[order], mu[order], var[order]
+    ll = trace[-1]
+    report = density.EmFitReport(k, ll, 2.0 * (3 * k - 1) - 2.0 * ll, len(trace), converged, tuple(trace))
+    return np.column_stack([w / w.sum(), mu, var]), report
+
+
+def oracle_select(x, k_max, seed):
+    """select_gmm's components and report: AIC over early-stopped fits, then a strict refit."""
+    children = as_seed_sequence(seed).spawn(k_max)
+    best_k, best_aic = None, np.inf
+    for k in range(1, k_max + 1):
+        if x.size >= 3 * k:
+            aic = oracle_fit(x, k, children[k - 1], tol=3e-4)[1].aic
+            if aic < best_aic:
+                best_k, best_aic = k, aic
+    child = children[best_k - 1]
+    refit = np.random.SeedSequence(
+        child.entropy, spawn_key=child.spawn_key, pool_size=child.pool_size, n_children_spawned=3
+    )
+    return oracle_fit(x, best_k, refit)
+
+
+def em_samples(seed, sizes):
+    """Two-cluster samples whose clusters overlap: some strict fits reach the cap."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(n) * rng.uniform(0.5, 3.0) + 2.5 * (rng.random(n) < 0.3)
+            for n in sizes]
+
+
+def assert_same_fits(got, want):
+    assert len(got) == len(want)
+    for (w, mu, var, trace, converged), expected in zip(got, want):
+        assert np.array_equal(w, expected[0])
+        assert np.array_equal(mu, expected[1])
+        assert np.array_equal(var, expected[2])
+        assert trace == expected[3]
+        assert converged == expected[4]
+
+
+class TestStackedEm:
+    """``density._em`` gives every run the bits of the one-run loop."""
+
+    @pytest.mark.parametrize("tol", [density._SELECTION_TOL, density._STRICT_TOL])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_one_run_loop(self, k, tol):
+        runs = [(x, k, 10 * i + r) for i, x in enumerate(em_samples(k, [40] * 4)) for r in range(3)]
+        got = density._em([(x, k, np.random.default_rng(s)) for x, k, s in runs], tol)
+        want = [_em_once(x, k, np.random.default_rng(s), tol) for x, k, s in runs]
+        assert_same_fits(got, want)
+
+    def test_strict_runs_reach_the_cap(self):
+        xs = em_samples(7, [40] * 6)
+        runs = [(x, k, np.random.default_rng(i)) for i, x in enumerate(xs) for k in (3, 4)]
+        fits = density._em(runs, density._STRICT_TOL)
+        capped = [len(fit[3]) == density._EM_MAX_ITER and not fit[4] for fit in fits]
+        assert any(capped) and not all(capped)
+        want = [_em_once(x, k, np.random.default_rng(i), density._STRICT_TOL)
+                for i, x in enumerate(xs) for k in (3, 4)]
+        assert_same_fits(fits, want)
+
+    @pytest.mark.parametrize("block", [density._EM_BLOCK, 100])
+    def test_mixed_lengths_and_sizes_in_one_batch(self, monkeypatch, block):
+        # A block of 100 elements holds one row at most, so every row is
+        # iterated alone; the default stacks every (n, k) group whole.
+        monkeypatch.setattr(density, "_EM_BLOCK", block)
+        xs = em_samples(11, [12, 25, 25, 40, 12, 40])
+        runs = [(x, k, 10 * i + k) for i, x in enumerate(xs) for k in range(1, 6) if x.size >= 3 * k]
+        order = np.random.default_rng(0).permutation(len(runs))
+        runs = [runs[i] for i in order]
+        for tol in (density._SELECTION_TOL, density._STRICT_TOL):
+            got = density._em([(x, k, np.random.default_rng(s)) for x, k, s in runs], tol)
+            want = [_em_once(x, k, np.random.default_rng(s), tol) for x, k, s in runs]
+            assert_same_fits(got, want)
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_fit_gmm_and_select_gmm_reports(self, n):
+        for seed, x in enumerate(em_samples(n, [n] * 3)):
+            for k in (1, 2, 4):
+                model, report = fit_gmm(x, k, seed=seed)
+                components, expected = oracle_fit(x, k, seed)
+                assert np.array_equal(model.components, components)
+                assert report == expected
+                assert report.log_likelihood_trace == expected.log_likelihood_trace
+            model, report = select_gmm(x, 5, seed=seed)
+            components, expected = oracle_select(x, 5, seed)
+            assert np.array_equal(model.components, components)
+            assert report == expected
+            assert report.log_likelihood_trace == expected.log_likelihood_trace
+
+    def test_batched_select_matches_one_sample_calls(self):
+        xs = em_samples(5, [12, 30, 30, 2]) + [np.full(20, 1.5)]
+        batch = density._select_gmms(xs, 5, list(range(len(xs))))
+        for i, (x, fit) in enumerate(zip(xs, batch)):
+            if isinstance(fit, ValueError):
+                with pytest.raises(ValueError) as info:
+                    select_gmm(x, 5, seed=i)
+                assert str(info.value) == str(fit)
+                continue
+            model, report = select_gmm(x, 5, seed=i)
+            assert np.array_equal(model.components, fit[0].components)
+            assert report == fit[1]
+        assert [isinstance(fit, ValueError) for fit in batch] == [False] * 3 + [True] * 2

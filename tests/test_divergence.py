@@ -241,6 +241,41 @@ class TestCkl:
         assert score.ess < 0.01 * DivergenceSpec().n_imp
 
 
+class TestZeroBagDensityPoints:
+    """An importance point where the bag density is 0 adds nothing, as on the Riemann grid.
+
+    The importance estimates used to take log(1e-300) there, which pulled a
+    KL estimate to its floor of 0 and a cKL estimate far below zero.
+    """
+
+    fb = np.array([0.4, 0.0, 0.2, 0.5])
+    fp = np.array([0.2, 0.1, 0.4, 0.1])
+    fn = np.array([0.2, 0.3, 0.2, 0.1])
+    active = fb > 0
+
+    def test_kl_averages_over_points_with_bag_density(self):
+        score = dv.reduce_kl(self.fb, self.fp, DivergenceSpec(), None)
+        a = self.active
+        assert score.value == pytest.approx(np.log(self.fb[a] / self.fp[a]).mean(), rel=1e-12)
+        assert score.value > 0.5
+        assert score.ess == 3.0 and score.clipped_fraction == 0.0
+
+    def test_ckl_averages_over_points_with_bag_density(self):
+        score = dv.reduce_ckl(self.fb, self.fp, self.fn, DivergenceSpec(), None)
+        a = self.active
+        w = self.fn[a] / self.fp[a]
+        assert score.value == pytest.approx((w * np.log(self.fb[a] / self.fp[a])).mean(), rel=1e-12)
+        assert score.ess == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-12)
+
+    def test_all_points_with_bag_density_unchanged(self):
+        spec = DivergenceSpec()
+        fb = np.array([0.4, 0.1, 0.2, 0.5])
+        logratio = np.log(fb) - np.log(self.fp)
+        w = self.fn / self.fp
+        assert dv.reduce_kl(fb, self.fp, spec, None).value == max(float(logratio.mean()), 0.0)
+        assert dv.reduce_ckl(fb, self.fp, self.fn, spec, None).value == float((w * logratio).mean())
+
+
 class TestRdRatio:
     def test_bag_equals_pos_gives_small_ratio(self):
         f = gaussian(0, 1)
