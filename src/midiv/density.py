@@ -10,6 +10,13 @@ evaluation is elementwise in the query points, so a value does not depend
 on the order or the number of the other points: the divergence estimators
 sort each point set once and evaluate every density on it, which keeps the
 Epanechnikov lookups in order.
+
+Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
+every candidate size of every sample passed to one call is a row of a few
+stacked loops, one per sample length and size, so the Python overhead of a
+fit phase does not grow with its number of runs. ``fit_gmm`` and
+``select_gmm`` fit one sample through the same path, and a run's result is
+the same bits whatever is fitted with it.
 """
 
 from __future__ import annotations
@@ -299,12 +306,12 @@ def _em(runs, tol: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list
     A run starts from k-means++ means drawn with its own ``rng`` and stops
     once its log-likelihood changes by at most ``tol`` relative to the last
     value, or after ``_EM_MAX_ITER`` iterations. Runs of one sample length n
-    and size k are stacked as rows of (rows, n, k) arrays, at most
+    and size k are stacked as rows of (rows, k, n) arrays, at most
     ``_EM_BLOCK`` elements each, and iterated together; a row leaves the
-    stack when it stops. Every sum runs along the same axis, in the same
-    memory layout, as for a run fitted alone, so a run's result is the same
-    bits whatever is stacked with it. Padding runs to a common k would not
-    keep that: it changes how the sums over components round.
+    stack when it stops. Each row is summed on its own, in a fixed order, so
+    a run's result is the same bits whatever is stacked with it. Padding
+    runs to a common k would not keep that: it changes how the sums over
+    components round.
     """
     out: list = [None] * len(runs)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -320,24 +327,31 @@ def _em(runs, tol: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list
 
 
 def _em_stack(runs, n: int, k: int, tol: float) -> list:
-    """``_em`` for runs that all have sample length ``n`` and size ``k``."""
-    x = np.array([run[0] for run in runs])
-    sample_var = np.array([float(np.var(xi)) for xi in x])
+    """``_em`` for runs that all have sample length ``n`` and size ``k``.
+
+    The arrays are (rows, k, n), so every elementwise step runs along n. The
+    sums keep the order numpy gives one run's (n, k) arrays, which fixed the
+    recorded outputs: over components one after another, over samples
+    pairwise for the log-likelihood and as ``_sum_samples`` says for the
+    M-step.
+    """
+    x = np.array([run[0] for run in runs])[:, None, :]
+    sample_var = np.array([float(np.var(run[0])) for run in runs])
     var_floor = 1e-6 * sample_var[:, None]
     w = np.full((len(runs), k), 1.0 / k)
-    mu = np.array([_kmeanspp_means(xi, k, rng) for xi, (_, _, rng) in zip(x, runs)])
+    mu = np.array([_kmeanspp_means(x0, k, rng) for x0, _, rng in runs])
     var = np.repeat(sample_var[:, None], k, axis=1)
     rows = np.arange(len(runs))  # the runs still iterating, in stack order
     traces: list[list[float]] = [[] for _ in runs]
     out: list = [None] * len(runs)
     prev = None
     for _ in range(_EM_MAX_ITER):
-        d = x[:, :, None] - mu[:, None, :]
-        log_joint = np.log(w)[:, None, :] - 0.5 * (
-            np.log(2.0 * np.pi * var)[:, None, :] + d * d / var[:, None, :]
+        d = x - mu[:, :, None]
+        log_joint = np.log(w)[:, :, None] - 0.5 * (
+            np.log(2.0 * np.pi * var)[:, :, None] + d * d / var[:, :, None]
         )
-        m = log_joint.max(axis=2, keepdims=True)
-        log_norm = (m + np.log(np.exp(log_joint - m).sum(axis=2, keepdims=True)))[:, :, 0]
+        m = log_joint.max(axis=1)
+        log_norm = m + np.log(np.exp(log_joint - m[:, None, :]).sum(axis=1))
         ll = log_norm.sum(axis=1)
         for r, value in zip(rows.tolist(), ll.tolist()):
             traces[r].append(value)
@@ -355,17 +369,26 @@ def _em_stack(runs, n: int, k: int, tol: float) -> list:
                 if rows.size == 0:
                     return out
         prev = ll
-        resp = np.exp(log_joint - log_norm[:, :, None])
-        nj = resp.sum(axis=1)
+        resp = np.exp(log_joint - log_norm[:, None, :])
+        nj = _sum_samples(resp)
         nj = np.maximum(nj, 1e-300)
         w = nj / n
-        mu = (resp * x[:, :, None]).sum(axis=1) / nj
-        d = x[:, :, None] - mu[:, None, :]
-        var = (resp * d * d).sum(axis=1) / nj
+        mu = _sum_samples(resp * x) / nj
+        d = x - mu[:, :, None]
+        var = _sum_samples(resp * d * d) / nj
         var = np.maximum(var, var_floor)
     for j, r in enumerate(rows.tolist()):
         out[r] = (w[j], mu[j], var[j], traces[r], False)
     return out
+
+
+def _sum_samples(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of (rows, k, n) in the order numpy sums axis 0
+    of one run's C-ordered (n, k) array: pairwise when k is 1 (the array is
+    then one contiguous run of samples), one sample after another otherwise."""
+    if a.shape[1] == 1:
+        return a.sum(axis=2)
+    return np.add.accumulate(a, axis=2)[:, :, -1]
 
 
 def _gmm_sample(samples, k: int) -> np.ndarray:
