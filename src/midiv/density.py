@@ -299,24 +299,24 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _em(runs, tol: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool]]:
-    """EM for every run ``(x, k, rng)`` in ``runs`` at once: ``(w, mu, var,
+def _em(runs, tol: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]]:
+    """EM for every run ``(x, means)`` in ``runs`` at once: ``(w, mu, var,
     log-likelihood trace, converged)`` per run, in order.
 
-    A run starts from k-means++ means drawn with its own ``rng`` and stops
-    once its log-likelihood changes by at most ``tol`` relative to the last
-    value, or after ``_EM_MAX_ITER`` iterations. Runs of one sample length n
-    and size k are stacked as rows of (rows, k, n) arrays, at most
-    ``_EM_BLOCK`` elements each, and iterated together; a row leaves the
-    stack when it stops. Each row is summed on its own, in a fixed order, so
-    a run's result is the same bits whatever is stacked with it. Padding
-    runs to a common k would not keep that: it changes how the sums over
-    components round.
+    A run fits ``means.size`` components to the sample ``x``, starting from
+    those means, and stops once its log-likelihood changes by at most
+    ``tol`` relative to the last value, or after ``_EM_MAX_ITER``
+    iterations. Runs of one sample length n and size k are stacked as rows
+    of (rows, k, n) arrays, at most ``_EM_BLOCK`` elements each, and
+    iterated together; a row leaves the stack when it stops. Each row is
+    summed on its own, in a fixed order, so a run's result is the same bits
+    whatever is stacked with it. Padding runs to a common k would not keep
+    that: it changes how the sums over components round.
     """
     out: list = [None] * len(runs)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (x, k, _) in enumerate(runs):
-        groups.setdefault((x.size, k), []).append(i)
+    for i, (x, means) in enumerate(runs):
+        groups.setdefault((x.size, means.size), []).append(i)
     for (n, k), members in groups.items():
         per_block = max(1, _EM_BLOCK // (n * k))
         for start in range(0, len(members), per_block):
@@ -339,56 +339,73 @@ def _em_stack(runs, n: int, k: int, tol: float) -> list:
     sample_var = np.array([float(np.var(run[0])) for run in runs])
     var_floor = 1e-6 * sample_var[:, None]
     w = np.full((len(runs), k), 1.0 / k)
-    mu = np.array([_kmeanspp_means(x0, k, rng) for x0, _, rng in runs])
+    mu = np.array([means for _, means in runs])
     var = np.repeat(sample_var[:, None], k, axis=1)
     rows = np.arange(len(runs))  # the runs still iterating, in stack order
-    traces: list[list[float]] = [[] for _ in runs]
-    out: list = [None] * len(runs)
+    lls = np.empty((len(runs), 8))  # each run's log-likelihood trace, widened as needed
+    iterations = np.full(len(runs), _EM_MAX_ITER)
+    stopped = np.empty((3, len(runs), k))  # w, mu and var of each run when it stops
+    converged = np.zeros(len(runs), dtype=bool)
     prev = None
-    for _ in range(_EM_MAX_ITER):
-        d = x - mu[:, :, None]
-        log_joint = np.log(w)[:, :, None] - 0.5 * (
-            np.log(2.0 * np.pi * var)[:, :, None] + d * d / var[:, :, None]
-        )
+    # The loop's only (rows, k, n) arrays: every step writes into one of them.
+    log_joint = np.empty((len(runs), k, n))
+    scratch = np.empty_like(log_joint)
+    for it in range(_EM_MAX_ITER):
+        # log(w) - 0.5 * (log(2 pi var) + d * d / var) with d = x - mu
+        np.subtract(x, mu[:, :, None], out=log_joint)
+        np.multiply(log_joint, log_joint, out=log_joint)
+        np.divide(log_joint, var[:, :, None], out=log_joint)
+        np.add(np.log(2.0 * np.pi * var)[:, :, None], log_joint, out=log_joint)
+        np.multiply(0.5, log_joint, out=log_joint)
+        np.subtract(np.log(w)[:, :, None], log_joint, out=log_joint)
         m = log_joint.max(axis=1)
-        log_norm = m + np.log(np.exp(log_joint - m[:, None, :]).sum(axis=1))
+        np.subtract(log_joint, m[:, None, :], out=scratch)
+        log_norm = m + np.log(np.exp(scratch, out=scratch).sum(axis=1))
         ll = log_norm.sum(axis=1)
-        for r, value in zip(rows.tolist(), ll.tolist()):
-            traces[r].append(value)
+        if it == lls.shape[1]:
+            lls = np.concatenate([lls, np.empty_like(lls)], axis=1)
+        lls[rows, it] = ll
         if prev is not None:
             # The relative change is only compared where the previous value is
             # finite; where it is not, its arithmetic must not warn.
             with np.errstate(invalid="ignore"):
                 done = np.isfinite(prev) & (np.abs(ll - prev) <= tol * np.maximum(1.0, np.abs(prev)))
             if done.any():
-                for j in np.flatnonzero(done).tolist():
-                    out[rows[j]] = (w[j], mu[j], var[j], traces[rows[j]], True)
+                stopped[:, rows[done]] = w[done], mu[done], var[done]
+                converged[rows[done]] = True
+                iterations[rows[done]] = it + 1
                 keep = ~done
                 x, w, mu, var, var_floor = x[keep], w[keep], mu[keep], var[keep], var_floor[keep]
                 rows, ll, log_joint, log_norm = rows[keep], ll[keep], log_joint[keep], log_norm[keep]
                 if rows.size == 0:
-                    return out
+                    break
+                scratch = np.empty_like(log_joint)
         prev = ll
-        resp = np.exp(log_joint - log_norm[:, None, :])
-        nj = _sum_samples(resp)
-        nj = np.maximum(nj, 1e-300)
+        resp = np.subtract(log_joint, log_norm[:, None, :], out=log_joint)
+        np.exp(resp, out=resp)
+        nj = np.maximum(_sum_samples(resp, scratch), 1e-300)
         w = nj / n
-        mu = _sum_samples(resp * x) / nj
-        d = x - mu[:, :, None]
-        var = _sum_samples(resp * d * d) / nj
+        mu = _sum_samples(np.multiply(resp, x, out=scratch), scratch) / nj
+        d = np.subtract(x, mu[:, :, None], out=scratch)
+        np.multiply(resp, d, out=resp)
+        var = _sum_samples(np.multiply(resp, d, out=resp), resp) / nj
         var = np.maximum(var, var_floor)
-    for j, r in enumerate(rows.tolist()):
-        out[r] = (w[j], mu[j], var[j], traces[r], False)
-    return out
+        del resp, d  # views of the buffers: a compaction must free those
+    stopped[:, rows] = w, mu, var  # the runs that reached the cap, if any
+    return [
+        (*stopped[:, r], lls[r, :t].copy(), c)
+        for r, (t, c) in enumerate(zip(iterations.tolist(), converged.tolist()))
+    ]
 
 
-def _sum_samples(a: np.ndarray) -> np.ndarray:
+def _sum_samples(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Sums over the last axis of (rows, k, n) in the order numpy sums axis 0
     of one run's C-ordered (n, k) array: pairwise when k is 1 (the array is
-    then one contiguous run of samples), one sample after another otherwise."""
+    then one contiguous run of samples), one sample after another otherwise.
+    ``scratch``, of the shape of ``a`` and possibly ``a`` itself, is overwritten."""
     if a.shape[1] == 1:
         return a.sum(axis=2)
-    return np.add.accumulate(a, axis=2)[:, :, -1]
+    return np.add.accumulate(a, axis=2, out=scratch)[:, :, -1].copy()
 
 
 def _gmm_sample(samples, k: int) -> np.ndarray:
@@ -411,7 +428,7 @@ def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
     order = np.argsort(mu)  # canonical component order
     w, mu, var = w[order], mu[order], var[order]
     w = w / w.sum()
-    ll = trace[-1]
+    ll = float(trace[-1])
     n_params = 3 * k - 1
     report = EmFitReport(
         component_count=k,
@@ -419,7 +436,7 @@ def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
         aic=2.0 * n_params - 2.0 * ll,
         iterations=len(trace),
         converged=converged,
-        log_likelihood_trace=tuple(trace),
+        log_likelihood_trace=tuple(trace.tolist()),
     )
     sd = np.sqrt(var)
     model = DensityModel(
@@ -447,7 +464,7 @@ def _fit_gmms(samples, ks, seeds, tol: float) -> list:
             results[i] = exc
             continue
         for child in as_seed_sequence(seed).spawn(_EM_RESTARTS):
-            runs.append((x, k, np.random.default_rng(child)))
+            runs.append((x, _kmeanspp_means(x, k, np.random.default_rng(child))))
             owners.append(i)
     fits = _em(runs, tol)
     for start in range(0, len(runs), _EM_RESTARTS):

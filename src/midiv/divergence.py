@@ -188,7 +188,8 @@ def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> Diver
     """
     logratio, clipped = _kl_pointwise(fb, fr, spec)
     active = fb > 0
-    fb, logratio, clipped = fb[active], logratio[active], clipped[active]
+    if not active.all():
+        fb, logratio, clipped = fb[active], logratio[active], clipped[active]
     if dx is None:
         value = max(float(logratio.mean()), 0.0)
         # the proposal is the bag density itself: unit weights
@@ -224,7 +225,8 @@ def reduce_ckl(
     clipped |= w > spec.ratio_clip
     w = np.minimum(w, spec.ratio_clip)
     active = fb > 0
-    fb, logratio, clipped, w = fb[active], logratio[active], clipped[active], w[active]
+    if not active.all():
+        fb, logratio, clipped, w = fb[active], logratio[active], clipped[active], w[active]
     if dx is None:
         value = float((w * logratio).mean())
         return DivergenceScore(value, _fraction(clipped), _ess(w))

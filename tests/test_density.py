@@ -390,13 +390,18 @@ def em_samples(seed, sizes):
             for n in sizes]
 
 
+def start(x, k, seed):
+    """A run of ``density._em``: the sample and its k-means++ start from ``seed``."""
+    return x, density._kmeanspp_means(x, k, np.random.default_rng(seed))
+
+
 def assert_same_fits(got, want):
     assert len(got) == len(want)
     for (w, mu, var, trace, converged), expected in zip(got, want):
         assert np.array_equal(w, expected[0])
         assert np.array_equal(mu, expected[1])
         assert np.array_equal(var, expected[2])
-        assert trace == expected[3]
+        assert trace.tolist() == expected[3]
         assert converged == expected[4]
 
 
@@ -407,14 +412,14 @@ class TestStackedEm:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_one_run_loop(self, k, tol):
         runs = [(x, k, 10 * i + r) for i, x in enumerate(em_samples(k, [40] * 4)) for r in range(3)]
-        got = density._em([(x, k, np.random.default_rng(s)) for x, k, s in runs], tol)
+        got = density._em([start(x, k, s) for x, k, s in runs], tol)
         want = [_em_once(x, k, np.random.default_rng(s), tol) for x, k, s in runs]
         assert_same_fits(got, want)
 
     def test_strict_runs_reach_the_cap(self):
         xs = em_samples(7, [40] * 6)
-        runs = [(x, k, np.random.default_rng(i)) for i, x in enumerate(xs) for k in (3, 4)]
-        fits = density._em(runs, density._STRICT_TOL)
+        fits = density._em([start(x, k, i) for i, x in enumerate(xs) for k in (3, 4)],
+                           density._STRICT_TOL)
         capped = [len(fit[3]) == density._EM_MAX_ITER and not fit[4] for fit in fits]
         assert any(capped) and not all(capped)
         want = [_em_once(x, k, np.random.default_rng(i), density._STRICT_TOL)
@@ -431,7 +436,7 @@ class TestStackedEm:
         order = np.random.default_rng(0).permutation(len(runs))
         runs = [runs[i] for i in order]
         for tol in (density._SELECTION_TOL, density._STRICT_TOL):
-            got = density._em([(x, k, np.random.default_rng(s)) for x, k, s in runs], tol)
+            got = density._em([start(x, k, s) for x, k, s in runs], tol)
             want = [_em_once(x, k, np.random.default_rng(s), tol) for x, k, s in runs]
             assert_same_fits(got, want)
 
