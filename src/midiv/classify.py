@@ -175,15 +175,14 @@ def fit_density_1d(
 def _fit_densities(samples, estimator: EstimatorConfig, seeds, pooled: bool = False) -> list:
     """``fit_density_1d`` of every sample, one seed each, in one call: under
     ``gmm-aic`` every EM of every sample runs in a few stacked loops (see
-    ``density._em``). KDEs are fitted one by one as ``samples`` and
-    ``seeds`` yield them, so generators keep one of each alive at a time.
-    A sample that cannot be fitted gets its ``ValueError`` in its place."""
+    ``density._em``). A sample that cannot be fitted gets its ``ValueError``
+    in its place."""
     if estimator.kind == "gmm-aic":
-        fits = _select_gmms(list(samples), estimator.k_max, list(seeds))
+        fits = _select_gmms(samples, estimator.k_max, seeds)
         return [fit if isinstance(fit, ValueError) else fit[0] for fit in fits]
     kernel = "EPANECHNIKOV" if estimator.kind == "kde-epan" else "GAUSSIAN"
     fits = []
-    for x, _ in zip(samples, seeds, strict=True):  # a KDE does not read its seed
+    for x in samples:
         try:
             fits.append(fit_kde(x, kernel, estimator.bandwidth, robust_sigma=not pooled))
         except ValueError as exc:
@@ -199,14 +198,11 @@ def _fit_columns(
     fit phase, for class and bag densities alike. The first array, in order,
     with a column that cannot be fitted raises that error, prefixed with its
     entry of ``names``."""
+    columns = [(x, seed, d) for x, seed in zip(arrays, seeds, strict=True) for d in range(x.shape[1])]
     fits = iter(_fit_densities(
-        (x[:, d] for x in arrays for d in range(x.shape[1])),
+        [x[:, d] for x, _, d in columns],
         estimator,
-        (
-            derive_seed(seed, *labels, d)
-            for x, seed in zip(arrays, seeds, strict=True)
-            for d in range(x.shape[1])
-        ),
+        [derive_seed(seed, *labels, d) for _, seed, d in columns],
         pooled,
     ))
     out = []
@@ -240,7 +236,7 @@ def _fit_bags(bags, estimator: EstimatorConfig, seeds) -> list[tuple[DensityMode
     features, and the b2b reference bags are all fitted here.
     """
     arrays = [bag.instances for bag in bags]
-    names = (f"bag {bag.id!r}" for bag in bags)
+    names = [f"bag {bag.id!r}" for bag in bags]
     return _fit_columns(arrays, estimator, seeds, ("bagfit",), names)
 
 
