@@ -56,7 +56,7 @@ _EM_RESTARTS = 3
 _EM_MAX_ITER = 500
 _SELECTION_TOL = 3e-4
 _STRICT_TOL = 1e-8
-# Elements per (rows, n, k) array of the stacked EM: it bounds the memory a
+# Elements per (rows, k, n) array of the stacked EM: it bounds the memory a
 # fit phase of many samples takes at once.
 _EM_BLOCK = 1 << 16
 
