@@ -195,16 +195,16 @@ def _fit_columns(
 ) -> list[tuple[DensityModel, ...]]:
     """One density per column of each 2-D array, column d of ``arrays[i]`` from
     ``derive_seed(seeds[i], *labels, d)``: the one ``_fit_densities`` call of a
-    fit phase, for class and bag densities alike. The first array, in order,
-    with a column that cannot be fitted raises that error, prefixed with its
-    entry of ``names``."""
+    fit phase, for class and bag densities alike. Only a GMM fit reads its
+    seed, so the KDE estimators derive none. The first array, in order, with
+    a column that cannot be fitted raises that error, prefixed with its entry
+    of ``names``."""
     columns = [(x, seed, d) for x, seed in zip(arrays, seeds, strict=True) for d in range(x.shape[1])]
-    fits = iter(_fit_densities(
-        [x[:, d] for x, _, d in columns],
-        estimator,
-        [derive_seed(seed, *labels, d) for _, seed, d in columns],
-        pooled,
-    ))
+    if estimator.kind == "gmm-aic":
+        column_seeds = [derive_seed(seed, *labels, d) for _, seed, d in columns]
+    else:
+        column_seeds = [None] * len(columns)
+    fits = iter(_fit_densities([x[:, d] for x, _, d in columns], estimator, column_seeds, pooled))
     out = []
     for x, name in zip(arrays, names, strict=True):
         models = tuple(next(fits) for _ in range(x.shape[1]))
@@ -458,7 +458,11 @@ def fit_classifier(train: Dataset, pipeline: PipelineConfig, seed) -> ClassModel
     measure = pipeline.svm_measure if svm else method
     stream = "train-bag" if svm else "train-score"
     seeds = [derive_seed(seed, stream, bag.id) for bag in train.bags]
-    fits = _fit_bags(train.bags, pipeline.estimator, seeds)
+    if train_bags and pipeline.estimator.kind != "gmm-aic":
+        # A KDE fit does not read its seed: the b2b references are these fits.
+        fits = [models for _, models in train_bags]
+    else:
+        fits = _fit_bags(train.bags, pipeline.estimator, seeds)
     scores = _score_bags(fits, seeds, pipeline.spec, refs, (measure,), per_dim=svm)[measure]
     if not svm:
         return replace(model, threshold=choose_threshold(scores, [b.label for b in train.bags]))

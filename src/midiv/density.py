@@ -16,7 +16,11 @@ every candidate size of every sample passed to one call is a row of a few
 stacked loops, one per sample length and size, so the Python overhead of a
 fit phase does not grow with its number of runs. ``fit_gmm`` and
 ``select_gmm`` fit one sample through the same path, and a run's result is
-the same bits whatever is fitted with it.
+the same bits whatever is fitted with it. A fit to convergence (``fit_gmm``
+and the refit of ``select_gmm``'s winning size) is accelerated by SQUAREM
+extrapolation with a monotone safeguard (``_Squarem``); the early-stopped
+fits that compare sizes are plain EM, since their early stop is what keeps
+the selection from rewarding spurious maximizers.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ _STRICT_TOL = 1e-8
 # Elements per (rows, k, n) array of the stacked EM: it bounds the memory a
 # fit phase of many samples takes at once.
 _EM_BLOCK = 1 << 16
+# SQUAREM's bound on the step length |a|: its start and the factor by which
+# it grows while a step reaches it, or shrinks when an extrapolation is
+# rejected (the defaults of Varadhan's SQUAREM package).
+_SQUAREM_STEP0 = 1.0
+_SQUAREM_STEP_GROWTH = 4.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Points x centers per block of the dense Gaussian sum (two float64 buffers
@@ -299,19 +308,22 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _em(runs, tol: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]]:
+def _em(runs, tol: float, accelerate: bool = False) -> list:
     """EM for every run ``(x, means)`` in ``runs`` at once: ``(w, mu, var,
-    log-likelihood trace, converged)`` per run, in order.
+    log-likelihood trace, converged, evaluations)`` per run, in order.
 
     A run fits ``means.size`` components to the sample ``x``, starting from
-    those means, and stops once its log-likelihood changes by at most
-    ``tol`` relative to the last value, or after ``_EM_MAX_ITER``
-    iterations. Runs of one sample length n and size k are stacked as rows
-    of (rows, k, n) arrays, at most ``_EM_BLOCK`` elements each, and
-    iterated together; a row leaves the stack when it stops. Each row is
-    summed on its own, in a fixed order, so a run's result is the same bits
-    whatever is stacked with it. Padding runs to a common k would not keep
-    that: it changes how the sums over components round.
+    those means, and stops once one EM step changes its log-likelihood by at
+    most ``tol`` relative to the last value, or after ``_EM_MAX_ITER``
+    evaluations of the EM map. With ``accelerate`` the runs take SQUAREM
+    cycles (see ``_Squarem``); the trace then holds the log-likelihood of
+    every point the run moved to, and ``evaluations`` also counts the
+    extrapolations it rejected. Runs of one sample length n and size k are
+    stacked as rows of (rows, k, n) arrays, at most ``_EM_BLOCK`` elements
+    each, and iterated together; a row leaves the stack when it stops. Each
+    row is summed on its own, in a fixed order, so a run's result is the
+    same bits whatever is stacked with it. Padding runs to a common k would
+    not keep that: it changes how the sums over components round.
     """
     out: list = [None] * len(runs)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -321,32 +333,39 @@ def _em(runs, tol: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         per_block = max(1, _EM_BLOCK // (n * k))
         for start in range(0, len(members), per_block):
             block = members[start : start + per_block]
-            for i, fit in zip(block, _em_stack([runs[i] for i in block], n, k, tol)):
+            fits = _em_stack([runs[i] for i in block], n, k, tol, accelerate)
+            for i, fit in zip(block, fits):
                 out[i] = fit
     return out
 
 
-def _em_stack(runs, n: int, k: int, tol: float) -> list:
+def _em_stack(runs, n: int, k: int, tol: float, accelerate: bool) -> list:
     """``_em`` for runs that all have sample length ``n`` and size ``k``.
 
     The arrays are (rows, k, n), so every elementwise step runs along n. The
     sums keep the order numpy gives one run's (n, k) arrays, which fixed the
     recorded outputs: over components one after another, over samples
     pairwise for the log-likelihood and as ``_sum_samples`` says for the
-    M-step.
+    M-step. Every loop evaluates the EM map once for each row: an E-step at
+    the row's point, then the M-step from it.
     """
+    variances: dict[int, float] = {}  # the restarts of a sample share its array
+    for x, _ in runs:
+        if id(x) not in variances:
+            variances[id(x)] = float(np.var(x))
+    sample_var = np.array([variances[id(x)] for x, _ in runs])
     x = np.array([run[0] for run in runs])[:, None, :]
-    sample_var = np.array([float(np.var(run[0])) for run in runs])
     var_floor = 1e-6 * sample_var[:, None]
     w = np.full((len(runs), k), 1.0 / k)
     mu = np.array([means for _, means in runs])
     var = np.repeat(sample_var[:, None], k, axis=1)
     rows = np.arange(len(runs))  # the runs still iterating, in stack order
-    lls = np.empty((len(runs), 8))  # each run's log-likelihood trace, widened as needed
-    iterations = np.full(len(runs), _EM_MAX_ITER)
+    lls = np.empty((len(runs), 8))  # each run's log-likelihood per evaluation, widened as needed
+    evaluations = np.full(len(runs), _EM_MAX_ITER)
     stopped = np.empty((3, len(runs), k))  # w, mu and var of each run when it stops
     converged = np.zeros(len(runs), dtype=bool)
-    prev = None
+    prev = np.full(len(runs), np.nan)  # each row's last value on its trace
+    squarem = _Squarem(len(runs), k) if accelerate else None
     # The loop's only (rows, k, n) arrays: every step writes into one of them.
     log_joint = np.empty((len(runs), k, n))
     scratch = np.empty_like(log_joint)
@@ -365,22 +384,32 @@ def _em_stack(runs, n: int, k: int, tol: float) -> list:
         if it == lls.shape[1]:
             lls = np.concatenate([lls, np.empty_like(lls)], axis=1)
         lls[rows, it] = ll
-        if prev is not None:
-            # The relative change is only compared where the previous value is
-            # finite; where it is not, its arithmetic must not warn.
-            with np.errstate(invalid="ignore"):
-                done = np.isfinite(prev) & (np.abs(ll - prev) <= tol * np.maximum(1.0, np.abs(prev)))
-            if done.any():
-                stopped[:, rows[done]] = w[done], mu[done], var[done]
-                converged[rows[done]] = True
-                iterations[rows[done]] = it + 1
-                keep = ~done
-                x, w, mu, var, var_floor = x[keep], w[keep], mu[keep], var[keep], var_floor[keep]
-                rows, ll, log_joint, log_norm = rows[keep], ll[keep], log_joint[keep], log_norm[keep]
-                if rows.size == 0:
-                    break
-                scratch = np.empty_like(log_joint)
-        prev = ll
+        # A rejected extrapolation stays off its row's trace: its value is
+        # marked NaN, which no point on a trace has. Convergence is judged
+        # on EM steps only.
+        phase = it % 3
+        kept, em_step = (None, True) if squarem is None else squarem.judge(phase, ll)
+        if kept is not None:
+            lls[rows[~kept], it] = np.nan
+        # The relative change is only compared where the previous value is
+        # finite; where it is not, its arithmetic must not warn.
+        with np.errstate(invalid="ignore"):
+            done = em_step & np.isfinite(prev) & (np.abs(ll - prev) <= tol * np.maximum(1.0, np.abs(prev)))
+        prev = ll if kept is None else np.where(kept, ll, prev)
+        if done.any():
+            stopped[:, rows[done]] = w[done], mu[done], var[done]
+            converged[rows[done]] = True
+            evaluations[rows[done]] = it + 1
+            keep = ~done
+            x, w, mu, var, var_floor = x[keep], w[keep], mu[keep], var[keep], var_floor[keep]
+            rows, ll, log_joint, log_norm = rows[keep], ll[keep], log_joint[keep], log_norm[keep]
+            prev = prev[keep]
+            if squarem is not None:
+                squarem.keep(keep)
+            if rows.size == 0:
+                break
+            scratch = np.empty_like(log_joint)
+        point = w, mu, var
         resp = np.subtract(log_joint, log_norm[:, None, :], out=log_joint)
         np.exp(resp, out=resp)
         nj = np.maximum(_sum_samples(resp, scratch), 1e-300)
@@ -391,10 +420,17 @@ def _em_stack(runs, n: int, k: int, tol: float) -> list:
         var = _sum_samples(np.multiply(resp, d, out=resp), resp) / nj
         var = np.maximum(var, var_floor)
         del resp, d  # views of the buffers: a compaction must free those
+        if squarem is not None:
+            w, mu, var = squarem.step(phase, point, (w, mu, var), ll, var_floor)
+    if squarem is not None:  # a row at the cap ends one EM step past its trace
+        w, mu, var = squarem.last_em_step(phase, (w, mu, var))
     stopped[:, rows] = w, mu, var  # the runs that reached the cap, if any
+    traces = [lls[r, :e] for r, e in enumerate(evaluations.tolist())]
+    if squarem is not None:
+        traces = [t[~np.isnan(t)] for t in traces]
     return [
-        (*stopped[:, r], lls[r, :t].copy(), c)
-        for r, (t, c) in enumerate(zip(iterations.tolist(), converged.tolist()))
+        (*stopped[:, r], t.copy(), c, e)
+        for r, (t, c, e) in enumerate(zip(traces, converged.tolist(), evaluations.tolist()))
     ]
 
 
@@ -406,6 +442,103 @@ def _sum_samples(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     if a.shape[1] == 1:
         return a.sum(axis=2)
     return np.add.accumulate(a, axis=2, out=scratch)[:, :, -1].copy()
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of a 2-D array, one element after another in
+    every row, whatever the number of rows."""
+    return np.add.accumulate(a, axis=1)[:, -1]
+
+
+def _free(w, mu, var) -> np.ndarray:
+    """(rows, 3, k): the mixture in (log w, mu, log var), where SQUAREM steps."""
+    t = np.empty((len(w), 3, w.shape[1]))
+    np.log(w, out=t[:, 0])
+    t[:, 1] = mu
+    np.log(var, out=t[:, 2])
+    return t
+
+
+class _Squarem:
+    """SQUAREM cycles for the rows of one EM stack (Varadhan & Roland 2008,
+    Scand. J. Statist. 35(2), scheme S3), three EM-map evaluations each.
+
+    From a point t0, two EM steps give t1 and t2. With r = t1 - t0,
+    v = t2 - t1 - r and the step a = -|r|/|v|, clipped to [-limit, -1], the
+    row moves to t0 - 2 a r + a^2 v, in (log w, mu, log var) so that the
+    weights stay on the simplex and the variances above the floor, and the
+    cycle's third evaluation is the EM step from there. An extrapolated
+    point is kept only if its log-likelihood is at least t1's, so a trace
+    never decreases; otherwise the row goes on from t2, as plain EM would,
+    and its limit shrinks. Each row's limit starts at 1 (a plain cycle) and
+    grows while the step reaches it. Every row of a stack is at the same
+    phase of its cycle, ``it % 3``, so the bookkeeping is a few stacked
+    steps per evaluation.
+    """
+
+    def __init__(self, rows: int, k: int):
+        self.alpha = np.full(rows, -1.0)
+        self.limit = np.full(rows, _SQUAREM_STEP0)
+        self.t0 = np.empty((rows, 3, k))
+        self.t2 = np.empty((3, rows, k))  # w, mu and var
+        self.ll1 = np.empty(rows)  # the log-likelihood at t1
+        self.kept = np.ones(rows, dtype=bool)
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.alpha, self.limit, self.ll1 = self.alpha[keep], self.limit[keep], self.ll1[keep]
+        self.t0, self.t2, self.kept = self.t0[keep], self.t2[:, keep], self.kept[keep]
+
+    def judge(self, phase: int, ll: np.ndarray):
+        """Which rows' points go on their traces (None: every row's), and
+        which were EM steps."""
+        if phase != 2:
+            return None, True
+        extrapolated = self.alpha < -1.0
+        self.kept = ~extrapolated | (ll >= self.ll1)
+        return self.kept, ~extrapolated
+
+    def step(self, phase: int, point, mapped, ll: np.ndarray, var_floor: np.ndarray):
+        """The next point of every row, from its evaluated ``point`` and that
+        point's EM step ``mapped``."""
+        if phase == 0:
+            self.t0 = _free(*point)
+            return mapped
+        if phase == 2:
+            dropped = ~self.kept
+            if not dropped.any():
+                return mapped
+            shrunk = self.limit[dropped] / _SQUAREM_STEP_GROWTH
+            self.limit[dropped] = np.maximum(shrunk, _SQUAREM_STEP0)
+            return tuple(np.where(dropped[:, None], b, a) for a, b in zip(mapped, self.t2))
+        t1 = _free(*point)
+        self.t2[:] = mapped
+        self.ll1 = ll
+        r = t1 - self.t0
+        v = _free(*mapped) - t1 - r
+        shape = (len(r), 3 * r.shape[2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = -np.sqrt(_row_sums((r * r).reshape(shape)) / _row_sums((v * v).reshape(shape)))
+        a = np.where(np.isfinite(a), np.maximum(np.minimum(a, -1.0), -self.limit), -1.0)
+        self.limit = np.where(a == -self.limit, self.limit * _SQUAREM_STEP_GROWTH, self.limit)
+        self.alpha = a
+        plain = a == -1.0
+        if plain.all():
+            return mapped
+        s = a[:, None, None]
+        t = self.t0 - 2.0 * s * r + s * s * v
+        # weights relative to the largest, floored so that none underflows to 0
+        lw = np.maximum(t[:, 0] - t[:, 0].max(axis=1, keepdims=True), -700.0)
+        w = np.exp(lw)
+        w /= _row_sums(w)[:, None]
+        var = np.maximum(np.exp(t[:, 2]), var_floor)
+        plain = plain[:, None]
+        return (np.where(plain, mapped[0], w), np.where(plain, mapped[1], t[:, 1]),
+                np.where(plain, mapped[2], var))
+
+    def last_em_step(self, phase: int, point):
+        """The rows' points one EM step past their traces: after phase 1 the
+        point is an extrapolation not yet evaluated, so it is t2."""
+        return tuple(self.t2) if phase == 1 else point
 
 
 def _gmm_sample(samples, k: int) -> np.ndarray:
@@ -423,8 +556,9 @@ def _gmm_sample(samples, k: int) -> np.ndarray:
 
 
 def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
-    """The model and report of a k-component EM fit ``(w, mu, var, trace, converged)``."""
-    w, mu, var, trace, converged = fit
+    """The model and report of a k-component EM fit ``(w, mu, var, trace,
+    converged, evaluations)``."""
+    w, mu, var, trace, converged, evaluations = fit
     order = np.argsort(mu)  # canonical component order
     w, mu, var = w[order], mu[order], var[order]
     w = w / w.sum()
@@ -434,7 +568,7 @@ def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
         component_count=k,
         log_likelihood=ll,
         aic=2.0 * n_params - 2.0 * ll,
-        iterations=len(trace),
+        iterations=evaluations,
         converged=converged,
         log_likelihood_trace=tuple(trace.tolist()),
     )
@@ -450,7 +584,7 @@ def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
     return model, report
 
 
-def _fit_gmms(samples, ks, seeds, tol: float) -> list:
+def _fit_gmms(samples, ks, seeds, tol: float, accelerate: bool) -> list:
     """``fit_gmm`` of every (sample, k, seed) job, all restarts in one ``_em`` call.
 
     A job that cannot be fitted gets its ``ValueError`` in its place.
@@ -466,7 +600,7 @@ def _fit_gmms(samples, ks, seeds, tol: float) -> list:
         for child in as_seed_sequence(seed).spawn(_EM_RESTARTS):
             runs.append((x, _kmeanspp_means(x, k, np.random.default_rng(child))))
             owners.append(i)
-    fits = _em(runs, tol)
+    fits = _em(runs, tol, accelerate)
     for start in range(0, len(runs), _EM_RESTARTS):
         best = None
         for fit in fits[start : start + _EM_RESTARTS]:
@@ -495,6 +629,7 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
         [k for _ in samples for k in sizes],
         [child for row in children for child in row],
         _SELECTION_TOL,
+        accelerate=False,
     )
     results: list = [None] * len(samples)
     winners = []
@@ -523,6 +658,7 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
         [k for _, k, _ in winners],
         [seed for _, _, seed in winners],
         _STRICT_TOL,
+        accelerate=True,
     )
     for (i, _, _), fit in zip(winners, refits):
         results[i] = fit
@@ -540,11 +676,14 @@ def fit_gmm(
 ) -> tuple[DensityModel, EmFitReport]:
     """Fit a k-component univariate GMM by EM, deterministic given seed.
 
-    Runs three EM fits of at most 500 iterations from k-means++
-    initializations and keeps the best final log-likelihood. A variance
-    floor of 1e-6 times the sample variance is applied at every M-step.
+    Runs three SQUAREM-accelerated EM fits of at most 500 EM-map evaluations
+    from k-means++ initializations and keeps the best final log-likelihood.
+    A variance floor of 1e-6 times the sample variance is applied at every
+    M-step. The report's ``iterations`` counts the evaluations, rejected
+    extrapolations included; its trace holds the log-likelihood of every
+    point the fit moved to, and never decreases beyond rounding.
     """
-    return _unwrap(_fit_gmms([samples], [k], [seed], tol)[0])
+    return _unwrap(_fit_gmms([samples], [k], [seed], tol, accelerate=True)[0])
 
 
 def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel, EmFitReport]:
@@ -554,7 +693,9 @@ def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel
     3e-4): running every candidate to full convergence lets spurious
     maximizers (single-point spikes, split components) squeeze out tiny
     likelihood gains that routinely beat the AIC penalty, which breaks the
-    selection. The winning size is then refitted at ``fit_gmm``'s strict
-    default tolerance and that fully converged fit is returned.
+    selection. These fits are plain EM, three restarts of at most 500
+    iterations each. The winning size is then refitted by ``fit_gmm`` at
+    its strict default tolerance, SQUAREM-accelerated, and that converged
+    fit is returned.
     """
     return _unwrap(_select_gmms([samples], k_max, [seed])[0])

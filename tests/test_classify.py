@@ -477,6 +477,29 @@ class TestFixedThreshold:
         assert scores[0] == scores[1]
 
 
+class TestKdeFitsOnce:
+    """A KDE fit does not read its seed: none is derived for it, and the b2b
+    references are also the training bags' fits for the LOOCV threshold."""
+
+    def test_b2b_fits_each_training_bag_once(self, monkeypatch):
+        calls = []
+        fit_kde = classify.fit_kde
+        monkeypatch.setattr(classify, "fit_kde", lambda *a, **k: calls.append(a) or fit_kde(*a, **k))
+        train = two_class_dataset(np.random.default_rng(33), n_pos=3, n_neg=3)
+        fit_classifier(train, PipelineConfig("b2b_kl", EstimatorConfig(), FAST_SPEC), seed=0)
+        # two class fits and six bag fits; the bags used to be fitted twice (14)
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("kind, derived", [("kde-epan", 0), ("kde-gauss", 0), ("gmm-aic", 4)])
+    def test_fit_phase_derives_seeds_only_for_gmm(self, monkeypatch, kind, derived):
+        calls = []
+        derive = classify.derive_seed
+        monkeypatch.setattr(classify, "derive_seed", lambda *a: calls.append(a) or derive(*a))
+        bags = two_class_dataset(np.random.default_rng(34), n_pos=1, n_neg=1, d=2).bags
+        classify._fit_bags(bags, EstimatorConfig(kind), [1, 2])
+        assert len(calls) == derived
+
+
 @lru_cache(maxsize=None)
 def _order_case(method, kind):
     """A fitted model and six probe bags with their seeds."""

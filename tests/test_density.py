@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from midiv import density
+from midiv.core import Label
 from midiv.seeds import as_seed_sequence
+from midiv.simulate import SimConfig, sample_experiment
 from midiv.density import (
     DensityModel,
     GMM,
@@ -352,28 +354,40 @@ def _em_once(
     return w, mu, var, trace, converged
 
 
-def oracle_fit(x, k, seed, tol=1e-8):
-    """fit_gmm's components and report, from three ``_em_once`` restarts."""
+def squarem_once(x, k, rng, tol):
+    """One accelerated run, alone in its stack, as ``_em_once`` returns it
+    plus its EM-map evaluations."""
+    w, mu, var, trace, converged, evaluations = density._em(
+        [(x, density._kmeanspp_means(x, k, rng))], tol, accelerate=True
+    )[0]
+    return w, mu, var, trace.tolist(), converged, evaluations
+
+
+def oracle_fit(x, k, seed, tol=1e-8, em=squarem_once):
+    """fit_gmm's components and report, from three restarts of ``em``: by
+    default accelerated runs, each in a stack of its own."""
     best = None
     for child in as_seed_sequence(seed).spawn(3):
-        fit = _em_once(x, k, np.random.default_rng(child), tol)
+        fit = em(x, k, np.random.default_rng(child), tol)
         if best is None or fit[3][-1] > best[3][-1]:
             best = fit
-    w, mu, var, trace, converged = best
+    w, mu, var, trace, converged = best[:5]
+    evaluations = best[5] if len(best) > 5 else len(trace)
     order = np.argsort(mu)
     w, mu, var = w[order], mu[order], var[order]
     ll = trace[-1]
-    report = density.EmFitReport(k, ll, 2.0 * (3 * k - 1) - 2.0 * ll, len(trace), converged, tuple(trace))
+    report = density.EmFitReport(k, ll, 2.0 * (3 * k - 1) - 2.0 * ll, evaluations, converged, tuple(trace))
     return np.column_stack([w / w.sum(), mu, var]), report
 
 
 def oracle_select(x, k_max, seed):
-    """select_gmm's components and report: AIC over early-stopped fits, then a strict refit."""
+    """select_gmm's components and report: AIC over early-stopped plain-EM
+    fits, then a strict accelerated refit."""
     children = as_seed_sequence(seed).spawn(k_max)
     best_k, best_aic = None, np.inf
     for k in range(1, k_max + 1):
         if x.size >= 3 * k:
-            aic = oracle_fit(x, k, children[k - 1], tol=3e-4)[1].aic
+            aic = oracle_fit(x, k, children[k - 1], tol=3e-4, em=_em_once)[1].aic
             if aic < best_aic:
                 best_k, best_aic = k, aic
     child = children[best_k - 1]
@@ -397,7 +411,8 @@ def start(x, k, seed):
 
 def assert_same_fits(got, want):
     assert len(got) == len(want)
-    for (w, mu, var, trace, converged), expected in zip(got, want):
+    for (w, mu, var, trace, converged, evaluations), expected in zip(got, want):
+        assert evaluations == len(trace)  # plain EM takes every point it evaluates
         assert np.array_equal(w, expected[0])
         assert np.array_equal(mu, expected[1])
         assert np.array_equal(var, expected[2])
@@ -406,7 +421,9 @@ def assert_same_fits(got, want):
 
 
 class TestStackedEm:
-    """``density._em`` gives every run the bits of the one-run loop."""
+    """``density._em`` without acceleration gives every run the bits of the
+    one-run loop, at both tolerances: the selection fits run it, and it is
+    the oracle of the accelerated refits (``TestSquarem``)."""
 
     @pytest.mark.parametrize("tol", [density._SELECTION_TOL, density._STRICT_TOL])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -420,16 +437,16 @@ class TestStackedEm:
         xs = em_samples(7, [40] * 6)
         fits = density._em([start(x, k, i) for i, x in enumerate(xs) for k in (3, 4)],
                            density._STRICT_TOL)
-        capped = [len(fit[3]) == density._EM_MAX_ITER and not fit[4] for fit in fits]
+        capped = [fit[5] == density._EM_MAX_ITER and not fit[4] for fit in fits]
         assert any(capped) and not all(capped)
         want = [_em_once(x, k, np.random.default_rng(i), density._STRICT_TOL)
                 for i, x in enumerate(xs) for k in (3, 4)]
         assert_same_fits(fits, want)
 
-    @pytest.mark.parametrize("block", [density._EM_BLOCK, 100])
+    @pytest.mark.parametrize("block", [density._EM_BLOCK, 100, 1])
     def test_mixed_lengths_and_sizes_in_one_batch(self, monkeypatch, block):
-        # A block of 100 elements holds one row at most, so every row is
-        # iterated alone; the default stacks every (n, k) group whole.
+        # The default stacks every (n, k) group whole; a block of 100
+        # elements holds 1 to 8 rows, and a block of 1 one row.
         monkeypatch.setattr(density, "_EM_BLOCK", block)
         xs = em_samples(11, [12, 25, 25, 40, 12, 40])
         runs = [(x, k, 10 * i + k) for i, x in enumerate(xs) for k in range(1, 6) if x.size >= 3 * k]
@@ -442,6 +459,8 @@ class TestStackedEm:
 
     @pytest.mark.parametrize("n", [12, 30])
     def test_fit_gmm_and_select_gmm_reports(self, n):
+        # fit_gmm and the refit of select_gmm are accelerated; select_gmm's
+        # size selection is plain EM, bit for bit.
         for seed, x in enumerate(em_samples(n, [n] * 3)):
             for k in (1, 2, 4):
                 model, report = fit_gmm(x, k, seed=seed)
@@ -468,3 +487,74 @@ class TestStackedEm:
             assert np.array_equal(model.components, fit[0].components)
             assert report == fit[1]
         assert [isinstance(fit, ValueError) for fit in batch] == [False] * 3 + [True] * 2
+
+
+def restart_jobs():
+    """(x, k, seeds of its three restarts): the samples of ``TestStackedEm``,
+    the ones where strict plain runs reach the cap, and one of class size."""
+    jobs = [(x, k, [10 * i + r for r in range(3)])
+            for k in range(1, 6) for i, x in enumerate(em_samples(k, [40] * 4))]
+    jobs += [(x, k, [i, 100 + i, 200 + i]) for i, x in enumerate(em_samples(7, [40] * 6)) for k in (3, 4)]
+    jobs += [(x, k, [k, 10 + k, 20 + k]) for x in em_samples(3, [500]) for k in (2, 3, 4)]
+    return jobs
+
+
+@pytest.fixture(scope="module")
+def plain_and_squarem():
+    """Every restart of ``restart_jobs`` at the strict tolerance, plain and
+    accelerated, each in one stacked call."""
+    jobs = restart_jobs()
+    runs = [start(x, k, s) for x, k, seeds in jobs for s in seeds]
+    return (jobs, density._em(runs, density._STRICT_TOL),
+            density._em(runs, density._STRICT_TOL, accelerate=True))
+
+
+class TestSquarem:
+    """The accelerated strict refits against the plain loop, their oracle."""
+
+    @pytest.mark.parametrize("block", [100, 1])
+    def test_stacked_equals_one_row_per_stack(self, monkeypatch, block):
+        xs = em_samples(11, [12, 25, 25, 40, 12, 40, 300])
+        runs = [start(x, k, 10 * i + k) for i, x in enumerate(xs) for k in range(1, 6) if x.size >= 3 * k]
+        runs = [runs[i] for i in np.random.default_rng(1).permutation(len(runs))]
+        whole = density._em(runs, density._STRICT_TOL, accelerate=True)
+        monkeypatch.setattr(density, "_EM_BLOCK", block)
+        alone = density._em(runs, density._STRICT_TOL, accelerate=True)
+        for got, want in zip(whole, alone, strict=True):
+            for a, b in zip(got[:4], want[:4]):
+                assert np.array_equal(a, b)
+            assert got[4:] == want[4:]
+
+    def test_traces_never_decrease(self, plain_and_squarem):
+        # An extrapolated point is kept only at or above t1's log-likelihood;
+        # an EM step can round down by a few ulps right at convergence, as in
+        # the plain loop.
+        _, _, fits = plain_and_squarem
+        for _, _, _, trace, _, evaluations in fits:
+            assert 1 <= len(trace) <= evaluations <= density._EM_MAX_ITER
+            assert np.all(np.diff(trace) >= -1e-13 * np.abs(trace[:-1]))
+
+    def test_best_of_restarts_at_least_the_plain_loop(self, plain_and_squarem):
+        # Tolerance: the stopping tolerance times |log-likelihood|. Both loops
+        # stop once one EM step gains at most that much, from different
+        # points, so either may stop that far short of the other; here the
+        # accelerated best is lower by up to 8.9e-9 of it in 2 of 35 jobs.
+        jobs, plain, fits = plain_and_squarem
+        for j in range(len(jobs)):
+            want = max(fit[3][-1] for fit in plain[3 * j : 3 * j + 3])
+            got = max(fit[3][-1] for fit in fits[3 * j : 3 * j + 3])
+            assert got >= want - density._STRICT_TOL * abs(want), jobs[j][1:]
+
+    def test_fewer_evaluations_and_no_more_runs_at_the_cap(self, plain_and_squarem):
+        _, plain, fits = plain_and_squarem
+        assert sum(fit[5] for fit in fits) < 0.5 * sum(fit[5] for fit in plain)
+        capped = [sum(not fit[4] for fit in side) for side in (plain, fits)]
+        assert capped[0] > 0 and capped[1] <= capped[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_refit_of_a_pooled_sim1_class_converges(self, seed):
+        # Without acceleration the strict refit stopped at the 500-evaluation
+        # cap on 3 of these 6 pooled negative classes (25 bags x 50 instances).
+        train, _ = sample_experiment(SimConfig.preset("sim1"), 10, 25, 1, seed)
+        _, report = select_gmm(train.pooled_instances(Label.NEG)[:, 0], 5, seed)
+        assert report.converged

@@ -65,7 +65,7 @@ GOLDEN = {
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "cv-gmm-aic": {
-        "report.json": "1c64a352be853fe6c406b015e5fcec9e007958cb9e0da5666d2df7c828a2795f",
+        "report.json": "eb842a14500ebf2f6154bca5dbdc9557f43a317eba3af78d86555f1e15fa9385",
         "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
     },
     "cv-svm-divs": {
@@ -85,7 +85,7 @@ GOLDEN = {
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-gmm-aic": {
-        "report.json": "de64a9687751cca54502f4757e506d3ddee073545966d46c10aef161822aa91b",
+        "report.json": "6974cbc2b585c0171abd24c481e3e62d2a6e1a53e718c8b9e86a556b50aa5687",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-rd-bh": {
