@@ -468,9 +468,9 @@ class _Squarem:
     row moves to t0 - 2 a r + a^2 v, in (log w, mu, log var) so that the
     weights stay on the simplex and the variances above the floor, and the
     cycle's third evaluation is the EM step from there. An extrapolated
-    point is kept only if its log-likelihood is at least t1's, so a trace
-    never decreases; otherwise the row goes on from t2, as plain EM would,
-    and its limit shrinks. Each row's limit starts at 1 (a plain cycle) and
+    point is kept only if its log-likelihood is at least t1's, so no
+    extrapolation lowers a trace; otherwise the row goes on from t2, as
+    plain EM would, and its limit shrinks. Each row's limit starts at 1 (a plain cycle) and
     grows while the step reaches it. Every row of a stack is at the same
     phase of its cycle, ``it % 3``, so the bookkeeping is a few stacked
     steps per evaluation.
