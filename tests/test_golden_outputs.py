@@ -48,6 +48,15 @@ CASES = {
                         "--estimator", "gmm-aic", "--seed", "2"],
     "cv-gmm-aic": ["evaluate", "--train", "{mixed}", "--folds", "2", "--estimator", "gmm-aic",
                    "--n-imp", "500", "--seed", "3"],
+    # KDE scoring of bags of mixed sizes: the b2b references, the dense
+    # Gaussian features and the Riemann grid, whose points the bag density
+    # misses.
+    "cv-mixed-b2b-kl": ["evaluate", "--train", "{mixed}", "--folds", "2", "--method", "b2b-kl",
+                        "--estimator", "kde-epan", "--n-imp", "500", "--seed", "3"],
+    "cv-mixed-svm-divs": ["evaluate", "--train", "{mixed}", "--folds", "2", "--method", "svm-divs",
+                          "--estimator", "kde-gauss", "--n-imp", "500", "--seed", "3"],
+    "cv-mixed-riemann": ["evaluate", "--train", "{mixed}", "--folds", "2", "--method", "rd-kl",
+                         "--integrator", "riemann", "--grid-points", "1024", "--seed", "3"],
     "table1-kde-epan": ["table1", "--scenario", "sim4", "--estimator", "kde-epan",
                         "--methods", ",".join(METHODS[:5]), "--seed", "4", *TABLE_CELL],
     "table1-kde-gauss": ["table1", "--scenario", "sim3", "--estimator", "kde-gauss",
@@ -67,6 +76,18 @@ GOLDEN = {
     "cv-gmm-aic": {
         "report.json": "eb842a14500ebf2f6154bca5dbdc9557f43a317eba3af78d86555f1e15fa9385",
         "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
+    },
+    "cv-mixed-b2b-kl": {
+        "report.json": "a1fe2872d42cbb31f1fdf14a4eabddbe097f2cba767011159f67091a3832d871",
+        "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
+    },
+    "cv-mixed-riemann": {
+        "report.json": "01ebcc850f8f3bf831ad48cec636bbe74b9fe277642161b0e83421cafea799ee",
+        "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
+    },
+    "cv-mixed-svm-divs": {
+        "report.json": "c52a75db0b80b82a64acceafa27292e1805f04fd68488b7461f2fadf134ac223",
+        "roc.csv": "3144890353f2ab420deccad8afb6e339ab03aea1cded7168cbb0cd529e821481",
     },
     "cv-svm-divs": {
         "report.json": "8b0661739f8b40f825448010fa7e0dd22880e9e99e5f48ca39bcbb0d7f61eb4c",
