@@ -4,11 +4,17 @@ Six methods share one convention: a bag's score is low when the bag looks
 positive. ``rd_kl``/``rd_bh`` threshold the ratio of bag-to-class
 divergences, ``ckl`` thresholds the class-conditional KL score (oriented
 so that bag mass covered only by the positive class pulls the score down,
-see ``_bundle_scores``), ``b2b_kl``/``b2b_bh`` score by minimum bag-to-bag
+see ``_score_block``), ``b2b_kl``/``b2b_bh`` score by minimum bag-to-bag
 dissimilarity against each class, and ``svm_divs`` feeds per-dimension
 divergences into a linear SVM and scores by signed margin. AUC is computed
 exactly via the rank (Mann-Whitney) statistic and cross-checked against
 the trapezoidal ROC area.
+
+Bags are fitted in one fit phase (``_fit_bags``) and scored in one score
+phase (``_score_bags``). The score phase takes blocks of bags as the rows
+of (rows, points) arrays, so each reference density is evaluated and each
+divergence reduced once per block rather than once per bag; a bag's scores
+are the same bits whatever block it lands in.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from . import divergence as dv
 from .core import Bag, Dataset, Label, PcaTransform, apply_pca, fit_pca
-from .density import _select_gmms, fit_kde, DensityModel
+from .density import _fit_kdes, _select_gmms, DensityModel
 from .divergence import DivergenceSpec
 from .seeds import derive_seed
 from .simulate import SimConfig, sample_experiment
@@ -175,19 +181,14 @@ def fit_density_1d(
 def _fit_densities(samples, estimator: EstimatorConfig, seeds, pooled: bool = False) -> list:
     """``fit_density_1d`` of every sample, one seed each, in one call: under
     ``gmm-aic`` every EM of every sample runs in a few stacked loops (see
-    ``density._em``). A sample that cannot be fitted gets its ``ValueError``
-    in its place."""
+    ``density._em``), and under KDE the samples of one length are fitted as
+    the rows of one array (see ``density._fit_kdes``). A sample that cannot
+    be fitted gets its ``ValueError`` in its place."""
     if estimator.kind == "gmm-aic":
         fits = _select_gmms(samples, estimator.k_max, seeds)
         return [fit if isinstance(fit, ValueError) else fit[0] for fit in fits]
     kernel = "EPANECHNIKOV" if estimator.kind == "kde-epan" else "GAUSSIAN"
-    fits = []
-    for x in samples:
-        try:
-            fits.append(fit_kde(x, kernel, estimator.bandwidth, robust_sigma=not pooled))
-        except ValueError as exc:
-            fits.append(exc)
-    return fits
+    return _fit_kdes(samples, kernel, estimator.bandwidth, robust_sigma=not pooled)
 
 
 def _fit_columns(
@@ -291,47 +292,71 @@ class ClassModel:
 
 
 # --------------------------------------------------------------------------
-# per-bag scoring
+# the score phase
+
+# Evaluation points per block of the score phase: a block's bags are the
+# rows of (rows, points) arrays, at least one bag. The bound keeps a block's
+# arrays small, whatever the number of bags.
+_SCORE_BLOCK = 1 << 13
 
 _REDUCERS = {
     "rd_kl": dv.reduce_kl, "rd_bh": dv.reduce_bh, "b2b_kl": dv.reduce_kl, "b2b_bh": dv.reduce_bh
 }
 
 
-def _bundle_scores(
-    bag_models: tuple[DensityModel, ...],
-    f_pos: tuple[DensityModel, ...],
-    f_neg: tuple[DensityModel, ...],
-    spec: DivergenceSpec,
-    seed,
-    methods: tuple[str, ...],
-    train_bags: tuple[tuple[Label, tuple[DensityModel, ...]], ...] = (),
-    per_dim: bool = False,
-) -> dict:
-    """Scores of one bag under every requested method, sharing evaluation points.
+def _score_bags(fits, seeds, spec, refs, methods, per_dim=False) -> dict[str, list]:
+    """The score phase: every fitted bag's scores under each of ``methods``.
 
-    Per dimension, the divergence core makes one point set (seed stream
-    ``"dim"``) over the bag and every reference density, and every measure
-    is reduced on it. Divergences are summed over dimensions before the rd
-    ratio and the b2b minima are taken. With ``per_dim`` each method maps to
-    its per-dimension values instead: the svm-divs features, drawn from the
-    seed stream ``"feat"``.
+    One list per method. Each bag's densities, from ``_fit_bags``, are
+    scored with its seed against ``refs``, the class densities and the b2b
+    training-bag densities, by ``_score_block``: the bags go in blocks of at
+    most ``_SCORE_BLOCK`` evaluation points, and a bag's scores are the same
+    bits whatever block it is in. Nothing is fitted here.
     """
+    rows = max(1, _SCORE_BLOCK // spec.points)
+    scores = {m: [] for m in methods}
+    for start in range(0, len(fits), rows):
+        block = _score_block(fits[start : start + rows], seeds[start : start + rows], spec, refs,
+                             methods, per_dim)
+        for m in methods:
+            scores[m] += block[m]
+    return scores
+
+
+def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
+    """Scores of a block of bags under every requested method, one row per bag.
+
+    Per dimension, each bag keeps its own point set (seed stream ``"dim"``)
+    over its density and every reference density, and its own density's
+    ``pdf``. The points are the rows of one array: each reference density is
+    evaluated once on all of them and each measure reduced once, row by row.
+    Divergences are summed over dimensions before the rd ratio and the b2b
+    minima are taken. With ``per_dim`` each method maps to its per-dimension
+    values instead: the svm-divs features, drawn from the seed stream
+    ``"feat"``.
+    """
+    f_pos, f_neg, train_bags = refs
     train_pos = np.array([lab == Label.POS for lab, _ in train_bags], dtype=bool)
     need_class = any(m in CLASS_METHODS for m in methods)
+    b2b = [m for m in methods if m.startswith("b2b")]
     # Summed from 0.0 in dimension order; another order moves scores in the last bits.
     totals = dict.fromkeys(methods, 0.0)
-    rows = []
-    for d, fb_model in enumerate(bag_models):
+    columns = {m: [] for m in methods}
+    for d in range(len(fits[0])):
         class_refs = (f_pos[d], f_neg[d])
         train_refs = tuple(models[d] for _, models in train_bags)
-        child = derive_seed(seed, "feat" if per_dim else "dim", d)
-        x, dx = dv.evaluation_points(fb_model, class_refs + train_refs, spec, child)
-        fb, *f_train = dv.densities_at(
-            x, (fb_model,) + (class_refs if need_class else ()) + train_refs
-        )
+        bag_models = [models[d] for models in fits]
+        x, widths = np.empty((len(fits), spec.points)), []
+        for r, (bag, seed) in enumerate(zip(bag_models, seeds, strict=True)):
+            child = derive_seed(seed, "feat" if per_dim else "dim", d)
+            x[r], width = dv.evaluation_points(bag, class_refs + train_refs, spec, child)
+            widths.append(width)
+        dx = None if widths[0] is None else np.array(widths)
+        refs_at = (class_refs if need_class else ()) + train_refs
+        values = dv.iter_densities(x, (bag_models, *refs_at))
+        fb = next(values)
         if need_class:
-            fp, fn, *f_train = f_train
+            fp, fn = next(values), next(values)
         terms = {}
         for m in methods:
             if m == "ckl":
@@ -343,41 +368,32 @@ def _bundle_scores(
                 # nothing, which is what makes the method robust to sparse
                 # training sets.
                 terms[m] = -dv.reduce_ckl(fb, fn, fp, spec, dx).value
+            elif m.startswith("rd"):
+                pair = [_REDUCERS[m](fb, fr, spec, dx).value for fr in (fp, fn)]
+                terms[m] = np.column_stack(pair)
+        # one training bag's densities at a time: a block holds one of them
+        b2b_terms = {m: [] for m in b2b}
+        for fr in values:
+            for m in b2b:
+                b2b_terms[m].append(_REDUCERS[m](fb, fr, spec, dx).value)
+        terms.update((m, np.column_stack(t)) for m, t in b2b_terms.items())
+        for m in methods:
+            if per_dim:
+                columns[m].append(_finish(m, terms[m], train_pos))
             else:
-                against = (fp, fn) if m.startswith("rd") else f_train
-                terms[m] = np.array([_REDUCERS[m](fb, fr, spec, dx).value for fr in against])
-        if per_dim:
-            rows.append({m: _finish(m, t, train_pos) for m, t in terms.items()})
-        else:
-            totals = {m: totals[m] + terms[m] for m in methods}
+                totals[m] = totals[m] + terms[m]
     if per_dim:
-        return {m: np.array([row[m] for row in rows]) for m in methods}
-    return {m: _finish(m, totals[m], train_pos) for m in methods}
+        return {m: list(np.column_stack(columns[m])) for m in methods}
+    return {m: _finish(m, totals[m], train_pos).tolist() for m in methods}
 
 
-def _finish(method: str, divs, train_pos: np.ndarray) -> float:
-    """A method's score from its divergences (see ``_bundle_scores``)."""
+def _finish(method: str, divs: np.ndarray, train_pos: np.ndarray) -> np.ndarray:
+    """A method's scores, one per row, from its divergences (see ``_score_block``)."""
     if method == "ckl":
         return divs
     if method.startswith("rd"):
-        return float(dv.rd_value(divs[0], divs[1]))
-    return float(divs[train_pos].min() - divs[~train_pos].min())
-
-
-def _score_bags(fits, seeds, spec, refs, methods, per_dim=False) -> dict[str, list]:
-    """The score phase: every fitted bag's scores under each of ``methods``.
-
-    One list per method. Each bag's densities, from ``_fit_bags``, are
-    scored with its seed by ``_bundle_scores`` against ``refs``, the class
-    densities and the b2b training-bag densities. Nothing is fitted here.
-    """
-    f_pos, f_neg, train_bags = refs
-    scores = {m: [] for m in methods}
-    for bag_models, seed in zip(fits, seeds, strict=True):
-        bundle = _bundle_scores(bag_models, f_pos, f_neg, spec, seed, methods, train_bags, per_dim)
-        for m in methods:
-            scores[m].append(bundle[m])
-    return scores
+        return dv.rd_value(divs[:, 0], divs[:, 1])
+    return divs[:, train_pos].min(axis=1) - divs[:, ~train_pos].min(axis=1)
 
 
 def score_bag(model: ClassModel, bag: Bag, seed) -> float:

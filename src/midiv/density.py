@@ -96,23 +96,29 @@ def silverman_bandwidth(samples: np.ndarray, kind: str, robust: bool = True) -> 
     plain sample sd. C is 1.06 for ``KDE_GAUSSIAN`` and 2.345 for
     ``KDE_EPANECHNIKOV``; h decreases strictly with n for fixed spread.
     """
+    x = np.asarray(samples, dtype=float).reshape(1, -1)
+    return _unwrap(_bandwidths(x, kind, robust)[0])
+
+
+def _bandwidths(x: np.ndarray, kind: str, robust: bool) -> list:
+    """``silverman_bandwidth`` of every row of the (rows, n) array ``x``: a
+    float, or the row's ``ValueError`` in its place."""
     if kind not in _SUPPORT_PAD:
         raise ValueError(f"kind must be {KDE_EPANECHNIKOV} or {KDE_GAUSSIAN}, got {kind!r}")
-    x = np.asarray(samples, dtype=float)
-    n = x.size
+    rows, n = x.shape
     if n < 2:
-        raise ValueError("bandwidth rule needs at least 2 samples; pass an explicit bandwidth")
-    sd = float(np.std(x, ddof=1))
+        message = "bandwidth rule needs at least 2 samples; pass an explicit bandwidth"
+        return [ValueError(message) for _ in range(rows)]
+    sigma = sd = np.std(x, ddof=1, axis=1)
     if robust:
-        q75, q25 = np.percentile(x, [75, 25])
-        iqr = float(q75 - q25)
-        sigma = min(sd, iqr / 1.349) if iqr > 0 else sd
-    else:
-        sigma = sd
-    if sigma <= 0:
-        raise ValueError("zero sample variance, bandwidth rule degenerates; pass an explicit bandwidth")
+        q75, q25 = np.percentile(x, [75, 25], axis=1)
+        iqr = q75 - q25
+        scaled = iqr / 1.349
+        sigma = np.where((iqr > 0) & (scaled < sd), scaled, sd)
     c = 1.06 if kind == KDE_GAUSSIAN else 2.345
-    return c * sigma * n ** (-0.2)
+    h = c * sigma * n ** (-0.2)
+    message = "zero sample variance, bandwidth rule degenerates; pass an explicit bandwidth"
+    return [ValueError(message) if s <= 0 else b for s, b in zip(sigma.tolist(), h.tolist())]
 
 
 @dataclass(frozen=True)
@@ -274,25 +280,43 @@ def fit_kde(
     2 samples with positive spread. ``robust_sigma`` selects the spread
     estimate of the rule (see :func:`silverman_bandwidth`).
     """
+    return _unwrap(_fit_kdes([samples], kernel, bandwidth, robust_sigma)[0])
+
+
+def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool) -> list:
+    """``fit_kde`` of every sample: the samples of one length are the rows
+    of one array for the bandwidth rule and the support. A sample that
+    cannot be fitted gets its ``ValueError`` in its place."""
     if kernel not in ("EPANECHNIKOV", "GAUSSIAN"):
         raise ValueError(f"kernel must be 'EPANECHNIKOV' or 'GAUSSIAN', got {kernel!r}")
     kind = f"KDE_{kernel}"
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 1 or not np.all(np.isfinite(x)):
-        raise ValueError("samples must be non-empty and finite")
-    if bandwidth is None:
-        h = silverman_bandwidth(x, kind, robust=robust_sigma)
-    else:
-        h = float(bandwidth)
-        if not h > 0:
-            raise ValueError("bandwidth must be positive")
-    pad = _SUPPORT_PAD[kind] * h
-    return DensityModel(
-        kind=kind,
-        support_hint=(float(x.min()) - pad, float(x.max()) + pad),
-        bandwidth=h,
-        centers=x,
-    )
+    flat = [np.asarray(x, dtype=float).ravel() for x in samples]
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(flat):
+        groups.setdefault(x.size, []).append(i)
+    out: list = [None] * len(flat)
+    for n, members in groups.items():
+        x = np.array([flat[i] for i in members]).reshape(len(members), n)
+        fitted = np.isfinite(x).all(axis=1) & (n > 0)
+        for i in np.array(members)[~fitted]:
+            out[i] = ValueError("samples must be non-empty and finite")
+        members, x = [i for i, ok in zip(members, fitted) if ok], x[fitted]
+        if not members:
+            continue
+        if bandwidth is None:
+            hs = _bandwidths(x, kind, robust_sigma)
+        else:
+            h = float(bandwidth)
+            hs = [h if h > 0 else ValueError("bandwidth must be positive") for _ in members]
+        lo, hi = x.min(axis=1).tolist(), x.max(axis=1).tolist()
+        for r, (i, h) in enumerate(zip(members, hs)):
+            if isinstance(h, ValueError):
+                out[i] = h
+                continue
+            pad = _SUPPORT_PAD[kind] * h
+            out[i] = DensityModel(kind=kind, support_hint=(lo[r] - pad, hi[r] + pad), bandwidth=h,
+                                  centers=x[r])
+    return out
 
 
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +36,13 @@ from .density import DensityModel
 __all__ = [
     "DivergenceSpec",
     "DivergenceScore",
+    "RowScores",
     "kl",
     "bhattacharyya",
     "ckl",
     "evaluation_points",
     "densities_at",
+    "iter_densities",
     "reduce_kl",
     "reduce_bh",
     "reduce_ckl",
@@ -85,6 +88,11 @@ class DivergenceSpec:
         if not self.ratio_clip > 1:
             raise ValueError("ratio_clip must be > 1")
 
+    @property
+    def points(self) -> int:
+        """Evaluation points per point set: ``n_imp``, or ``grid_points`` on a Riemann grid."""
+        return self.n_imp if self.integrator == "IMPORTANCE" else self.grid_points
+
 
 @dataclass(frozen=True)
 class DivergenceScore:
@@ -109,11 +117,28 @@ class DivergenceScore:
 # itself (cell width ``dx`` None; the estimate is a mean), or a midpoint
 # Riemann grid over the bag and every reference density (width ``dx``).
 # ``evaluation_points`` makes the points, ``densities_at`` evaluates densities
-# there and the ``reduce_*`` functions turn those values into scores. A caller
-# scoring one bag against several references passes them all, so every
-# measure shares the points.
-# Importance estimates are ``.mean()``s and Riemann products run left to
-# right; summing weighted terms or re-associating moves values in the last bits.
+# there and the ``reduce_*`` functions turn those values into scores. The
+# core works on rows: a caller scoring many bags stacks one point set per bag
+# as the rows of (rows, points) arrays, so each reference density is
+# evaluated and each measure reduced once for all of them, and every measure
+# shares the points. The public ``kl``, ``bhattacharyya`` and ``ckl`` are the
+# one-row case.
+# Each row is summed on its own, in draw order: importance estimates are
+# ``.mean()``s and Riemann products run left to right; summing weighted
+# terms, re-associating or zero-padding a row moves values in the last bits.
+
+
+class RowScores(NamedTuple):
+    """Divergence values and their diagnostics, one per row of points (``ess``
+    is None on a Riemann grid)."""
+
+    value: np.ndarray
+    clipped_fraction: np.ndarray
+    ess: np.ndarray | None
+
+    def row(self, r: int) -> DivergenceScore:
+        ess = None if self.ess is None else float(self.ess[r])
+        return DivergenceScore(float(self.value[r]), float(self.clipped_fraction[r]), ess)
 
 
 def _riemann_grid(models: tuple[DensityModel, ...], spec: DivergenceSpec):
@@ -140,103 +165,153 @@ def evaluation_points(
     return _riemann_grid((f_bag, *refs), spec)
 
 
-def densities_at(x: np.ndarray, models: tuple[DensityModel, ...]) -> tuple[np.ndarray, ...]:
+def densities_at(x: np.ndarray, models) -> tuple[np.ndarray, ...]:
     """Each model's density at the points ``x``, in the order of ``x``.
 
-    The points are sorted once and every model is evaluated on the sorted
-    array (the Epanechnikov lookups then walk their tables in order). Every
+    ``x`` is one row of points or a (rows, points) array. An entry of
+    ``models`` is a density evaluated on every row, or a sequence of one
+    density per row. ``iter_densities`` yields the same values one model at
+    a time.
+    """
+    return tuple(iter_densities(x, models))
+
+
+def iter_densities(x: np.ndarray, models):
+    """``densities_at`` as a generator: a caller that reduces each density
+    as it comes holds one at a time.
+
+    Each row is sorted once, and every model is evaluated on the sorted
+    points (the Epanechnikov lookups then walk their tables in order). Every
     evaluation is elementwise, so scattering the values back into draw order
     gives the same bits as evaluating ``x`` directly.
     """
-    order = np.argsort(x)
-    xs = x[order]
-    values = []
+    order = np.argsort(x, axis=-1)
+    xs = np.take_along_axis(x, order, axis=-1)
     for model in models:
+        if isinstance(model, DensityModel):
+            fs = model.pdf(xs)
+        else:
+            fs = np.empty(xs.shape)
+            for r, row_model in enumerate(model):
+                fs[r] = row_model.pdf(xs[r])
         f = np.empty(x.shape)
-        f[order] = model.pdf(xs)
-        values.append(f)
-    return tuple(values)
+        np.put_along_axis(f, order, fs, axis=-1)
+        yield f
 
 
-def _ess(weights: np.ndarray) -> float:
-    s2 = float((weights * weights).sum())
-    if s2 <= 0.0:
-        return float(weights.size)  # all-equal (degenerate) weights
-    s = float(weights.sum())
-    return s * s / s2
+def _ess(weights: np.ndarray) -> np.ndarray:
+    """Effective sample size of the importance weights along the last axis."""
+    s2 = (weights * weights).sum(axis=-1)
+    s = weights.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # all-equal (degenerate) weights count every point
+        return np.where(s2 <= 0.0, float(weights.shape[-1]), s * s / s2)
 
 
 def _fraction(mask: np.ndarray) -> float:
     return float(mask.mean()) if mask.size else 0.0
 
 
+def _integrate(terms: np.ndarray, dx) -> np.ndarray:
+    """The integral of pointwise terms along the last axis: their mean over
+    importance points, or their sum times the cell width on a grid."""
+    return terms.mean(axis=-1) if dx is None else terms.sum(axis=-1) * dx
+
+
+def _on_bag_support(fb, terms, clipped, weights, dx) -> RowScores:
+    """Per row: the integral of ``terms``, the fraction of ``clipped`` points
+    and the ESS of the importance ``weights`` (None: unit weights), over the
+    points where the bag density is positive.
+
+    A row with a point where it is 0 (every row of a Riemann grid that
+    reaches past the bag) is reduced again on its own, compacted to its
+    other points: zeroing the terms there would leave the mean's count and
+    the pairwise sums' blocks as they were, and move the values.
+    """
+    value = _integrate(terms, dx)
+    fraction = clipped.mean(axis=-1)
+    ess = None
+    if dx is None:
+        ess = np.full(len(fb), float(fb.shape[-1])) if weights is None else _ess(weights)
+    active = fb > 0
+    for r in np.flatnonzero(~active.all(axis=-1)):
+        a = active[r]
+        value[r] = _integrate(terms[r, a], None if dx is None else dx[r])
+        fraction[r] = _fraction(clipped[r, a])
+        if ess is not None:
+            ess[r] = np.count_nonzero(a) if weights is None else _ess(weights[r, a])
+    return RowScores(value, fraction, ess)
+
+
 def _kl_pointwise(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec):
     """Clipped log-ratio log(fb/fr) and the mask of floored/clipped points."""
     cap = math.log(spec.ratio_clip)
     floored = fr < _DENSITY_FLOOR
-    logratio = np.log(np.maximum(fb, _TINY)) - np.log(np.maximum(fr, _DENSITY_FLOOR))
+    # in place: a block of rows holds few arrays of its size at once
+    logratio = np.log(np.maximum(fb, _TINY))
+    logratio -= np.log(np.maximum(fr, _DENSITY_FLOOR))
     clipped = floored | (logratio > cap)
-    return np.minimum(logratio, cap), clipped
+    return np.minimum(logratio, cap, out=logratio), clipped
 
 
-def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> DivergenceScore:
-    """KL information from the bag and reference densities at the points.
+def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowScores:
+    """KL information per row, from the bag and reference densities at its
+    points: (rows, points) arrays, with ``dx`` None or one width per row.
 
     The estimate is truncated at zero: the estimand is non-negative and
     Monte-Carlo noise below zero carries no information. Both integrators
     skip points where the bag density vanishes: the integrand is zero there.
     """
     logratio, clipped = _kl_pointwise(fb, fr, spec)
-    active = fb > 0
-    if not active.all():
-        fb, logratio, clipped = fb[active], logratio[active], clipped[active]
-    if dx is None:
-        value = max(float(logratio.mean()), 0.0)
-        # the proposal is the bag density itself: unit weights
-        return DivergenceScore(value, _fraction(clipped), ess=float(logratio.size))
-    value = max(float((fb * logratio).sum() * dx), 0.0)
-    return DivergenceScore(value, _fraction(clipped))
+    terms = logratio if dx is None else fb * logratio
+    scores = _on_bag_support(fb, terms, clipped, None, dx)
+    # the proposal is the bag density itself: unit weights
+    return scores._replace(value=np.maximum(scores.value, 0.0))
 
 
-def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> DivergenceScore:
-    """Bhattacharyya distance; the overlap integral is clamped into (0, 1]."""
+def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowScores:
+    """Bhattacharyya distance per row; the overlap integral is clamped into (0, 1]."""
     ess = None
     if dx is None:
         w = np.sqrt(fr / np.maximum(fb, _TINY))
-        overlap = float(w.mean())
+        overlap = w.mean(axis=-1)
         ess = _ess(w)
     else:
-        overlap = float(np.sqrt(fb * fr).sum() * dx)
-    clipped = 1.0 if (overlap > 1.0 or overlap < _TINY) else 0.0
-    overlap = min(max(overlap, _TINY), 1.0)
-    return DivergenceScore(-math.log(overlap), clipped, ess)
+        overlap = np.sqrt(fb * fr).sum(axis=-1) * dx
+    clipped = ((overlap > 1.0) | (overlap < _TINY)).astype(float)
+    overlap = np.minimum(np.maximum(overlap, _TINY), 1.0)
+    # math.log, not np.log: numpy's vectorized log may round differently.
+    value = np.array([-math.log(v) for v in overlap.tolist()])
+    return RowScores(value, clipped, ess)
 
 
 def reduce_ckl(
     fb: np.ndarray, fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, dx
-) -> DivergenceScore:
-    """Class-conditional KL of the bag against ``fp``, weighted by ``fn/fp``.
+) -> RowScores:
+    """Class-conditional KL per row of the bag against ``fp``, weighted by ``fn/fp``.
 
     The weight is clipped at ``spec.ratio_clip``. Unlike KL the value may be
     negative. Both integrators skip points where the bag density vanishes.
     """
     logratio, clipped = _kl_pointwise(fb, fp, spec)
-    w = fn / np.maximum(fp, _DENSITY_FLOOR)
+    w = np.maximum(fp, _DENSITY_FLOOR)
+    np.divide(fn, w, out=w)
     clipped |= w > spec.ratio_clip
-    w = np.minimum(w, spec.ratio_clip)
-    active = fb > 0
-    if not active.all():
-        fb, logratio, clipped, w = fb[active], logratio[active], clipped[active], w[active]
-    if dx is None:
-        value = float((w * logratio).mean())
-        return DivergenceScore(value, _fraction(clipped), _ess(w))
-    value = float((w * fb * logratio).sum() * dx)
-    return DivergenceScore(value, _fraction(clipped))
+    np.minimum(w, spec.ratio_clip, out=w)
+    terms = np.multiply(w, logratio, out=logratio) if dx is None else w * fb * logratio
+    return _on_bag_support(fb, terms, clipped, w, dx)
 
 
-def rd_value(num: float, den: float) -> float:
-    """The rd ratio of two divergence values; the denominator is floored at 1e-12."""
-    return num / max(den, _RD_DENOMINATOR_FLOOR)
+def rd_value(num, den):
+    """The rd ratio of divergence values, elementwise; the denominator is floored at 1e-12."""
+    return num / np.maximum(den, _RD_DENOMINATOR_FLOOR)
+
+
+def _one_row(reduce, f_bag: DensityModel, refs, spec: DivergenceSpec, seed) -> DivergenceScore:
+    """A public measure: ``reduce`` on one point set under ``f_bag``."""
+    x, dx = evaluation_points(f_bag, refs, spec, seed)
+    values = densities_at(x[None, :], (f_bag, *refs))
+    return reduce(*values, spec, None if dx is None else np.array([dx])).row(0)
 
 
 def kl(f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed) -> DivergenceScore:
@@ -244,16 +319,14 @@ def kl(f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed) -> 
 
     The estimate is truncated at zero (see ``reduce_kl``).
     """
-    x, dx = evaluation_points(f_bag, (f_ref,), spec, seed)
-    return reduce_kl(*densities_at(x, (f_bag, f_ref)), spec, dx)
+    return _one_row(reduce_kl, f_bag, (f_ref,), spec, seed)
 
 
 def bhattacharyya(
     f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed
 ) -> DivergenceScore:
     """Bhattacharyya distance; the overlap integral is clamped into (0, 1]."""
-    x, dx = evaluation_points(f_bag, (f_ref,), spec, seed)
-    return reduce_bh(*densities_at(x, (f_bag, f_ref)), spec, dx)
+    return _one_row(reduce_bh, f_bag, (f_ref,), spec, seed)
 
 
 def ckl(
@@ -269,8 +342,7 @@ def ckl(
     ``f_neg/f_pos`` (clipped at ``spec.ratio_clip``). Unlike KL the value
     may be negative.
     """
-    x, dx = evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
-    return reduce_ckl(*densities_at(x, (f_bag, f_pos, f_neg)), spec, dx)
+    return _one_row(reduce_ckl, f_bag, (f_pos, f_neg), spec, seed)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from midiv.classify import (
     train_linear_svm,
 )
 from midiv import classify
-from midiv.classify import _stratified_folds
+from midiv.classify import CLASS_METHODS, _stratified_folds
 from midiv.core import Bag, Dataset, Label
 from midiv import divergence as dv
 from midiv.divergence import DivergenceSpec, ckl
@@ -436,15 +436,16 @@ class TestUnlabelledTrainingBags:
             fit_classifier(train, PipelineConfig(method, EstimatorConfig(), FAST_SPEC), seed=0)
 
 
-def _count_bundle_calls(monkeypatch) -> list:
+def _count_scored_bags(monkeypatch) -> list:
+    """Every bag the score phase scores, in order: the rows of its blocks."""
     calls = []
-    bundle = classify._bundle_scores
+    score_block = classify._score_block
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
-        return bundle(*args, **kwargs)
+        calls.extend(args[0])
+        return score_block(*args, **kwargs)
 
-    monkeypatch.setattr(classify, "_bundle_scores", counting)
+    monkeypatch.setattr(classify, "_score_block", counting)
     return calls
 
 
@@ -456,7 +457,7 @@ class TestFixedThreshold:
         train = two_class_dataset(rng)
         if not method.startswith("b2b"):  # b2b fits every training bag as a reference
             train = Dataset(train.bags + (make_bag([[0.5]], NEG, "one"),), dimension=1)
-        calls = _count_bundle_calls(monkeypatch)
+        calls = _count_scored_bags(monkeypatch)
         pipeline = PipelineConfig(method, EstimatorConfig(), FAST_SPEC, threshold="fixed:0.5")
         model = fit_classifier(train, pipeline, seed=0)
         assert model.threshold == 0.5 and calls == []
@@ -483,8 +484,13 @@ class TestKdeFitsOnce:
 
     def test_b2b_fits_each_training_bag_once(self, monkeypatch):
         calls = []
-        fit_kde = classify.fit_kde
-        monkeypatch.setattr(classify, "fit_kde", lambda *a, **k: calls.append(a) or fit_kde(*a, **k))
+        fit_kdes = classify._fit_kdes
+
+        def spy(samples, *args, **kwargs):
+            calls.extend(samples)
+            return fit_kdes(samples, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "_fit_kdes", spy)
         train = two_class_dataset(np.random.default_rng(33), n_pos=3, n_neg=3)
         fit_classifier(train, PipelineConfig("b2b_kl", EstimatorConfig(), FAST_SPEC), seed=0)
         # two class fits and six bag fits; the bags used to be fitted twice (14)
@@ -524,6 +530,83 @@ class TestOrderAndBatching:
         assert shuffled == [one_by_one[i] for i in order]
         split = model.scores(bags[:cut], seeds[:cut]) + model.scores(bags[cut:], seeds[cut:])
         assert split == one_by_one
+
+
+DEFAULT_SCORE_BLOCK = classify._SCORE_BLOCK
+
+
+def mixed_dataset(rng, n_pos=3, n_neg=3, d=2, prefix=""):
+    """Labelled bags of 6 to 25 instances in ``d`` dimensions; bags of one size repeat."""
+    sizes = [6, 25, 11, 6, 18, 11, 25, 9]
+    bags = [
+        make_bag(rng.standard_normal((sizes[i % 8], d)) + (1.5 if i < n_pos else 0.0),
+                 POS if i < n_pos else NEG, f"{prefix}{i}")
+        for i in range(n_pos + n_neg)
+    ]
+    return Dataset(bags=tuple(bags), dimension=d)
+
+
+class _Gappy:
+    """A bag density whose importance sample puts every fifth point far
+    outside its support: the bag density is 0 there."""
+
+    def __init__(self, model):
+        self.model, self.support_hint = model, model.support_hint
+
+    def sample(self, n, seed):
+        x = self.model.sample(n, seed)
+        x[::5] = self.support_hint[1] + 1e3
+        return x
+
+    def pdf(self, x):
+        return self.model.pdf(x)
+
+
+class TestStackedScorePhase:
+    """The score phase scores blocks of bags as rows: every score is the
+    bits of a block of one bag."""
+
+    @pytest.mark.parametrize("per_dim", [False, True])
+    @pytest.mark.parametrize("integrator", ["IMPORTANCE", "RIEMANN"])
+    @pytest.mark.parametrize("kind", ESTIMATORS)
+    def test_blocks_equal_one_bag_blocks(self, kind, integrator, per_dim, monkeypatch):
+        spec = DivergenceSpec(integrator=integrator, n_imp=128, grid_points=256)
+        est = EstimatorConfig(kind)
+        rng = np.random.default_rng(45)
+        train = mixed_dataset(rng)
+        probes = mixed_dataset(rng, 4, 4, prefix="p").bags
+        refs = classify._fit_references(train, est, 1, b2b=True)
+        seeds = [derive_seed(2, b.id) for b in probes]
+        fits = classify._fit_bags(probes, est, seeds)
+        fits[2] = tuple(_Gappy(m) for m in fits[2])
+        assert (fits[2][0].pdf(fits[2][0].sample(spec.n_imp, 0)) == 0).any()
+        assert DEFAULT_SCORE_BLOCK // spec.points > len(probes)  # one block holds them all
+        methods = CLASS_METHODS if per_dim else METHODS[:5]
+
+        def scores(block):
+            monkeypatch.setattr(classify, "_SCORE_BLOCK", block)
+            got = classify._score_bags(fits, seeds, spec, refs, methods, per_dim)
+            return {m: [np.asarray(v).tolist() for v in got[m]] for m in methods}
+
+        one_bag = scores(1)
+        assert scores(DEFAULT_SCORE_BLOCK) == one_bag
+        assert scores(3 * spec.points) == one_bag
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fitted_pipeline_equal_with_one_bag_blocks(self, method, monkeypatch):
+        rng = np.random.default_rng(46)
+        train = mixed_dataset(rng, 4, 4)
+        probes = mixed_dataset(rng, 3, 3, prefix="p").bags
+        pipeline = PipelineConfig(method, EstimatorConfig("kde-gauss"), DivergenceSpec(n_imp=200))
+
+        def fit_and_score(block):
+            monkeypatch.setattr(classify, "_SCORE_BLOCK", block)
+            model = fit_classifier(train, pipeline, seed=3)
+            weights = None if model.svm_weights is None else model.svm_weights.tolist()
+            seeds = [derive_seed(4, b.id) for b in probes]
+            return model.threshold, weights, model.scores(probes, seeds)
+
+        assert fit_and_score(DEFAULT_SCORE_BLOCK) == fit_and_score(1)
 
 
 class TestOneScoringPath:
@@ -589,9 +672,10 @@ class TestScoreBagMatchesPublicDivergences:
                 else:
                     reduce = dv.reduce_kl if method == "rd_kl" else dv.reduce_bh
                     x, dx = dv.evaluation_points(bag_model, (f_pos, f_neg), spec, points_seed)
-                    fb, fp, fn = dv.densities_at(x, (bag_model, f_pos, f_neg))
+                    fb, fp, fn = dv.densities_at(x[None, :], (bag_model, f_pos, f_neg))
+                    dx = None if dx is None else np.array([dx])
                     expected = dv.rd_value(
-                        reduce(fb, fp, spec, dx).value, reduce(fb, fn, spec, dx).value
+                        reduce(fb, fp, spec, dx).value[0], reduce(fb, fn, spec, dx).value[0]
                     )
                 assert score_bag(model, bag, s) == expected, (method, bag.id)
 

@@ -558,3 +558,70 @@ class TestSquarem:
         train, _ = sample_experiment(SimConfig.preset("sim1"), 10, 25, 1, seed)
         _, report = select_gmm(train.pooled_instances(Label.NEG)[:, 0], 5, seed)
         assert report.converged
+
+
+def scalar_bandwidth(x, kind, robust):
+    """The bandwidth rule one sample at a time, as Python floats: the oracle
+    of the stacked rule."""
+    sd = float(np.std(x, ddof=1))
+    sigma = sd
+    if robust:
+        q75, q25 = np.percentile(x, [75, 25])
+        iqr = float(q75 - q25)
+        sigma = min(sd, iqr / 1.349) if iqr > 0 else sd
+    if sigma <= 0:
+        return None
+    return (1.06 if kind == KDE_GAUSSIAN else 2.345) * sigma * x.size ** (-0.2)
+
+
+class TestStackedKdeFits:
+    """Samples of one length fitted as the rows of one array: the bandwidth
+    rule and the support are each sample's own, bit for bit, and a sample
+    that cannot be fitted gets fit_kde's error in its place."""
+
+    @pytest.mark.parametrize("robust", [True, False])
+    @pytest.mark.parametrize("kind", [KDE_EPANECHNIKOV, KDE_GAUSSIAN])
+    def test_rows_match_one_sample_rule(self, kind, robust):
+        rng = np.random.default_rng(41)
+        scale, shift = rng.uniform(0.01, 50.0, (40, 1)), rng.normal(0.0, 9.0, (40, 1))
+        rows = rng.standard_normal((40, 13)) * scale + shift
+        rows[3] = 2.5  # zero variance
+        rows[5, :10] = 1.0  # IQR of zero, positive sd
+        got = density._bandwidths(rows, kind, robust)
+        for x, h in zip(rows, got):
+            want = scalar_bandwidth(x, kind, robust)
+            if want is None:
+                assert isinstance(h, ValueError) and "zero sample variance" in str(h)
+                with pytest.raises(ValueError) as one_row:
+                    silverman_bandwidth(x, kind, robust)
+                assert str(one_row.value) == str(h)
+            else:
+                assert h == want and silverman_bandwidth(x, kind, robust) == want
+
+    @pytest.mark.parametrize("robust", [True, False])
+    @pytest.mark.parametrize("kernel", ["EPANECHNIKOV", "GAUSSIAN"])
+    def test_mixed_lengths_and_errors_in_place(self, kernel, robust):
+        rng = np.random.default_rng(42)
+        samples = [rng.standard_normal(n) * 3.0 + 1.0 for n in (12, 7, 12, 20, 7, 12, 1, 20)]
+        samples += [np.full(7, 4.0), [], [0.0, np.nan, 1.0], rng.standard_normal((4, 3))]
+        got = density._fit_kdes(samples, kernel, None, robust)
+        assert len(got) == len(samples)
+        for x, fit in zip(samples, got):
+            try:
+                want = fit_kde(x, kernel, robust_sigma=robust)
+            except ValueError as exc:
+                assert isinstance(fit, ValueError) and str(fit) == str(exc)
+                continue
+            flat = np.asarray(x, dtype=float).ravel()
+            assert fit.bandwidth == scalar_bandwidth(flat, f"KDE_{kernel}", robust)
+            assert (fit.kind, fit.support_hint) == (want.kind, want.support_hint)
+            assert np.array_equal(fit.centers, flat)
+        assert [type(f).__name__ for f in got[-4:]] == ["ValueError"] * 3 + ["DensityModel"]
+
+    def test_explicit_bandwidth_errors_per_sample(self):
+        got = density._fit_kdes([[0.0, 1.0], [np.inf, 1.0], [2.0]], "GAUSSIAN", 0.0, True)
+        assert [str(f) for f in got] == [
+            "bandwidth must be positive",
+            "samples must be non-empty and finite",
+            "bandwidth must be positive",
+        ]

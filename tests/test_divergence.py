@@ -15,11 +15,18 @@ def gaussian(mu, var, sigmas=8.0):
     )
 
 
+def one_row(reduce, *values, spec, dx):
+    """A reducer's score of one row of density values, given as 1-D arrays."""
+    rows = [np.asarray(v)[None, :] for v in values]
+    return reduce(*rows, spec, None if dx is None else np.array([dx])).row(0)
+
+
 def rd(f_bag, f_pos, f_neg, reduce, spec, seed):
     """The rd ratio of ``reduce`` on one point set over the bag and both classes."""
     x, dx = dv.evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
     fb, fp, fn = dv.densities_at(x, (f_bag, f_pos, f_neg))
-    return dv.rd_value(reduce(fb, fp, spec, dx).value, reduce(fb, fn, spec, dx).value)
+    num, den = (one_row(reduce, fb, fr, spec=spec, dx=dx).value for fr in (fp, fn))
+    return dv.rd_value(num, den)
 
 
 def kl_closed_form(m1, v1, m2, v2):
@@ -254,14 +261,14 @@ class TestZeroBagDensityPoints:
     active = fb > 0
 
     def test_kl_averages_over_points_with_bag_density(self):
-        score = dv.reduce_kl(self.fb, self.fp, DivergenceSpec(), None)
+        score = one_row(dv.reduce_kl, self.fb, self.fp, spec=DivergenceSpec(), dx=None)
         a = self.active
         assert score.value == pytest.approx(np.log(self.fb[a] / self.fp[a]).mean(), rel=1e-12)
         assert score.value > 0.5
         assert score.ess == 3.0 and score.clipped_fraction == 0.0
 
     def test_ckl_averages_over_points_with_bag_density(self):
-        score = dv.reduce_ckl(self.fb, self.fp, self.fn, DivergenceSpec(), None)
+        score = one_row(dv.reduce_ckl, self.fb, self.fp, self.fn, spec=DivergenceSpec(), dx=None)
         a = self.active
         w = self.fn[a] / self.fp[a]
         assert score.value == pytest.approx((w * np.log(self.fb[a] / self.fp[a])).mean(), rel=1e-12)
@@ -272,8 +279,10 @@ class TestZeroBagDensityPoints:
         fb = np.array([0.4, 0.1, 0.2, 0.5])
         logratio = np.log(fb) - np.log(self.fp)
         w = self.fn / self.fp
-        assert dv.reduce_kl(fb, self.fp, spec, None).value == max(float(logratio.mean()), 0.0)
-        assert dv.reduce_ckl(fb, self.fp, self.fn, spec, None).value == float((w * logratio).mean())
+        kl_value = one_row(dv.reduce_kl, fb, self.fp, spec=spec, dx=None).value
+        assert kl_value == max(float(logratio.mean()), 0.0)
+        ckl_value = one_row(dv.reduce_ckl, fb, self.fp, self.fn, spec=spec, dx=None).value
+        assert ckl_value == float((w * logratio).mean())
 
 
 class TestRdRatio:
@@ -316,14 +325,16 @@ class TestSortedEvaluationIsInvisible:
         seed = 21
         x, dx = dv.evaluation_points(f_bag, (f_pos,), spec, seed)
         fb, fp = f_bag.pdf(x), f_pos.pdf(x)
-        assert kl(f_bag, f_pos, spec, seed) == dv.reduce_kl(fb, fp, spec, dx)
-        assert bhattacharyya(f_bag, f_pos, spec, seed) == dv.reduce_bh(fb, fp, spec, dx)
+        assert kl(f_bag, f_pos, spec, seed) == one_row(dv.reduce_kl, fb, fp, spec=spec, dx=dx)
+        bh = one_row(dv.reduce_bh, fb, fp, spec=spec, dx=dx)
+        assert bhattacharyya(f_bag, f_pos, spec, seed) == bh
         x, dx = dv.evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
         fb, fp, fn = f_bag.pdf(x), f_pos.pdf(x), f_neg.pdf(x)
-        assert ckl(f_bag, f_pos, f_neg, spec, seed) == dv.reduce_ckl(fb, fp, fn, spec, dx)
+        want = one_row(dv.reduce_ckl, fb, fp, fn, spec=spec, dx=dx)
+        assert ckl(f_bag, f_pos, f_neg, spec, seed) == want
         for reduce in (dv.reduce_kl, dv.reduce_bh):
-            expected = dv.rd_value(reduce(fb, fp, spec, dx).value, reduce(fb, fn, spec, dx).value)
-            assert rd(f_bag, f_pos, f_neg, reduce, spec, seed) == expected
+            num, den = (one_row(reduce, fb, fr, spec=spec, dx=dx).value for fr in (fp, fn))
+            assert rd(f_bag, f_pos, f_neg, reduce, spec, seed) == dv.rd_value(num, den)
 
     @pytest.mark.parametrize("kind", ["EPANECHNIKOV", "GAUSSIAN", "GMM"])
     def test_densities_at_keeps_draw_order(self, kind):
