@@ -322,8 +322,9 @@ def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool)
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     means = np.empty(k)
     means[0] = x[rng.integers(x.size)]
+    d2 = np.full(x.size, np.inf)  # each sample's squared distance to its nearest mean
     for j in range(1, k):
-        d2 = np.min((x[:, None] - means[None, :j]) ** 2, axis=1)
+        np.minimum(d2, (x - means[j - 1]) ** 2, out=d2)
         total = d2.sum()
         if total <= 0:
             means[j] = x[rng.integers(x.size)]
@@ -608,11 +609,10 @@ def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
     return model, report
 
 
-def _fit_gmms(samples, ks, seeds, tol: float, accelerate: bool) -> list:
-    """``fit_gmm`` of every (sample, k, seed) job, all restarts in one ``_em`` call.
-
-    A job that cannot be fitted gets its ``ValueError`` in its place.
-    """
+def _best_runs(samples, ks, seeds, tol: float, accelerate: bool) -> list:
+    """The best restart of every (sample, k, seed) job by final log-likelihood,
+    every restart in one ``_em`` call. A job whose sample cannot be fitted
+    gets its ``ValueError`` in its place."""
     results: list = [None] * len(samples)
     runs, owners = [], []
     for i, (sample, k, seed) in enumerate(zip(samples, ks, seeds, strict=True)):
@@ -630,25 +630,43 @@ def _fit_gmms(samples, ks, seeds, tol: float, accelerate: bool) -> list:
         for fit in fits[start : start + _EM_RESTARTS]:
             if best is None or fit[3][-1] > best[3][-1]:
                 best = fit
-        i = owners[start]
-        try:
-            results[i] = _gmm_result(ks[i], best)
-        except ValueError as exc:
-            results[i] = exc
+        results[owners[start]] = best
     return results
+
+
+def _result_or_error(k: int, best):
+    """``_gmm_result`` of a job's best run, or the ``ValueError`` of the job or the result."""
+    if isinstance(best, ValueError):
+        return best
+    try:
+        return _gmm_result(k, best)
+    except ValueError as exc:
+        return exc
+
+
+def _fit_gmms(samples, ks, seeds, tol: float, accelerate: bool) -> list:
+    """``fit_gmm`` of every (sample, k, seed) job, all restarts in one ``_em`` call.
+
+    A job that cannot be fitted gets its ``ValueError`` in its place.
+    """
+    best = _best_runs(samples, ks, seeds, tol, accelerate)
+    return [_result_or_error(k, fit) for k, fit in zip(ks, best)]
 
 
 def _select_gmms(samples, k_max: int, seeds) -> list:
     """``select_gmm`` of every sample, one seed each: every selection fit in one
-    ``_fit_gmms`` call, then every refit in another.
+    ``_em`` call, then every refit in another.
 
-    A sample that cannot be fitted gets its ``ValueError`` in its place.
+    A candidate size's AIC is read from its best run's log-likelihood; only
+    the sizes that could win are built into a model, in AIC order, and a
+    size whose model ``_gmm_result`` rejects is passed over. A sample that
+    cannot be fitted gets its ``ValueError`` in its place.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     children = [as_seed_sequence(seed).spawn(k_max) for seed in seeds]
     sizes = range(1, k_max + 1)
-    selection = _fit_gmms(
+    selection = _best_runs(
         [sample for sample in samples for _ in sizes],
         [k for _ in samples for k in sizes],
         [child for row in children for child in row],
@@ -658,15 +676,18 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
     results: list = [None] * len(samples)
     winners = []
     for i, row in enumerate(children):
-        best_k: int | None = None
-        best_aic = np.inf
-        last_error: Exception | None = None
-        for k, fit in zip(sizes, selection[i * k_max : (i + 1) * k_max]):
-            if isinstance(fit, ValueError):
-                last_error = fit
-            elif fit[1].aic < best_aic:
-                best_k, best_aic = k, fit[1].aic
+        fits = dict(zip(sizes, selection[i * k_max : (i + 1) * k_max]))
+        aics = {
+            k: 2.0 * (3 * k - 1) - 2.0 * float(fit[3][-1])
+            for k, fit in fits.items() if not isinstance(fit, ValueError)
+        }
+        # the least AIC wins, ties to the smaller size; NaN and +inf never win
+        ranked = sorted((aic, k) for k, aic in aics.items() if aic < np.inf)
+        valid = (k for _, k in ranked if not isinstance(_result_or_error(k, fits[k]), ValueError))
+        best_k = next(valid, None)
         if best_k is None:
+            errors = [_result_or_error(k, fit) for k, fit in fits.items()]
+            last_error = next((e for e in reversed(errors) if isinstance(e, ValueError)), None)
             results[i] = ValueError(f"no GMM size in 1..{k_max} could be fitted: {last_error}")
             continue
         # The refit draws the next _EM_RESTARTS children of the winning size's

@@ -625,3 +625,63 @@ class TestStackedKdeFits:
             "samples must be non-empty and finite",
             "bandwidth must be positive",
         ]
+
+
+def kmeanspp_oracle(x, k, rng):
+    """k-means++ starts with every step's (n, j) distance array rebuilt."""
+    means = np.empty(k)
+    means[0] = x[rng.integers(x.size)]
+    for j in range(1, k):
+        d2 = np.min((x[:, None] - means[None, :j]) ** 2, axis=1)
+        total = d2.sum()
+        if total <= 0:
+            means[j] = x[rng.integers(x.size)]
+        else:
+            means[j] = x[rng.choice(x.size, p=d2 / total)]
+    return means
+
+
+class TestKmeansppRunningMinimum:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_same_draws_as_rebuilt_distances(self, k):
+        samples = em_samples(43, (15, 60, 333))
+        samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))  # later steps see total 0
+        for x in samples:
+            for seed in range(6):
+                got = density._kmeanspp_means(x, k, np.random.default_rng(seed))
+                want = kmeanspp_oracle(x, k, np.random.default_rng(seed))
+                assert np.array_equal(got, want)
+
+
+class TestSelectionReadsTheAic:
+    """select_gmm compares candidate sizes by the AIC of their best runs' log-likelihoods
+    and builds a model only for a size that could win."""
+
+    def sample(self):
+        rng = np.random.default_rng(44)
+        return np.concatenate([rng.standard_normal(60) - 4.0, rng.standard_normal(60) + 4.0])
+
+    def test_builds_the_winner_and_its_refit_only(self, monkeypatch):
+        built = []
+        result = density._gmm_result
+        monkeypatch.setattr(density, "_gmm_result", lambda k, fit: built.append(k) or result(k, fit))
+        _, report = select_gmm(self.sample(), 4, seed=5)
+        assert report.component_count == 2 and built == [2, 2]
+
+    def test_rejected_size_is_passed_over(self, monkeypatch):
+        x = self.sample()
+        result = density._gmm_result
+
+        def reject_two(k, fit):
+            if k == 2:
+                raise ValueError("rejected")
+            return result(k, fit)
+
+        monkeypatch.setattr(density, "_gmm_result", reject_two)
+        _, report = select_gmm(x, 3, seed=5)
+        children = as_seed_sequence(5).spawn(3)
+        aics = {k: oracle_fit(x, k, children[k - 1], tol=3e-4, em=_em_once)[1].aic for k in (1, 3)}
+        assert report.component_count == min(aics, key=aics.get)
+        monkeypatch.setattr(density, "_gmm_result", lambda k, fit: reject_two(2, fit))
+        with pytest.raises(ValueError, match=r"no GMM size in 1..3 could be fitted: rejected"):
+            select_gmm(x, 3, seed=5)
