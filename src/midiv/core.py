@@ -14,6 +14,7 @@ Rows of one bag need not be contiguous but must agree on the label.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -182,7 +183,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 values = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from None
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise DatasetError(f"{path}:{lineno}: non-finite feature value")
             if bag_id not in rows_by_bag:
                 rows_by_bag[bag_id] = []
