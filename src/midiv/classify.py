@@ -294,9 +294,10 @@ class ClassModel:
 # --------------------------------------------------------------------------
 # the score phase
 
-# Evaluation points per block of the score phase: a block's bags are the
-# rows of (rows, points) arrays, at least one bag. The bound keeps a block's
-# arrays small, whatever the number of bags.
+# Evaluation points per block of the score phase, whose bags are the rows of
+# (rows, points) arrays (one bag at least). An Epanechnikov pdf call holds
+# about ten arrays of a block's size at once; at this bound a run's peak
+# memory stays where one-bag scoring had it.
 _SCORE_BLOCK = 1 << 13
 
 _REDUCERS = {
