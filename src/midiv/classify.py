@@ -12,9 +12,10 @@ the trapezoidal ROC area.
 
 Bags are fitted in one fit phase (``_fit_bags``) and scored in one score
 phase (``_score_bags``). The score phase takes blocks of bags as the rows
-of (rows, points) arrays, so each reference density is evaluated and each
-divergence reduced once per block rather than once per bag; a bag's scores
-are the same bits whatever block it lands in.
+of (rows, points) arrays, so the bags' draws and own densities are worked
+out, each reference density is evaluated and each divergence reduced once
+per block rather than once per bag; a bag's scores are the same bits
+whatever block it lands in.
 """
 
 from __future__ import annotations
@@ -296,8 +297,8 @@ class ClassModel:
 
 # Evaluation points per block of the score phase, whose bags are the rows of
 # (rows, points) arrays (one bag at least). An Epanechnikov pdf call holds
-# about ten arrays of a block's size at once; at this bound a run's peak
-# memory stays where one-bag scoring had it.
+# five arrays of a block's size at once; at this bound a run's peak memory
+# stays where one-bag scoring had it.
 _SCORE_BLOCK = 1 << 13
 
 _REDUCERS = {
@@ -328,9 +329,11 @@ def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
     """Scores of a block of bags under every requested method, one row per bag.
 
     Per dimension, each bag keeps its own point set (seed stream ``"dim"``)
-    over its density and every reference density, and its own density's
-    ``pdf``. The points are the rows of one array: each reference density is
-    evaluated once on all of them and each measure reduced once, row by row.
+    over its density and every reference density. The points are the rows of
+    one array: the bags' importance draws are made together, with only the
+    generator calls per bag (``density._draws``), the bags' own densities are
+    evaluated together (``density._pdf_rows``), each reference density is
+    evaluated once on all rows and each measure reduced once, row by row.
     Divergences are summed over dimensions before the rd ratio and the b2b
     minima are taken. With ``per_dim`` each method maps to its per-dimension
     values instead: the svm-divs features, drawn from the seed stream
@@ -347,12 +350,8 @@ def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
         class_refs = (f_pos[d], f_neg[d])
         train_refs = tuple(models[d] for _, models in train_bags)
         bag_models = [models[d] for models in fits]
-        x, widths = np.empty((len(fits), spec.points)), []
-        for r, (bag, seed) in enumerate(zip(bag_models, seeds, strict=True)):
-            child = derive_seed(seed, "feat" if per_dim else "dim", d)
-            x[r], width = dv.evaluation_points(bag, class_refs + train_refs, spec, child)
-            widths.append(width)
-        dx = None if widths[0] is None else np.array(widths)
+        children = [derive_seed(seed, "feat" if per_dim else "dim", d) for seed in seeds]
+        x, dx = dv.evaluation_rows(bag_models, class_refs + train_refs, spec, children)
         refs_at = (class_refs if need_class else ()) + train_refs
         values = dv.iter_densities(x, (bag_models, *refs_at))
         fb = next(values)

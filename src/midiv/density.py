@@ -11,6 +11,12 @@ on the order or the number of the other points: the divergence estimators
 sort each point set once and evaluate every density on it, which keeps the
 Epanechnikov lookups in order.
 
+Many small bags are handled as rows. ``_fit_kdes`` builds the Epanechnikov
+tables of all samples of one length at once, ``_draws`` samples many KDEs
+(one point set per row) and ``_pdf_rows`` evaluates many bag densities, each
+at its own row of points. ``DensityModel.sample`` and ``.pdf`` are the
+one-row case, and a row's values do not depend on the other rows.
+
 Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
 every candidate size of every sample passed to one call is a row of a few
 stacked loops, one per sample length and size, so the Python overhead of a
@@ -26,7 +32,7 @@ the selection from rewarding spurious maximizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -121,6 +127,20 @@ def _bandwidths(x: np.ndarray, kind: str, robust: bool) -> list:
     return [ValueError(message) if s <= 0 else b for s, b in zip(sigma.tolist(), h.tolist())]
 
 
+def _epan_tables(x: np.ndarray) -> list:
+    """The Epanechnikov lookup tables of every row of the (rows, n) centers
+    ``x``, one ``(shift, sorted, cum1, cum2)`` per row: the row's mean, its
+    centers less the mean in sorted order, and the prefix sums of those and
+    of their squares, each led by a 0."""
+    rows, n = x.shape
+    shift = x.mean(axis=1)
+    srt = np.sort(x - shift[:, None], axis=1)
+    cum1, cum2 = np.zeros((rows, n + 1)), np.zeros((rows, n + 1))
+    np.cumsum(srt, axis=1, out=cum1[:, 1:])
+    np.cumsum(srt**2, axis=1, out=cum2[:, 1:])
+    return list(zip(shift.tolist(), srt, cum1, cum2))
+
+
 @dataclass(frozen=True)
 class DensityModel:
     """An evaluable, sampleable univariate density (KDE or GMM).
@@ -128,7 +148,9 @@ class DensityModel:
     ``support_hint`` is the interval outside which the density is treated
     as ~0 for quadrature. KDE models carry kernel ``centers`` and a
     ``bandwidth``; GMM models carry ``components`` rows (weight, mean,
-    variance).
+    variance). An Epanechnikov KDE also carries the lookup tables of its
+    evaluator, built from its centers unless ``_tables`` gives them (one row
+    of ``_epan_tables``).
     """
 
     kind: str
@@ -141,28 +163,27 @@ class DensityModel:
     _cum1: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _cum2: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _shift: float = field(init=False, repr=False, compare=False, default=0.0)
+    _tables: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _tables):
         lo, hi = float(self.support_hint[0]), float(self.support_hint[1])
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid support_hint {self.support_hint}")
         object.__setattr__(self, "support_hint", (lo, hi))
         if self.kind in (KDE_EPANECHNIKOV, KDE_GAUSSIAN):
             if self.bandwidth is None or not self.bandwidth > 0:
                 raise ValueError("KDE bandwidth must be positive")
             centers = np.asarray(self.centers, dtype=float).ravel()
-            if centers.size < 1 or not np.all(np.isfinite(centers)):
+            if centers.size < 1 or not np.isfinite(centers).all():
                 raise ValueError("KDE centers must be a non-empty finite array")
             centers = centers.copy()
             centers.setflags(write=False)
             object.__setattr__(self, "centers", centers)
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
-            shift = float(centers.mean())
-            srt = np.sort(centers - shift)
-            object.__setattr__(self, "_shift", shift)
-            object.__setattr__(self, "_sorted", srt)
-            object.__setattr__(self, "_cum1", np.concatenate(([0.0], np.cumsum(srt))))
-            object.__setattr__(self, "_cum2", np.concatenate(([0.0], np.cumsum(srt**2))))
+            if self.kind == KDE_EPANECHNIKOV:
+                tables = _tables or _epan_tables(centers[None, :])[0]
+                for name, value in zip(("_shift", "_sorted", "_cum1", "_cum2"), tables):
+                    object.__setattr__(self, name, value)
         elif self.kind == GMM:
             comp = np.atleast_2d(np.asarray(self.components, dtype=float))
             if comp.shape[1] != 3:
@@ -185,27 +206,13 @@ class DensityModel:
         scalar = x.ndim == 0
         xf = np.atleast_1d(x).ravel()
         if self.kind == KDE_EPANECHNIKOV:
-            out = self._epan_pdf(xf)
+            out = _epan_pdf([self], xf[None, :])
         elif self.kind == KDE_GAUSSIAN:
             out = self._gauss_pdf(xf)
         else:
             out = self._gmm_pdf(xf)
         out = out.reshape(np.atleast_1d(x).shape)
         return float(out[0]) if scalar else out
-
-    def _epan_pdf(self, x: np.ndarray) -> np.ndarray:
-        h = self.bandwidth
-        n = self._sorted.size
-        z = x - self._shift
-        lo = np.searchsorted(self._sorted, z - h, side="left")
-        hi = np.searchsorted(self._sorted, z + h, side="right")
-        m = (hi - lo).astype(float)
-        s1 = self._cum1[hi] - self._cum1[lo]
-        s2 = self._cum2[hi] - self._cum2[lo]
-        # sum over in-window centers of (z - c)^2, expanded with prefix sums
-        quad = m * z * z - 2.0 * z * s1 + s2
-        f = 0.75 / (n * h) * (m - quad / (h * h))
-        return np.maximum(f, 0.0)
 
     def _gauss_pdf(self, x: np.ndarray) -> np.ndarray:
         h = self.bandwidth
@@ -241,18 +248,139 @@ class DensityModel:
     def sample(self, n: int, seed) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
+        if self.kind != GMM:
+            return _draws([self], n, [seed])[0]
         rng = np.random.default_rng(seed)
-        if self.kind == GMM:
-            w = self.components[:, 0]
-            comp = rng.choice(w.size, size=n, p=w / w.sum())
-            mu = self.components[comp, 1]
-            sd = np.sqrt(self.components[comp, 2])
-            return mu + sd * rng.standard_normal(n)
-        idx = rng.integers(0, self.centers.size, size=n)
-        base = self.centers[idx]
-        if self.kind == KDE_GAUSSIAN:
-            return base + self.bandwidth * rng.standard_normal(n)
-        return base + self.bandwidth * _epanechnikov_ppf(rng.random(n))
+        w = self.components[:, 0]
+        comp = rng.choice(w.size, size=n, p=w / w.sum())
+        mu = self.components[comp, 1]
+        sd = np.sqrt(self.components[comp, 2])
+        return mu + sd * rng.standard_normal(n)
+
+
+def _end_to_end(arrays, *indices) -> np.ndarray:
+    """``arrays`` laid end to end as one flat array. Each (rows, points)
+    array of ``indices``, whose row r indexes ``arrays[r]``, is shifted in
+    place to index the flat array."""
+    if len(arrays) == 1:
+        return arrays[0]
+    start = np.cumsum([0] + [a.size for a in arrays[:-1]])[:, None]
+    for index in indices:
+        index += start
+    return np.concatenate(arrays)
+
+
+def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
+    """Row r of the (rows, points) array ``x`` evaluated by the Epanechnikov
+    KDE ``models[r]``; the rows' center counts may differ.
+
+    Each point's window of centers within one bandwidth is searched in its
+    row's sorted centers, and the kernel sum over the window is expanded
+    with the prefix sums. The window search runs row by row; the arithmetic
+    runs once on every row, with each row's shift, bandwidth and center
+    count, in the order of the one-row formula, so a value is the same bits
+    whatever else is evaluated with it. It runs in place, and the call holds
+    at most five arrays of the size of ``x`` at once.
+    """
+    if len(models) == 1:
+        shift, h, n = models[0]._shift, models[0].bandwidth, models[0]._sorted.size
+    else:
+        params = np.array([(m._shift, m.bandwidth, m._sorted.size) for m in models])
+        shift, h, n = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+    z = np.subtract(x, shift)
+    t = np.subtract(z, h)
+    lo = np.empty(x.shape, dtype=np.intp)
+    for r, m in enumerate(models):
+        lo[r] = m._sorted.searchsorted(t[r], side="left")
+    np.add(z, h, out=t)
+    hi = np.empty_like(lo)
+    for r, m in enumerate(models):
+        hi[r] = m._sorted.searchsorted(t[r], side="right")
+    del z  # made again below: one array fewer while the window sums are gathered
+    count = np.subtract(hi, lo, out=t)  # the window sizes, as floats
+    cum1 = _end_to_end([m._cum1 for m in models], lo, hi)
+    cum2 = _end_to_end([m._cum2 for m in models])  # laid out as cum1
+    s1 = cum1[hi]
+    s1 -= cum1[lo]
+    s2 = cum2[hi]
+    del hi
+    s2 -= cum2[lo]
+    del lo
+    z = np.subtract(x, shift)
+    # the sum over in-window centers c of (z - c)^2: m z z - 2 z s1 + s2
+    quad = np.multiply(count, z)
+    quad *= z
+    z *= 2.0
+    s1 *= z
+    quad -= s1
+    quad += s2
+    del z, s1, s2
+    # 0.75 / (n h) * (m - quad / (h h))
+    quad /= h * h
+    np.subtract(count, quad, out=quad)
+    quad *= 0.75 / (n * h)
+    return np.maximum(quad, 0.0, out=quad)
+
+
+def _rows_of(models, kinds) -> list[int]:
+    """The rows whose model is a ``DensityModel`` of one of ``kinds``."""
+    return [r for r, m in enumerate(models) if isinstance(m, DensityModel) and m.kind in kinds]
+
+
+def _pdf_rows(models, x: np.ndarray) -> np.ndarray:
+    """Row r of the (rows, points) array ``x`` evaluated by ``models[r]``.
+
+    The Epanechnikov KDE rows go through one ``_epan_pdf`` call; every other
+    row (a GMM, a Gaussian KDE, or any object with a ``pdf``) calls its own
+    ``pdf``.
+    """
+    epan = _rows_of(models, (KDE_EPANECHNIKOV,))
+    if len(epan) == len(models):
+        return _epan_pdf(models, x)
+    out = np.empty(x.shape)
+    for r in set(range(len(models))).difference(epan):
+        out[r] = models[r].pdf(x[r])
+    if epan:
+        out[epan] = _epan_pdf([models[r] for r in epan], x[epan])
+    return out
+
+
+def _draws(models, n: int, seeds) -> np.ndarray:
+    """(rows, n): row r is ``models[r].sample(n, seeds[r])``.
+
+    A KDE row's generator calls run one row at a time, in ``sample``'s
+    order: its generator from the seed, the center indices, then the kernel
+    draws (uniform for the Epanechnikov inverse CDF, standard normal for the
+    Gaussian). The centers are then gathered and the kernel draws
+    transformed and scaled once for every KDE row. Every other row (a GMM,
+    or any object with a ``sample``) calls its own ``sample``.
+    """
+    kde = _rows_of(models, (KDE_EPANECHNIKOV, KDE_GAUSSIAN))
+    if len(kde) < len(models):
+        out = np.empty((len(models), n))
+        for r in set(range(len(models))).difference(kde):
+            out[r] = models[r].sample(n, seeds[r])
+        if kde:
+            out[kde] = _draws([models[r] for r in kde], n, [seeds[r] for r in kde])
+        return out
+    index = np.empty((len(models), n), dtype=np.int64)
+    u = np.empty((len(models), n))
+    for r, (m, seed) in enumerate(zip(models, seeds, strict=True)):
+        rng = np.random.default_rng(seed)
+        index[r] = rng.integers(0, m.centers.size, size=n)
+        if m.kind == KDE_GAUSSIAN:
+            rng.standard_normal(out=u[r])
+        else:
+            rng.random(out=u[r])
+    epan = [m.kind == KDE_EPANECHNIKOV for m in models]
+    if all(epan):
+        u = _epanechnikov_ppf(u)
+    elif any(epan):
+        u[epan] = _epanechnikov_ppf(u[epan])
+    centers = _end_to_end([m.centers for m in models], index)
+    # center + bandwidth * kernel draw
+    u *= np.array([m.bandwidth for m in models])[:, None]
+    return np.add(centers[index], u, out=u)
 
 
 @dataclass(frozen=True)
@@ -285,8 +413,9 @@ def fit_kde(
 
 def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool) -> list:
     """``fit_kde`` of every sample: the samples of one length are the rows
-    of one array for the bandwidth rule and the support. A sample that
-    cannot be fitted gets its ``ValueError`` in its place."""
+    of one array for the bandwidth rule, the support and the Epanechnikov
+    tables. A sample that cannot be fitted gets its ``ValueError`` in its
+    place."""
     if kernel not in ("EPANECHNIKOV", "GAUSSIAN"):
         raise ValueError(f"kernel must be 'EPANECHNIKOV' or 'GAUSSIAN', got {kernel!r}")
     kind = f"KDE_{kernel}"
@@ -309,13 +438,14 @@ def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool)
             h = float(bandwidth)
             hs = [h if h > 0 else ValueError("bandwidth must be positive") for _ in members]
         lo, hi = x.min(axis=1).tolist(), x.max(axis=1).tolist()
+        tables = _epan_tables(x) if kind == KDE_EPANECHNIKOV else [None] * len(members)
         for r, (i, h) in enumerate(zip(members, hs)):
             if isinstance(h, ValueError):
                 out[i] = h
                 continue
             pad = _SUPPORT_PAD[kind] * h
             out[i] = DensityModel(kind=kind, support_hint=(lo[r] - pad, hi[r] + pad), bandwidth=h,
-                                  centers=x[r])
+                                  centers=x[r], _tables=tables[r])
     return out
 
 

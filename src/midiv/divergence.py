@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityModel
+from .density import DensityModel, _draws, _pdf_rows
 
 __all__ = [
     "DivergenceSpec",
@@ -41,6 +41,7 @@ __all__ = [
     "bhattacharyya",
     "ckl",
     "evaluation_points",
+    "evaluation_rows",
     "densities_at",
     "iter_densities",
     "reduce_kl",
@@ -158,11 +159,24 @@ def evaluation_points(
 
     Importance sampling draws ``spec.n_imp`` points from ``f_bag`` (width
     None); the Riemann grid spans the support hints of ``f_bag`` and every
-    density in ``refs`` and ignores ``seed``.
+    density in ``refs`` and ignores ``seed``. The one-row case of
+    ``evaluation_rows``.
+    """
+    x, dx = evaluation_rows([f_bag], refs, spec, [seed])
+    return x[0], None if dx is None else float(dx[0])
+
+
+def evaluation_rows(f_bags, refs: tuple[DensityModel, ...], spec: DivergenceSpec, seeds):
+    """``evaluation_points`` of every bag density in ``f_bags``, one seed each:
+    the points as the rows of one (rows, points) array, and the cell widths
+    (None, or one per row). The importance draws of the rows are made
+    together (see ``density._draws``); a row's points are those it gets
+    alone.
     """
     if spec.integrator == "IMPORTANCE":
-        return f_bag.sample(spec.n_imp, seed), None
-    return _riemann_grid((f_bag, *refs), spec)
+        return _draws(f_bags, spec.n_imp, seeds), None
+    grids = [_riemann_grid((f_bag, *refs), spec) for f_bag in f_bags]
+    return np.array([x for x, _ in grids]), np.array([dx for _, dx in grids])
 
 
 def densities_at(x: np.ndarray, models) -> tuple[np.ndarray, ...]:
@@ -183,17 +197,13 @@ def iter_densities(x: np.ndarray, models):
     Each row is sorted once, and every model is evaluated on the sorted
     points (the Epanechnikov lookups then walk their tables in order). Every
     evaluation is elementwise, so scattering the values back into draw order
-    gives the same bits as evaluating ``x`` directly.
+    gives the same bits as evaluating ``x`` directly. A sequence of one
+    density per row is evaluated by ``density._pdf_rows``.
     """
     order = np.argsort(x, axis=-1)
     xs = np.take_along_axis(x, order, axis=-1)
     for model in models:
-        if isinstance(model, DensityModel):
-            fs = model.pdf(xs)
-        else:
-            fs = np.empty(xs.shape)
-            for r, row_model in enumerate(model):
-                fs[r] = row_model.pdf(xs[r])
+        fs = model.pdf(xs) if isinstance(model, DensityModel) else _pdf_rows(model, xs)
         f = np.empty(x.shape)
         np.put_along_axis(f, order, fs, axis=-1)
         yield f
@@ -309,9 +319,8 @@ def rd_value(num, den):
 
 def _one_row(reduce, f_bag: DensityModel, refs, spec: DivergenceSpec, seed) -> DivergenceScore:
     """A public measure: ``reduce`` on one point set under ``f_bag``."""
-    x, dx = evaluation_points(f_bag, refs, spec, seed)
-    values = densities_at(x[None, :], (f_bag, *refs))
-    return reduce(*values, spec, None if dx is None else np.array([dx])).row(0)
+    x, dx = evaluation_rows([f_bag], refs, spec, [seed])
+    return reduce(*densities_at(x, (f_bag, *refs)), spec, dx).row(0)
 
 
 def kl(f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed) -> DivergenceScore:

@@ -1,5 +1,6 @@
 import concurrent.futures
 from functools import lru_cache, partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from midiv.classify import (
     train_linear_svm,
 )
 from midiv import classify
-from midiv.classify import CLASS_METHODS, _stratified_folds
+from midiv.classify import CLASS_METHODS, EvalReport, _stratified_folds
 from midiv.core import Bag, Dataset, Label
 from midiv import divergence as dv
 from midiv.divergence import DivergenceSpec, ckl
@@ -125,6 +126,20 @@ class TestRoc:
             pts = roc_points(scores, labels)
             area = sum((x1 - x0) * (y1 + y0) / 2 for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
             assert area == pytest.approx(auc(scores, labels), abs=1e-12)
+
+    def test_report_of_a_million_tied_scores(self):
+        # EvalReport checks the rank AUC against the trapezoidal ROC area to
+        # 1e-12. On random scores their difference grows with the bag count:
+        # at most 8.7e-15 at 1e5 scores and 2.8e-14 at 3e6 (three draws each).
+        rng = np.random.default_rng(53)
+        scores = np.round(rng.standard_normal(1_000_000), 2)
+        labels = (rng.random(scores.size) < 0.37).astype(int)
+        report = EvalReport(
+            scores=tuple(scores.tolist()), labels=tuple(labels.tolist()), predictions=(),
+            auc=auc(scores, labels), accuracy=0.0, roc=roc_points(scores, labels), folds={},
+            seed=53,
+        )
+        assert 0.49 < report.auc < 0.51 and len(report.roc) < 2000
 
     def test_counts_match_per_score_brute_force(self):
         rng = np.random.default_rng(4)
@@ -591,6 +606,33 @@ class TestStackedScorePhase:
         one_bag = scores(1)
         assert scores(DEFAULT_SCORE_BLOCK) == one_bag
         assert scores(3 * spec.points) == one_bag
+
+    @given(
+        lengths=st.lists(st.integers(2, 60), min_size=2, max_size=8),
+        kind=st.sampled_from(["kde-epan", "kde-gauss"]),
+        bandwidth=st.sampled_from([None, 0.3, 2.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_mixed_bag_lengths_equal_one_bag_blocks(self, lengths, kind, bandwidth, seed):
+        spec = DivergenceSpec(n_imp=100)
+        est = EstimatorConfig(kind, bandwidth)
+        rng = np.random.default_rng(seed)
+        train = mixed_dataset(rng, 3, 3, d=1)
+        probes = [make_bag(rng.standard_normal((n, 1)) * rng.uniform(0.3, 3.0), POS, f"p{i}")
+                  for i, n in enumerate(lengths)]
+        refs = classify._fit_references(train, est, 1, b2b=True)
+        seeds = [derive_seed(seed, b.id) for b in probes]
+        fits = classify._fit_bags(probes, est, seeds)
+        methods = METHODS[:5]
+
+        def scores(block):
+            with mock.patch.object(classify, "_SCORE_BLOCK", block):
+                return classify._score_bags(fits, seeds, spec, refs, methods)
+
+        one_bag = scores(1)
+        assert scores(3 * spec.points) == one_bag
+        assert scores(DEFAULT_SCORE_BLOCK) == one_bag
 
     @pytest.mark.parametrize("method", METHODS)
     def test_fitted_pipeline_equal_with_one_bag_blocks(self, method, monkeypatch):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midiv import density
 from midiv.core import Label
@@ -306,6 +309,29 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             DensityModel(kind=KDE_EPANECHNIKOV, support_hint=(0, 1), centers=[0.5])
 
+    def test_gaussian_kde_carries_no_epanechnikov_tables(self):
+        x = np.random.default_rng(51).standard_normal(12)
+        for model in (fit_kde(x, "GAUSSIAN"), density._fit_kdes([x], "GAUSSIAN", None, True)[0]):
+            assert (model._sorted, model._cum1, model._cum2, model._shift) == (None, None, None, 0.0)
+        assert fit_kde(x, "EPANECHNIKOV")._sorted.size == x.size
+
+
+class TestEpanechnikovMemory:
+    def test_block_query_peak_within_six_query_sizes(self):
+        # A block of 16 importance samples of 2000 points against a class density.
+        rng = np.random.default_rng(50)
+        model = fit_kde(rng.standard_normal(1250), "EPANECHNIKOV")
+        x = rng.standard_normal((16, 2000)) * 1.5
+        want = epan_pdf_oracle(model, x.ravel()).reshape(x.shape)
+        tracemalloc.start()
+        try:
+            got = model.pdf(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(bits(got), bits(want))
+        assert peak <= 6 * x.nbytes, peak / x.nbytes
+
 
 # --------------------------------------------------------------------------
 # the stacked EM against the one-run loop it replaced
@@ -574,10 +600,113 @@ def scalar_bandwidth(x, kind, robust):
     return (1.06 if kind == KDE_GAUSSIAN else 2.345) * sigma * x.size ** (-0.2)
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def epan_tables_oracle(centers):
+    """An Epanechnikov KDE's lookup tables built for one model alone, as they
+    were before the stacked build: the oracle of ``_epan_tables``."""
+    shift = float(centers.mean())
+    srt = np.sort(centers - shift)
+    return shift, srt, np.concatenate(([0.0], np.cumsum(srt))), np.concatenate(([0.0], np.cumsum(srt**2)))
+
+
+def epan_pdf_oracle(model, x):
+    """The one-model Epanechnikov evaluator at the 1-D points ``x``, as it was
+    before the stacked one: the oracle of ``_epan_pdf``."""
+    shift, srt, cum1, cum2 = epan_tables_oracle(model.centers)
+    h, n = model.bandwidth, srt.size
+    z = x - shift
+    lo = np.searchsorted(srt, z - h, side="left")
+    hi = np.searchsorted(srt, z + h, side="right")
+    m = (hi - lo).astype(float)
+    s1 = cum1[hi] - cum1[lo]
+    s2 = cum2[hi] - cum2[lo]
+    quad = m * z * z - 2.0 * z * s1 + s2
+    return np.maximum(0.75 / (n * h) * (m - quad / (h * h)), 0.0)
+
+
+def kde_sample_oracle(model, n, seed):
+    """The one-model KDE sampler, as it was before the stacked one."""
+    rng = np.random.default_rng(seed)
+    base = model.centers[rng.integers(0, model.centers.size, size=n)]
+    if model.kind == KDE_GAUSSIAN:
+        return base + model.bandwidth * rng.standard_normal(n)
+    return base + model.bandwidth * density._epanechnikov_ppf(rng.random(n))
+
+
+class _Duck:
+    """A density that is not a ``DensityModel``: only ``sample`` and ``pdf``."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def sample(self, n, seed):
+        return self.model.sample(n, seed) * 0.5
+
+    def pdf(self, x):
+        return self.model.pdf(x * 2.0)
+
+
 class TestStackedKdeFits:
     """Samples of one length fitted as the rows of one array: the bandwidth
-    rule and the support are each sample's own, bit for bit, and a sample
-    that cannot be fitted gets fit_kde's error in its place."""
+    rule, the support and the Epanechnikov tables are each sample's own, bit
+    for bit, and a sample that cannot be fitted gets fit_kde's error in its
+    place. Blocks of fitted bags are drawn from and evaluated as rows with
+    each bag's own bits."""
+
+    @given(
+        lengths=st.lists(st.integers(2, 60), min_size=1, max_size=10),
+        kernel=st.sampled_from(["EPANECHNIKOV", "GAUSSIAN"]),
+        bandwidth=st.one_of(st.none(), st.floats(0.05, 4.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_one_model_bits(self, lengths, kernel, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        samples = [rng.standard_normal(n) * rng.uniform(0.1, 30.0) + rng.normal(0.0, 100.0)
+                   for n in lengths]
+        samples.append(samples[0] + 1.0)  # two samples of one length at least
+        fits = density._fit_kdes(samples, kernel, bandwidth, True)
+        for fit in fits:
+            alone = DensityModel(fit.kind, fit.support_hint, fit.bandwidth, fit.centers)
+            tables = [getattr(m, name) for m in (fit, alone)
+                      for name in ("_shift", "_sorted", "_cum1", "_cum2")]
+            if kernel == "GAUSSIAN":
+                assert tables == [0.0, None, None, None] * 2
+                continue
+            for got, one_row, oracle in zip(tables[:4], tables[4:], epan_tables_oracle(fit.centers)):
+                assert np.array_equal(bits(got), bits(one_row))
+                assert np.array_equal(bits(got), bits(oracle))
+        seeds = [as_seed_sequence(int(s)) for s in rng.integers(0, 2**63, len(fits))]
+        draws = density._draws(fits, 100, seeds)
+        for fit, s, row in zip(fits, seeds, draws):
+            assert np.array_equal(bits(row), bits(fit.sample(100, s)))
+            assert np.array_equal(bits(row), bits(kde_sample_oracle(fit, 100, s)))
+        # each bag at its own sorted draws, with points beyond its support
+        x = np.sort(draws, axis=1)
+        x[:, ::7] = rng.uniform(-1e3, 1e3, x[:, ::7].shape)
+        values = density._pdf_rows(fits, x)
+        for fit, row, got in zip(fits, x, values):
+            assert np.array_equal(bits(got), bits(fit.pdf(row)))
+            if kernel == "EPANECHNIKOV":
+                assert np.array_equal(bits(got), bits(epan_pdf_oracle(fit, row)))
+
+    def test_mixed_rows_and_a_duck_typed_model(self):
+        rng = np.random.default_rng(52)
+        epan = density._fit_kdes([rng.standard_normal(n) for n in (5, 31, 5)], "EPANECHNIKOV",
+                                 None, True)
+        gauss = fit_kde(rng.standard_normal(9), "GAUSSIAN")
+        gmm = fit_gmm(rng.standard_normal(40), 2, seed=1)[0]
+        models = [epan[0], _Duck(epan[1]), gauss, gmm, epan[1], epan[2]]
+        seeds = list(range(len(models)))
+        draws = density._draws(models, 64, seeds)
+        for model, s, row in zip(models, seeds, draws):
+            assert np.array_equal(bits(row), bits(model.sample(64, s)))
+        values = density._pdf_rows(models, draws)
+        for model, row, got in zip(models, draws, values):
+            assert np.array_equal(bits(got), bits(model.pdf(row)))
 
     @pytest.mark.parametrize("robust", [True, False])
     @pytest.mark.parametrize("kind", [KDE_EPANECHNIKOV, KDE_GAUSSIAN])
