@@ -167,24 +167,15 @@ def _threshold_policy(policy) -> str | float:
     return value
 
 
-def fit_density_1d(
-    samples: np.ndarray, estimator: EstimatorConfig, seed, pooled: bool = False
-) -> DensityModel:
-    """A GMM chosen by AIC, or a KDE whose rule-of-thumb bandwidth uses the
-    robust spread for a bag and the plain sd for a ``pooled`` class sample
-    (see ``silverman_bandwidth``)."""
-    fit = _fit_densities([samples], estimator, [seed], pooled)[0]
-    if isinstance(fit, ValueError):
-        raise fit
-    return fit
-
-
 def _fit_densities(samples, estimator: EstimatorConfig, seeds, pooled: bool = False) -> list:
-    """``fit_density_1d`` of every sample, one seed each, in one call: under
-    ``gmm-aic`` every EM of every sample runs in a few stacked loops (see
-    ``density._em``), and under KDE the samples of one length are fitted as
-    the rows of one array (see ``density._fit_kdes``). A sample that cannot
-    be fitted gets its ``ValueError`` in its place."""
+    """The density of every sample, one seed each, in one call: a GMM chosen
+    by AIC, or a KDE whose rule-of-thumb bandwidth uses the robust spread for
+    a bag and the plain sd for a ``pooled`` class sample (see
+    ``silverman_bandwidth``). Under ``gmm-aic`` every EM of every sample runs
+    in a few stacked loops (see ``density._em``), and under KDE the samples
+    of one length are fitted as the rows of one array (see
+    ``density._fit_kdes``). A sample that cannot be fitted gets its
+    ``ValueError`` in its place."""
     if estimator.kind == "gmm-aic":
         fits = _select_gmms(samples, estimator.k_max, seeds)
         return [fit if isinstance(fit, ValueError) else fit[0] for fit in fits]
@@ -353,7 +344,7 @@ def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
         children = [derive_seed(seed, "feat" if per_dim else "dim", d) for seed in seeds]
         x, dx = dv.evaluation_rows(bag_models, class_refs + train_refs, spec, children)
         refs_at = (class_refs if need_class else ()) + train_refs
-        values = dv.iter_densities(x, (bag_models, *refs_at))
+        values = dv.iter_densities(x, bag_models, refs_at)
         fb = next(values)
         if need_class:
             fp, fn = next(values), next(values)

@@ -12,10 +12,11 @@ sort each point set once and evaluate every density on it, which keeps the
 Epanechnikov lookups in order.
 
 Many small bags are handled as rows. ``_fit_kdes`` builds the Epanechnikov
-tables of all samples of one length at once, ``_draws`` samples many KDEs
-(one point set per row) and ``_pdf_rows`` evaluates many bag densities, each
-at its own row of points. ``DensityModel.sample`` and ``.pdf`` are the
-one-row case, and a row's values do not depend on the other rows.
+tables of all samples of one length at once, ``_draws`` samples a block of
+KDEs of one kind (one point set per row) and ``_pdf_rows`` evaluates a block
+of Epanechnikov bag densities, each at its own row of points; any other
+block goes row by row. ``DensityModel.sample`` and ``.pdf`` are the one-row
+case, and a row's values do not depend on the other rows.
 
 Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
 every candidate size of every sample passed to one call is a row of a few
@@ -322,61 +323,45 @@ def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
     return np.maximum(quad, 0.0, out=quad)
 
 
-def _rows_of(models, kinds) -> list[int]:
-    """The rows whose model is a ``DensityModel`` of one of ``kinds``."""
-    return [r for r, m in enumerate(models) if isinstance(m, DensityModel) and m.kind in kinds]
-
-
 def _pdf_rows(models, x: np.ndarray) -> np.ndarray:
     """Row r of the (rows, points) array ``x`` evaluated by ``models[r]``.
 
-    The Epanechnikov KDE rows go through one ``_epan_pdf`` call; every other
-    row (a GMM, a Gaussian KDE, or any object with a ``pdf``) calls its own
-    ``pdf``.
+    A block of Epanechnikov KDEs is one ``_epan_pdf`` call; in any other
+    block each row (a GMM, a Gaussian KDE, or any object with a ``pdf``)
+    calls its own ``pdf``.
     """
-    epan = _rows_of(models, (KDE_EPANECHNIKOV,))
-    if len(epan) == len(models):
+    kinds = {m.kind if isinstance(m, DensityModel) else None for m in models}
+    if kinds == {KDE_EPANECHNIKOV}:
         return _epan_pdf(models, x)
-    out = np.empty(x.shape)
-    for r in set(range(len(models))).difference(epan):
-        out[r] = models[r].pdf(x[r])
-    if epan:
-        out[epan] = _epan_pdf([models[r] for r in epan], x[epan])
-    return out
+    return np.array([m.pdf(row) for m, row in zip(models, x, strict=True)])
 
 
 def _draws(models, n: int, seeds) -> np.ndarray:
     """(rows, n): row r is ``models[r].sample(n, seeds[r])``.
 
-    A KDE row's generator calls run one row at a time, in ``sample``'s
-    order: its generator from the seed, the center indices, then the kernel
-    draws (uniform for the Epanechnikov inverse CDF, standard normal for the
-    Gaussian). The centers are then gathered and the kernel draws
-    transformed and scaled once for every KDE row. Every other row (a GMM,
-    or any object with a ``sample``) calls its own ``sample``.
+    In a block of KDEs of one kind the generator calls run one row at a
+    time, in ``sample``'s order: the row's generator from its seed, the
+    center indices, then the kernel draws (uniform for the Epanechnikov
+    inverse CDF, standard normal for the Gaussian). The centers are then
+    gathered and the kernel draws transformed and scaled once for the whole
+    block. In any other block each row (a GMM, a KDE among rows of another
+    kind, or any object with a ``sample``) calls its own ``sample``.
     """
-    kde = _rows_of(models, (KDE_EPANECHNIKOV, KDE_GAUSSIAN))
-    if len(kde) < len(models):
-        out = np.empty((len(models), n))
-        for r in set(range(len(models))).difference(kde):
-            out[r] = models[r].sample(n, seeds[r])
-        if kde:
-            out[kde] = _draws([models[r] for r in kde], n, [seeds[r] for r in kde])
-        return out
+    kinds = {m.kind if isinstance(m, DensityModel) else None for m in models}
+    if kinds not in ({KDE_EPANECHNIKOV}, {KDE_GAUSSIAN}):
+        return np.array([m.sample(n, seed) for m, seed in zip(models, seeds, strict=True)])
+    (kind,) = kinds
     index = np.empty((len(models), n), dtype=np.int64)
     u = np.empty((len(models), n))
     for r, (m, seed) in enumerate(zip(models, seeds, strict=True)):
         rng = np.random.default_rng(seed)
         index[r] = rng.integers(0, m.centers.size, size=n)
-        if m.kind == KDE_GAUSSIAN:
+        if kind == KDE_GAUSSIAN:
             rng.standard_normal(out=u[r])
         else:
             rng.random(out=u[r])
-    epan = [m.kind == KDE_EPANECHNIKOV for m in models]
-    if all(epan):
+    if kind == KDE_EPANECHNIKOV:
         u = _epanechnikov_ppf(u)
-    elif any(epan):
-        u[epan] = _epanechnikov_ppf(u[epan])
     centers = _end_to_end([m.centers for m in models], index)
     # center + bandwidth * kernel draw
     u *= np.array([m.bandwidth for m in models])[:, None]

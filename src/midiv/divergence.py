@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +41,7 @@ __all__ = [
     "kl",
     "bhattacharyya",
     "ckl",
-    "evaluation_points",
     "evaluation_rows",
-    "densities_at",
     "iter_densities",
     "reduce_kl",
     "reduce_bh",
@@ -117,13 +116,13 @@ class DivergenceScore:
 # set of evaluation points: an importance sample drawn from the bag density
 # itself (cell width ``dx`` None; the estimate is a mean), or a midpoint
 # Riemann grid over the bag and every reference density (width ``dx``).
-# ``evaluation_points`` makes the points, ``densities_at`` evaluates densities
-# there and the ``reduce_*`` functions turn those values into scores. The
-# core works on rows: a caller scoring many bags stacks one point set per bag
-# as the rows of (rows, points) arrays, so each reference density is
-# evaluated and each measure reduced once for all of them, and every measure
-# shares the points. The public ``kl``, ``bhattacharyya`` and ``ckl`` are the
-# one-row case.
+# The core works on rows: a caller scoring many bags stacks one point set per
+# bag as the rows of (rows, points) arrays. ``evaluation_rows`` makes the
+# points, ``iter_densities`` evaluates there each bag's own density on its row
+# and each reference density on every row, and the ``reduce_*`` functions turn
+# those values into scores. So each reference density is evaluated and each
+# measure reduced once for all the bags, and every measure shares the points.
+# The public ``kl``, ``bhattacharyya`` and ``ckl`` are the one-row case.
 # Each row is summed on its own, in draw order: importance estimates are
 # ``.mean()``s and Riemann products run left to right; summing weighted
 # terms, re-associating or zero-padding a row moves values in the last bits.
@@ -152,26 +151,14 @@ def _riemann_grid(models: tuple[DensityModel, ...], spec: DivergenceSpec):
     return x, dx
 
 
-def evaluation_points(
-    f_bag: DensityModel, refs: tuple[DensityModel, ...], spec: DivergenceSpec, seed
-) -> tuple[np.ndarray, float | None]:
-    """Points to integrate over under ``f_bag``, and the Riemann cell width.
-
-    Importance sampling draws ``spec.n_imp`` points from ``f_bag`` (width
-    None); the Riemann grid spans the support hints of ``f_bag`` and every
-    density in ``refs`` and ignores ``seed``. The one-row case of
-    ``evaluation_rows``.
-    """
-    x, dx = evaluation_rows([f_bag], refs, spec, [seed])
-    return x[0], None if dx is None else float(dx[0])
-
-
 def evaluation_rows(f_bags, refs: tuple[DensityModel, ...], spec: DivergenceSpec, seeds):
-    """``evaluation_points`` of every bag density in ``f_bags``, one seed each:
-    the points as the rows of one (rows, points) array, and the cell widths
-    (None, or one per row). The importance draws of the rows are made
-    together (see ``density._draws``); a row's points are those it gets
-    alone.
+    """Points to integrate over under each bag density in ``f_bags``, one
+    seed each, as the rows of one (rows, points) array, and the cell widths.
+
+    Importance sampling draws ``spec.n_imp`` points from each bag density
+    (widths None), every row at once (see ``density._draws``). A row's
+    Riemann grid spans its bag's and every ``refs`` support hint, and
+    ignores its seed.
     """
     if spec.integrator == "IMPORTANCE":
         return _draws(f_bags, spec.n_imp, seeds), None
@@ -179,33 +166,23 @@ def evaluation_rows(f_bags, refs: tuple[DensityModel, ...], spec: DivergenceSpec
     return np.array([x for x, _ in grids]), np.array([dx for _, dx in grids])
 
 
-def densities_at(x: np.ndarray, models) -> tuple[np.ndarray, ...]:
-    """Each model's density at the points ``x``, in the order of ``x``.
+def iter_densities(x: np.ndarray, f_bags, refs):
+    """The densities at the (rows, points) array ``x``, in the order of ``x``:
+    first the bag densities, ``f_bags[r]`` on row r (by ``density._pdf_rows``),
+    then each density of ``refs`` on every row, by its own ``pdf``. A
+    generator: a caller that reduces each density as it comes holds one at a
+    time.
 
-    ``x`` is one row of points or a (rows, points) array. An entry of
-    ``models`` is a density evaluated on every row, or a sequence of one
-    density per row. ``iter_densities`` yields the same values one model at
-    a time.
-    """
-    return tuple(iter_densities(x, models))
-
-
-def iter_densities(x: np.ndarray, models):
-    """``densities_at`` as a generator: a caller that reduces each density
-    as it comes holds one at a time.
-
-    Each row is sorted once, and every model is evaluated on the sorted
+    Each row is sorted once, and every density is evaluated on the sorted
     points (the Epanechnikov lookups then walk their tables in order). Every
     evaluation is elementwise, so scattering the values back into draw order
-    gives the same bits as evaluating ``x`` directly. A sequence of one
-    density per row is evaluated by ``density._pdf_rows``.
+    gives the same bits as evaluating ``x`` directly.
     """
     order = np.argsort(x, axis=-1)
     xs = np.take_along_axis(x, order, axis=-1)
-    for model in models:
-        fs = model.pdf(xs) if isinstance(model, DensityModel) else _pdf_rows(model, xs)
+    for pdf in (partial(_pdf_rows, f_bags), *(ref.pdf for ref in refs)):
         f = np.empty(x.shape)
-        np.put_along_axis(f, order, fs, axis=-1)
+        np.put_along_axis(f, order, pdf(xs), axis=-1)
         yield f
 
 
@@ -320,7 +297,7 @@ def rd_value(num, den):
 def _one_row(reduce, f_bag: DensityModel, refs, spec: DivergenceSpec, seed) -> DivergenceScore:
     """A public measure: ``reduce`` on one point set under ``f_bag``."""
     x, dx = evaluation_rows([f_bag], refs, spec, [seed])
-    return reduce(*densities_at(x, (f_bag, *refs)), spec, dx).row(0)
+    return reduce(*iter_densities(x, [f_bag], refs), spec, dx).row(0)
 
 
 def kl(f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed) -> DivergenceScore:
@@ -477,33 +454,35 @@ def check_property(property_id: str, scenario: PropertyScenario) -> CheckReport:
 # --------------------------------------------------------------------------
 # default scenarios (uniform-histogram constructions)
 
+# The limit sequence of every scenario, and the bins of its grid on [0, 1].
 _DEFAULT_EPS = tuple(10.0 ** (-2 - 3 * i) for i in range(10))
+_N_BINS = 100
 
 
 def _normalized(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return values / float((values * widths).sum())
 
 
-def p1_scenario(epsilons=_DEFAULT_EPS, n_bins: int = 100) -> PropertyScenario:
+def p1_scenario() -> PropertyScenario:
     """Bag-rich/reference-poor region vs its mirror, ratio driven to infinity.
 
     Region A holds bag mass 0.4 where the reference density is eps; region
     B is the mirror; the middle region keeps the two densities different so
     no measure trivially concentrates.
     """
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, _N_BINS + 1)
     widths = np.diff(edges)
-    a = slice(int(0.8 * n_bins), n_bins)
-    b = slice(0, int(0.2 * n_bins))
-    c1 = slice(int(0.2 * n_bins), int(0.5 * n_bins))
-    c2 = slice(int(0.5 * n_bins), int(0.8 * n_bins))
+    a = slice(int(0.8 * _N_BINS), _N_BINS)
+    b = slice(0, int(0.2 * _N_BINS))
+    c1 = slice(int(0.2 * _N_BINS), int(0.5 * _N_BINS))
+    c2 = slice(int(0.5 * _N_BINS), int(0.8 * _N_BINS))
     stages = []
-    for eps in epsilons:
-        fb = np.empty(n_bins)
+    for eps in _DEFAULT_EPS:
+        fb = np.empty(_N_BINS)
         fb[a], fb[b], fb[c1], fb[c2] = 2.0, eps, 1.6, 0.4
-        fp = np.empty(n_bins)
+        fp = np.empty(_N_BINS)
         fp[a], fp[b], fp[c1], fp[c2] = eps, 2.0, 0.4, 1.6
-        fn = np.ones(n_bins)
+        fn = np.ones(_N_BINS)
         stages.append(
             PropertyStage(
                 param=2.0 / eps,  # the bag-to-reference ratio on region A
@@ -512,34 +491,34 @@ def p1_scenario(epsilons=_DEFAULT_EPS, n_bins: int = 100) -> PropertyScenario:
                 f_neg=_normalized(fn, widths),
             )
         )
-    region_a = np.zeros(n_bins, bool)
+    region_a = np.zeros(_N_BINS, bool)
     region_a[a] = True
-    region_b = np.zeros(n_bins, bool)
+    region_b = np.zeros(_N_BINS, bool)
     region_b[b] = True
     return PropertyScenario(
         edges=edges, stages=tuple(stages), region_main=region_a, region_mirror=region_b
     )
 
 
-def p2_scenario(epsilons=_DEFAULT_EPS, n_bins: int = 100) -> PropertyScenario:
+def p2_scenario() -> PropertyScenario:
     """A bag vanishing on part of the reference's support.
 
     The bag is uniform on [0.1, 0.3); the reference splits its mass evenly
     between that interval and [0.5, 0.7), where the bag density is eps.
     """
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, _N_BINS + 1)
     widths = np.diff(edges)
-    bag_bins = slice(int(0.1 * n_bins), int(0.3 * n_bins))
-    far_bins = slice(int(0.5 * n_bins), int(0.7 * n_bins))
+    bag_bins = slice(int(0.1 * _N_BINS), int(0.3 * _N_BINS))
+    far_bins = slice(int(0.5 * _N_BINS), int(0.7 * _N_BINS))
     stages = []
-    for eps in epsilons:
-        fb = np.zeros(n_bins)
+    for eps in _DEFAULT_EPS:
+        fb = np.zeros(_N_BINS)
         fb[bag_bins] = 5.0
         fb[far_bins] = eps
-        fp = np.zeros(n_bins)
+        fp = np.zeros(_N_BINS)
         fp[bag_bins] = 2.5
         fp[far_bins] = 2.5
-        fn = np.ones(n_bins)
+        fn = np.ones(_N_BINS)
         stages.append(
             PropertyStage(
                 param=eps,
@@ -548,32 +527,32 @@ def p2_scenario(epsilons=_DEFAULT_EPS, n_bins: int = 100) -> PropertyScenario:
                 f_neg=_normalized(fn, widths),
             )
         )
-    region = np.zeros(n_bins, bool)
+    region = np.zeros(_N_BINS, bool)
     region[far_bins] = True
     return PropertyScenario(edges=edges, stages=tuple(stages), region_main=region)
 
 
-def p3_scenario(epsilons=_DEFAULT_EPS, n_bins: int = 100) -> PropertyScenario:
+def p3_scenario() -> PropertyScenario:
     """A bag region unseen by both classes (the sparse-training case).
 
     On the probe region the positive class density is eps and the negative
     class density eps^2 (both below eps, the negative vanishing at least as
     fast), while the bag keeps mass 0.2 there.
     """
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, _N_BINS + 1)
     widths = np.diff(edges)
-    bag_bins = slice(0, int(0.2 * n_bins))
-    lo = slice(0, int(0.4 * n_bins))
-    hi = slice(int(0.4 * n_bins), int(0.8 * n_bins))
-    unseen = slice(int(0.8 * n_bins), n_bins)
+    bag_bins = slice(0, int(0.2 * _N_BINS))
+    lo = slice(0, int(0.4 * _N_BINS))
+    hi = slice(int(0.4 * _N_BINS), int(0.8 * _N_BINS))
+    unseen = slice(int(0.8 * _N_BINS), _N_BINS)
     stages = []
-    for eps in epsilons:
-        fb = np.zeros(n_bins)
+    for eps in _DEFAULT_EPS:
+        fb = np.zeros(_N_BINS)
         fb[bag_bins] = 4.0
         fb[unseen] = 1.0
-        fp = np.zeros(n_bins)
+        fp = np.zeros(_N_BINS)
         fp[lo], fp[hi], fp[unseen] = 1.5, 1.0, eps
-        fn = np.zeros(n_bins)
+        fn = np.zeros(_N_BINS)
         fn[lo], fn[hi], fn[unseen] = 1.0, 1.5, eps * eps
         stages.append(
             PropertyStage(
@@ -583,7 +562,7 @@ def p3_scenario(epsilons=_DEFAULT_EPS, n_bins: int = 100) -> PropertyScenario:
                 f_neg=_normalized(fn, widths),
             )
         )
-    region = np.zeros(n_bins, bool)
+    region = np.zeros(_N_BINS, bool)
     region[unseen] = True
     return PropertyScenario(edges=edges, stages=tuple(stages), region_main=region)
 

@@ -20,16 +20,16 @@ from midiv.classify import (
     evaluate_holdout,
     fit_class_densities,
     fit_classifier,
-    fit_density_1d,
     normalize_method,
     roc_points,
     run_sim_study,
     score_bag,
     train_linear_svm,
 )
-from midiv import classify
+from midiv import classify, density
 from midiv.classify import CLASS_METHODS, EvalReport, _stratified_folds
 from midiv.core import Bag, Dataset, Label
+from midiv.density import DensityModel
 from midiv import divergence as dv
 from midiv.divergence import DivergenceSpec, ckl
 from midiv.seeds import derive_seed
@@ -577,6 +577,14 @@ class _Gappy:
         return self.model.pdf(x)
 
 
+class _PdfOnly:
+    """A class density that is not a ``DensityModel``: only ``pdf`` and
+    ``support_hint``, as an exact class density has."""
+
+    def __init__(self, model):
+        self.pdf, self.support_hint = model.pdf, model.support_hint
+
+
 class TestStackedScorePhase:
     """The score phase scores blocks of bags as rows: every score is the
     bits of a block of one bag."""
@@ -633,6 +641,55 @@ class TestStackedScorePhase:
         one_bag = scores(1)
         assert scores(3 * spec.points) == one_bag
         assert scores(DEFAULT_SCORE_BLOCK) == one_bag
+
+    @pytest.mark.parametrize("integrator", ["IMPORTANCE", "RIEMANN"])
+    @pytest.mark.parametrize("kind", ESTIMATORS)
+    def test_duck_typed_class_densities_score_as_the_models_they_wrap(self, kind, integrator):
+        spec = DivergenceSpec(integrator=integrator, n_imp=128, grid_points=256)
+        est = EstimatorConfig(kind)
+        rng = np.random.default_rng(48)
+        f_pos, f_neg, _ = classify._fit_references(mixed_dataset(rng), est, 1, b2b=False)
+        probes = mixed_dataset(rng, 4, 4, prefix="p").bags
+        seeds = [derive_seed(2, b.id) for b in probes]
+        fits = classify._fit_bags(probes, est, seeds)
+        ducks = tuple(tuple(_PdfOnly(m) for m in f) for f in (f_pos, f_neg))
+        want = classify._score_bags(fits, seeds, spec, (f_pos, f_neg, ()), CLASS_METHODS)
+        assert classify._score_bags(fits, seeds, spec, (*ducks, ()), CLASS_METHODS) == want
+
+    @pytest.mark.parametrize("kind", ["kde-epan", "kde-gauss"])
+    def test_kde_blocks_take_the_stacked_path(self, kind, monkeypatch):
+        """Per-row calls would give the same bits, so only the calls tell:
+        a block of KDE bags is drawn without a ``sample`` call, and an
+        Epanechnikov block's bag densities are one ``_epan_pdf`` call."""
+        rng = np.random.default_rng(49)
+        est = EstimatorConfig(kind)
+        refs = classify._fit_references(mixed_dataset(rng, d=1), est, 1, b2b=False)
+        probes = mixed_dataset(rng, 4, 4, d=1, prefix="p").bags
+        seeds = [derive_seed(3, b.id) for b in probes]
+        fits = classify._fit_bags(probes, est, seeds)
+        bags = [id(models[0]) for models in fits]
+        calls = []  # (name, ids of the models it was called on)
+
+        def spy(owner, name, models_of):
+            function = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, [id(m) for m in models_of(args)]))
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(DensityModel, "sample", lambda args: args[:1])
+        spy(DensityModel, "pdf", lambda args: args[:1])
+        spy(density, "_epan_pdf", lambda args: args[0])
+        spec = DivergenceSpec(n_imp=128)
+        assert DEFAULT_SCORE_BLOCK // spec.points > len(probes)  # one block holds them all
+        classify._score_bags(fits, seeds, spec, refs, ("ckl",))
+        on_bags = [(name, ids) for name, ids in calls if set(ids) & set(bags)]
+        if kind == "kde-epan":
+            assert on_bags == [("_epan_pdf", bags)]
+        else:  # a Gaussian bag's density is its own pdf call
+            assert on_bags == [("pdf", [b]) for b in bags]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_fitted_pipeline_equal_with_one_bag_blocks(self, method, monkeypatch):
@@ -707,15 +764,15 @@ class TestScoreBagMatchesPublicDivergences:
             f_pos, f_neg = model.f_pos[0], model.f_neg[0]
             for i, bag in enumerate(test.bags):
                 s = derive_seed(3, i)
-                bag_model = fit_density_1d(bag.column(0), est, derive_seed(s, "bagfit", 0))
+                fit_seed = derive_seed(s, "bagfit", 0)
+                bag_model = classify._fit_densities([bag.column(0)], est, [fit_seed])[0]
                 points_seed = derive_seed(s, "dim", 0)
                 if method == "ckl":
                     expected = -ckl(bag_model, f_neg, f_pos, spec, points_seed).value
                 else:
                     reduce = dv.reduce_kl if method == "rd_kl" else dv.reduce_bh
-                    x, dx = dv.evaluation_points(bag_model, (f_pos, f_neg), spec, points_seed)
-                    fb, fp, fn = dv.densities_at(x[None, :], (bag_model, f_pos, f_neg))
-                    dx = None if dx is None else np.array([dx])
+                    x, dx = dv.evaluation_rows([bag_model], (f_pos, f_neg), spec, [points_seed])
+                    fb, fp, fn = dv.iter_densities(x, [bag_model], (f_pos, f_neg))
                     expected = dv.rd_value(
                         reduce(fb, fp, spec, dx).value[0], reduce(fb, fn, spec, dx).value[0]
                     )

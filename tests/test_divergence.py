@@ -23,9 +23,9 @@ def one_row(reduce, *values, spec, dx):
 
 def rd(f_bag, f_pos, f_neg, reduce, spec, seed):
     """The rd ratio of ``reduce`` on one point set over the bag and both classes."""
-    x, dx = dv.evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
-    fb, fp, fn = dv.densities_at(x, (f_bag, f_pos, f_neg))
-    num, den = (one_row(reduce, fb, fr, spec=spec, dx=dx).value for fr in (fp, fn))
+    x, dx = dv.evaluation_rows([f_bag], (f_pos, f_neg), spec, [seed])
+    fb, fp, fn = dv.iter_densities(x, [f_bag], (f_pos, f_neg))
+    num, den = (reduce(fb, fr, spec, dx).row(0).value for fr in (fp, fn))
     return dv.rd_value(num, den)
 
 
@@ -323,24 +323,24 @@ class TestSortedEvaluationIsInvisible:
         spec = DivergenceSpec(integrator=integrator, n_imp=500, grid_points=512)
         f_bag, f_pos, f_neg = fitted_triple(kind, np.random.default_rng(7))
         seed = 21
-        x, dx = dv.evaluation_points(f_bag, (f_pos,), spec, seed)
+        x, dx = dv.evaluation_rows([f_bag], (f_pos,), spec, [seed])
         fb, fp = f_bag.pdf(x), f_pos.pdf(x)
-        assert kl(f_bag, f_pos, spec, seed) == one_row(dv.reduce_kl, fb, fp, spec=spec, dx=dx)
-        bh = one_row(dv.reduce_bh, fb, fp, spec=spec, dx=dx)
+        assert kl(f_bag, f_pos, spec, seed) == dv.reduce_kl(fb, fp, spec, dx).row(0)
+        bh = dv.reduce_bh(fb, fp, spec, dx).row(0)
         assert bhattacharyya(f_bag, f_pos, spec, seed) == bh
-        x, dx = dv.evaluation_points(f_bag, (f_pos, f_neg), spec, seed)
+        x, dx = dv.evaluation_rows([f_bag], (f_pos, f_neg), spec, [seed])
         fb, fp, fn = f_bag.pdf(x), f_pos.pdf(x), f_neg.pdf(x)
-        want = one_row(dv.reduce_ckl, fb, fp, fn, spec=spec, dx=dx)
+        want = dv.reduce_ckl(fb, fp, fn, spec, dx).row(0)
         assert ckl(f_bag, f_pos, f_neg, spec, seed) == want
         for reduce in (dv.reduce_kl, dv.reduce_bh):
-            num, den = (one_row(reduce, fb, fr, spec=spec, dx=dx).value for fr in (fp, fn))
+            num, den = (reduce(fb, fr, spec, dx).row(0).value for fr in (fp, fn))
             assert rd(f_bag, f_pos, f_neg, reduce, spec, seed) == dv.rd_value(num, den)
 
     @pytest.mark.parametrize("kind", ["EPANECHNIKOV", "GAUSSIAN", "GMM"])
     def test_densities_at_keeps_draw_order(self, kind):
         models = fitted_triple(kind, np.random.default_rng(8))
-        x = models[0].sample(700, seed=3)
-        values = dv.densities_at(x, models)
+        x = np.array([models[0].sample(700, seed=s) for s in (3, 4)])
+        values = tuple(dv.iter_densities(x, [models[0]] * 2, models[1:]))
         assert len(values) == len(models)
         for model, f in zip(models, values):
             assert np.array_equal(f, model.pdf(x))
