@@ -113,7 +113,7 @@ class SvmConfig:
     def __post_init__(self):
         if not _is_count(self.epochs):
             raise ValueError(f"SvmConfig.epochs must be an integer >= 1, got {self.epochs!r}")
-        if not 0.0 < self.lam < np.inf:
+        if not (_is_real(self.lam) and 0.0 < self.lam < np.inf):
             raise ValueError(f"SvmConfig.lam must be positive and finite, got {self.lam!r}")
 
 

@@ -20,12 +20,15 @@ floor engaged, and the effective sample size of the importance weights.
 
 ``check_property`` numerically certifies the three qualitative properties
 that motivate the choice of measure, on exact piecewise-constant density
-scenarios where subregion contributions reduce to restricted sums.
+scenarios where subregion contributions reduce to restricted sums. It
+certifies the scorer's own KL and cKL terms, with the density floor and
+without the ratio clip.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -47,7 +50,6 @@ __all__ = [
     "reduce_bh",
     "reduce_ckl",
     "rd_value",
-    "PropertyStage",
     "PropertyScenario",
     "CheckReport",
     "check_property",
@@ -85,8 +87,9 @@ class DivergenceSpec:
             raise ValueError("n_imp must be >= 100")
         if self.grid_points < 256:
             raise ValueError("grid_points must be >= 256")
-        if not self.ratio_clip > 1:
-            raise ValueError("ratio_clip must be > 1")
+        clip = self.ratio_clip
+        if isinstance(clip, bool) or not isinstance(clip, numbers.Real) or not clip > 1:
+            raise ValueError(f"ratio_clip must be a real number > 1, got {clip!r}")
 
     @property
     def points(self) -> int:
@@ -272,6 +275,15 @@ def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowSc
     return RowScores(value, clipped, ess)
 
 
+def _ckl_weight(fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, clipped: np.ndarray):
+    """The cKL weight ``fn/fp``, ``fp`` floored and the ratio clipped at
+    ``spec.ratio_clip``; clipped points are marked in ``clipped`` in place."""
+    w = np.maximum(fp, _DENSITY_FLOOR)
+    np.divide(fn, w, out=w)
+    clipped |= w > spec.ratio_clip
+    return np.minimum(w, spec.ratio_clip, out=w)
+
+
 def reduce_ckl(
     fb: np.ndarray, fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, dx
 ) -> RowScores:
@@ -281,10 +293,7 @@ def reduce_ckl(
     negative. Both integrators skip points where the bag density vanishes.
     """
     logratio, clipped = _kl_pointwise(fb, fp, spec)
-    w = np.maximum(fp, _DENSITY_FLOOR)
-    np.divide(fn, w, out=w)
-    clipped |= w > spec.ratio_clip
-    np.minimum(w, spec.ratio_clip, out=w)
+    w = _ckl_weight(fp, fn, spec, clipped)
     terms = np.multiply(w, logratio, out=logratio) if dx is None else w * fb * logratio
     return _on_bag_support(fb, terms, clipped, w, dx)
 
@@ -336,44 +345,53 @@ def ckl(
 #
 # Contributions are measured additively under the bag's measure. KL and
 # the class-conditional KL are integrals of pointwise terms, so a region's
-# contribution is the restricted sum. The Bhattacharyya distance has no
+# contribution is the restricted sum. Their terms are the scorer's own
+# (``_kl_pointwise``, ``_ckl_weight``) on a Riemann grid of the bins, with
+# the density floor kept and no ratio clip: each limit drives a ratio to
+# infinity, and a clip would cap it. The Bhattacharyya distance has no
 # regional decomposition (the log of an integral), so its contribution is
 # taken on the affinity-deficit scale 1 - overlap, whose restricted sum
 # integrand is f_bag - sqrt(f_bag * f_ref); total deficit and the distance
-# are monotonically equivalent.
+# are monotonically equivalent. Every stage of a scenario is one row.
 
-
-@dataclass(frozen=True)
-class PropertyStage:
-    """One point of the limit sequence: densities at a given epsilon/M."""
-
-    param: float
-    f_bag: np.ndarray
-    f_pos: np.ndarray
-    f_neg: np.ndarray
+_UNCLIPPED = DivergenceSpec(ratio_clip=math.inf)
 
 
 @dataclass(frozen=True)
 class PropertyScenario:
-    """Histogram densities on a shared grid plus the probed subregions."""
+    """Histogram densities on a shared grid plus the probed subregions.
+
+    Row s of the (stages, bins) arrays ``f_bag``, ``f_pos`` and ``f_neg`` is
+    the point of the limit sequence at ``params[s]`` (its epsilon or M).
+    """
 
     edges: np.ndarray
-    stages: tuple[PropertyStage, ...]
+    params: np.ndarray
+    f_bag: np.ndarray
+    f_pos: np.ndarray
+    f_neg: np.ndarray
     region_main: np.ndarray  # bool mask over bins: X_M or X_eps
     region_mirror: np.ndarray | None = None  # X*_M (ratio-reversed), P1 only
 
     def __post_init__(self):
-        nb = len(self.edges) - 1
-        if nb < 1:
-            raise ValueError("scenario grid needs at least one bin")
-        for st in self.stages:
-            for arr in (st.f_bag, st.f_pos, st.f_neg):
-                if len(arr) != nb:
-                    raise ValueError("scenario grids mismatched: density length != bin count")
-        if len(self.region_main) != nb:
-            raise ValueError("scenario grids mismatched: region mask length != bin count")
-        if self.region_mirror is not None and len(self.region_mirror) != nb:
-            raise ValueError("scenario grids mismatched: mirror mask length != bin count")
+        edges = np.asarray(self.edges, dtype=float)
+        if edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all():
+            raise ValueError("scenario edges must be finite, with at least one bin")
+        if not (np.diff(edges) > 0).all():
+            raise ValueError("scenario edges must be strictly increasing")
+        if np.ndim(self.params) != 1 or len(self.params) < 1:
+            raise ValueError("scenario params must be a 1-D array of at least one stage")
+        shape = (len(self.params), len(edges) - 1)
+        for arr in (self.f_bag, self.f_pos, self.f_neg):
+            if np.shape(arr) != shape:
+                raise ValueError("scenario grids mismatched: density shape != (stages, bins)")
+        for name, mask in (("region", self.region_main), ("mirror", self.region_mirror)):
+            if mask is None and name == "mirror":
+                continue
+            if np.shape(mask) != shape[1:]:
+                raise ValueError(f"scenario grids mismatched: {name} mask length != bin count")
+            if np.asarray(mask).dtype != bool:
+                raise ValueError(f"{name} mask must be boolean, got {np.asarray(mask).dtype}")
 
 
 @dataclass(frozen=True)
@@ -385,22 +403,31 @@ class CheckReport:
     trends: dict[str, dict[str, tuple[float, ...]]] = field(repr=False, default=None)
 
 
-def _stage_terms(stage: PropertyStage, widths: np.ndarray, measure: str) -> np.ndarray:
-    fb, fp, fn = stage.f_bag, stage.f_pos, stage.f_neg
-    if measure == "KL":
-        t = np.where(fb > 0, fb * (np.log(np.maximum(fb, _TINY)) - np.log(np.maximum(fp, _TINY))), 0.0)
-    elif measure == "CKL":
-        w = fn / np.maximum(fp, _TINY)
-        t = np.where(fb > 0, w * fb * (np.log(np.maximum(fb, _TINY)) - np.log(np.maximum(fp, _TINY))), 0.0)
-    elif measure == "BH":
-        t = fb - np.sqrt(fb * fp)
+def _property_terms(scenario: PropertyScenario, measure: str, spec: DivergenceSpec) -> np.ndarray:
+    """A measure's (stages, bins) terms times the bin widths: the KL or cKL
+    Riemann integrand of the scorer at ``spec``, or BH's affinity deficit."""
+    fb, fp, fn = (np.asarray(f, float) for f in (scenario.f_bag, scenario.f_pos, scenario.f_neg))
+    if measure == "BH":
+        terms = fb - np.sqrt(fb * fp)
     else:
-        raise ValueError(f"unknown measure {measure!r}")
-    return t * widths
+        logratio, clipped = _kl_pointwise(fb, fp, spec)
+        w = 1.0 if measure == "KL" else _ckl_weight(fp, fn, spec, clipped)
+        terms = w * fb * logratio
+    return terms * np.diff(np.asarray(scenario.edges, dtype=float))
 
 
-def _monotone(seq, direction: int, slack: float) -> bool:
-    return all(direction * (b - a) >= -slack for a, b in zip(seq, seq[1:]))
+def _region(terms: np.ndarray, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Per stage: a region's contribution and its share of the total (0
+    where the total is 0)."""
+    # compress, not terms[:, mask]: that copy is column-major, and its row
+    # sums would not be pairwise like a one-stage sum
+    part = terms.compress(mask, axis=-1).sum(axis=-1)
+    total = terms.sum(axis=-1)
+    return part, np.divide(part, total, out=np.zeros_like(part), where=np.abs(total) > 0)
+
+
+def _monotone(seq: np.ndarray, direction: int, slack: float) -> bool:
+    return bool(np.all(direction * np.diff(seq) >= -slack))
 
 
 def check_property(property_id: str, scenario: PropertyScenario) -> CheckReport:
@@ -418,35 +445,24 @@ def check_property(property_id: str, scenario: PropertyScenario) -> CheckReport:
         raise ValueError(f"property_id must be P1, P2 or P3, got {property_id!r}")
     if property_id == "P1" and scenario.region_mirror is None:
         raise ValueError("P1 needs a mirror region (reference-dominant subspace)")
-    widths = np.diff(np.asarray(scenario.edges, dtype=float))
     passed: dict[str, bool] = {}
     trends: dict[str, dict[str, tuple[float, ...]]] = {}
     for measure in MEASURES:
-        contrib_main, share_main, share_mirror = [], [], []
-        for stage in scenario.stages:
-            terms = _stage_terms(stage, widths, measure)
-            total = float(terms.sum())
-            main = float(terms[scenario.region_main].sum())
-            contrib_main.append(main)
-            share_main.append(main / total if abs(total) > 0 else 0.0)
-            if scenario.region_mirror is not None:
-                mirror = float(terms[scenario.region_mirror].sum())
-                share_mirror.append(mirror / total if abs(total) > 0 else 0.0)
+        terms = _property_terms(scenario, measure, _UNCLIPPED)
+        contrib, share = _region(terms, scenario.region_main)
+        mirror = scenario.region_mirror
+        mirror_share = () if mirror is None else _region(terms, mirror)[1]
         if property_id == "P1":
-            ok = (
-                _monotone(share_main, +1, 1e-9)
-                and share_main[-1] >= 0.95
-                and abs(share_mirror[-1]) <= 0.05
-            )
+            ok = _monotone(share, +1, 1e-9) and share[-1] >= 0.95 and abs(mirror_share[-1]) <= 0.05
         else:
-            mags = [abs(c) for c in contrib_main]
+            mags = np.abs(contrib)
             ok = _monotone(mags, -1, 1e-12) and mags[-1] <= 1e-3
-        passed[measure] = ok
+        passed[measure] = bool(ok)
         trends[measure] = {
-            "param": tuple(st.param for st in scenario.stages),
-            "contribution": tuple(contrib_main),
-            "share": tuple(share_main),
-            "mirror_share": tuple(share_mirror),
+            "param": tuple(map(float, scenario.params)),
+            "contribution": tuple(map(float, contrib)),
+            "share": tuple(map(float, share)),
+            "mirror_share": tuple(map(float, mirror_share)),
         }
     return CheckReport(property_id=property_id, passed=passed, trends=trends)
 
@@ -459,8 +475,20 @@ _DEFAULT_EPS = tuple(10.0 ** (-2 - 3 * i) for i in range(10))
 _N_BINS = 100
 
 
-def _normalized(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    return values / float((values * widths).sum())
+def _histograms(edges: np.ndarray, *pieces) -> np.ndarray:
+    """(stages, bins) densities on ``edges``, each row normalised: zero but on
+    the bins of each (bins, value) piece, a value being one number or a
+    column of one per stage. Later pieces overwrite earlier ones."""
+    f = np.zeros((len(_DEFAULT_EPS), len(edges) - 1))
+    for bins, value in pieces:
+        f[:, bins] = value
+    return f / (f * np.diff(edges)).sum(axis=-1, keepdims=True)
+
+
+def _mask(bins: slice) -> np.ndarray:
+    mask = np.zeros(_N_BINS, bool)
+    mask[bins] = True
+    return mask
 
 
 def p1_scenario() -> PropertyScenario:
@@ -471,32 +499,19 @@ def p1_scenario() -> PropertyScenario:
     no measure trivially concentrates.
     """
     edges = np.linspace(0.0, 1.0, _N_BINS + 1)
-    widths = np.diff(edges)
+    eps = np.array(_DEFAULT_EPS)[:, None]
     a = slice(int(0.8 * _N_BINS), _N_BINS)
     b = slice(0, int(0.2 * _N_BINS))
     c1 = slice(int(0.2 * _N_BINS), int(0.5 * _N_BINS))
     c2 = slice(int(0.5 * _N_BINS), int(0.8 * _N_BINS))
-    stages = []
-    for eps in _DEFAULT_EPS:
-        fb = np.empty(_N_BINS)
-        fb[a], fb[b], fb[c1], fb[c2] = 2.0, eps, 1.6, 0.4
-        fp = np.empty(_N_BINS)
-        fp[a], fp[b], fp[c1], fp[c2] = eps, 2.0, 0.4, 1.6
-        fn = np.ones(_N_BINS)
-        stages.append(
-            PropertyStage(
-                param=2.0 / eps,  # the bag-to-reference ratio on region A
-                f_bag=_normalized(fb, widths),
-                f_pos=_normalized(fp, widths),
-                f_neg=_normalized(fn, widths),
-            )
-        )
-    region_a = np.zeros(_N_BINS, bool)
-    region_a[a] = True
-    region_b = np.zeros(_N_BINS, bool)
-    region_b[b] = True
     return PropertyScenario(
-        edges=edges, stages=tuple(stages), region_main=region_a, region_mirror=region_b
+        edges=edges,
+        params=2.0 / eps[:, 0],  # the bag-to-reference ratio on region A
+        f_bag=_histograms(edges, (a, 2.0), (b, eps), (c1, 1.6), (c2, 0.4)),
+        f_pos=_histograms(edges, (a, eps), (b, 2.0), (c1, 0.4), (c2, 1.6)),
+        f_neg=_histograms(edges, (slice(None), 1.0)),
+        region_main=_mask(a),
+        region_mirror=_mask(b),
     )
 
 
@@ -507,29 +522,17 @@ def p2_scenario() -> PropertyScenario:
     between that interval and [0.5, 0.7), where the bag density is eps.
     """
     edges = np.linspace(0.0, 1.0, _N_BINS + 1)
-    widths = np.diff(edges)
+    eps = np.array(_DEFAULT_EPS)[:, None]
     bag_bins = slice(int(0.1 * _N_BINS), int(0.3 * _N_BINS))
     far_bins = slice(int(0.5 * _N_BINS), int(0.7 * _N_BINS))
-    stages = []
-    for eps in _DEFAULT_EPS:
-        fb = np.zeros(_N_BINS)
-        fb[bag_bins] = 5.0
-        fb[far_bins] = eps
-        fp = np.zeros(_N_BINS)
-        fp[bag_bins] = 2.5
-        fp[far_bins] = 2.5
-        fn = np.ones(_N_BINS)
-        stages.append(
-            PropertyStage(
-                param=eps,
-                f_bag=_normalized(fb, widths),
-                f_pos=_normalized(np.maximum(fp, _TINY), widths),
-                f_neg=_normalized(fn, widths),
-            )
-        )
-    region = np.zeros(_N_BINS, bool)
-    region[far_bins] = True
-    return PropertyScenario(edges=edges, stages=tuple(stages), region_main=region)
+    return PropertyScenario(
+        edges=edges,
+        params=eps[:, 0],
+        f_bag=_histograms(edges, (bag_bins, 5.0), (far_bins, eps)),
+        f_pos=_histograms(edges, (slice(None), _TINY), (bag_bins, 2.5), (far_bins, 2.5)),
+        f_neg=_histograms(edges, (slice(None), 1.0)),
+        region_main=_mask(far_bins),
+    )
 
 
 def p3_scenario() -> PropertyScenario:
@@ -540,31 +543,19 @@ def p3_scenario() -> PropertyScenario:
     fast), while the bag keeps mass 0.2 there.
     """
     edges = np.linspace(0.0, 1.0, _N_BINS + 1)
-    widths = np.diff(edges)
+    eps = np.array(_DEFAULT_EPS)[:, None]
     bag_bins = slice(0, int(0.2 * _N_BINS))
     lo = slice(0, int(0.4 * _N_BINS))
     hi = slice(int(0.4 * _N_BINS), int(0.8 * _N_BINS))
     unseen = slice(int(0.8 * _N_BINS), _N_BINS)
-    stages = []
-    for eps in _DEFAULT_EPS:
-        fb = np.zeros(_N_BINS)
-        fb[bag_bins] = 4.0
-        fb[unseen] = 1.0
-        fp = np.zeros(_N_BINS)
-        fp[lo], fp[hi], fp[unseen] = 1.5, 1.0, eps
-        fn = np.zeros(_N_BINS)
-        fn[lo], fn[hi], fn[unseen] = 1.0, 1.5, eps * eps
-        stages.append(
-            PropertyStage(
-                param=eps,
-                f_bag=_normalized(fb, widths),
-                f_pos=_normalized(fp, widths),
-                f_neg=_normalized(fn, widths),
-            )
-        )
-    region = np.zeros(_N_BINS, bool)
-    region[unseen] = True
-    return PropertyScenario(edges=edges, stages=tuple(stages), region_main=region)
+    return PropertyScenario(
+        edges=edges,
+        params=eps[:, 0],
+        f_bag=_histograms(edges, (bag_bins, 4.0), (unseen, 1.0)),
+        f_pos=_histograms(edges, (lo, 1.5), (hi, 1.0), (unseen, eps)),
+        f_neg=_histograms(edges, (lo, 1.0), (hi, 1.5), (unseen, eps * eps)),
+        region_main=_mask(unseen),
+    )
 
 
 def default_scenario(property_id: str) -> PropertyScenario:

@@ -780,7 +780,7 @@ class TestScoreBagMatchesPublicDivergences:
 
 
 class TestSvmConfig:
-    @pytest.mark.parametrize("lam", [0.0, -1e-3, float("inf"), float("nan")])
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, float("inf"), float("nan"), True, "0.1", None])
     def test_rejects_non_positive_or_non_finite_lambda(self, lam):
         with pytest.raises(ValueError, match="SvmConfig.lam"):
             SvmConfig(lam=lam)

@@ -60,6 +60,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             DivergenceSpec(**{field: value})
 
+    @pytest.mark.parametrize("value", ["5", True, None, float("nan"), -math.inf])
+    def test_ratio_clip_must_be_a_real_number_above_one(self, value):
+        # A string or None used to raise TypeError, not ValueError.
+        with pytest.raises(ValueError, match="ratio_clip"):
+            DivergenceSpec(ratio_clip=value)
+
+    @pytest.mark.parametrize("value", [math.inf, np.float32(5.0), 7])
+    def test_ratio_clip_accepts_real_numbers(self, value):
+        assert DivergenceSpec(ratio_clip=value).ratio_clip == value
+
     def test_numpy_integer_counts_accepted(self):
         spec = DivergenceSpec(n_imp=np.int64(500), grid_points=np.int32(1024))
         assert (spec.n_imp, spec.grid_points) == (500, 1024)

@@ -3,21 +3,27 @@
 The scenarios are exact piecewise-constant densities, so every subregion
 contribution is a finite sum and the pass/fail verdicts are decisive:
 P1 must hold for KL and CKL but not BH, P2 for all three, and P3 only for
-CKL.
+CKL. The KL and CKL terms are the scorer's own, floored and unclipped.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from midiv.divergence import (
+    _UNCLIPPED,
     MEASURES,
+    DivergenceSpec,
     PropertyScenario,
-    PropertyStage,
+    _property_terms,
     check_property,
     default_scenario,
     p1_scenario,
     p2_scenario,
     p3_scenario,
+    reduce_ckl,
+    reduce_kl,
 )
 
 
@@ -80,6 +86,54 @@ class TestTrends:
         assert abs(report.trends["CKL"]["contribution"][-1]) < 1e-6
 
 
+class TestScorerTerms:
+    """The certified terms are the scorer's: summed over a scenario's bins
+    they give ``reduce_kl``/``reduce_ckl`` on that Riemann grid."""
+
+    @pytest.mark.parametrize("spec", [DivergenceSpec(), _UNCLIPPED], ids=["clipped", "unclipped"])
+    @pytest.mark.parametrize("scenario", [p1_scenario, p3_scenario])
+    def test_term_sums_are_the_reducers_values(self, scenario, spec):
+        sc = scenario()
+        dx = np.full(len(sc.params), sc.edges[1] - sc.edges[0])  # uniform bins, one width per row
+        fb, fp, fn = sc.f_bag, sc.f_pos, sc.f_neg
+        np.testing.assert_allclose(
+            _property_terms(sc, "KL", spec).sum(axis=-1),
+            reduce_kl(fb, fp, spec, dx).value,
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            _property_terms(sc, "CKL", spec).sum(axis=-1),
+            reduce_ckl(fb, fp, fn, spec, dx).value,
+            rtol=1e-12,
+        )
+
+
+class TestWhatTheClipCosts:
+    @staticmethod
+    def kl_share(spec):
+        sc = p1_scenario()
+        terms = _property_terms(sc, "KL", spec)
+        return terms[-1, sc.region_main].sum() / terms[-1].sum()
+
+    def test_calibrated_clip_loses_p1_for_kl(self):
+        assert DivergenceSpec().ratio_clip == 3e4
+        assert self.kl_share(DivergenceSpec()) < 0.95  # 0.892
+
+    def test_unclipped_kl_keeps_p1(self):
+        assert self.kl_share(_UNCLIPPED) >= 0.95  # 0.958
+
+
+class TestClassifierCklOrientation:
+    """The classifier scores cKL against the negative class, weighted by
+    f_pos/f_neg: the default scenarios with the class roles swapped."""
+
+    @pytest.mark.parametrize("property_id, holds", [("P1", False), ("P2", True), ("P3", False)])
+    def test_swapped_class_roles(self, property_id, holds):
+        sc = default_scenario(property_id)
+        swapped = dataclasses.replace(sc, f_pos=sc.f_neg, f_neg=sc.f_pos)
+        assert check_property(property_id, swapped).passed["CKL"] is holds
+
+
 class TestTwoNegativeClassConstruction:
     """Two references that differ only where the bag density vanishes must
     become equally dissimilar from the bag as that density goes to zero."""
@@ -117,15 +171,44 @@ class TestTwoNegativeClassConstruction:
 class TestScenarioValidation:
     def test_mismatched_density_length(self):
         edges = np.linspace(0, 1, 11)
-        stage = PropertyStage(param=1.0, f_bag=np.ones(9), f_pos=np.ones(10), f_neg=np.ones(10))
+        densities = dict(f_bag=np.ones((1, 9)), f_pos=np.ones((1, 10)), f_neg=np.ones((1, 10)))
         with pytest.raises(ValueError, match="mismatch"):
-            PropertyScenario(edges=edges, stages=(stage,), region_main=np.zeros(10, bool))
+            PropertyScenario(
+                edges=edges, params=np.ones(1), **densities, region_main=np.zeros(10, bool)
+            )
 
     def test_mismatched_region_mask(self):
         edges = np.linspace(0, 1, 11)
-        stage = PropertyStage(param=1.0, f_bag=np.ones(10), f_pos=np.ones(10), f_neg=np.ones(10))
+        densities = dict(f_bag=np.ones((1, 10)), f_pos=np.ones((1, 10)), f_neg=np.ones((1, 10)))
         with pytest.raises(ValueError, match="mismatch"):
-            PropertyScenario(edges=edges, stages=(stage,), region_main=np.zeros(4, bool))
+            PropertyScenario(
+                edges=edges, params=np.ones(1), **densities, region_main=np.zeros(4, bool)
+            )
+
+    @pytest.mark.parametrize(
+        "scenario, mask", [(p3_scenario, "region_main"), (p1_scenario, "region_mirror")]
+    )
+    def test_integer_mask_rejected(self, scenario, mask):
+        # A 0/1 mask of the right length used to pass, then index bins 0 and 1:
+        # P3 reported CKL False, its last contribution 2.62.
+        sc = scenario()
+        with pytest.raises(ValueError, match="boolean"):
+            dataclasses.replace(sc, **{mask: getattr(sc, mask).astype(int)})
+
+    def test_decreasing_edges_rejected(self):
+        # Reversed edges used to give negative widths: P3's KL contribution
+        # came out -13.35 in place of 13.35.
+        sc = p3_scenario()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dataclasses.replace(sc, edges=sc.edges[::-1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dataclasses.replace(sc, edges=np.r_[0.0, 0.0, sc.edges[2:]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_edges_rejected(self, bad):
+        sc = p3_scenario()
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(sc, edges=np.r_[sc.edges[:-1], bad])
 
     def test_p1_requires_mirror_region(self):
         scenario = p2_scenario()
