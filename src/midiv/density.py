@@ -7,9 +7,9 @@ centers and prefix sums one query costs O(log n) instead of O(n), which
 keeps large experiment sweeps cheap. The Gaussian evaluator sums every
 center densely, in cache-sized blocks of points computed in place. Every
 evaluation is elementwise in the query points, so a value does not depend
-on the order or the number of the other points: the divergence estimators
-sort each point set once and evaluate every density on it, which keeps the
-Epanechnikov lookups in order.
+on the order or the number of the other points. The divergence estimators
+evaluate every density on ascending points, which keeps the Epanechnikov
+lookups in order.
 
 Many small bags are handled as rows. ``_fit_kdes`` builds the Epanechnikov
 tables of all samples of one length at once, ``_draws`` samples a block of

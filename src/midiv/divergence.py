@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -126,9 +125,11 @@ class DivergenceScore:
 # those values into scores. So each reference density is evaluated and each
 # measure reduced once for all the bags, and every measure shares the points.
 # The public ``kl``, ``bhattacharyya`` and ``ckl`` are the one-row case.
-# Each row is summed on its own, in draw order: importance estimates are
-# ``.mean()``s and Riemann products run left to right; summing weighted
-# terms, re-associating or zero-padding a row moves values in the last bits.
+# Every row's points are in ascending order, the one order of the core: an
+# integral does not depend on it, and the Epanechnikov lookups then walk their
+# tables in order. Each row is summed on its own, so a row's score does not
+# depend on the other rows; re-associating its sum moves values in the last
+# bits.
 
 
 class RowScores(NamedTuple):
@@ -144,29 +145,29 @@ class RowScores(NamedTuple):
         return DivergenceScore(float(self.value[r]), float(self.clipped_fraction[r]), ess)
 
 
-def _riemann_grid(models: tuple[DensityModel, ...], spec: DivergenceSpec):
-    lo = min(m.support_hint[0] for m in models)
-    hi = max(m.support_hint[1] for m in models)
-    pad = 0.1 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
-    dx = (hi - lo) / spec.grid_points
-    x = lo + dx * (np.arange(spec.grid_points) + 0.5)
-    return x, dx
-
-
 def evaluation_rows(f_bags, refs: tuple[DensityModel, ...], spec: DivergenceSpec, seeds):
     """Points to integrate over under each bag density in ``f_bags``, one
-    seed each, as the rows of one (rows, points) array, and the cell widths.
+    seed each, as the ascending rows of one (rows, points) array, and the
+    cell widths.
 
     Importance sampling draws ``spec.n_imp`` points from each bag density
-    (widths None), every row at once (see ``density._draws``). A row's
-    Riemann grid spans its bag's and every ``refs`` support hint, and
+    (widths None), every row at once (see ``density._draws``), and sorts
+    each row. A row's midpoint Riemann grid spans its bag's and every
+    ``refs`` support hint, padded by a tenth of that span on each side, and
     ignores its seed.
     """
     if spec.integrator == "IMPORTANCE":
-        return _draws(f_bags, spec.n_imp, seeds), None
-    grids = [_riemann_grid((f_bag, *refs), spec) for f_bag in f_bags]
-    return np.array([x for x, _ in grids]), np.array([dx for _, dx in grids])
+        x = _draws(f_bags, spec.n_imp, seeds)
+        x.sort(axis=-1)
+        return x, None
+    bag = np.array([m.support_hint for m in f_bags], dtype=float)
+    ref = np.array([m.support_hint for m in refs], dtype=float).reshape(-1, 2)
+    lo = np.minimum(bag[:, 0], ref[:, 0].min(initial=math.inf))
+    hi = np.maximum(bag[:, 1], ref[:, 1].max(initial=-math.inf))
+    pad = 0.1 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    dx = (hi - lo) / spec.grid_points
+    return lo[:, None] + dx[:, None] * (np.arange(spec.grid_points) + 0.5), dx
 
 
 def iter_densities(x: np.ndarray, f_bags, refs):
@@ -175,37 +176,19 @@ def iter_densities(x: np.ndarray, f_bags, refs):
     then each density of ``refs`` on every row, by its own ``pdf``. A
     generator: a caller that reduces each density as it comes holds one at a
     time.
-
-    Each row is sorted once, and every density is evaluated on the sorted
-    points (the Epanechnikov lookups then walk their tables in order). Every
-    evaluation is elementwise, so scattering the values back into draw order
-    gives the same bits as evaluating ``x`` directly.
     """
-    order = np.argsort(x, axis=-1)
-    xs = np.take_along_axis(x, order, axis=-1)
-    for pdf in (partial(_pdf_rows, f_bags), *(ref.pdf for ref in refs)):
-        f = np.empty(x.shape)
-        np.put_along_axis(f, order, pdf(xs), axis=-1)
-        yield f
+    yield _pdf_rows(f_bags, x)
+    for ref in refs:
+        yield ref.pdf(x)
 
 
-def _ess(weights: np.ndarray) -> np.ndarray:
-    """Effective sample size of the importance weights along the last axis."""
+def _ess(weights: np.ndarray, count) -> np.ndarray:
+    """Effective sample size of the importance weights along the last axis;
+    a row of all-zero (degenerate) weights counts its ``count`` points."""
     s2 = (weights * weights).sum(axis=-1)
     s = weights.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # all-equal (degenerate) weights count every point
-        return np.where(s2 <= 0.0, float(weights.shape[-1]), s * s / s2)
-
-
-def _fraction(mask: np.ndarray) -> float:
-    return float(mask.mean()) if mask.size else 0.0
-
-
-def _integrate(terms: np.ndarray, dx) -> np.ndarray:
-    """The integral of pointwise terms along the last axis: their mean over
-    importance points, or their sum times the cell width on a grid."""
-    return terms.mean(axis=-1) if dx is None else terms.sum(axis=-1) * dx
+        return np.where(s2 <= 0.0, count, s * s / s2)
 
 
 def _on_bag_support(fb, terms, clipped, weights, dx) -> RowScores:
@@ -213,23 +196,30 @@ def _on_bag_support(fb, terms, clipped, weights, dx) -> RowScores:
     and the ESS of the importance ``weights`` (None: unit weights), over the
     points where the bag density is positive.
 
-    A row with a point where it is 0 (every row of a Riemann grid that
-    reaches past the bag) is reduced again on its own, compacted to its
-    other points: zeroing the terms there would leave the mean's count and
-    the pairwise sums' blocks as they were, and move the values.
+    All rows are reduced at once over the mask ``fb > 0``: ``terms`` and
+    ``weights`` are zeroed off it, in place. The importance estimate is the
+    masked sum over the active count (on a row that is active throughout,
+    its ``.mean()``), the Riemann one the masked sum times the cell width. A
+    row with no active point has no estimate and raises ``ValueError``.
     """
-    value = _integrate(terms, dx)
-    fraction = clipped.mean(axis=-1)
+    active = fb > 0
+    count = np.count_nonzero(active, axis=-1)
+    if not count.all():
+        where = "its importance sample" if dx is None else (
+            f"its {fb.shape[-1]}-point Riemann grid: use more --grid-points or importance sampling")
+        raise ValueError(f"a bag density is 0 at every point of {where}")
+    off = ~active
+    np.copyto(terms, 0.0, where=off)
+    total = terms.sum(axis=-1)
+    value = total / count if dx is None else total * dx
+    fraction = np.count_nonzero(clipped & active, axis=-1) / count
     ess = None
     if dx is None:
-        ess = np.full(len(fb), float(fb.shape[-1])) if weights is None else _ess(weights)
-    active = fb > 0
-    for r in np.flatnonzero(~active.all(axis=-1)):
-        a = active[r]
-        value[r] = _integrate(terms[r, a], None if dx is None else dx[r])
-        fraction[r] = _fraction(clipped[r, a])
-        if ess is not None:
-            ess[r] = np.count_nonzero(a) if weights is None else _ess(weights[r, a])
+        if weights is None:
+            ess = count.astype(float)
+        else:
+            np.copyto(weights, 0.0, where=off)
+            ess = _ess(weights, count)
     return RowScores(value, fraction, ess)
 
 
@@ -265,7 +255,7 @@ def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowSc
     if dx is None:
         w = np.sqrt(fr / np.maximum(fb, _TINY))
         overlap = w.mean(axis=-1)
-        ess = _ess(w)
+        ess = _ess(w, w.shape[-1])
     else:
         overlap = np.sqrt(fb * fr).sum(axis=-1) * dx
     clipped = ((overlap > 1.0) | (overlap < _TINY)).astype(float)

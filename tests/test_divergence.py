@@ -295,6 +295,111 @@ class TestZeroBagDensityPoints:
         assert ckl_value == float((w * logratio).mean())
 
 
+def compacted(fb, terms, clipped, weights, dx):
+    """Value, clip fraction and ESS per row, each row reduced on its own over
+    its points with positive bag density, compacted to them: the formula
+    that the masked reduction replaced, kept as its oracle."""
+    value, fraction, ess = [], [], []
+    for r in range(len(fb)):
+        a = fb[r] > 0
+        t = terms[r, a]
+        value.append(t.mean() if dx is None else t.sum() * dx[r])
+        fraction.append(clipped[r, a].mean())
+        if weights is not None:
+            w = weights[r, a]
+            s2 = (w * w).sum()
+            ess.append(float(w.size) if s2 <= 0.0 else w.sum() ** 2 / s2)
+        else:
+            ess.append(float(np.count_nonzero(a)))
+    return np.array(value), np.array(fraction), None if dx is not None else np.array(ess)
+
+
+def compacted_kl(fb, fr, spec, dx):
+    logratio, clipped = dv._kl_pointwise(fb, fr, spec)
+    terms = logratio if dx is None else fb * logratio
+    value, fraction, ess = compacted(fb, terms, clipped, None, dx)
+    return np.maximum(value, 0.0), fraction, ess
+
+
+def compacted_ckl(fb, fp, fn, spec, dx):
+    logratio, clipped = dv._kl_pointwise(fb, fp, spec)
+    w = dv._ckl_weight(fp, fn, spec, clipped)
+    terms = w * logratio if dx is None else w * fb * logratio
+    return compacted(fb, terms, clipped, w, dx)
+
+
+class TestMaskedReductionMatchesCompactedFormula:
+    """The masked reduction of rows with points of zero bag density gives the
+    values of the per-row compacted formula within 1e-12 relative, the same
+    clip fractions, and its ESS: the same count under unit weights, within
+    1e-12 relative under the cKL weights."""
+
+    @staticmethod
+    def check(fb, fp, fn, spec, dx):
+        assert (fb == 0).any(axis=-1).all()
+        got_kl, want_kl = dv.reduce_kl(fb, fp, spec, dx), compacted_kl(fb, fp, spec, dx)
+        got_ckl, want_ckl = dv.reduce_ckl(fb, fp, fn, spec, dx), compacted_ckl(fb, fp, fn, spec, dx)
+        for got, want in ((got_kl, want_kl), (got_ckl, want_ckl)):
+            np.testing.assert_allclose(got.value, want[0], rtol=1e-12, atol=0)
+            assert np.array_equal(got.clipped_fraction, want[1])
+        if dx is None:
+            assert np.array_equal(got_kl.ess, want_kl[2])
+            # the masked sums of the cKL weights take the zeros in, which
+            # re-associates them
+            np.testing.assert_allclose(got_ckl.ess, want_ckl[2], rtol=1e-12, atol=0)
+        else:
+            assert got_kl.ess is None and got_ckl.ess is None
+
+    # a clip of 2 engages on many points with bag density, the default on few
+    CLIPS = (2.0, 3e4)
+
+    @pytest.mark.parametrize("clip", CLIPS)
+    @pytest.mark.parametrize("kind", ["EPANECHNIKOV", "GAUSSIAN", "GMM"])
+    def test_riemann_rows_past_the_bag_support(self, kind, clip):
+        rng = np.random.default_rng(9)
+        _, f_pos, f_neg = fitted_triple(kind, rng)
+        bags = [fitted_triple(kind, rng)[0] for _ in range(3)]
+        # a reference far from the bags stretches every grid past their support
+        far = fit_kde(rng.standard_normal(50) + 60.0, "EPANECHNIKOV")
+        spec = DivergenceSpec(integrator="RIEMANN", grid_points=512, ratio_clip=clip)
+        x, dx = dv.evaluation_rows(bags, (f_pos, f_neg, far), spec, [0, 1, 2])
+        fb, fp, fn = dv.iter_densities(x, bags, (f_pos, f_neg))
+        self.check(fb, fp, fn, spec, dx)
+
+    @pytest.mark.parametrize("clip", CLIPS)
+    @pytest.mark.parametrize("kind", ["EPANECHNIKOV", "GAUSSIAN", "GMM"])
+    def test_importance_rows_with_zero_density_points(self, kind, clip):
+        rng = np.random.default_rng(10)
+        _, f_pos, f_neg = fitted_triple(kind, rng)
+        bags = [fitted_triple(kind, rng)[0] for _ in range(3)]
+        spec = DivergenceSpec(n_imp=700, ratio_clip=clip)
+        x, dx = dv.evaluation_rows(bags, (f_pos, f_neg), spec, [3, 4, 5])
+        fb, fp, fn = dv.iter_densities(x, bags, (f_pos, f_neg))
+        for r, zeros in enumerate((1, 37, 350)):
+            fb[r, rng.choice(fb.shape[-1], zeros, replace=False)] = 0.0
+        self.check(fb, fp, fn, spec, dx)
+
+
+class TestRiemannRowWithoutBagSupport:
+    """A bag whose support falls between two grid points has no Riemann
+    estimate. The reductions used to score it 0 against every class, as if
+    the bag were identical to both; importance sampling gives the clip."""
+
+    bag = fit_kde([0.0, 1e-7, 2e-7])
+    pos = fit_kde(np.random.default_rng(1).standard_normal(200))
+    neg = fit_kde(np.random.default_rng(2).standard_normal(200) + 40.0)
+
+    def test_raises_naming_the_grid(self):
+        spec = DivergenceSpec(integrator="RIEMANN")
+        for score in (
+            lambda: kl(self.bag, self.pos, spec, 0),
+            lambda: kl(self.bag, self.neg, spec, 0),
+            lambda: ckl(self.bag, self.pos, self.neg, spec, 0),
+        ):
+            with pytest.raises(ValueError, match="4096-point Riemann grid.*--grid-points"):
+                score()
+
+
 class TestRdRatio:
     def test_bag_equals_pos_gives_small_ratio(self):
         f = gaussian(0, 1)
@@ -325,7 +430,9 @@ def fitted_triple(kind, rng):
 
 
 class TestSortedEvaluationIsInvisible:
-    """Scores equal the reductions of direct, unsorted ``pdf`` calls, bit for bit."""
+    """Every row of points is ascending, and scores equal the reductions of
+    direct ``pdf`` calls at the ascending points, bit for bit: under
+    importance sampling, at ``np.sort`` of the bag density's own sample."""
 
     @pytest.mark.parametrize("integrator", ["IMPORTANCE", "RIEMANN"])
     @pytest.mark.parametrize("kind", ["EPANECHNIKOV", "GAUSSIAN", "GMM"])
@@ -333,12 +440,22 @@ class TestSortedEvaluationIsInvisible:
         spec = DivergenceSpec(integrator=integrator, n_imp=500, grid_points=512)
         f_bag, f_pos, f_neg = fitted_triple(kind, np.random.default_rng(7))
         seed = 21
-        x, dx = dv.evaluation_rows([f_bag], (f_pos,), spec, [seed])
+
+        def points(refs):
+            x, dx = dv.evaluation_rows([f_bag], refs, spec, [seed])
+            assert (np.diff(x, axis=-1) >= 0).all()
+            if integrator == "IMPORTANCE":
+                sample = np.sort(f_bag.sample(spec.n_imp, seed))[None, :]
+                assert np.array_equal(x, sample)
+                return sample, None
+            return x, dx
+
+        x, dx = points((f_pos,))
         fb, fp = f_bag.pdf(x), f_pos.pdf(x)
         assert kl(f_bag, f_pos, spec, seed) == dv.reduce_kl(fb, fp, spec, dx).row(0)
         bh = dv.reduce_bh(fb, fp, spec, dx).row(0)
         assert bhattacharyya(f_bag, f_pos, spec, seed) == bh
-        x, dx = dv.evaluation_rows([f_bag], (f_pos, f_neg), spec, [seed])
+        x, dx = points((f_pos, f_neg))
         fb, fp, fn = f_bag.pdf(x), f_pos.pdf(x), f_neg.pdf(x)
         want = dv.reduce_ckl(fb, fp, fn, spec, dx).row(0)
         assert ckl(f_bag, f_pos, f_neg, spec, seed) == want

@@ -70,55 +70,55 @@ CASES = {
 # Recorded from a reference build with numpy 2.4.6.
 GOLDEN = {
     "cv-ckl": {
-        "report.json": "13fc91c2380c312a1eef5c5500810e70a31b2d6a2b51ea396ecd0f4fb5323a43",
+        "report.json": "5600d178818002d564c6f14ba6c2fde9f6045e60a39462ce55240262d89622e7",
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "cv-gmm-aic": {
-        "report.json": "eb842a14500ebf2f6154bca5dbdc9557f43a317eba3af78d86555f1e15fa9385",
+        "report.json": "7e095c8fb12762dea57923ffec1c48acab741d4bb31b39162607cb5a0a21f92c",
         "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
     },
     "cv-mixed-b2b-kl": {
-        "report.json": "a1fe2872d42cbb31f1fdf14a4eabddbe097f2cba767011159f67091a3832d871",
+        "report.json": "c5fb6c16ac6ffa23a77370d3601830642049753a7895abbe66dfa6d5987bcff5",
         "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
     },
     "cv-mixed-riemann": {
-        "report.json": "01ebcc850f8f3bf831ad48cec636bbe74b9fe277642161b0e83421cafea799ee",
+        "report.json": "6b6d81da7b6dd14eecde3b39a67b6128c1f9e5f9a161b36e2e2eecf46ab6f481",
         "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
     },
     "cv-mixed-svm-divs": {
-        "report.json": "c52a75db0b80b82a64acceafa27292e1805f04fd68488b7461f2fadf134ac223",
+        "report.json": "8935592c90c483efaf67befead1b0fdc6bc08302016340a38f48d1f1d261e597",
         "roc.csv": "3144890353f2ab420deccad8afb6e339ab03aea1cded7168cbb0cd529e821481",
     },
     "cv-svm-divs": {
-        "report.json": "8b0661739f8b40f825448010fa7e0dd22880e9e99e5f48ca39bcbb0d7f61eb4c",
+        "report.json": "7eccf00a1dd2c0f2acc9a8b2040ba656dcdf9db159c8cae0f42fa356fef9e50c",
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "holdout-b2b-bh": {
-        "report.json": "80a8d903b054c40ff15ad966f327c553c1211fbe0bd8a78fc25eb1ce9aa6a4c1",
+        "report.json": "17f89a84b8824b7a3403bac07a750773b9b7e4821be2ee5042541f26f67997af",
         "roc.csv": "5216e7ae2e7d9b383ae68ab0084104270a9d663fd8859a57470a106cdf0d8726",
     },
     "holdout-b2b-kl": {
-        "report.json": "638dcd46b411da74e5dd413cb9f2d4ff053315ab651e16c74abae4c200c526dd",
+        "report.json": "b68b3246cc5cad79e764b37c38eab4585133a38b030b70704a4488f5c6d7530e",
         "roc.csv": "f56abde9dcfd79cccf36d0f1d9cafa1836dee59a95db6d807071904feb5b60a8",
     },
     "holdout-ckl": {
-        "report.json": "ecf59619c7bbb1719b924f0b32fb8868b18d3503ebd904907025fd65f066d66a",
+        "report.json": "bd26d8dd777f5bae8061e8bac3879033812deaeea44f66fbefdc0c7b09933450",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-gmm-aic": {
-        "report.json": "6974cbc2b585c0171abd24c481e3e62d2a6e1a53e718c8b9e86a556b50aa5687",
+        "report.json": "f38a400c725030ab2badf531916c887c67f7058d0ed47c920bdaae709f396f3c",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-rd-bh": {
-        "report.json": "f1d5555507eaac1b1b6a8003dbe32594f4a37afc1db7dd6a62c099c1134b9508",
+        "report.json": "57329f20daf61823f086534c256219b0c1efd7fbef5ca34f408959dcbb914770",
         "roc.csv": "e8e0ca4cf53fe265b8665dc9b58302ade24d7929b99ed0c485d039c7a7fd8e4e",
     },
     "holdout-rd-kl": {
-        "report.json": "aa5d42aaa79fe2eb7d8d7f7f1988ce96f1be65070909bb323fcf23b9f1a60127",
+        "report.json": "6f5a4d3bfd159e599d7eb74a10fb06cfec8691434d0f203f9172d526a8f46341",
         "roc.csv": "ddf652047904af1b9b0f860cff7fc9433ee40e184d50b703226fe27bac48e94e",
     },
     "holdout-svm-divs": {
-        "report.json": "5e90db5d19ca4ec0956eb3bbaa6f5136fa33630dbf1904a97f93668309df1963",
+        "report.json": "071288996acf74061ea8cd5c58dd96dfdba01e63d770093be40295f0aeb5db6b",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "simulate-sim1": {
