@@ -30,7 +30,7 @@ from . import divergence as dv
 from .core import Bag, Dataset, Label, PcaTransform, apply_pca, fit_pca
 from .density import _fit_kdes, _select_gmms, DensityModel
 from .divergence import DivergenceSpec
-from .seeds import derive_seed
+from .seeds import derive_label, derive_seed
 from .simulate import SimConfig, sample_experiment
 
 __all__ = [
@@ -288,7 +288,7 @@ class ClassModel:
 
 # Evaluation points per block of the score phase, whose bags are the rows of
 # (rows, points) arrays (one bag at least). An Epanechnikov pdf call holds
-# five arrays of a block's size at once; at this bound a run's peak memory
+# four arrays of a block's size at once; at this bound a run's peak memory
 # stays where one-bag scoring had it.
 _SCORE_BLOCK = 1 << 13
 
@@ -435,7 +435,7 @@ def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool)
             raise ValueError(f"training bag {bag.id!r} is unlabelled")
     f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(seed, "class-fit"))
     ref_bags = train.bags if b2b else ()
-    fits = _fit_bags(ref_bags, estimator, [derive_seed(seed, "b2b", bag.id) for bag in ref_bags])
+    fits = _fit_bags(ref_bags, estimator, [derive_label(seed, "b2b", bag.id) for bag in ref_bags])
     return f_pos, f_neg, tuple((bag.label, models) for bag, models in zip(ref_bags, fits))
 
 
@@ -464,7 +464,7 @@ def fit_classifier(train: Dataset, pipeline: PipelineConfig, seed) -> ClassModel
         return replace(model, threshold=pipeline.threshold)
     measure = pipeline.svm_measure if svm else method
     stream = "train-bag" if svm else "train-score"
-    seeds = [derive_seed(seed, stream, bag.id) for bag in train.bags]
+    seeds = [derive_label(seed, stream, bag.id) for bag in train.bags]
     if train_bags and pipeline.estimator.kind != "gmm-aic":
         # A KDE fit does not read its seed: the b2b references are these fits.
         fits = [models for _, models in train_bags]
@@ -650,7 +650,7 @@ def _evaluate(splits, folds, pipeline: PipelineConfig, seed) -> EvalReport:
     ids, scores, labels, preds, split_acc, fold_auc = [], [], [], [], [], []
     for run, train, test in splits:
         model = fit_classifier(train, pipeline, derive_seed(seed, "fit", *run))
-        s = model.scores(test.bags, [derive_seed(seed, "score", *run, b.id) for b in test.bags])
+        s = model.scores(test.bags, [derive_label(seed, "score", *run, b.id) for b in test.bags])
         y = [int(b.label) for b in test.bags]
         ids += [b.id for b in test.bags]
         scores += s
@@ -755,7 +755,7 @@ def _run_study_cell(
         cell_seed = derive_seed(seed, config.scenario, pos, neg, rep)
         train, test = sample_experiment(config, pos, neg, n_test, cell_seed)
         refs = _fit_references(train, estimator, cell_seed, need_b2b)
-        seeds = [derive_seed(cell_seed, "bag", bag.id) for bag in test.bags]
+        seeds = [derive_label(cell_seed, "bag", bag.id) for bag in test.bags]
         scores = _score_bags(_fit_bags(test.bags, estimator, seeds), seeds, spec, refs, methods)
         labels = [bag.label for bag in test.bags]
         for m in methods:

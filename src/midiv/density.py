@@ -2,21 +2,24 @@
 
 Every fitted model is an immutable :class:`DensityModel` that can be
 evaluated exactly (analytic kernel/mixture sums) and sampled from. The
-Epanechnikov evaluator exploits the kernel's compact support: with sorted
-centers and prefix sums one query costs O(log n) instead of O(n), which
-keeps large experiment sweeps cheap. The Gaussian evaluator sums every
-center densely, in cache-sized blocks of points computed in place. Every
-evaluation is elementwise in the query points, so a value does not depend
-on the order or the number of the other points. The divergence estimators
-evaluate every density on ascending points, which keeps the Epanechnikov
-lookups in order.
+Epanechnikov evaluator exploits the kernel's compact support: the KDE is
+one quadratic between consecutive breakpoints c +- h, so a table of the
+sorted breakpoints and each piece's coefficients, local to the piece,
+gives a query in one O(log n) search and one Horner step, exact at any
+offset of the data. The Gaussian evaluator sums every center densely, in
+cache-sized blocks of points computed in place. Every evaluation is
+elementwise in the query points, so a value does not depend on the order
+or the number of the other points. The divergence estimators evaluate
+every density on ascending points, which keeps the Epanechnikov searches
+in order.
 
 Many small bags are handled as rows. ``_fit_kdes`` builds the Epanechnikov
-tables of all samples of one length at once, ``_draws`` samples a block of
-KDEs of one kind (one point set per row) and ``_pdf_rows`` evaluates a block
-of Epanechnikov bag densities, each at its own row of points; any other
-block goes row by row. ``DensityModel.sample`` and ``.pdf`` are the one-row
-case, and a row's values do not depend on the other rows.
+tables of the samples of one length as the rows of a few blocks, ``_draws``
+samples a block of KDEs of one kind (one point set per row) and
+``_pdf_rows`` evaluates a block of Epanechnikov bag densities, each at its
+own row of points; any other block goes row by row. ``DensityModel.sample``
+and ``.pdf`` are the one-row case, and a row's values do not depend on the
+other rows.
 
 Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
 every candidate size of every sample passed to one call is a row of a few
@@ -33,7 +36,7 @@ the selection from rewarding spurious maximizers.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +73,9 @@ _STRICT_TOL = 1e-8
 # Elements per (rows, k, n) array of the stacked EM: it bounds the memory a
 # fit phase of many samples takes at once.
 _EM_BLOCK = 1 << 16
+# Centers per block of rows of the Epanechnikov table build: it bounds the
+# memory a fit phase of many samples takes at once.
+_TABLE_BLOCK = 1 << 11
 # SQUAREM's bound on the step length |a|: its start and the factor by which
 # it grows while a step reaches it, or shrinks when an extrapolation is
 # rejected (the defaults of Varadhan's SQUAREM package).
@@ -128,30 +134,118 @@ def _bandwidths(x: np.ndarray, kind: str, robust: bool) -> list:
     return [ValueError(message) if s <= 0 else b for s, b in zip(sigma.tolist(), h.tolist())]
 
 
-def _epan_tables(x: np.ndarray) -> list:
-    """The Epanechnikov lookup tables of every row of the (rows, n) centers
-    ``x``, one ``(shift, sorted, cum1, cum2)`` per row: the row's mean, its
-    centers less the mean in sorted order, and the prefix sums of those and
-    of their squares, each led by a 0."""
+def _epan_tables(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The piecewise-quadratic tables of the Epanechnikov KDEs with the
+    centers of the rows of the (rows, n) array ``x`` and the bandwidths
+    ``h``: (rows, 4, 2n + 1), one (4, 2n + 1) table per row.
+
+    Between two consecutive breakpoints c +- h the centers within reach are
+    fixed, so the density is one quadratic there. A table's first row holds
+    the 2n sorted breakpoints b and a copy of the last one; piece j is
+    [b[j - 1], b[j]), and pieces 0 and 2n lie beyond the outermost
+    breakpoints. Rows 1 to 3 hold each piece's coefficients q2, q1 and q0 in
+    the local coordinate t = x - b[j], about the piece's right breakpoint,
+    with the kernel's 0.75 / (n h) taken in: the density is
+    q0 + t (q1 + t q2), and 0 on the outer pieces.
+
+    A piece's window sums, of its centers' offsets d and of d * d, run over
+    the sorted breakpoints: a center is added at c - h and taken off at
+    c + h. No window spans a segment boundary, where a center is out of
+    reach of its left neighbour from every point, so each offset is taken
+    from its own segment's midrange. The running sums are compensated (each
+    step's rounding error is summed alongside, by TwoSum), so a window sum
+    is exact to its own rounding however long its segment and at any
+    offset of the data; an empty window's sums are 0. The squared offsets
+    about the piece's breakpoint are then the window's spread about its
+    mean plus the mean's distance, which loses no digits to the anchor.
+    The coefficients scale as 1 / h^3: a bandwidth beyond about 1e100, or
+    below 1e-100, under- or overflows them.
+    """
     rows, n = x.shape
-    shift = x.mean(axis=1)
-    srt = np.sort(x - shift[:, None], axis=1)
-    cum1, cum2 = np.zeros((rows, n + 1)), np.zeros((rows, n + 1))
-    np.cumsum(srt, axis=1, out=cum1[:, 1:])
-    np.cumsum(srt**2, axis=1, out=cum2[:, 1:])
-    return list(zip(shift.tolist(), srt, cum1, cum2))
+    h = h[:, None]
+    srt = np.sort(x, axis=1)
+    both = np.empty((rows, 2 * n))
+    lower, upper = np.subtract(srt, h, out=both[:, :n]), np.add(srt, h, out=both[:, n:])
+    # A segment starts at each center out of reach of its left neighbour.
+    starts = np.ones((rows, n), dtype=bool)
+    np.greater_equal(lower[:, 1:], upper[:, :-1], out=starts[:, 1:])
+    flat, first = srt.ravel(), np.flatnonzero(starts)
+    last = np.append(first, flat.size)[1:] - 1
+    anchor = (0.5 * (flat[first] + flat[last]))[np.cumsum(starts.ravel()) - 1]
+    order = np.argsort(both, axis=1, kind="stable")  # two sorted runs, merged
+    table = np.empty((rows, 4, 2 * n + 1))
+    b = table[:, 0]
+    both.take(order + np.arange(0, rows * 2 * n, 2 * n)[:, None], out=b[:, :-1], mode="clip")
+    b[:, -1] = b[:, -2]
+    del both, lower, upper
+    sign = np.where(order < n, 1.0, -1.0)  # a center enters at c - h, leaves at c + h
+    order %= n
+    order += np.arange(0, rows * n, n)[:, None]  # the breakpoint's center, flat
+    # The window of the piece right of sorted breakpoint j is the sorted
+    # centers [lo, up): up of them have entered at or left of it, lo have left.
+    up = np.cumsum(sign > 0, axis=1)
+    lo = np.arange(1, 2 * n + 1) - up
+    m = (up - lo).astype(float)
+    del up
+    # the piece's right breakpoint less its window's anchor
+    np.minimum(lo, n - 1, out=lo)
+    lo += np.arange(0, rows * n, n)[:, None]
+    delta = anchor.take(lo)
+    del lo
+    np.subtract(b[:, 1:], delta, out=delta)
+    # the window sums, and the rounding error of each step from the sum before it
+    d = np.subtract(flat, anchor)
+    step = np.stack([d, d * d]).take(order, axis=1)
+    del order, d, anchor
+    step *= sign
+    del sign
+    total = np.cumsum(step, axis=2)
+    after, before = total[:, :, 1:], total[:, :, :-1]
+    added = after - before
+    step[:, :, 1:] -= added
+    np.subtract(after, added, out=added)
+    np.subtract(before, added, out=added)
+    step[:, :, 1:] += added
+    del added
+    step[:, :, 0] = 0.0
+    total += np.cumsum(step, axis=2, out=step)
+    del step
+    np.copyto(total, 0.0, where=m == 0)  # an empty window's residue
+    s1, s2 = total
+    # About the breakpoint: s1 - m delta, and s2 / (h h) as
+    # (s2 - s1 mean) / h / h + m ((mean - delta) / h)^2, with no h * h to
+    # overflow.
+    mean = s1 / np.maximum(m, 1.0)
+    s2 -= s1 * mean
+    s2 /= h
+    s2 /= h
+    mean -= delta
+    mean /= h
+    mean *= mean
+    mean *= m
+    s2 += mean
+    delta *= m
+    s1 -= delta
+    # the kernel sum  m - (m t t - 2 t s1) / (h h) - s2, times 0.75 / (n h)
+    scale = 0.75 / (n * h)
+    per_hh = scale / h / h
+    table[:, 1:, 0] = 0.0
+    np.multiply(m, -per_hh, out=table[:, 1, 1:])
+    np.multiply(s1, 2.0 * per_hh, out=table[:, 2, 1:])
+    np.subtract(m, s2, out=s2)
+    np.multiply(s2, scale, out=table[:, 3, 1:])
+    return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityModel:
     """An evaluable, sampleable univariate density (KDE or GMM).
 
     ``support_hint`` is the interval outside which the density is treated
     as ~0 for quadrature. KDE models carry kernel ``centers`` and a
     ``bandwidth``; GMM models carry ``components`` rows (weight, mean,
-    variance). An Epanechnikov KDE also carries the lookup tables of its
-    evaluator, built from its centers unless ``_tables`` gives them (one row
-    of ``_epan_tables``).
+    variance). An Epanechnikov KDE also carries the piecewise-quadratic
+    table of its evaluator (see ``_epan_tables``).
     """
 
     kind: str
@@ -159,14 +253,9 @@ class DensityModel:
     bandwidth: float | None = None
     centers: np.ndarray | None = None
     components: np.ndarray | None = None
-    # Derived lookup tables for the fast Epanechnikov evaluator.
-    _sorted: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _cum1: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _cum2: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _shift: float = field(init=False, repr=False, compare=False, default=0.0)
-    _tables: InitVar[tuple | None] = None
+    _table: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self, _tables):
+    def __post_init__(self):
         lo, hi = float(self.support_hint[0]), float(self.support_hint[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid support_hint {self.support_hint}")
@@ -182,9 +271,8 @@ class DensityModel:
             object.__setattr__(self, "centers", centers)
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
             if self.kind == KDE_EPANECHNIKOV:
-                tables = _tables or _epan_tables(centers[None, :])[0]
-                for name, value in zip(("_shift", "_sorted", "_cum1", "_cum2"), tables):
-                    object.__setattr__(self, name, value)
+                table = _epan_tables(centers[None, :], np.array([self.bandwidth]))[0]
+                object.__setattr__(self, "_table", table)
         elif self.kind == GMM:
             comp = np.atleast_2d(np.asarray(self.components, dtype=float))
             if comp.shape[1] != 3:
@@ -260,67 +348,46 @@ class DensityModel:
 
 
 def _end_to_end(arrays, *indices) -> np.ndarray:
-    """``arrays`` laid end to end as one flat array. Each (rows, points)
-    array of ``indices``, whose row r indexes ``arrays[r]``, is shifted in
-    place to index the flat array."""
+    """``arrays`` laid end to end along their last axis as one array. Each
+    (rows, points) array of ``indices``, whose row r indexes the last axis of
+    ``arrays[r]``, is shifted in place to index the joined array."""
     if len(arrays) == 1:
         return arrays[0]
-    start = np.cumsum([0] + [a.size for a in arrays[:-1]])[:, None]
+    start = np.cumsum([0] + [a.shape[-1] for a in arrays[:-1]])[:, None]
     for index in indices:
         index += start
-    return np.concatenate(arrays)
+    return np.concatenate(arrays, axis=-1)
 
 
 def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
     """Row r of the (rows, points) array ``x`` evaluated by the Epanechnikov
     KDE ``models[r]``; the rows' center counts may differ.
 
-    Each point's window of centers within one bandwidth is searched in its
-    row's sorted centers, and the kernel sum over the window is expanded
-    with the prefix sums. The window search runs row by row; the arithmetic
-    runs once on every row, with each row's shift, bandwidth and center
-    count, in the order of the one-row formula, so a value is the same bits
-    whatever else is evaluated with it. It runs in place, and the call holds
-    at most five arrays of the size of ``x`` at once.
+    Each point's piece is searched in its row's breakpoints, row by row, and
+    the piece's quadratic is evaluated by one Horner step on every row at
+    once (see ``_epan_tables``). The arithmetic is elementwise, so a value is
+    the same bits whatever else is evaluated with it. It runs in place, and
+    the call holds at most four arrays of the size of ``x`` at once.
     """
     if len(models) == 1:
-        shift, h, n = models[0]._shift, models[0].bandwidth, models[0]._sorted.size
+        j = models[0]._table[0, :-1].searchsorted(x, side="right")
     else:
-        params = np.array([(m._shift, m.bandwidth, m._sorted.size) for m in models])
-        shift, h, n = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-    z = np.subtract(x, shift)
-    t = np.subtract(z, h)
-    lo = np.empty(x.shape, dtype=np.intp)
-    for r, m in enumerate(models):
-        lo[r] = m._sorted.searchsorted(t[r], side="left")
-    np.add(z, h, out=t)
-    hi = np.empty_like(lo)
-    for r, m in enumerate(models):
-        hi[r] = m._sorted.searchsorted(t[r], side="right")
-    del z  # made again below: one array fewer while the window sums are gathered
-    count = np.subtract(hi, lo, out=t)  # the window sizes, as floats
-    cum1 = _end_to_end([m._cum1 for m in models], lo, hi)
-    cum2 = _end_to_end([m._cum2 for m in models])  # laid out as cum1
-    s1 = cum1[hi]
-    s1 -= cum1[lo]
-    s2 = cum2[hi]
-    del hi
-    s2 -= cum2[lo]
-    del lo
-    z = np.subtract(x, shift)
-    # the sum over in-window centers c of (z - c)^2: m z z - 2 z s1 + s2
-    quad = np.multiply(count, z)
-    quad *= z
-    z *= 2.0
-    s1 *= z
-    quad -= s1
-    quad += s2
-    del z, s1, s2
-    # 0.75 / (n h) * (m - quad / (h h))
-    quad /= h * h
-    np.subtract(count, quad, out=quad)
-    quad *= 0.75 / (n * h)
-    return np.maximum(quad, 0.0, out=quad)
+        j = np.empty(x.shape, dtype=np.intp)
+        for r, m in enumerate(models):
+            j[r] = m._table[0, :-1].searchsorted(x[r], side="right")
+    b, q2, q1, q0 = _end_to_end([m._table for m in models], j)
+    # q0 + t (q1 + t q2) with t = x - b
+    t = b.take(j)
+    np.subtract(x, t, out=t)
+    out = q2.take(j)
+    out *= t
+    q = q1.take(j)
+    out += q
+    out *= t
+    q0.take(j, out=q, mode="clip")  # every index is in range; "raise" would buffer the output
+    del j
+    out += q
+    return np.maximum(out, 0.0, out=out)
 
 
 def _pdf_rows(models, x: np.ndarray) -> np.ndarray:
@@ -422,16 +489,34 @@ def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool)
         else:
             h = float(bandwidth)
             hs = [h if h > 0 else ValueError("bandwidth must be positive") for _ in members]
-        lo, hi = x.min(axis=1).tolist(), x.max(axis=1).tolist()
-        tables = _epan_tables(x) if kind == KDE_EPANECHNIKOV else [None] * len(members)
-        for r, (i, h) in enumerate(zip(members, hs)):
-            if isinstance(h, ValueError):
-                out[i] = h
-                continue
-            pad = _SUPPORT_PAD[kind] * h
-            out[i] = DensityModel(kind=kind, support_hint=(lo[r] - pad, hi[r] + pad), bandwidth=h,
-                                  centers=x[r], _tables=tables[r])
+        h = np.array([np.nan if isinstance(h, ValueError) else h for h in hs])
+        pad = _SUPPORT_PAD[kind] * h
+        support = np.column_stack([x.min(axis=1) - pad, x.max(axis=1) + pad])
+        ok = np.isfinite(support).all(axis=1)  # a NaN bandwidth is a failed rule
+        for r in np.flatnonzero(~ok):
+            out[members[r]] = hs[r] if np.isnan(h[r]) else ValueError(
+                f"invalid support_hint {tuple(support[r].tolist())}")
+        x.setflags(write=False)
+        rows = np.flatnonzero(ok).tolist()
+        tables = [None] * len(rows)
+        if kind == KDE_EPANECHNIKOV:
+            step = max(1, _TABLE_BLOCK // n)
+            tables = [t for i in range(0, len(rows), step)
+                      for t in _epan_tables(x[rows[i : i + step]], h[rows[i : i + step]])]
+        for r, table in zip(rows, tables):
+            out[members[r]] = _fitted_kde(kind, tuple(support[r].tolist()), hs[r], x[r], table)
     return out
+
+
+def _fitted_kde(kind: str, support_hint, bandwidth: float, centers, table) -> DensityModel:
+    """A KDE of the fit phase, whose group has already checked its centers
+    (a read-only row), its bandwidth and its support and built its table:
+    ``__post_init__``'s checks and copies are not made again."""
+    model = object.__new__(DensityModel)
+    for name, value in (("kind", kind), ("support_hint", support_hint), ("bandwidth", bandwidth),
+                        ("centers", centers), ("components", None), ("_table", table)):
+        object.__setattr__(model, name, value)
+    return model
 
 
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

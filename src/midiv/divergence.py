@@ -191,6 +191,19 @@ def _ess(weights: np.ndarray, count) -> np.ndarray:
         return np.where(s2 <= 0.0, count, s * s / s2)
 
 
+def _bag_support(fb, dx):
+    """The mask ``fb > 0`` of the points where the bag density is positive,
+    and its count per row. A row with no such point has no estimate of any
+    measure: it raises ``ValueError``."""
+    active = fb > 0
+    count = np.count_nonzero(active, axis=-1)
+    if not count.all():
+        where = "its importance sample" if dx is None else (
+            f"its {fb.shape[-1]}-point Riemann grid: use more --grid-points or importance sampling")
+        raise ValueError(f"a bag density is 0 at every point of {where}")
+    return active, count
+
+
 def _on_bag_support(fb, terms, clipped, weights, dx) -> RowScores:
     """Per row: the integral of ``terms``, the fraction of ``clipped`` points
     and the ESS of the importance ``weights`` (None: unit weights), over the
@@ -202,12 +215,7 @@ def _on_bag_support(fb, terms, clipped, weights, dx) -> RowScores:
     its ``.mean()``), the Riemann one the masked sum times the cell width. A
     row with no active point has no estimate and raises ``ValueError``.
     """
-    active = fb > 0
-    count = np.count_nonzero(active, axis=-1)
-    if not count.all():
-        where = "its importance sample" if dx is None else (
-            f"its {fb.shape[-1]}-point Riemann grid: use more --grid-points or importance sampling")
-        raise ValueError(f"a bag density is 0 at every point of {where}")
+    active, count = _bag_support(fb, dx)
     off = ~active
     np.copyto(terms, 0.0, where=off)
     total = terms.sum(axis=-1)
@@ -250,7 +258,13 @@ def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowSc
 
 
 def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowScores:
-    """Bhattacharyya distance per row; the overlap integral is clamped into (0, 1]."""
+    """Bhattacharyya distance per row; the overlap integral is clamped into (0, 1].
+
+    A row with no point where the bag density is positive raises
+    ``ValueError``, as in KL: its overlap would read 0 against every
+    reference, and the bag as equally far from all of them.
+    """
+    _bag_support(fb, dx)
     ess = None
     if dx is None:
         w = np.sqrt(fr / np.maximum(fb, _TINY))

@@ -16,9 +16,25 @@ __all__ = ["as_seed_sequence", "derive_seed"]
 
 def derive_seed(*parts) -> np.random.SeedSequence:
     """SeedSequence derived from hashing the labels in ``parts``."""
+    return np.random.SeedSequence(_entropy(parts))
+
+
+class _Label(str):
+    """A derived seed carried as the label it hashes as: ``ss:<entropy>:()``,
+    the canonical form of ``SeedSequence(entropy)``."""
+
+
+def derive_label(*parts) -> _Label:
+    """``derive_seed(*parts)`` as its hash label, for a seed that is only ever
+    the parent of other derived seeds: a child derived from it is the one
+    derived from the SeedSequence, and building the label skips the
+    SeedSequence's own set-up."""
+    return _Label(f"ss:{_entropy(parts)}:()")
+
+
+def _entropy(parts) -> int:
     text = "\x1f".join(_canonical(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return np.random.SeedSequence(int.from_bytes(digest, "little"))
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest(), "little")
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -38,6 +54,8 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _canonical(part) -> str:
+    if isinstance(part, _Label):
+        return part
     if isinstance(part, np.random.SeedSequence):
         return f"ss:{part.entropy}:{part.spawn_key}"
     if isinstance(part, (bool, int, np.integer)):

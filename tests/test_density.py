@@ -312,25 +312,116 @@ class TestModelValidation:
     def test_gaussian_kde_carries_no_epanechnikov_tables(self):
         x = np.random.default_rng(51).standard_normal(12)
         for model in (fit_kde(x, "GAUSSIAN"), density._fit_kdes([x], "GAUSSIAN", None, True)[0]):
-            assert (model._sorted, model._cum1, model._cum2, model._shift) == (None, None, None, 0.0)
-        assert fit_kde(x, "EPANECHNIKOV")._sorted.size == x.size
+            assert model._table is None
+        assert fit_kde(x, "EPANECHNIKOV")._table.shape == (4, 2 * x.size + 1)
+
+    @pytest.mark.parametrize("kernel", ["EPANECHNIKOV", "GAUSSIAN"])
+    def test_fit_phase_rejects_an_infinite_support(self, kernel):
+        x = np.random.default_rng(53).standard_normal(12)
+        with pytest.raises(ValueError, match="invalid support_hint"):
+            fit_kde(x, kernel, bandwidth=math.inf)
+
+    def test_fit_phase_models_hold_read_only_checked_rows(self):
+        rng = np.random.default_rng(54)
+        samples = [rng.standard_normal(9) for _ in range(3)]
+        for kernel in ("EPANECHNIKOV", "GAUSSIAN"):
+            for x, model in zip(samples, density._fit_kdes(samples, kernel, None, True)):
+                alone = DensityModel(model.kind, model.support_hint, model.bandwidth, x)
+                assert (model.kind, model.support_hint, model.bandwidth, model.components) == (
+                    alone.kind, alone.support_hint, alone.bandwidth, alone.components)
+                assert np.array_equal(bits(model.centers), bits(alone.centers))
+                assert not model.centers.flags.writeable
+                assert type(model.bandwidth) is float
+                assert all(type(v) is float for v in model.support_hint)
 
 
 class TestEpanechnikovMemory:
-    def test_block_query_peak_within_six_query_sizes(self):
+    def test_block_query_peak_within_five_query_sizes(self):
         # A block of 16 importance samples of 2000 points against a class density.
         rng = np.random.default_rng(50)
         model = fit_kde(rng.standard_normal(1250), "EPANECHNIKOV")
         x = rng.standard_normal((16, 2000)) * 1.5
-        want = epan_pdf_oracle(model, x.ravel()).reshape(x.shape)
+        want = epan_direct_oracle(model, x.ravel()).reshape(x.shape)
         tracemalloc.start()
         try:
             got = model.pdf(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(bits(got), bits(want))
-        assert peak <= 6 * x.nbytes, peak / x.nbytes
+        assert_close_to_direct_sum(got, want)
+        assert peak <= 5 * x.nbytes, peak / x.nbytes
+
+
+def epan_direct_oracle(model, x):
+    """The Epanechnikov KDE at the 1-D points ``x`` as the direct sum over
+    every center: the oracle of the table's precision."""
+    u = (x[:, None] - model.centers[None, :]) / model.bandwidth
+    kernel = np.where(np.abs(u) < 1.0, 1.0 - u * u, 0.0)
+    return 0.75 / (model.centers.size * model.bandwidth) * kernel.sum(axis=1)
+
+
+def assert_close_to_direct_sum(got, want, rtol=1e-11):
+    """Within ``rtol`` relative wherever the direct sum exceeds 1e-6, and
+    within 1e-6 absolute elsewhere."""
+    got, want = np.asarray(got).ravel(), np.asarray(want).ravel()
+    big = want > 1e-6
+    assert big.any()
+    err = np.abs(got - want)
+    assert np.max(err[big] / want[big]) <= rtol, np.max(err[big] / want[big])
+    assert np.all(err[~big] <= 1e-6)
+
+
+class TestEpanechnikovPrecision:
+    """The piecewise-quadratic table against the direct kernel sum: exact to
+    about 1e-13 relative at any offset of the data, never negative, and
+    exactly 0 off the kernels' support. On these points the global prefix
+    sums that the table replaced were off by 5.5e-6 relative at a
+    separation of 1e3, 6.4e-2 at 1e5 and 32 times the value at 1e7, and by
+    9.7e-11 on the pooled class."""
+
+    @staticmethod
+    def grid(model, lo, hi, n=4000):
+        x = np.linspace(lo, hi, n)
+        return model, x, epan_direct_oracle(model, x)
+
+    @pytest.mark.parametrize("separation", [0.0, 1e3, 1e5, 1e6, 1e7])
+    def test_two_far_clusters(self, separation):
+        rng = np.random.default_rng(55)
+        c = np.concatenate([rng.standard_normal(250), rng.standard_normal(250) + separation])
+        model = fit_kde(c, "EPANECHNIKOV", bandwidth=0.5)
+        for centre in (0.0, separation):
+            _, x, want = self.grid(model, centre - 4.5, centre + 4.5)
+            assert_close_to_direct_sum(model.pdf(x), want)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_pooled_class_of_5000_centers(self, offset):
+        train, _ = sample_experiment(SimConfig.preset("sim2", n_instances=10), 500, 1, 1, seed=56)
+        pooled = train.pooled_instances(Label.POS)[:, 0] + offset
+        assert pooled.size == 5000
+        model = fit_kde(pooled, "EPANECHNIKOV", robust_sigma=False)
+        lo, hi = model.support_hint
+        _, x, want = self.grid(model, lo, hi, 20000)
+        assert_close_to_direct_sum(model.pdf(x), want)
+
+    def test_nonnegative_and_zero_off_the_support(self):
+        rng = np.random.default_rng(57)
+        h = 0.3
+        # three clusters with gaps wider than 2h between them, and a duplicate
+        c = np.concatenate([rng.standard_normal(40), rng.standard_normal(30) + 9.0, [20.0, 20.0]])
+        model = fit_kde(c, "EPANECHNIKOV", bandwidth=h)
+        breaks = np.sort(np.concatenate([c - h, c + h]))
+        x = np.sort(np.concatenate([
+            breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+            rng.uniform(c.min() - 2.0, c.max() + 2.0, 20000),
+        ]))
+        assert np.all(model.pdf(np.array([-1e300, 1e300])) == 0.0)
+        got, want = model.pdf(x), epan_direct_oracle(model, x)
+        assert np.all(got >= 0.0)
+        assert np.all(got[(x < breaks[0]) | (x >= breaks[-1])] == 0.0)
+        off = (want == 0.0) & (np.abs(x[:, None] - c[None, :]).min(axis=1) > h * (1 + 1e-9))
+        assert off.sum() > 1000
+        assert np.all(got[off] == 0.0)
+        assert_close_to_direct_sum(got, want)
 
 
 # --------------------------------------------------------------------------
@@ -604,29 +695,6 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def epan_tables_oracle(centers):
-    """An Epanechnikov KDE's lookup tables built for one model alone, as they
-    were before the stacked build: the oracle of ``_epan_tables``."""
-    shift = float(centers.mean())
-    srt = np.sort(centers - shift)
-    return shift, srt, np.concatenate(([0.0], np.cumsum(srt))), np.concatenate(([0.0], np.cumsum(srt**2)))
-
-
-def epan_pdf_oracle(model, x):
-    """The one-model Epanechnikov evaluator at the 1-D points ``x``, as it was
-    before the stacked one: the oracle of ``_epan_pdf``."""
-    shift, srt, cum1, cum2 = epan_tables_oracle(model.centers)
-    h, n = model.bandwidth, srt.size
-    z = x - shift
-    lo = np.searchsorted(srt, z - h, side="left")
-    hi = np.searchsorted(srt, z + h, side="right")
-    m = (hi - lo).astype(float)
-    s1 = cum1[hi] - cum1[lo]
-    s2 = cum2[hi] - cum2[lo]
-    quad = m * z * z - 2.0 * z * s1 + s2
-    return np.maximum(0.75 / (n * h) * (m - quad / (h * h)), 0.0)
-
-
 def kde_sample_oracle(model, n, seed):
     """The one-model KDE sampler, as it was before the stacked one."""
     rng = np.random.default_rng(seed)
@@ -669,16 +737,12 @@ class TestStackedKdeFits:
                    for n in lengths]
         samples.append(samples[0] + 1.0)  # two samples of one length at least
         fits = density._fit_kdes(samples, kernel, bandwidth, True)
-        for fit in fits:
-            alone = DensityModel(fit.kind, fit.support_hint, fit.bandwidth, fit.centers)
-            tables = [getattr(m, name) for m in (fit, alone)
-                      for name in ("_shift", "_sorted", "_cum1", "_cum2")]
+        alone = [DensityModel(fit.kind, fit.support_hint, fit.bandwidth, fit.centers) for fit in fits]
+        for fit, one in zip(fits, alone):
             if kernel == "GAUSSIAN":
-                assert tables == [0.0, None, None, None] * 2
-                continue
-            for got, one_row, oracle in zip(tables[:4], tables[4:], epan_tables_oracle(fit.centers)):
-                assert np.array_equal(bits(got), bits(one_row))
-                assert np.array_equal(bits(got), bits(oracle))
+                assert fit._table is None and one._table is None
+            else:
+                assert np.array_equal(bits(fit._table), bits(one._table))
         seeds = [as_seed_sequence(int(s)) for s in rng.integers(0, 2**63, len(fits))]
         draws = density._draws(fits, 100, seeds)
         for fit, s, row in zip(fits, seeds, draws):
@@ -688,10 +752,11 @@ class TestStackedKdeFits:
         x = np.sort(draws, axis=1)
         x[:, ::7] = rng.uniform(-1e3, 1e3, x[:, ::7].shape)
         values = density._pdf_rows(fits, x)
-        for fit, row, got in zip(fits, x, values):
+        for fit, one, row, got in zip(fits, alone, x, values):
             assert np.array_equal(bits(got), bits(fit.pdf(row)))
+            assert np.array_equal(bits(got), bits(one.pdf(row)))
             if kernel == "EPANECHNIKOV":
-                assert np.array_equal(bits(got), bits(epan_pdf_oracle(fit, row)))
+                assert_close_to_direct_sum(got, epan_direct_oracle(fit, row))
 
     def test_mixed_rows_and_a_duck_typed_model(self):
         rng = np.random.default_rng(52)

@@ -382,8 +382,9 @@ class TestMaskedReductionMatchesCompactedFormula:
 
 class TestRiemannRowWithoutBagSupport:
     """A bag whose support falls between two grid points has no Riemann
-    estimate. The reductions used to score it 0 against every class, as if
-    the bag were identical to both; importance sampling gives the clip."""
+    estimate. The KL reductions used to score it 0 against every class, as
+    if the bag were identical to both, and the BH reduction 690.78 (the
+    overlap's clamp) against both; importance sampling scores it."""
 
     bag = fit_kde([0.0, 1e-7, 2e-7])
     pos = fit_kde(np.random.default_rng(1).standard_normal(200))
@@ -395,9 +396,16 @@ class TestRiemannRowWithoutBagSupport:
             lambda: kl(self.bag, self.pos, spec, 0),
             lambda: kl(self.bag, self.neg, spec, 0),
             lambda: ckl(self.bag, self.pos, self.neg, spec, 0),
+            lambda: bhattacharyya(self.bag, self.pos, spec, 0),
+            lambda: bhattacharyya(self.bag, self.neg, spec, 0),
         ):
             with pytest.raises(ValueError, match="4096-point Riemann grid.*--grid-points"):
                 score()
+
+    def test_importance_sampling_scores_the_bag(self):
+        spec = DivergenceSpec()
+        near, far = (bhattacharyya(self.bag, ref, spec, 0).value for ref in (self.pos, self.neg))
+        assert near < far
 
 
 class TestRdRatio:

@@ -70,7 +70,7 @@ CASES = {
 # Recorded from a reference build with numpy 2.4.6.
 GOLDEN = {
     "cv-ckl": {
-        "report.json": "5600d178818002d564c6f14ba6c2fde9f6045e60a39462ce55240262d89622e7",
+        "report.json": "ac754346cceed2f21e98f19a8fd4b50e8d5eebbdb402f082b02faf4c7685e1d3",
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "cv-gmm-aic": {
@@ -78,11 +78,11 @@ GOLDEN = {
         "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
     },
     "cv-mixed-b2b-kl": {
-        "report.json": "c5fb6c16ac6ffa23a77370d3601830642049753a7895abbe66dfa6d5987bcff5",
+        "report.json": "9adfcfc31a852c73235cd1d63dde638e2ee7e193cb1333bcaeaf52bf52af0dfc",
         "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
     },
     "cv-mixed-riemann": {
-        "report.json": "6b6d81da7b6dd14eecde3b39a67b6128c1f9e5f9a161b36e2e2eecf46ab6f481",
+        "report.json": "b83c56d01d1a6d47cb70b291757be41d2bae697c28d1e95a5fbc7f42f95f9dcd",
         "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
     },
     "cv-mixed-svm-divs": {
@@ -90,19 +90,19 @@ GOLDEN = {
         "roc.csv": "3144890353f2ab420deccad8afb6e339ab03aea1cded7168cbb0cd529e821481",
     },
     "cv-svm-divs": {
-        "report.json": "7eccf00a1dd2c0f2acc9a8b2040ba656dcdf9db159c8cae0f42fa356fef9e50c",
+        "report.json": "65487e2f887a29e1c01ebe1bc14557e69e450fb7bce41c8528d51bfc9e21b230",
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "holdout-b2b-bh": {
-        "report.json": "17f89a84b8824b7a3403bac07a750773b9b7e4821be2ee5042541f26f67997af",
+        "report.json": "ac9aeeb02d6039e761ff8e9bea7cd654ed5c3d657e9e28d0aa5f50045a63fb67",
         "roc.csv": "5216e7ae2e7d9b383ae68ab0084104270a9d663fd8859a57470a106cdf0d8726",
     },
     "holdout-b2b-kl": {
-        "report.json": "b68b3246cc5cad79e764b37c38eab4585133a38b030b70704a4488f5c6d7530e",
+        "report.json": "f5d240cab587943698eb1a5b2a9ef43d04423670a1f229cb79d42fcc4d365530",
         "roc.csv": "f56abde9dcfd79cccf36d0f1d9cafa1836dee59a95db6d807071904feb5b60a8",
     },
     "holdout-ckl": {
-        "report.json": "bd26d8dd777f5bae8061e8bac3879033812deaeea44f66fbefdc0c7b09933450",
+        "report.json": "754409cb6288eae174a49b02310a119fc2c1f071e9f2407e4500e19ce49eebb5",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-gmm-aic": {
@@ -110,15 +110,15 @@ GOLDEN = {
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-rd-bh": {
-        "report.json": "57329f20daf61823f086534c256219b0c1efd7fbef5ca34f408959dcbb914770",
+        "report.json": "d0f8bc7154fc1c6284615df33b7434cbfc2cea16f6bfb0ee9207a729d3a8885e",
         "roc.csv": "e8e0ca4cf53fe265b8665dc9b58302ade24d7929b99ed0c485d039c7a7fd8e4e",
     },
     "holdout-rd-kl": {
-        "report.json": "6f5a4d3bfd159e599d7eb74a10fb06cfec8691434d0f203f9172d526a8f46341",
+        "report.json": "53a8cdd7a63d2cbb56461177a05c12600ae01119a54c9aa467b44cff24f49f55",
         "roc.csv": "ddf652047904af1b9b0f860cff7fc9433ee40e184d50b703226fe27bac48e94e",
     },
     "holdout-svm-divs": {
-        "report.json": "071288996acf74061ea8cd5c58dd96dfdba01e63d770093be40295f0aeb5db6b",
+        "report.json": "cacf038c2f19fbf12055799d961389642bc9dad1a2f6742ace10b06ac764389b",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "simulate-sim1": {
