@@ -6,9 +6,10 @@ Bags are stored as read-only ``(n_k, d)`` float arrays, one row per
 instance, so downstream density estimation can pool and slice them
 without copies.
 
-BAG_CSV is the canonical on-disk format: UTF-8, comma separated, header
-``bag_id,label,f1,...,fd``, one instance per row, label in ``{0,1,NA}``.
-Rows of one bag need not be contiguous but must agree on the label.
+BAG_CSV is the canonical on-disk format: UTF-8 (a leading byte order mark
+is skipped), comma separated, header ``bag_id,label,f1,...,fd``, one
+instance per row, label in ``{0,1,NA}``. Rows of one bag need not be
+contiguous but must agree on the label.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -69,12 +72,11 @@ class Bag:
     label: Label | None = None
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.instances, dtype=float))
+        arr = np.array(self.instances, dtype=float, order="C", ndmin=2)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DatasetError(f"bag {self.id!r} must hold a non-empty 2-D instance array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DatasetError(f"bag {self.id!r} contains non-finite feature values")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "instances", arr)
 
@@ -130,77 +132,171 @@ class Dataset:
 # --------------------------------------------------------------------------
 # BAG_CSV ingestion
 
+_LOAD_CHUNK = 1024  # records read, checked and parsed as one set of columns
 
-def _records(path: Path, fh):
-    """Each CSV record of ``fh`` with the file line it ends on.
 
-    A decoding or CSV error becomes a DatasetError naming the file.
+def _read_chunk(path: Path, reader, size: int):
+    """Up to ``size`` records of ``reader``, the file line each ends on, and an error or None.
+
+    A decoding or CSV error stops the chunk. It comes back as a DatasetError
+    naming the file, so the caller can check the records before it first.
     """
-    reader = csv.reader(fh)
+    rows, lines = [], []
     try:
-        for row in reader:
-            yield reader.line_num, row
+        for row in islice(reader, size):
+            rows.append(row)
+            lines.append(reader.line_num)
     except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        return rows, lines, DatasetError(f"{path}: not UTF-8 text: {exc.reason}")
     except csv.Error as exc:
-        raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+        return rows, lines, DatasetError(f"{path}:{reader.line_num}: {exc}")
+    return rows, lines, None
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _columns(rows: list[list[str]], dim: int, label_of: dict):
+    """A chunk's bag ids, labels and ``(n, dim)`` values, column by column.
+
+    Blank records are skipped. Returns None if any record is faulty.
+    ``label_of`` caches the parse of each label text across chunks.
+    """
+    if set(map(len, rows)) != {dim + 2}:
+        rows = [row for row in rows if not _is_blank(row)]
+        if any(len(row) != dim + 2 for row in rows):
+            return None
+        if not rows:
+            return [], [], np.empty((0, dim))
+    ids, texts, *features = zip(*rows)
+    for text in set(texts).difference(label_of):
+        try:
+            label_of[text] = Label.from_field(text)
+        except DatasetError:
+            return None
+    values = np.empty((len(rows), dim))
+    try:
+        for j, column in enumerate(features):
+            values[:, j] = np.fromiter(map(float, column), float, len(rows))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return list(map(str.strip, ids)), list(map(label_of.__getitem__, texts)), values
+
+
+def _bag_codes(ids: list[str], labels: list, code_of: dict, bag_labels: list):
+    """Each row's bag index; a new bag is appended, with its label, where it first appears.
+
+    Returns None, and appends nothing, if a row's label is not its bag's
+    first label.
+    """
+    first = dict(zip(reversed(ids), reversed(labels)))  # each bag's first label in this chunk,
+    for bag_id in first:
+        if bag_id in code_of:  # or in an earlier one
+            first[bag_id] = bag_labels[code_of[bag_id]]
+    if list(map(first.__getitem__, ids)) != labels:
+        return None
+    for bag_id in dict.fromkeys(ids):
+        if bag_id not in code_of:
+            code_of[bag_id] = len(bag_labels)
+            bag_labels.append(first[bag_id])
+    return np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
+
+
+def _raise_first_fault(path: Path, dim: int, rows, lines, code_of: dict, bag_labels: list) -> NoReturn:
+    """Raise the DatasetError of a chunk's first faulty record, in file order.
+
+    This row-by-row check formats every message about a data record. Bags
+    of earlier chunks are checked against the first label they were read with.
+    """
+    first: dict[str, Label | None] = {}
+    for row, lineno in zip(rows, lines):
+        if _is_blank(row):
+            continue  # tolerate blank lines
+        bag_id = row[0].strip()
+        if len(row) - 2 != dim:
+            raise DatasetError(
+                f"{path}:{lineno}: dimension mismatch for bag {bag_id!r}: "
+                f"expected {dim} features, got {len(row) - 2}"
+            )
+        try:
+            label = Label.from_field(row[1])
+            values = [float(v) for v in row[2:]]
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise DatasetError(f"{path}:{lineno}: non-finite feature value")
+        known = code_of.get(bag_id)
+        if first.setdefault(bag_id, label if known is None else bag_labels[known]) != label:
+            raise DatasetError(f"{path}: conflicting labels within bag {bag_id!r}")
+    raise AssertionError(f"{path}: the column check found a fault the row check does not")
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Parse a BAG_CSV file into a Dataset.
 
-    Rows are grouped by ``bag_id`` preserving row order within each bag.
-    A bag's rows must agree on the label: mixing 0/1, or labelled and NA
-    rows, within one bag is an error.
+    Rows are grouped by ``bag_id`` preserving row order within each bag;
+    bags come in order of first appearance. A bag's rows must agree on the
+    label: mixing 0/1, or labelled and NA rows, within one bag is an error.
+    A leading UTF-8 byte order mark is skipped.
+
+    Records are checked and parsed in chunks, a column at a time. A chunk
+    with a fault is checked again row by row, so the error is the one of the
+    first faulty record in the file.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        records = _records(path, fh)
-        try:
-            _, header = next(records)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+    code_of: dict[str, int] = {}  # bag id -> bag index, in order of first appearance
+    bag_labels: list[Label | None] = []  # by bag index: the bag's label
+    label_of: dict[str, Label | None] = {}
+    codes, values = [], []
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header, _, error = _read_chunk(path, reader, 1)
+        if error is not None:
+            raise error
+        if not header:
+            raise DatasetError(f"{path}: empty file")
+        header = [h.strip() for h in header[0]]
         if len(header) < 3 or header[0] != "bag_id" or header[1] != "label":
             raise DatasetError(f"{path}: header must be bag_id,label,f1,...,fd, got {header}")
         dim = len(header) - 2
 
-        rows_by_bag: dict[str, list[list[float]]] = {}
-        labels_by_bag: dict[str, Label | None] = {}
-        order: list[str] = []
-        n_rows = 0
-        for lineno, row in records:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # tolerate blank lines
-            bag_id = row[0].strip()
-            if len(row) - 2 != dim:
-                raise DatasetError(
-                    f"{path}:{lineno}: dimension mismatch for bag {bag_id!r}: "
-                    f"expected {dim} features, got {len(row) - 2}"
-                )
-            try:
-                label = Label.from_field(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise DatasetError(f"{path}:{lineno}: non-finite feature value")
-            if bag_id not in rows_by_bag:
-                rows_by_bag[bag_id] = []
-                labels_by_bag[bag_id] = label
-                order.append(bag_id)
-            elif labels_by_bag[bag_id] != label:
-                raise DatasetError(f"{path}: conflicting labels within bag {bag_id!r}")
-            rows_by_bag[bag_id].append(values)
-            n_rows += 1
+        while True:
+            rows, lines, error = _read_chunk(path, reader, _LOAD_CHUNK)
+            parsed = _columns(rows, dim, label_of)
+            chunk_codes = None if parsed is None else _bag_codes(*parsed[:2], code_of, bag_labels)
+            if chunk_codes is None:
+                _raise_first_fault(path, dim, rows, lines, code_of, bag_labels)
+            codes.append(chunk_codes)
+            values.append(parsed[2])
+            if error is not None:
+                raise error
+            if len(rows) < _LOAD_CHUNK:
+                break
 
-    if n_rows == 0:
+    if not bag_labels:
         raise DatasetError(f"{path}: no data rows")
+    codes = np.concatenate(codes)
+    instances = np.concatenate(values)[np.argsort(codes, kind="stable")]
+    instances.setflags(write=False)
+    stops = np.cumsum(np.bincount(codes)).tolist()
     bags = tuple(
-        Bag(id=bag_id, instances=np.array(rows_by_bag[bag_id]), label=labels_by_bag[bag_id])
-        for bag_id in order
+        _loaded_bag(bag_id, instances[start:stop], label)
+        for bag_id, label, start, stop in zip(code_of, bag_labels, [0] + stops[:-1], stops)
     )
     return Dataset(bags=bags, dimension=dim, name=path.stem)
+
+
+def _loaded_bag(bag_id: str, instances: np.ndarray, label: Label | None) -> Bag:
+    """A bag of ``load_dataset``, whose chunks have already checked its rows:
+    a read-only slice of the loader's one sorted array, without
+    ``__post_init__``'s checks and copy."""
+    bag = object.__new__(Bag)
+    for name, value in (("id", bag_id), ("instances", instances), ("label", label)):
+        object.__setattr__(bag, name, value)
+    return bag
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -210,9 +306,10 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "label"] + [f"f{i + 1}" for i in range(dataset.dimension)])
         for bag in dataset.bags:
+            n = bag.n_instances
             label = "NA" if bag.label is None else str(int(bag.label))
-            for row in bag.instances:
-                writer.writerow([bag.id, label] + [repr(float(v)) for v in row])
+            columns = [map(repr, column) for column in bag.instances.T.tolist()]
+            writer.writerows(zip(repeat(bag.id, n), repeat(label, n), *columns))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import csv
+import io
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midiv import core
 from midiv.core import (
     Bag,
     Dataset,
@@ -22,6 +27,87 @@ def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# --------------------------------------------------------------------------
+# The row-by-row BAG_CSV loader, kept as the reference for ``load_dataset``:
+# one generator step, label parse, float list and finiteness check per row.
+
+
+def _reference_records(path, fh):
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def reference_load_dataset(path):
+    path = Path(path)
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        records = _reference_records(path, fh)
+        try:
+            _, header = next(records)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if len(header) < 3 or header[0] != "bag_id" or header[1] != "label":
+            raise DatasetError(f"{path}: header must be bag_id,label,f1,...,fd, got {header}")
+        dim = len(header) - 2
+
+        rows_by_bag = {}
+        labels_by_bag = {}
+        order = []
+        n_rows = 0
+        for lineno, row in records:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            bag_id = row[0].strip()
+            if len(row) - 2 != dim:
+                raise DatasetError(
+                    f"{path}:{lineno}: dimension mismatch for bag {bag_id!r}: "
+                    f"expected {dim} features, got {len(row) - 2}"
+                )
+            try:
+                label = Label.from_field(row[1])
+                values = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise DatasetError(f"{path}:{lineno}: non-finite feature value")
+            if bag_id not in rows_by_bag:
+                rows_by_bag[bag_id] = []
+                labels_by_bag[bag_id] = label
+                order.append(bag_id)
+            elif labels_by_bag[bag_id] != label:
+                raise DatasetError(f"{path}: conflicting labels within bag {bag_id!r}")
+            rows_by_bag[bag_id].append(values)
+            n_rows += 1
+
+    if n_rows == 0:
+        raise DatasetError(f"{path}: no data rows")
+    bags = tuple(
+        Bag(id=bag_id, instances=np.array(rows_by_bag[bag_id]), label=labels_by_bag[bag_id])
+        for bag_id in order
+    )
+    return Dataset(bags=bags, dimension=dim, name=path.stem)
+
+
+def load_outcome(loader, path):
+    """What a loader makes of a file: its Dataset, spelled out bit for bit, or its error text."""
+    try:
+        ds = loader(path)
+    except DatasetError as exc:
+        return str(exc)
+    bags = [
+        (b.id, b.label, b.instances.shape, b.instances.dtype.str, b.instances.tobytes(),
+         b.instances.flags.c_contiguous, b.instances.flags.writeable)
+        for b in ds.bags
+    ]
+    return ds.name, ds.dimension, bags
 
 
 class TestLoadDataset:
@@ -69,6 +155,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="label"):
             load_dataset(path)
 
+    def test_loaded_instances_are_read_only(self, tmp_path):
+        path = write_csv(tmp_path, "bag_id,label,f1\nb1,1,0.5\nb2,0,0.1\nb1,1,0.7\n")
+        for bag in load_dataset(path).bags:
+            with pytest.raises(ValueError):
+                bag.instances[0, 0] = 9.0
+            with pytest.raises(ValueError):
+                bag.instances.setflags(write=True)
+
     def test_unlabeled_bag_allowed(self, tmp_path):
         path = write_csv(tmp_path, "bag_id,label,f1\nb1,NA,0.5\nb1,NA,0.7\n")
         ds = load_dataset(path)
@@ -111,6 +205,120 @@ class TestLoadDataset:
                 load_dataset(path)
             except DatasetError as exc:
                 assert str(path) in str(exc)
+            assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+    def test_bom_and_crlf_load_like_the_plain_file(self, tmp_path):
+        text = "bag_id,label,f1\nb1,1,0.5\nb2,0,0.1\nb1,1,0.7\n"
+        plain = write_csv(tmp_path, text)
+        (tmp_path / "excel").mkdir()
+        excel = tmp_path / "excel" / "data.csv"
+        excel.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+        assert load_outcome(load_dataset, excel) == load_outcome(load_dataset, plain)
+
+    def test_first_fault_in_file_order_wins_across_chunks(self, tmp_path):
+        chunk = core._LOAD_CHUNK
+        rows = [f"b{i % 7},{i % 7 % 2},{i}.5" for i in range(2 * chunk + 10)]
+        rows[chunk + 3] = "b1,0,2.5"  # conflicts with b1's label in the first chunk
+        rows[chunk + 5] = "b2,0,oops"
+        path = write_csv(tmp_path, "bag_id,label,f1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match="conflicting labels within bag 'b1'"):
+            load_dataset(path)
+        rows[chunk + 3], rows[chunk + 5] = rows[chunk + 5], rows[chunk + 3]
+        path = write_csv(tmp_path, "bag_id,label,f1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match=f":{chunk + 5}: could not convert"):
+            load_dataset(path)
+
+    def test_rows_before_a_csv_error_are_checked_first(self, tmp_path):
+        path = write_csv(tmp_path, "bag_id,label,f1\nb1,1,0.5\nb1,1,nan\nb1,1," + "1" * 200_000 + "\n")
+        with pytest.raises(DatasetError, match=":3: non-finite"):
+            load_dataset(path)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chunked_loader_matches_row_by_row_reference(self, data):
+        for chunk in (core._LOAD_CHUNK, 4):
+            with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+                mp.setattr(core, "_LOAD_CHUNK", chunk)
+                path = Path(tmp) / "drawn.csv"
+                path.write_bytes(data.draw(bag_csv_files(chunk)))
+                assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+    def test_peak_memory_at_most_the_reference_loader(self, tmp_path):
+        rng = np.random.default_rng(0)
+        bags = tuple(
+            Bag(id=f"bag{i:04d}", instances=rng.standard_normal((10, 1)), label=Label(i % 2))
+            for i in range(1000)
+        )
+        path = tmp_path / "many.csv"
+        write_dataset(Dataset(bags=bags, dimension=1), path)
+
+        def peak(loader):
+            loader(path)  # leave one-time allocations out of the count
+            tracemalloc.start()
+            try:
+                loader(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(load_dataset) <= peak(reference_load_dataset)
+
+
+# Edits of a drawn record: a fault the loader must name, or a form it must accept.
+RECORD_EDITS = {
+    "extra field": lambda row: row + ["0.5"],
+    "missing field": lambda row: row[:-1],
+    "bad label": lambda row: [row[0], "2"] + row[2:],
+    "bad float": lambda row: row[:2] + ["1.5x"] + row[3:],
+    "nan": lambda row: row[:2] + ["nan"] + row[3:],
+    "inf": lambda row: row[:-1] + ["-Infinity"],
+    "underscore float": lambda row: row[:2] + ["1_0"] + row[3:],
+    "double underscore float": lambda row: row[:2] + ["1__0"] + row[3:],
+    "conflicting label": lambda row: [row[0], {"0": "1", "1": "NA", "NA": "0"}[row[1]]] + row[2:],
+    "padded id and label": lambda row: [f" {row[0]}\t", f" {row[1].lower()} "] + row[2:],
+    "multi-line id": lambda row: [row[0] + "\nx"] + row[1:],
+    "oversized field": lambda row: row[:2] + ["1" * 131_073] + row[3:],
+    "not UTF-8": lambda row: [row[0] + "\udcff"] + row[1:],
+    "blank line": lambda row: [],
+    "whitespace line": lambda row: ["  "],
+}
+
+
+@st.composite
+def bag_csv_files(draw, chunk):
+    """BAG_CSV bytes: some files span more than two chunks; a few records edited."""
+    dim = draw(st.integers(1, 2))
+    n_rows = draw(st.one_of(st.integers(0, 12), st.integers(2 * chunk + 1, 2 * chunk + 30)))
+    n_bags = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bag_of_row = rng.integers(0, n_bags, n_rows)
+    if draw(st.booleans()):
+        bag_of_row.sort()  # each bag's rows contiguous
+    labels = rng.choice(["0", "1", "NA"], n_bags)
+    values = rng.standard_normal((n_rows, dim)) * 10.0 ** rng.integers(-5, 6, (n_rows, dim))
+    rows = [[f"b{k}", labels[k], *map(repr, v.tolist())] for k, v in zip(bag_of_row, values)]
+
+    edges = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n_rows - 1]
+    position = st.one_of(st.sampled_from(edges), st.integers(0, n_rows)).filter(lambda i: i >= 0)
+    # Other faults often come first in the file, so a conflict is drawn more often.
+    kind = st.one_of(st.just("conflicting label"), st.sampled_from(sorted(RECORD_EDITS)))
+    edits = draw(st.dictionaries(position, kind, max_size=3))
+    for at, kind in sorted(edits.items(), reverse=True):
+        if kind in ("blank line", "whitespace line"):
+            rows.insert(at, RECORD_EDITS[kind](None))
+        elif at < n_rows:
+            rows[at] = RECORD_EDITS[kind](rows[at])
+
+    out = io.StringIO(newline="")
+    writer = csv.writer(
+        out,
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    )
+    writer.writerow(["bag_id", "label"] + [f"f{j + 1}" for j in range(dim)])
+    writer.writerows(rows)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + out.getvalue()).encode("utf-8", errors="surrogateescape")
 
 
 class TestRoundTrip:
