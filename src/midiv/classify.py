@@ -319,16 +319,16 @@ def _score_bags(fits, seeds, spec, refs, methods, per_dim=False) -> dict[str, li
 def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
     """Scores of a block of bags under every requested method, one row per bag.
 
-    Per dimension, each bag keeps its own point set (seed stream ``"dim"``)
-    over its density and every reference density. The points are the rows of
-    one array: the bags' importance draws are made together, with only the
+    Per dimension, each bag keeps its own point set: a Riemann grid over its
+    own support, or importance draws from the seed stream ``"dim"``
+    (``"feat"`` for the svm-divs features). The points are the rows of one
+    array: the bags' importance draws are made together, with only the
     generator calls per bag (``density._draws``), the bags' own densities are
     evaluated together (``density._pdf_rows``), each reference density is
     evaluated once on all rows and each measure reduced once, row by row.
     Divergences are summed over dimensions before the rd ratio and the b2b
     minima are taken. With ``per_dim`` each method maps to its per-dimension
-    values instead: the svm-divs features, drawn from the seed stream
-    ``"feat"``.
+    values instead: the svm-divs features.
     """
     f_pos, f_neg, train_bags = refs
     train_pos = np.array([lab == Label.POS for lab, _ in train_bags], dtype=bool)
@@ -341,8 +341,10 @@ def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
         class_refs = (f_pos[d], f_neg[d])
         train_refs = tuple(models[d] for _, models in train_bags)
         bag_models = [models[d] for models in fits]
-        children = [derive_seed(seed, "feat" if per_dim else "dim", d) for seed in seeds]
-        x, dx = dv.evaluation_rows(bag_models, class_refs + train_refs, spec, children)
+        children = None  # a Riemann grid reads no seed, so none is derived
+        if spec.integrator == "IMPORTANCE":
+            children = [derive_seed(seed, "feat" if per_dim else "dim", d) for seed in seeds]
+        x, dx = dv.evaluation_rows(bag_models, spec, children)
         refs_at = (class_refs if need_class else ()) + train_refs
         values = dv.iter_densities(x, bag_models, refs_at)
         fb = next(values)

@@ -314,9 +314,10 @@ def cmd_replay(args, argv) -> int:
         path = run_dir / path
         if _sha256(path) != digest:
             raise ValueError(f"input {path} has changed since the recorded run (sha256 differs)")
-    replay_argv = list(manifest.argv)
+    # flags appended to the argv win: argparse keeps an option's last value
+    replay_argv = manifest.argv + _recorded_settings(manifest)
     if args.out_dir is not None:
-        replay_argv = _override_out_dir(replay_argv, str(Path(args.out_dir).resolve()))
+        replay_argv.append(f"--out-dir={Path(args.out_dir).resolve()}")
     here = os.getcwd()
     os.chdir(run_dir)
     try:
@@ -325,16 +326,16 @@ def cmd_replay(args, argv) -> int:
         os.chdir(here)
 
 
-def _override_out_dir(argv: list[str], out_dir: str) -> list[str]:
-    argv = list(argv)
-    for i, tok in enumerate(argv):
-        if tok in ("-o", "--out-dir") and i + 1 < len(argv):
-            argv[i + 1] = out_dir
-            return argv
-        if tok.startswith("--out-dir="):
-            argv[i] = f"--out-dir={out_dir}"
-            return argv
-    return argv + ["-o", out_dir]
+def _recorded_settings(manifest: RunManifest) -> list[str]:
+    """``--<setting>=<value>`` for each setting of the manifest's ``config``
+    that its argv parses to another value today: argv leaves defaults out,
+    and a default may have changed since the run."""
+    try:
+        parsed = vars(build_parser().parse_args(manifest.argv))
+    except SystemExit:  # the replay's own parse reports it
+        return []
+    changed = {k: v for k, v in manifest.config.items() if k in parsed and parsed[k] != v}
+    return [f"--{k.replace('_', '-')}={v}" for k, v in changed.items()]
 
 
 # --------------------------------------------------------------------------
@@ -346,15 +347,16 @@ def _dashed(names) -> list[str]:
 
 
 def _add_divergence_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--integrator", choices=["importance", "riemann"], default="importance")
-    p.add_argument("--n-imp", type=int, default=2000, help="importance-sample count")
-    p.add_argument("--grid-points", type=int, default=4096, help="Riemann grid resolution")
-    p.add_argument("--ratio-clip", type=float, default=3e4, help="density-ratio clip")
+    spec, est = DivergenceSpec(), EstimatorConfig()  # the one source of the defaults
     p.add_argument(
-        "--estimator", choices=list(ESTIMATORS), default="kde-epan", help="density estimator"
-    )
-    p.add_argument("--bandwidth", type=float, default=None, help="explicit KDE bandwidth")
-    p.add_argument("--k-max", type=int, default=5, help="GMM-AIC component ceiling")
+        "--integrator", choices=["importance", "riemann"], default=spec.integrator.lower())
+    p.add_argument("--n-imp", type=int, default=spec.n_imp, help="importance-sample count")
+    p.add_argument("--grid-points", type=int, default=spec.grid_points, help="Riemann grid points")
+    p.add_argument("--ratio-clip", type=float, default=spec.ratio_clip, help="density-ratio clip")
+    p.add_argument(
+        "--estimator", choices=list(ESTIMATORS), default=est.kind, help="density estimator")
+    p.add_argument("--bandwidth", type=float, default=est.bandwidth, help="explicit KDE bandwidth")
+    p.add_argument("--k-max", type=int, default=est.k_max, help="GMM-AIC component ceiling")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,7 @@ from midiv.divergence import DivergenceSpec, ckl
 from midiv.seeds import derive_seed
 from midiv.simulate import SimConfig, sample_experiment
 
-FAST_SPEC = DivergenceSpec(n_imp=512)
+FAST_SPEC = DivergenceSpec(integrator="IMPORTANCE", n_imp=512)
 POS, NEG = Label.POS, Label.NEG
 
 
@@ -623,7 +623,7 @@ class TestStackedScorePhase:
     )
     @settings(max_examples=12, deadline=None)
     def test_mixed_bag_lengths_equal_one_bag_blocks(self, lengths, kind, bandwidth, seed):
-        spec = DivergenceSpec(n_imp=100)
+        spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=100)
         est = EstimatorConfig(kind, bandwidth)
         rng = np.random.default_rng(seed)
         train = mixed_dataset(rng, 3, 3, d=1)
@@ -656,6 +656,28 @@ class TestStackedScorePhase:
         want = classify._score_bags(fits, seeds, spec, (f_pos, f_neg, ()), CLASS_METHODS)
         assert classify._score_bags(fits, seeds, spec, (*ducks, ()), CLASS_METHODS) == want
 
+    @pytest.mark.parametrize("per_dim", [False, True])
+    @pytest.mark.parametrize("kind", ["kde-epan", "kde-gauss"])
+    def test_riemann_score_phase_derives_no_seed_and_draws_nothing(self, kind, per_dim,
+                                                                   monkeypatch):
+        # The score phase derived a "dim" or "feat" seed per bag and
+        # dimension, which only importance draws read.
+        rng = np.random.default_rng(50)
+        est = EstimatorConfig(kind)
+        refs = classify._fit_references(mixed_dataset(rng), est, 1, b2b=True)
+        probes = mixed_dataset(rng, 4, 4, prefix="p").bags
+        seeds = [derive_seed(3, b.id) for b in probes]
+        fits = classify._fit_bags(probes, est, seeds)
+
+        def forbidden(*args):
+            raise AssertionError("called in a Riemann score phase")
+
+        monkeypatch.setattr(classify, "derive_seed", forbidden)
+        monkeypatch.setattr(dv, "_draws", forbidden)
+        methods = CLASS_METHODS if per_dim else METHODS[:5]
+        got = classify._score_bags(fits, seeds, DivergenceSpec(), refs, methods, per_dim)
+        assert all(len(got[m]) == len(probes) for m in methods)
+
     @pytest.mark.parametrize("kind", ["kde-epan", "kde-gauss"])
     def test_kde_blocks_take_the_stacked_path(self, kind, monkeypatch):
         """Per-row calls would give the same bits, so only the calls tell:
@@ -682,7 +704,7 @@ class TestStackedScorePhase:
         spy(DensityModel, "sample", lambda args: args[:1])
         spy(DensityModel, "pdf", lambda args: args[:1])
         spy(density, "_epan_pdf", lambda args: args[0])
-        spec = DivergenceSpec(n_imp=128)
+        spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=128)
         assert DEFAULT_SCORE_BLOCK // spec.points > len(probes)  # one block holds them all
         classify._score_bags(fits, seeds, spec, refs, ("ckl",))
         on_bags = [(name, ids) for name, ids in calls if set(ids) & set(bags)]
@@ -696,7 +718,8 @@ class TestStackedScorePhase:
         rng = np.random.default_rng(46)
         train = mixed_dataset(rng, 4, 4)
         probes = mixed_dataset(rng, 3, 3, prefix="p").bags
-        pipeline = PipelineConfig(method, EstimatorConfig("kde-gauss"), DivergenceSpec(n_imp=200))
+        spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=200)
+        pipeline = PipelineConfig(method, EstimatorConfig("kde-gauss"), spec)
 
         def fit_and_score(block):
             monkeypatch.setattr(classify, "_SCORE_BLOCK", block)
@@ -771,7 +794,7 @@ class TestScoreBagMatchesPublicDivergences:
                     expected = -ckl(bag_model, f_neg, f_pos, spec, points_seed).value
                 else:
                     reduce = dv.reduce_kl if method == "rd_kl" else dv.reduce_bh
-                    x, dx = dv.evaluation_rows([bag_model], (f_pos, f_neg), spec, [points_seed])
+                    x, dx = dv.evaluation_rows([bag_model], spec, [points_seed])
                     fb, fp, fn = dv.iter_densities(x, [bag_model], (f_pos, f_neg))
                     expected = dv.rd_value(
                         reduce(fb, fp, spec, dx).value[0], reduce(fb, fn, spec, dx).value[0]
@@ -949,7 +972,7 @@ class TestEvaluateHoldout:
 class TestRunSimStudy:
     def test_structure_and_determinism(self):
         cfg = SimConfig.preset("sim1", n_instances=20)
-        spec = DivergenceSpec(n_imp=256)
+        spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=256)
         a = run_sim_study(cfg, grid=((2, 3),), repetitions=2, seed=5, spec=spec, n_test=10)
         b = run_sim_study(cfg, grid=((2, 3),), repetitions=2, seed=5, spec=spec, n_test=10)
         assert a.cells[0].mean_auc == b.cells[0].mean_auc
@@ -958,7 +981,7 @@ class TestRunSimStudy:
 
     def test_b2b_methods_supported(self):
         cfg = SimConfig.preset("sim1", n_instances=20)
-        spec = DivergenceSpec(n_imp=256)
+        spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=256)
         res = run_sim_study(
             cfg, grid=((2, 2),), repetitions=1, methods=("b2b_kl", "b2b_bh"), seed=1,
             spec=spec, n_test=8,
@@ -1006,7 +1029,8 @@ class TestRunSimStudy:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         study = partial(
             run_sim_study, SimConfig.preset("sim1", n_instances=10), grid=((1, 2), (2, 1)),
-            repetitions=1, seed=0, spec=DivergenceSpec(n_imp=128), n_test=4,
+            repetitions=1, seed=0, spec=DivergenceSpec(integrator="IMPORTANCE", n_imp=128),
+            n_test=4,
         )
         pooled = study(max_workers=64)
         assert started == [2]
@@ -1024,7 +1048,8 @@ class TestRunSimStudy:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         study = partial(
             run_sim_study, SimConfig.preset("sim1", n_instances=10), grid=((1, 2), (2, 1)),
-            repetitions=1, seed=0, spec=DivergenceSpec(n_imp=128), n_test=4,
+            repetitions=1, seed=0, spec=DivergenceSpec(integrator="IMPORTANCE", n_imp=128),
+            n_test=4,
         )
         assert study(max_workers=2) == study(max_workers=1)
         assert started == [2]

@@ -5,7 +5,9 @@ import os
 import pytest
 
 from midiv import classify
-from midiv.cli import REFERENCE_AUC100, RunManifest, main
+from midiv.classify import EstimatorConfig
+from midiv.cli import REFERENCE_AUC100, RunManifest, build_parser, main
+from midiv.divergence import DivergenceSpec
 
 
 def digest(path):
@@ -16,7 +18,7 @@ def run(args):
     return main([str(a) for a in args])
 
 
-FAST_EVAL = ["--n-imp", "500"]
+FAST_EVAL = ["--integrator", "importance", "--n-imp", "500"]
 
 
 class TestSimulateCommand:
@@ -373,6 +375,39 @@ class TestReplay:
 
     def test_replay_missing_manifest(self, tmp_path, capsys):
         assert run(["replay", tmp_path / "none.json"]) == 1
+
+    @pytest.mark.parametrize("flags, old_defaults", [
+        # argv leaves a default out; a run made when importance sampling with
+        # a 4096-point grid was the default recorded them only in its config
+        (["--integrator", "importance"], {"integrator": "importance", "grid_points": 4096}),
+        (["--grid-points", "4096"], {"integrator": "riemann", "grid_points": 4096}),
+    ])
+    def test_replay_keeps_settings_whose_default_changed(
+        self, sim_files, tmp_path, flags, old_defaults
+    ):
+        # Replay re-ran the argv under today's defaults: an importance run
+        # recorded before the Riemann default replayed on a grid.
+        first = tmp_path / "first"
+        assert run(["evaluate", "--train", sim_files / "train.csv", "--test",
+                    sim_files / "test.csv", "--seed", "21", "-o", first] + flags) == 0
+        path = first / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["argv"] = [a for a in manifest["argv"] if a not in flags]
+        manifest["config"].update(old_defaults)
+        path.write_text(json.dumps(manifest))
+        redo = tmp_path / "redo"
+        assert run(["replay", path, "-o", redo]) == 0
+        assert digest(first / "report.json") == digest(redo / "report.json")
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    spec, est = DivergenceSpec(), EstimatorConfig()
+    for command in ("evaluate", "table1"):
+        args = build_parser().parse_args([command] + (["--train", "x"] if command == "evaluate"
+                                                      else []))
+        assert DivergenceSpec(args.integrator.upper(), args.n_imp, args.grid_points,
+                              args.ratio_clip) == spec
+        assert EstimatorConfig(args.estimator, args.bandwidth, args.k_max) == est
 
 
 class TestExitCodes:

@@ -23,7 +23,7 @@ def one_row(reduce, *values, spec, dx):
 
 def rd(f_bag, f_pos, f_neg, reduce, spec, seed):
     """The rd ratio of ``reduce`` on one point set over the bag and both classes."""
-    x, dx = dv.evaluation_rows([f_bag], (f_pos, f_neg), spec, [seed])
+    x, dx = dv.evaluation_rows([f_bag], spec, [seed])
     fb, fp, fn = dv.iter_densities(x, [f_bag], (f_pos, f_neg))
     num, den = (reduce(fb, fr, spec, dx).row(0).value for fr in (fp, fn))
     return dv.rd_value(num, den)
@@ -124,23 +124,25 @@ class TestKl:
 
     def test_importance_ess_is_full(self):
         # the proposal equals the bag density, so the weights are all one
-        score = kl(gaussian(0, 1), gaussian(1, 1), DivergenceSpec(), seed=1)
-        assert score.ess == DivergenceSpec().n_imp
+        spec = DivergenceSpec(integrator="IMPORTANCE")
+        score = kl(gaussian(0, 1), gaussian(1, 1), spec, seed=1)
+        assert score.ess == spec.n_imp
 
     def test_value_non_negative(self):
         rng = np.random.default_rng(11)
         for trial in range(20):
             g1 = random_gmm(rng, 2)
             g2 = random_gmm(rng, 2)
-            for spec in (RIEMANN, DivergenceSpec()):
+            for spec in (RIEMANN, DivergenceSpec(integrator="IMPORTANCE")):
                 assert kl(g1, g2, spec, seed=trial).value >= -1e-6
 
     def test_clipping_reported(self):
         narrow = fit_kde([0.0, 0.1], "EPANECHNIKOV", bandwidth=0.1)
         far = fit_kde([10.0, 10.1], "EPANECHNIKOV", bandwidth=0.1)
-        score = kl(narrow, far, DivergenceSpec(), seed=0)
+        spec = DivergenceSpec(integrator="IMPORTANCE")
+        score = kl(narrow, far, spec, seed=0)
         assert score.clipped_fraction == pytest.approx(1.0)
-        assert score.value <= math.log(DivergenceSpec().ratio_clip) + 1e-9
+        assert score.value <= math.log(spec.ratio_clip) + 1e-9
 
 
 def random_gmm(rng, k):
@@ -254,8 +256,9 @@ class TestCkl:
         f_bag = gaussian(0, 1)
         f_pos = gaussian(0, 1)
         f_neg = fit_kde([0.0], "EPANECHNIKOV", bandwidth=0.01)
-        score = ckl(f_bag, f_pos, f_neg, DivergenceSpec(), seed=0)
-        assert score.ess < 0.01 * DivergenceSpec().n_imp
+        spec = DivergenceSpec(integrator="IMPORTANCE")
+        score = ckl(f_bag, f_pos, f_neg, spec, seed=0)
+        assert score.ess < 0.01 * spec.n_imp
 
 
 class TestZeroBagDensityPoints:
@@ -358,11 +361,11 @@ class TestMaskedReductionMatchesCompactedFormula:
     def test_riemann_rows_past_the_bag_support(self, kind, clip):
         rng = np.random.default_rng(9)
         _, f_pos, f_neg = fitted_triple(kind, rng)
-        bags = [fitted_triple(kind, rng)[0] for _ in range(3)]
-        # a reference far from the bags stretches every grid past their support
-        far = fit_kde(rng.standard_normal(50) + 60.0, "EPANECHNIKOV")
+        # two clusters in each bag: the grid over its support crosses the gap
+        # between them, where the bag density is 0
+        bags = [two_cluster_bag(kind, rng) for _ in range(3)]
         spec = DivergenceSpec(integrator="RIEMANN", grid_points=512, ratio_clip=clip)
-        x, dx = dv.evaluation_rows(bags, (f_pos, f_neg, far), spec, [0, 1, 2])
+        x, dx = dv.evaluation_rows(bags, spec)
         fb, fp, fn = dv.iter_densities(x, bags, (f_pos, f_neg))
         self.check(fb, fp, fn, spec, dx)
 
@@ -372,8 +375,8 @@ class TestMaskedReductionMatchesCompactedFormula:
         rng = np.random.default_rng(10)
         _, f_pos, f_neg = fitted_triple(kind, rng)
         bags = [fitted_triple(kind, rng)[0] for _ in range(3)]
-        spec = DivergenceSpec(n_imp=700, ratio_clip=clip)
-        x, dx = dv.evaluation_rows(bags, (f_pos, f_neg), spec, [3, 4, 5])
+        spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=700, ratio_clip=clip)
+        x, dx = dv.evaluation_rows(bags, spec, [3, 4, 5])
         fb, fp, fn = dv.iter_densities(x, bags, (f_pos, f_neg))
         for r, zeros in enumerate((1, 37, 350)):
             fb[r, rng.choice(fb.shape[-1], zeros, replace=False)] = 0.0
@@ -381,17 +384,19 @@ class TestMaskedReductionMatchesCompactedFormula:
 
 
 class TestRiemannRowWithoutBagSupport:
-    """A bag whose support falls between two grid points has no Riemann
-    estimate. The KL reductions used to score it 0 against every class, as
-    if the bag were identical to both, and the BH reduction 690.78 (the
-    overlap's clamp) against both; importance sampling scores it."""
+    """A bag whose kernels are narrower than one cell of the grid over its
+    own support, here two tight clusters 1e6 apart, has no Riemann estimate:
+    every grid point misses them. The KL reductions used to score such a bag
+    0 against every class, as if the bag were identical to both, and the BH
+    reduction 690.78 (the overlap's clamp) against both; importance sampling
+    scores it."""
 
-    bag = fit_kde([0.0, 1e-7, 2e-7])
+    bag = fit_kde([0.0, 1e-7, 2e-7, 1e6, 1e6 + 1e-7, 1e6 + 2e-7], bandwidth=1e-7)
     pos = fit_kde(np.random.default_rng(1).standard_normal(200))
     neg = fit_kde(np.random.default_rng(2).standard_normal(200) + 40.0)
 
     def test_raises_naming_the_grid(self):
-        spec = DivergenceSpec(integrator="RIEMANN")
+        spec = DivergenceSpec(integrator="RIEMANN", grid_points=4096)
         for score in (
             lambda: kl(self.bag, self.pos, spec, 0),
             lambda: kl(self.bag, self.neg, spec, 0),
@@ -403,7 +408,7 @@ class TestRiemannRowWithoutBagSupport:
                 score()
 
     def test_importance_sampling_scores_the_bag(self):
-        spec = DivergenceSpec()
+        spec = DivergenceSpec(integrator="IMPORTANCE")
         near, far = (bhattacharyya(self.bag, ref, spec, 0).value for ref in (self.pos, self.neg))
         assert near < far
 
@@ -437,6 +442,16 @@ def fitted_triple(kind, rng):
     return tuple(fit_kde(x, kind) for x in (bag, pos, neg))
 
 
+def two_cluster_bag(kind, rng, gap=200.0):
+    """A bag density of one estimator kind whose two clusters lie ``gap``
+    apart; a KDE takes bandwidth 0.5. The density underflows to 0 in the gap."""
+    bag = rng.standard_normal(30) + 0.5
+    bag[15:] += gap
+    if kind == "GMM":
+        return fit_gmm(bag, 2, seed=0)[0]
+    return fit_kde(bag, kind, bandwidth=0.5)
+
+
 class TestSortedEvaluationIsInvisible:
     """Every row of points is ascending, and scores equal the reductions of
     direct ``pdf`` calls at the ascending points, bit for bit: under
@@ -449,8 +464,8 @@ class TestSortedEvaluationIsInvisible:
         f_bag, f_pos, f_neg = fitted_triple(kind, np.random.default_rng(7))
         seed = 21
 
-        def points(refs):
-            x, dx = dv.evaluation_rows([f_bag], refs, spec, [seed])
+        def points():
+            x, dx = dv.evaluation_rows([f_bag], spec, [seed])
             assert (np.diff(x, axis=-1) >= 0).all()
             if integrator == "IMPORTANCE":
                 sample = np.sort(f_bag.sample(spec.n_imp, seed))[None, :]
@@ -458,12 +473,11 @@ class TestSortedEvaluationIsInvisible:
                 return sample, None
             return x, dx
 
-        x, dx = points((f_pos,))
+        x, dx = points()
         fb, fp = f_bag.pdf(x), f_pos.pdf(x)
         assert kl(f_bag, f_pos, spec, seed) == dv.reduce_kl(fb, fp, spec, dx).row(0)
         bh = dv.reduce_bh(fb, fp, spec, dx).row(0)
         assert bhattacharyya(f_bag, f_pos, spec, seed) == bh
-        x, dx = points((f_pos, f_neg))
         fb, fp, fn = f_bag.pdf(x), f_pos.pdf(x), f_neg.pdf(x)
         want = dv.reduce_ckl(fb, fp, fn, spec, dx).row(0)
         assert ckl(f_bag, f_pos, f_neg, spec, seed) == want
@@ -485,7 +499,7 @@ class TestDeterminismAndSerialization:
     def test_bit_identical_scores(self):
         rng = np.random.default_rng(600)
         g1, g2, g3 = random_gmm(rng, 2), random_gmm(rng, 2), random_gmm(rng, 1)
-        spec = DivergenceSpec()
+        spec = DivergenceSpec(integrator="IMPORTANCE")
         for fn, args in [
             (kl, (g1, g2)),
             (bhattacharyya, (g1, g2)),

@@ -49,8 +49,7 @@ CASES = {
     "cv-gmm-aic": ["evaluate", "--train", "{mixed}", "--folds", "2", "--estimator", "gmm-aic",
                    "--n-imp", "500", "--seed", "3"],
     # KDE scoring of bags of mixed sizes: the b2b references, the dense
-    # Gaussian features and the Riemann grid, whose points the bag density
-    # misses.
+    # Gaussian features and a finer Riemann grid over each bag's support.
     "cv-mixed-b2b-kl": ["evaluate", "--train", "{mixed}", "--folds", "2", "--method", "b2b-kl",
                         "--estimator", "kde-epan", "--n-imp", "500", "--seed", "3"],
     "cv-mixed-svm-divs": ["evaluate", "--train", "{mixed}", "--folds", "2", "--method", "svm-divs",
@@ -65,60 +64,79 @@ CASES = {
                        "--seed", "4", *TABLE_CELL],
     "table1-riemann": ["table1", "--scenario", "sim2", "--integrator", "riemann",
                        "--grid-points", "1024", "--seed", "4", *TABLE_CELL],
+    # Importance sampling, no longer the default: these keep the bytes that
+    # the cases without "-importance" had under the importance default.
+    "holdout-ckl-importance": ["evaluate", "--train", "{sim}/train.csv", "--test",
+                               "{sim}/test.csv", "--method", "ckl", "--integrator", "importance",
+                               "--seed", "2"],
+    "cv-mixed-svm-divs-importance": ["evaluate", "--train", "{mixed}", "--folds", "2", "--method",
+                                     "svm-divs", "--estimator", "kde-gauss", "--integrator",
+                                     "importance", "--n-imp", "500", "--seed", "3"],
+    "table1-kde-epan-importance": ["table1", "--scenario", "sim4", "--estimator", "kde-epan",
+                                   "--methods", ",".join(METHODS[:5]), "--integrator",
+                                   "importance", "--seed", "4", *TABLE_CELL],
 }
 
 # Recorded from a reference build with numpy 2.4.6.
 GOLDEN = {
     "cv-ckl": {
-        "report.json": "ac754346cceed2f21e98f19a8fd4b50e8d5eebbdb402f082b02faf4c7685e1d3",
+        "report.json": "ae78541df400ea3ee3e0df560e88c21e074a2f92140ee0a8f89393ebacaa87bd",
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "cv-gmm-aic": {
-        "report.json": "7e095c8fb12762dea57923ffec1c48acab741d4bb31b39162607cb5a0a21f92c",
-        "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
+        "report.json": "fe755ef1f37f25a6ffa9c1e2e6e3afbc7cc7a1687408a64c259e47c4f6b18ffe",
+        "roc.csv": "59c58199d7e8333698d1d48175ff5b4381a900d278b00abf0ef459bfbd44ebe6",
     },
     "cv-mixed-b2b-kl": {
-        "report.json": "9adfcfc31a852c73235cd1d63dde638e2ee7e193cb1333bcaeaf52bf52af0dfc",
+        "report.json": "c07d665ba467ea5357509d1a510e91183643cc19f0575e31ffe0e719a1fc27ad",
         "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
     },
     "cv-mixed-riemann": {
-        "report.json": "b83c56d01d1a6d47cb70b291757be41d2bae697c28d1e95a5fbc7f42f95f9dcd",
+        "report.json": "c6c6eab7c6121ccdc4bb6cf7afff1eb10b4f181750b9195a55ac07859f0969bf",
         "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
     },
     "cv-mixed-svm-divs": {
+        "report.json": "afeeb032074de0f4ed40c191ddcb697dd49da0487f612c375ebc6198dab5140e",
+        "roc.csv": "d1dbfea9f7e38f760f9633fe099e2c060fbae1ec639855f07bac1c9507987226",
+    },
+    "cv-mixed-svm-divs-importance": {
         "report.json": "8935592c90c483efaf67befead1b0fdc6bc08302016340a38f48d1f1d261e597",
         "roc.csv": "3144890353f2ab420deccad8afb6e339ab03aea1cded7168cbb0cd529e821481",
     },
     "cv-svm-divs": {
-        "report.json": "65487e2f887a29e1c01ebe1bc14557e69e450fb7bce41c8528d51bfc9e21b230",
-        "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
+        "report.json": "ee65b2ae408eeee7b73359a69695f623f166818cd74ac828e3a75257b330228b",
+        "roc.csv": "260b05354cfd548eca5ae24b9ae36bb6e9d2b88f185ee209b679a3a1e9207ac8",
     },
     "holdout-b2b-bh": {
-        "report.json": "ac9aeeb02d6039e761ff8e9bea7cd654ed5c3d657e9e28d0aa5f50045a63fb67",
-        "roc.csv": "5216e7ae2e7d9b383ae68ab0084104270a9d663fd8859a57470a106cdf0d8726",
+        "report.json": "7f2f25ca755fce33beede8226b73b5159cf9dc96c3ce5a69790d5ac6a4a6be9d",
+        "roc.csv": "1313be2f6c649564e0c8be0225261a94153a92e49a95b2fa2e3a59c603c9c6c0",
     },
     "holdout-b2b-kl": {
-        "report.json": "f5d240cab587943698eb1a5b2a9ef43d04423670a1f229cb79d42fcc4d365530",
-        "roc.csv": "f56abde9dcfd79cccf36d0f1d9cafa1836dee59a95db6d807071904feb5b60a8",
+        "report.json": "699fe461e80ddda7d5e9d211a3767082aff941d4df33c90b2149fabd1c1a8227",
+        "roc.csv": "f3a0a6f88b86ce71d81ace290ac4a1442e10f12110ce475def89436160b246c2",
     },
     "holdout-ckl": {
+        "report.json": "3dbece9e909cf9811104b367e62d2c5d3d3ce2566fc1a575d08b1c07128cb77b",
+        "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
+    },
+    "holdout-ckl-importance": {
         "report.json": "754409cb6288eae174a49b02310a119fc2c1f071e9f2407e4500e19ce49eebb5",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-gmm-aic": {
-        "report.json": "f38a400c725030ab2badf531916c887c67f7058d0ed47c920bdaae709f396f3c",
-        "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
+        "report.json": "38a9a7e18bb9e8c26d48630d2ee7068ad2e84ebe415f2628ba200464804b3334",
+        "roc.csv": "6f8297f5e8dd1cf526a51d33acbfc7082d519a9d7158ed57b6486ff63f88e6c2",
     },
     "holdout-rd-bh": {
-        "report.json": "d0f8bc7154fc1c6284615df33b7434cbfc2cea16f6bfb0ee9207a729d3a8885e",
+        "report.json": "16c5dcdba8de10e49ddc96e0e1d74e586b89e50709c9a5d1cee2587baacbdecd",
         "roc.csv": "e8e0ca4cf53fe265b8665dc9b58302ade24d7929b99ed0c485d039c7a7fd8e4e",
     },
     "holdout-rd-kl": {
-        "report.json": "53a8cdd7a63d2cbb56461177a05c12600ae01119a54c9aa467b44cff24f49f55",
+        "report.json": "adad3e5a4cd9e3d2899341618c0a396ff13cfe9c38ae7dbcf737520e945b1435",
         "roc.csv": "ddf652047904af1b9b0f860cff7fc9433ee40e184d50b703226fe27bac48e94e",
     },
     "holdout-svm-divs": {
-        "report.json": "cacf038c2f19fbf12055799d961389642bc9dad1a2f6742ace10b06ac764389b",
+        "report.json": "c95fb5ef8276e537f5746ed90f4dea6e2e6480ef26b6b3d1ea479c9fd1e7d237",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "simulate-sim1": {
@@ -152,16 +170,20 @@ GOLDEN = {
         "train.csv": "de32e10d82705c7bcffc5335a8d53a23e980222f3af3fc7436a4f51e1b199d22",
     },
     "table1-gmm-aic": {
-        "table_long.csv": "a1db6b79bea5dc12e6a95f9282f8097d715d790b8d96705b9dae044ab926a064",
-        "table_wide.csv": "5f480a1ffe2ae2d35e4887176ca14285e46eb80e6e7c3c921e6ea64daf8cd0b4",
+        "table_long.csv": "a462ad1ea7dd2a432683e8dc059d23ced314ebad21359e49b673e60008102a4e",
+        "table_wide.csv": "4c6695f992a973411f915d1a54dac84e2317249090d915391bc611728ecde398",
     },
     "table1-kde-epan": {
+        "table_long.csv": "11c7f3fc57aeec020bfb7ab634cdd3f43011001efc75d2ebf0e40cab41b9521c",
+        "table_wide.csv": "69ac2c9693cc19e38628bef260981959d14f9e18f4fe7395857a69628ae3d7aa",
+    },
+    "table1-kde-epan-importance": {
         "table_long.csv": "88aae2db4c22a28a157d9252f2651bd02cb46fff78dafc40f64fb34b78262821",
         "table_wide.csv": "19558a177f4ac6f777ac286157b1a58d315f5a32f9b96c856431362b7ae38bba",
     },
     "table1-kde-gauss": {
-        "table_long.csv": "671380f93e8884714af99ab2558279a3424de2537e39703bd5394fb34c0024c9",
-        "table_wide.csv": "945dd18cbb931532415a745bb70d2b5d0e440ef17df254f5d63031fbbda3487d",
+        "table_long.csv": "4b97f307ff785db49800690db0442faf8063ae5a745cffa32d83fade03df5ba2",
+        "table_wide.csv": "38b0071ae66ebdc6951bcb4644fa9015473fa9f938e44034fbf603bf1014fa1e",
     },
     "table1-riemann": {
         "table_long.csv": "129aa49d31c1d7df7bc82a9f79d2a09c7162c8722ebc5358e0384b226efafabc",
