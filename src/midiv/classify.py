@@ -302,25 +302,33 @@ def _score_bags(fits, seeds, spec, refs, methods, per_dim=False) -> dict[str, li
 
     One list per method. Each bag's densities, from ``_fit_bags``, are
     scored with its seed against ``refs``, the class densities and the b2b
-    training-bag densities, by ``_score_block``: the bags go in blocks of at
-    most ``_SCORE_BLOCK`` evaluation points, and a bag's scores are the same
-    bits whatever block it is in. Nothing is fitted here.
+    training-bag densities, by ``_score_block``, under the integrator that
+    ``spec.for_bag`` gives it: the bags of each integrator go in blocks of
+    at most ``_SCORE_BLOCK`` evaluation points, and a bag's scores are the
+    same bits whatever block it is in. Nothing is fitted here.
     """
-    rows = max(1, _SCORE_BLOCK // spec.points)
-    scores = {m: [] for m in methods}
-    for start in range(0, len(fits), rows):
-        block = _score_block(fits[start : start + rows], seeds[start : start + rows], spec, refs,
-                             methods, per_dim)
-        for m in methods:
-            scores[m] += block[m]
+    groups = {}
+    for i, models in enumerate(fits):
+        groups.setdefault(spec.for_bag(models), []).append(i)
+    scores = {m: [None] * len(fits) for m in methods}
+    for bag_spec, index in groups.items():
+        rows = max(1, _SCORE_BLOCK // bag_spec.points)
+        for start in range(0, len(index), rows):
+            block = index[start : start + rows]
+            values = _score_block([fits[i] for i in block], [seeds[i] for i in block], bag_spec,
+                                  refs, methods, per_dim)
+            for m in methods:
+                for i, value in zip(block, values[m]):
+                    scores[m][i] = value
     return scores
 
 
 def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
     """Scores of a block of bags under every requested method, one row per bag.
 
-    Per dimension, each bag keeps its own point set: a Riemann grid over its
-    own support, or importance draws from the seed stream ``"dim"``
+    Per dimension, each bag keeps its own point set, under ``spec``'s
+    integrator: a Riemann grid over its own support, or importance draws
+    from the seed stream ``"dim"``
     (``"feat"`` for the svm-divs features). The points are the rows of one
     array: the bags' importance draws are made together, with only the
     generator calls per bag (``density._draws``), the bags' own densities are
@@ -342,7 +350,7 @@ def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
         train_refs = tuple(models[d] for _, models in train_bags)
         bag_models = [models[d] for models in fits]
         children = None  # a Riemann grid reads no seed, so none is derived
-        if spec.integrator == "IMPORTANCE":
+        if spec.reads_seeds:
             children = [derive_seed(seed, "feat" if per_dim else "dim", d) for seed in seeds]
         x, dx = dv.evaluation_rows(bag_models, spec, children)
         refs_at = (class_refs if need_class else ()) + train_refs

@@ -129,7 +129,7 @@ def _max_workers() -> int:
 
 def _divergence_spec(args) -> DivergenceSpec:
     return DivergenceSpec(
-        integrator=args.integrator.upper(),
+        integrator=args.integrator and args.integrator.upper(),
         n_imp=args.n_imp,
         grid_points=args.grid_points,
         ratio_clip=args.ratio_clip,
@@ -349,7 +349,8 @@ def _dashed(names) -> list[str]:
 def _add_divergence_flags(p: argparse.ArgumentParser) -> None:
     spec, est = DivergenceSpec(), EstimatorConfig()  # the one source of the defaults
     p.add_argument(
-        "--integrator", choices=["importance", "riemann"], default=spec.integrator.lower())
+        "--integrator", choices=["importance", "riemann"], default=spec.integrator,
+        help="default: a Riemann grid for KDE bags that it resolves, else importance sampling")
     p.add_argument("--n-imp", type=int, default=spec.n_imp, help="importance-sample count")
     p.add_argument("--grid-points", type=int, default=spec.grid_points, help="Riemann grid points")
     p.add_argument("--ratio-clip", type=float, default=spec.ratio_clip, help="density-ratio clip")

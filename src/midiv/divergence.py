@@ -12,8 +12,10 @@ Three measures are provided:
   negative class are amplified. Designed for sparse training sets.
 
 Integrals are approximated by midpoint Riemann sums over the bag density's
-support hint (the default), or by importance sampling with the bag density
-itself as the proposal (the KL weights are then identically one). Reference
+support hint, or by importance sampling with the bag density itself as the
+proposal (the KL weights are then identically one). By default each bag
+takes the grid if it is a KDE that the grid resolves, and importance
+sampling otherwise (see ``DivergenceSpec.for_bag``). Reference
 densities are floored and density ratios clipped so every score is finite;
 each score carries the fraction of evaluation points where the clip or
 floor engaged, and the effective sample size of the importance weights.
@@ -27,14 +29,15 @@ without the ratio clip.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityModel, _draws, _pdf_rows
+from .density import GMM, DensityModel, _draws, _pdf_rows
 
 __all__ = [
     "DivergenceSpec",
@@ -61,16 +64,25 @@ MEASURES = ("KL", "BH", "CKL")
 _TINY = 1e-300  # guards log/division only; never changes a zero-bag term
 _DENSITY_FLOOR = 1e-12  # reference densities below it count as floored
 _RD_DENOMINATOR_FLOOR = 1e-12
+# The default puts a KDE bag on its grid when a cell is at most half its
+# bandwidth (an Epanechnikov kernel then spans four cells). A far outlier
+# widens a bag's support and not its bandwidth: such a bag is sampled
+# instead (tests/test_integral_oracle.py gives the grid's errors).
+_MIN_CELLS_PER_BANDWIDTH = 2.0
 
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """Integral-approximation policy shared by all divergence estimators."""
+    """Integral-approximation policy shared by all divergence estimators.
 
-    integrator: str = "RIEMANN"
+    ``integrator`` None (the default) chooses one per bag: see ``for_bag``.
+    """
+
+    integrator: str | None = None
     n_imp: int = 2000
-    # The floor: KL and BH within 2e-2 and 1e-2 of a quadrature oracle on KDE
-    # bags, cKL no further off than 2000 draws (tests/test_integral_oracle.py).
+    # The floor: KL and BH within 2e-2 and 1e-2 of a quadrature oracle on the
+    # KDE bags it resolves, cKL no further off than 2000 draws
+    # (tests/test_integral_oracle.py).
     grid_points: int = 256
     # Density-ratio cap. Calibrated so that the simulation study reproduces
     # the published operating characteristics; raise it when estimating
@@ -78,8 +90,9 @@ class DivergenceSpec:
     ratio_clip: float = 3e4
 
     def __post_init__(self):
-        if self.integrator not in ("IMPORTANCE", "RIEMANN"):
-            raise ValueError(f"integrator must be IMPORTANCE or RIEMANN, got {self.integrator!r}")
+        if self.integrator not in (None, "IMPORTANCE", "RIEMANN"):
+            raise ValueError(
+                f"integrator must be IMPORTANCE, RIEMANN or None, got {self.integrator!r}")
         for name in ("n_imp", "grid_points"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -92,10 +105,38 @@ class DivergenceSpec:
         if isinstance(clip, bool) or not isinstance(clip, numbers.Real) or not clip > 1:
             raise ValueError(f"ratio_clip must be a real number > 1, got {clip!r}")
 
+    def for_bag(self, f_bag) -> DivergenceSpec:
+        """The spec that integrates under a bag's densities ``f_bag`` (one per
+        dimension): this one if it names its integrator. Otherwise a Riemann
+        grid if each density is a KDE whose bandwidth spans at least
+        ``_MIN_CELLS_PER_BANDWIDTH`` cells of its grid, else importance
+        sampling. An outlier stretches a KDE's support and not its
+        bandwidth; a GMM component can sit at the variance floor, far
+        narrower than a cell."""
+        if self.integrator is not None:
+            return self
+        on_grid = all(
+            m.kind != GMM and self.grid_points * m.bandwidth
+            >= _MIN_CELLS_PER_BANDWIDTH * (m.support_hint[1] - m.support_hint[0])
+            for m in f_bag
+        )
+        return _named(self, "RIEMANN" if on_grid else "IMPORTANCE")
+
     @property
     def points(self) -> int:
         """Evaluation points per point set: ``n_imp``, or ``grid_points`` on a Riemann grid."""
-        return self.n_imp if self.integrator == "IMPORTANCE" else self.grid_points
+        return self.grid_points if self.integrator == "RIEMANN" else self.n_imp
+
+    @property
+    def reads_seeds(self) -> bool:
+        """Whether its point sets read one seed per bag: only importance sampling draws."""
+        return self.integrator == "IMPORTANCE"
+
+
+@functools.cache
+def _named(spec: DivergenceSpec, integrator: str) -> DivergenceSpec:
+    """``spec`` with ``integrator``: one object per pair, made once."""
+    return replace(spec, integrator=integrator)
 
 
 @dataclass(frozen=True)
@@ -151,14 +192,17 @@ def evaluation_rows(f_bags, spec: DivergenceSpec, seeds=None):
     """Points to integrate over under each bag density in ``f_bags``, as the
     ascending rows of one (rows, points) array, and the cell widths.
 
-    A row's midpoint Riemann grid spans its bag's ``support_hint``, which
-    holds the kernel's reach: every integrand carries the bag density, so
-    that is the whole domain. Importance sampling draws ``spec.n_imp``
-    points from each bag density, one of ``seeds`` each (widths None),
-    every row at once (see ``density._draws``), and sorts each row; only it
-    reads the seeds.
+    ``spec`` names its integrator (see ``DivergenceSpec.for_bag``). A row's
+    midpoint Riemann grid spans its bag's ``support_hint``, which holds the
+    kernel's reach: every integrand carries the bag density, so that is
+    the whole domain. Importance sampling draws ``spec.n_imp`` points from
+    each bag density, one of ``seeds`` each (widths None), every row at
+    once (see ``density._draws``), and sorts each row; only it reads the
+    seeds (``spec.reads_seeds``).
     """
-    if spec.integrator == "IMPORTANCE":
+    if spec.integrator is None:
+        raise ValueError("evaluation_rows needs a spec that names its integrator")
+    if spec.reads_seeds:
         x = _draws(f_bags, spec.n_imp, seeds)
         x.sort(axis=-1)
         return x, None
@@ -306,7 +350,7 @@ def rd_value(num, den):
 
 def _one_row(reduce, f_bag: DensityModel, refs, spec: DivergenceSpec, seed) -> DivergenceScore:
     """A public measure: ``reduce`` on one point set under ``f_bag``."""
-    x, dx = evaluation_rows([f_bag], spec, [seed])
+    x, dx = evaluation_rows([f_bag], spec.for_bag([f_bag]), [seed])
     return reduce(*iter_densities(x, [f_bag], refs), spec, dx).row(0)
 
 

@@ -678,6 +678,32 @@ class TestStackedScorePhase:
         got = classify._score_bags(fits, seeds, DivergenceSpec(), refs, methods, per_dim)
         assert all(len(got[m]) == len(probes) for m in methods)
 
+    @pytest.mark.parametrize("per_dim", [False, True])
+    @pytest.mark.parametrize("kind", ["kde-epan", "kde-gauss"])
+    def test_default_scores_each_bag_under_its_own_integrator(self, kind, per_dim):
+        # Bags with an outlier in one dimension are sampled, the others put
+        # on a grid; each scores as it does alone under its own integrator.
+        rng = np.random.default_rng(51)
+        est = EstimatorConfig(kind)
+        refs = classify._fit_references(mixed_dataset(rng), est, 1, b2b=True)
+        probes = list(mixed_dataset(rng, 4, 4, prefix="p").bags)
+        for i in (1, 4):
+            x = rng.standard_normal((20, 2))
+            x[0, i % 2] = 1e4
+            probes.insert(i, make_bag(x, POS, f"o{i}"))
+        seeds = [derive_seed(4, b.id) for b in probes]
+        fits = classify._fit_bags(probes, est, seeds)
+        spec = DivergenceSpec()
+        integrators = [spec.for_bag(models).integrator for models in fits]
+        assert integrators.count("IMPORTANCE") == 2 and integrators[1] == integrators[4]
+        methods = CLASS_METHODS if per_dim else METHODS[:5]
+        got = classify._score_bags(fits, seeds, spec, refs, methods, per_dim)
+        for i, models in enumerate(fits):
+            alone = classify._score_bags([models], [seeds[i]], spec.for_bag(models), refs,
+                                         methods, per_dim)
+            for m in methods:
+                assert np.asarray(got[m][i]).tolist() == np.asarray(alone[m][0]).tolist()
+
     @pytest.mark.parametrize("kind", ["kde-epan", "kde-gauss"])
     def test_kde_blocks_take_the_stacked_path(self, kind, monkeypatch):
         """Per-row calls would give the same bits, so only the calls tell:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from midiv import classify
+from midiv import classify, cli
 from midiv.classify import EstimatorConfig
 from midiv.cli import REFERENCE_AUC100, RunManifest, build_parser, main
 from midiv.divergence import DivergenceSpec
@@ -405,8 +405,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
     for command in ("evaluate", "table1"):
         args = build_parser().parse_args([command] + (["--train", "x"] if command == "evaluate"
                                                       else []))
-        assert DivergenceSpec(args.integrator.upper(), args.n_imp, args.grid_points,
-                              args.ratio_clip) == spec
+        assert cli._divergence_spec(args) == spec
         assert EstimatorConfig(args.estimator, args.bandwidth, args.k_max) == est
 
 

@@ -75,6 +75,49 @@ class TestSpecValidation:
         assert (spec.n_imp, spec.grid_points) == (500, 1024)
 
 
+class TestDefaultIntegrator:
+    """``DivergenceSpec()`` chooses per bag: a Riemann grid for a KDE whose
+    bandwidth spans two cells of it, importance sampling otherwise."""
+
+    bulk = np.random.default_rng(3).standard_normal(49)
+
+    @pytest.mark.parametrize("kernel", ["EPANECHNIKOV", "GAUSSIAN"])
+    def test_kde_bags_take_the_grid_unless_an_outlier_widens_them(self, kernel):
+        spec = DivergenceSpec()
+        assert spec.for_bag([fit_kde(self.bulk, kernel)]).integrator == "RIEMANN"
+        # the bandwidth stays near 1 while the support spans 1e4
+        outlier = fit_kde(np.append(self.bulk, 1e4), kernel)
+        assert spec.for_bag([outlier]).integrator == "IMPORTANCE"
+        assert spec.for_bag([fit_kde(self.bulk, kernel), outlier]).integrator == "IMPORTANCE"
+
+    def test_gmm_bags_take_importance_sampling(self):
+        assert DivergenceSpec().for_bag([gaussian(0, 1)]).integrator == "IMPORTANCE"
+
+    def test_a_named_integrator_is_kept(self):
+        for integrator in ("RIEMANN", "IMPORTANCE"):
+            spec = DivergenceSpec(integrator=integrator)
+            assert spec.for_bag([gaussian(0, 1)]) is spec
+
+    def test_the_spec_keeps_its_counts(self):
+        spec = DivergenceSpec(n_imp=300, grid_points=512, ratio_clip=10.0)
+        got = spec.for_bag([fit_kde(self.bulk)])
+        assert (got.n_imp, got.grid_points, got.ratio_clip) == (300, 512, 10.0)
+
+    def test_evaluation_rows_need_a_named_integrator(self):
+        with pytest.raises(ValueError, match="names its integrator"):
+            dv.evaluation_rows([fit_kde(self.bulk)], DivergenceSpec(), [0])
+
+    def test_an_outlier_bag_is_scored_where_the_grid_raises(self):
+        # 49 N(0, 1) draws and one at 1e4: the 256-point grid over its
+        # support has cells of about 39 and misses the bulk.
+        bag = fit_kde(np.append(self.bulk, 1e4))
+        ref = fit_kde(np.random.default_rng(4).standard_normal(300))
+        with pytest.raises(ValueError, match="256-point Riemann grid"):
+            kl(bag, ref, DivergenceSpec(integrator="RIEMANN"), 0)
+        assert kl(bag, ref, DivergenceSpec(), 0) == kl(
+            bag, ref, DivergenceSpec(integrator="IMPORTANCE"), 0)
+
+
 class TestKl:
     def test_same_model_is_zero(self):
         f = gaussian(0.0, 1.0)

@@ -44,6 +44,7 @@ CASES = {
                     "--n-imp", "500", "--seed", "3"]
         for m in ("ckl", "svm-divs")
     },
+    # The default samples GMM bags (DivergenceSpec.for_bag): the importance bytes.
     "holdout-gmm-aic": ["evaluate", "--train", "{sim}/train.csv", "--test", "{sim}/test.csv",
                         "--estimator", "gmm-aic", "--seed", "2"],
     "cv-gmm-aic": ["evaluate", "--train", "{mixed}", "--folds", "2", "--estimator", "gmm-aic",
@@ -64,8 +65,9 @@ CASES = {
                        "--seed", "4", *TABLE_CELL],
     "table1-riemann": ["table1", "--scenario", "sim2", "--integrator", "riemann",
                        "--grid-points", "1024", "--seed", "4", *TABLE_CELL],
-    # Importance sampling, no longer the default: these keep the bytes that
-    # the cases without "-importance" had under the importance default.
+    # Importance sampling on KDE bags, which the default puts on a grid:
+    # these keep the bytes that the cases without "-importance" had when
+    # importance sampling was the default for every bag.
     "holdout-ckl-importance": ["evaluate", "--train", "{sim}/train.csv", "--test",
                                "{sim}/test.csv", "--method", "ckl", "--integrator", "importance",
                                "--seed", "2"],
@@ -84,8 +86,8 @@ GOLDEN = {
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "cv-gmm-aic": {
-        "report.json": "fe755ef1f37f25a6ffa9c1e2e6e3afbc7cc7a1687408a64c259e47c4f6b18ffe",
-        "roc.csv": "59c58199d7e8333698d1d48175ff5b4381a900d278b00abf0ef459bfbd44ebe6",
+        "report.json": "7e095c8fb12762dea57923ffec1c48acab741d4bb31b39162607cb5a0a21f92c",
+        "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
     },
     "cv-mixed-b2b-kl": {
         "report.json": "c07d665ba467ea5357509d1a510e91183643cc19f0575e31ffe0e719a1fc27ad",
@@ -124,8 +126,8 @@ GOLDEN = {
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-gmm-aic": {
-        "report.json": "38a9a7e18bb9e8c26d48630d2ee7068ad2e84ebe415f2628ba200464804b3334",
-        "roc.csv": "6f8297f5e8dd1cf526a51d33acbfc7082d519a9d7158ed57b6486ff63f88e6c2",
+        "report.json": "f38a400c725030ab2badf531916c887c67f7058d0ed47c920bdaae709f396f3c",
+        "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-rd-bh": {
         "report.json": "16c5dcdba8de10e49ddc96e0e1d74e586b89e50709c9a5d1cee2587baacbdecd",
@@ -170,8 +172,8 @@ GOLDEN = {
         "train.csv": "de32e10d82705c7bcffc5335a8d53a23e980222f3af3fc7436a4f51e1b199d22",
     },
     "table1-gmm-aic": {
-        "table_long.csv": "a462ad1ea7dd2a432683e8dc059d23ced314ebad21359e49b673e60008102a4e",
-        "table_wide.csv": "4c6695f992a973411f915d1a54dac84e2317249090d915391bc611728ecde398",
+        "table_long.csv": "a1db6b79bea5dc12e6a95f9282f8097d715d790b8d96705b9dae044ab926a064",
+        "table_wide.csv": "5f480a1ffe2ae2d35e4887176ca14285e46eb80e6e7c3c921e6ea64daf8cd0b4",
     },
     "table1-kde-epan": {
         "table_long.csv": "11c7f3fc57aeec020bfb7ab634cdd3f43011001efc75d2ebf0e40cab41b9521c",
