@@ -418,20 +418,34 @@ def train_linear_svm(
     y = np.where(np.asarray(labels, dtype=bool), -1.0, 1.0)
     n, d = x.shape
     rng = np.random.default_rng(seed)
-    w = np.zeros(d)
+    # The steps run on Python floats: the same float64 operations in the same
+    # order as on arrays. Only the dot product may round otherwise. Any
+    # summation order leaves it within d unit roundoffs of sum |x_j w_j| of
+    # the exact value, so two margins differ by less than ``bound`` times
+    # (sum |x_j w_j| + |b| + 1); a margin that close to 1 is taken again
+    # with numpy's dot, which decides the comparison.
+    rows, ys = x.tolist(), y.tolist()
+    bound = 4.0 * (d + 1) * np.finfo(float).eps
+    w = [0.0] * d
     b = 0.0
     t = 0
     lam = config.lam
     for _ in range(config.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            margin = y[i] * (x[i] @ w + b)
-            w *= 1.0 - eta * lam
+            terms = [a * c for a, c in zip(rows[i], w)]
+            margin = ys[i] * (sum(terms) + b)
+            if abs(margin - 1.0) <= bound * (sum(map(abs, terms)) + abs(b) + 1.0):
+                margin = ys[i] * (x[i] @ np.array(w) + b)
+            shrink = 1.0 - eta * lam
             if margin < 1.0:
-                w += eta * y[i] * x[i]
-                b += eta * y[i]
-    return w, b
+                step = eta * ys[i]
+                w = [c * shrink + step * a for a, c in zip(rows[i], w)]
+                b += step
+            else:
+                w = [c * shrink for c in w]
+    return np.array(w), b
 
 
 def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool):

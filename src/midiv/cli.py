@@ -171,6 +171,28 @@ def _write_roc_csv(report, path: Path) -> None:
             writer.writerow([repr(fpr), repr(tpr)])
 
 
+def _report_json(data: dict) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"`` for a report.
+
+    ``indent`` selects json's pure-Python encoder. The report's lists (the
+    scores, labels, predictions, bag ids and ROC points) are encoded by the
+    C encoder instead, one call each, and laid out as ``indent=2`` lays
+    them out.
+    """
+    fields = []
+    for key, value in sorted(data.items()):
+        if key == "roc":  # pairs of numbers, whose text holds no ", "
+            items = json.dumps([c for point in value for c in point])[1:-1].split(", ")
+            pairs = (f"{x},\n      {y}" for x, y in zip(items[::2], items[1::2]))
+            text = "[\n    [\n      " + "\n    ],\n    [\n      ".join(pairs) + "\n    ]\n  ]"
+        elif isinstance(value, list) and value:
+            text = "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def cmd_evaluate(args, argv) -> int:
     pipeline = PipelineConfig(
         method=args.method,
@@ -191,9 +213,7 @@ def cmd_evaluate(args, argv) -> int:
     else:
         report = cross_validate(train, args.folds, pipeline, repeats=args.repeats, seed=args.seed)
     report_path, roc_path = out / "report.json", out / "roc.csv"
-    report_path.write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report_path.write_text(_report_json(report.to_json_dict()), encoding="utf-8")
     _write_roc_csv(report, roc_path)
     inputs = [args.train] + ([] if args.test is None else [args.test])
     _write_manifest(out, args, argv, started, [report_path, roc_path], inputs)

@@ -533,6 +533,46 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
+def _kmeanspp_starts(jobs) -> list:
+    """The run ``(x, means)`` of every job ``(x, k, seed)``: the bits of
+    ``_kmeanspp_means`` with a generator on the seed.
+
+    The runs of one (n, k) group take each step together on (runs, n)
+    arrays. Each generator draws its first index and then the k - 1
+    uniforms that ``Generator.choice`` would draw one at a time, and an
+    index is read as ``choice`` reads it: ``cdf = cumsum(d2 / total)``,
+    ``cdf /= cdf[-1]``, the count of ``cdf <= u``. A run whose distance
+    total is not positive and finite at some step draws differently there,
+    so it is redone by ``_kmeanspp_means`` from a fresh generator.
+    """
+    starts: list = [None] * len(jobs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (x, k, _) in enumerate(jobs):
+        groups.setdefault((x.size, k), []).append(i)
+    for (n, k), members in groups.items():
+        x = np.array([jobs[i][0] for i in members])
+        rngs = [np.random.default_rng(jobs[i][2]) for i in members]
+        rows = np.arange(len(members))
+        means = np.empty((len(members), k))
+        means[:, 0] = x[rows, [rng.integers(n) for rng in rngs]]
+        u = np.array([rng.random(k - 1) for rng in rngs])
+        d2 = np.full(x.shape, np.inf)  # each sample's squared distance to its nearest mean
+        redo = np.zeros(len(members), dtype=bool)
+        for j in range(1, k):
+            np.minimum(d2, (x - means[:, j - 1 : j]) ** 2, out=d2)
+            total = d2.sum(axis=1)
+            redo |= ~((total > 0) & (total < np.inf))
+            with np.errstate(divide="ignore", invalid="ignore"):  # rows to redo only
+                cdf = np.cumsum(d2 / total[:, None], axis=1)
+                cdf /= cdf[:, -1:]
+            means[:, j] = x[rows, np.count_nonzero(cdf <= u[:, j - 1 : j], axis=1)]
+        for r, i in enumerate(members):
+            x_i, _, seed = jobs[i]
+            starts[i] = (x_i, _kmeanspp_means(x_i, k, np.random.default_rng(seed))
+                         if redo[r] else means[r])
+    return starts
+
+
 def _em(runs, tol: float, accelerate: bool = False) -> list:
     """EM for every run ``(x, means)`` in ``runs`` at once: ``(w, mu, var,
     log-likelihood trace, converged, evaluations)`` per run, in order.
@@ -814,7 +854,7 @@ def _best_runs(samples, ks, seeds, tol: float, accelerate: bool) -> list:
     every restart in one ``_em`` call. A job whose sample cannot be fitted
     gets its ``ValueError`` in its place."""
     results: list = [None] * len(samples)
-    runs, owners = [], []
+    jobs, owners = [], []
     for i, (sample, k, seed) in enumerate(zip(samples, ks, seeds, strict=True)):
         try:
             x = _gmm_sample(sample, k)
@@ -822,10 +862,10 @@ def _best_runs(samples, ks, seeds, tol: float, accelerate: bool) -> list:
             results[i] = exc
             continue
         for child in as_seed_sequence(seed).spawn(_EM_RESTARTS):
-            runs.append((x, _kmeanspp_means(x, k, np.random.default_rng(child))))
+            jobs.append((x, k, child))
             owners.append(i)
-    fits = _em(runs, tol, accelerate)
-    for start in range(0, len(runs), _EM_RESTARTS):
+    fits = _em(_kmeanspp_starts(jobs), tol, accelerate)
+    for start in range(0, len(jobs), _EM_RESTARTS):
         best = None
         for fit in fits[start : start + _EM_RESTARTS]:
             if best is None or fit[3][-1] > best[3][-1]:

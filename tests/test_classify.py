@@ -843,6 +843,62 @@ class TestSvmConfig:
         assert SvmConfig(epochs=np.int64(3)).epochs == 3
 
 
+def svm_oracle(features, labels, config, seed):
+    """``train_linear_svm`` on numpy arrays, step by step, and every margin it took."""
+    x = np.asarray(features, dtype=float)
+    y = np.where(np.asarray(labels, dtype=bool), -1.0, 1.0)
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    w = np.zeros(d)
+    b = 0.0
+    t = 0
+    margins = []
+    for _ in range(config.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (config.lam * t)
+            margin = y[i] * (x[i] @ w + b)
+            margins.append(margin)
+            w *= 1.0 - eta * config.lam
+            if margin < 1.0:
+                w += eta * y[i] * x[i]
+                b += eta * y[i]
+    return w, b, np.array(margins)
+
+
+class TestLinearSvmBits:
+    """The Python-float loop gives the numpy loop's weights bit for bit."""
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(40)
+        for seed in range(200):
+            n, d = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+            x = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+            y = rng.random(n) < 0.5
+            config = SvmConfig(epochs=int(rng.integers(1, 40)), lam=float(10 ** rng.uniform(-3, 1)))
+            w, b = train_linear_svm(x, y, config, seed)
+            want_w, want_b, _ = svm_oracle(x, y, config, seed)
+            assert np.array_equal(w, want_w) and b == want_b, seed
+
+    def test_margins_within_the_rounding_bound(self):
+        # Two bags of one label at lam = 1: the first step sets w = y x and
+        # b = y, so the second margin is 1 + x . x' in either order. With
+        # x = (1, v) and x' = (-fl(u v), u) a sequential dot gives exactly 1;
+        # a fused multiply-add gives 1 less the rounding error of u v, which
+        # lies below 1 for about one pair in five.
+        rng = np.random.default_rng(41)
+        near = 0
+        for seed in range(40):
+            u, v = rng.uniform(0.5, 2.0, 2).tolist()
+            x = np.array([[1.0, v], [-(u * v), u]])
+            config = SvmConfig(epochs=3, lam=1.0)
+            w, b = train_linear_svm(x, [True, True], config, seed)
+            want_w, want_b, margins = svm_oracle(x, [True, True], config, seed)
+            assert np.array_equal(w, want_w) and b == want_b, seed
+            near += abs(margins[1] - 1.0) < 1e-15
+        assert near == 40
+
+
 class TestLinearSvm:
     def test_separable_training_accuracy(self):
         x = np.array([[0.0, 0.0]] * 20 + [[4.0, 4.0]] * 20)

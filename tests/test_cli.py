@@ -81,6 +81,20 @@ class TestEvaluateCommand:
         manifest = RunManifest.load(out / "manifest.json")
         assert str(sim_files / "train.csv") in manifest.inputs
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 500])
+    def test_report_text_is_the_indented_json_dump(self, n):
+        # The writer lays out the report's lists itself, with the C encoder.
+        scores = [0.1 * i - 7.3 for i in range(n)] + [float("nan"), float("inf"), -float("inf")]
+        data = {
+            "scores": scores, "labels": [i % 2 for i in range(n)],
+            "predictions": [i % 3 == 0 for i in range(n)], "auc": 0.5, "accuracy": 1.0 / 3.0,
+            "accuracy_sd": 0.0, "fold_accuracies": [0.25] * (n % 3), "auc_fold_mean": None,
+            "roc": [[0.0, 0.0]] + [[i / (n + 1), 1e-300 * i] for i in range(n)] + [[1.0, 1.0]],
+            "folds": {"0": {"bag, \"1\"": 0, "é\n": 1}} if n else {},
+            "bag_ids": [f"bag, {i} é\"\\" for i in range(n)], "seed": "12",
+        }
+        assert cli._report_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
     def test_cross_validation_mode(self, sim_files, tmp_path):
         out = tmp_path / "cv"
         code = run(["evaluate", "--train", sim_files / "train.csv", "--folds", "2",

@@ -846,6 +846,25 @@ class TestKmeansppRunningMinimum:
                 want = kmeanspp_oracle(x, k, np.random.default_rng(seed))
                 assert np.array_equal(got, want)
 
+    def test_batched_starts_have_the_one_run_bits(self, monkeypatch):
+        # Mixed (n, k) groups, k up to 8. In the (6, 3) and (6, 5) groups
+        # only the runs on the two-valued sample reach a distance total of 0,
+        # and only those are redone one by one.
+        samples = em_samples(43, (6, 15, 15, 60, 333))
+        samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
+        jobs = [(x, k, np.random.SeedSequence([i, k, r])) for i, x in enumerate(samples)
+                for k in (1, 2, 3, 5, 8) if k <= x.size for r in range(3)]
+        jobs = [jobs[i] for i in np.random.default_rng(2).permutation(len(jobs))]
+        redone = []
+        one_run = density._kmeanspp_means
+        monkeypatch.setattr(density, "_kmeanspp_means",
+                            lambda x, k, rng: redone.append((x.size, k)) or one_run(x, k, rng))
+        starts = density._kmeanspp_starts(jobs)
+        for (x, k, seed), (x_run, means) in zip(jobs, starts, strict=True):
+            assert x_run is x
+            assert np.array_equal(means, kmeanspp_oracle(x, k, np.random.default_rng(seed)))
+        assert sorted(redone) == [(6, 3)] * 3 + [(6, 5)] * 3
+
 
 class TestSelectionReadsTheAic:
     """select_gmm compares candidate sizes by the AIC of their best runs' log-likelihoods
