@@ -277,10 +277,10 @@ class ClassModel:
         values = _score_bags(fits, seeds, p.spec, refs, (method,), svm)[method]
         if not svm:
             return values
-        # The margin is taken bag by bag: one matrix product over all bags may
-        # round differently.
-        mean, sd, w, b = self.scaler_mean, self.scaler_sd, self.svm_weights, self.svm_bias
-        return [float((s - mean) / sd @ w + b) for s in values]
+        # Each margin sums its own row: a matrix product would round a bag's
+        # margin by the rows scored with it.
+        z = (np.reshape(values, (len(values), self.dimension)) - self.scaler_mean) / self.scaler_sd
+        return ((z * self.svm_weights).sum(axis=1) + self.svm_bias).tolist()
 
 
 # --------------------------------------------------------------------------

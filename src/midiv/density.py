@@ -24,13 +24,16 @@ other rows.
 Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
 every candidate size of every sample passed to one call is a row of a few
 stacked loops, one per sample length and size, so the Python overhead of a
-fit phase does not grow with its number of runs. ``fit_gmm`` and
-``select_gmm`` fit one sample through the same path, and a run's result is
-the same bits whatever is fitted with it. A fit to convergence (``fit_gmm``
-and the refit of ``select_gmm``'s winning size) is accelerated by SQUAREM
-extrapolation with a monotone safeguard (``_Squarem``); the early-stopped
-fits that compare sizes are plain EM, since their early stop is what keeps
-the selection from rewarding spurious maximizers.
+fit phase does not grow with its number of runs. The runs' k-means++
+starts are drawn the same way, one step for every run of a length and size
+at once (``_kmeanspp_starts``). A row's sums over samples are numpy's
+pairwise sums of that row alone, so a run's result is the same bits
+whatever is fitted with it; ``fit_gmm`` and ``select_gmm`` fit one sample
+through the same path. A fit to convergence (``fit_gmm`` and the refit of
+``select_gmm``'s winning size) is accelerated by SQUAREM extrapolation with
+a monotone safeguard (``_Squarem``); the early-stopped fits that compare
+sizes are plain EM, since their early stop is what keeps the selection from
+rewarding spurious maximizers.
 """
 
 from __future__ import annotations
@@ -607,12 +610,11 @@ def _em(runs, tol: float, accelerate: bool = False) -> list:
 def _em_stack(runs, n: int, k: int, tol: float, accelerate: bool) -> list:
     """``_em`` for runs that all have sample length ``n`` and size ``k``.
 
-    The arrays are (rows, k, n), so every elementwise step runs along n. The
-    sums keep the order numpy gives one run's (n, k) arrays, which fixed the
-    recorded outputs: over components one after another, over samples
-    pairwise for the log-likelihood and as ``_sum_samples`` says for the
-    M-step. Every loop evaluates the EM map once for each row: an E-step at
-    the row's point, then the M-step from it.
+    The arrays are (rows, k, n), so every elementwise step runs along n and
+    every sum over samples is numpy's pairwise sum of one contiguous row;
+    sums over components add one component after another. Every loop
+    evaluates the EM map once for each row: an E-step at the row's point,
+    then the M-step from it.
     """
     variances: dict[int, float] = {}  # the restarts of a sample share its array
     for x, _ in runs:
@@ -633,19 +635,17 @@ def _em_stack(runs, n: int, k: int, tol: float, accelerate: bool) -> list:
     squarem = _Squarem(len(runs), k) if accelerate else None
     # The loop's only (rows, k, n) arrays: every step writes into one of them.
     log_joint = np.empty((len(runs), k, n))
-    scratch = np.empty_like(log_joint)
+    resp = np.empty_like(log_joint)
     for it in range(_EM_MAX_ITER):
-        # log(w) - 0.5 * (log(2 pi var) + d * d / var) with d = x - mu
+        # log(w) - 0.5 * log(2 pi var) - 0.5 / var * d * d with d = x - mu
         np.subtract(x, mu[:, :, None], out=log_joint)
         np.multiply(log_joint, log_joint, out=log_joint)
-        np.divide(log_joint, var[:, :, None], out=log_joint)
-        np.add(np.log(2.0 * np.pi * var)[:, :, None], log_joint, out=log_joint)
-        np.multiply(0.5, log_joint, out=log_joint)
-        np.subtract(np.log(w)[:, :, None], log_joint, out=log_joint)
+        np.multiply(log_joint, (-0.5 / var)[:, :, None], out=log_joint)
+        np.add(log_joint, (np.log(w) - 0.5 * np.log(2.0 * np.pi * var))[:, :, None], out=log_joint)
         m = log_joint.max(axis=1)
-        np.subtract(log_joint, m[:, None, :], out=scratch)
-        log_norm = m + np.log(np.exp(scratch, out=scratch).sum(axis=1))
-        ll = log_norm.sum(axis=1)
+        np.exp(np.subtract(log_joint, m[:, None, :], out=resp), out=resp)
+        total = resp.sum(axis=1)  # at least 1: the largest term is exp(0)
+        ll = (m + np.log(total)).sum(axis=1)
         if it == lls.shape[1]:
             lls = np.concatenate([lls, np.empty_like(lls)], axis=1)
         lls[rows, it] = ll
@@ -667,24 +667,23 @@ def _em_stack(runs, n: int, k: int, tol: float, accelerate: bool) -> list:
             evaluations[rows[done]] = it + 1
             keep = ~done
             x, w, mu, var, var_floor = x[keep], w[keep], mu[keep], var[keep], var_floor[keep]
-            rows, ll, log_joint, log_norm = rows[keep], ll[keep], log_joint[keep], log_norm[keep]
+            rows, ll, resp, total = rows[keep], ll[keep], resp[keep], total[keep]
             prev = prev[keep]
             if squarem is not None:
                 squarem.keep(keep)
             if rows.size == 0:
                 break
-            scratch = np.empty_like(log_joint)
+            log_joint = np.empty_like(resp)
         point = w, mu, var
-        resp = np.subtract(log_joint, log_norm[:, None, :], out=log_joint)
-        np.exp(resp, out=resp)
-        nj = np.maximum(_sum_samples(resp, scratch), 1e-300)
+        np.divide(resp, total[:, None, :], out=resp)
+        nj = np.maximum(resp.sum(axis=2), 1e-300)
         w = nj / n
-        mu = _sum_samples(np.multiply(resp, x, out=scratch), scratch) / nj
-        d = np.subtract(x, mu[:, :, None], out=scratch)
+        mu = np.multiply(resp, x, out=log_joint).sum(axis=2) / nj
+        d = np.subtract(x, mu[:, :, None], out=log_joint)
         np.multiply(resp, d, out=resp)
-        var = _sum_samples(np.multiply(resp, d, out=resp), resp) / nj
+        var = np.multiply(resp, d, out=resp).sum(axis=2) / nj
         var = np.maximum(var, var_floor)
-        del resp, d  # views of the buffers: a compaction must free those
+        del d  # a view of the buffer: a compaction must free it
         if squarem is not None:
             w, mu, var = squarem.step(phase, point, (w, mu, var), ll, var_floor)
     if squarem is not None:  # a row at the cap ends one EM step past its trace
@@ -697,22 +696,6 @@ def _em_stack(runs, n: int, k: int, tol: float, accelerate: bool) -> list:
         (*stopped[:, r], t.copy(), c, e)
         for r, (t, c, e) in enumerate(zip(traces, converged.tolist(), evaluations.tolist()))
     ]
-
-
-def _sum_samples(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Sums over the last axis of (rows, k, n) in the order numpy sums axis 0
-    of one run's C-ordered (n, k) array: pairwise when k is 1 (the array is
-    then one contiguous run of samples), one sample after another otherwise.
-    ``scratch``, of the shape of ``a`` and possibly ``a`` itself, is overwritten."""
-    if a.shape[1] == 1:
-        return a.sum(axis=2)
-    return np.add.accumulate(a, axis=2, out=scratch)[:, :, -1].copy()
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over the last axis of a 2-D array, one element after another in
-    every row, whatever the number of rows."""
-    return np.add.accumulate(a, axis=1)[:, -1]
 
 
 def _free(w, mu, var) -> np.ndarray:
@@ -782,7 +765,7 @@ class _Squarem:
         v = _free(*mapped) - t1 - r
         shape = (len(r), 3 * r.shape[2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = -np.sqrt(_row_sums((r * r).reshape(shape)) / _row_sums((v * v).reshape(shape)))
+            a = -np.sqrt((r * r).reshape(shape).sum(axis=1) / (v * v).reshape(shape).sum(axis=1))
         a = np.where(np.isfinite(a), np.maximum(np.minimum(a, -1.0), -self.limit), -1.0)
         self.limit = np.where(a == -self.limit, self.limit * _SQUAREM_STEP_GROWTH, self.limit)
         self.alpha = a
@@ -794,7 +777,7 @@ class _Squarem:
         # weights relative to the largest, floored so that none underflows to 0
         lw = np.maximum(t[:, 0] - t[:, 0].max(axis=1, keepdims=True), -700.0)
         w = np.exp(lw)
-        w /= _row_sums(w)[:, None]
+        w /= w.sum(axis=1)[:, None]
         var = np.maximum(np.exp(t[:, 2]), var_floor)
         plain = plain[:, None]
         return (np.where(plain, mapped[0], w), np.where(plain, mapped[1], t[:, 1]),

@@ -315,9 +315,7 @@ def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowSc
         overlap = np.sqrt(fb * fr).sum(axis=-1) * dx
     clipped = ((overlap > 1.0) | (overlap < _TINY)).astype(float)
     overlap = np.minimum(np.maximum(overlap, _TINY), 1.0)
-    # math.log, not np.log: numpy's vectorized log may round differently.
-    value = np.array([-math.log(v) for v in overlap.tolist()])
-    return RowScores(value, clipped, ess)
+    return RowScores(-np.log(overlap), clipped, ess)
 
 
 def _ckl_weight(fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, clipped: np.ndarray):

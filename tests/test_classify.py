@@ -756,6 +756,18 @@ class TestStackedScorePhase:
 
         assert fit_and_score(DEFAULT_SCORE_BLOCK) == fit_and_score(1)
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_svm_margin_does_not_depend_on_the_bags_scored_with_it(self, d):
+        # A matrix product over all bags would round each margin by the rows around it.
+        rng = np.random.default_rng(47)
+        train = mixed_dataset(rng, 4, 4, d=d)
+        probes = mixed_dataset(rng, 8, 8, d=d, prefix="p").bags
+        pipeline = PipelineConfig("svm_divs", EstimatorConfig("kde-gauss"), FAST_SPEC)
+        model = fit_classifier(train, pipeline, seed=3)
+        seeds = [derive_seed(4, b.id) for b in probes]
+        alone = [model.scores([bag], [seed])[0] for bag, seed in zip(probes, seeds)]
+        assert model.scores(probes, seeds) == alone
+
 
 class TestOneScoringPath:
     """Held-out and study scores are the public score_bag's, bit for bit."""

@@ -428,20 +428,11 @@ class TestEpanechnikovPrecision:
 # the stacked EM against the one-run loop it replaced
 
 
-def _log_gmm_matrix(x: np.ndarray, w: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """log(w_j * N(x_i; mu_j, var_j)) as an (n, k) matrix."""
-    d = x[:, None] - mu[None, :]
-    return np.log(w)[None, :] - 0.5 * (np.log(2.0 * np.pi * var)[None, :] + d * d / var[None, :])
-
-
-def _logsumexp(rows: np.ndarray) -> np.ndarray:
-    m = rows.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))).ravel()
-
-
 def _em_once(
     x: np.ndarray, k: int, rng: np.random.Generator, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool]:
+    """One plain EM run on (k, n) arrays, in the stacked loop's arithmetic:
+    each component's samples are one row, summed by ``.sum(axis=1)``."""
     n = x.size
     sample_var = float(np.var(x))
     var_floor = 1e-6 * sample_var
@@ -452,22 +443,24 @@ def _em_once(
     converged = False
     prev = -np.inf
     for _ in range(density._EM_MAX_ITER):
-        log_joint = _log_gmm_matrix(x, w, mu, var)
-        log_norm = _logsumexp(log_joint)
-        ll = float(log_norm.sum())
+        d = x[None, :] - mu[:, None]
+        c = np.log(w) - 0.5 * np.log(2.0 * np.pi * var)
+        log_joint = d * d * (-0.5 / var)[:, None] + c[:, None]
+        m = log_joint.max(axis=0)
+        e = np.exp(log_joint - m)
+        total = e.sum(axis=0)
+        ll = float((m + np.log(total)).sum())
         trace.append(ll)
         if np.isfinite(prev) and abs(ll - prev) <= tol * max(1.0, abs(prev)):
             converged = True
             break
         prev = ll
-        resp = np.exp(log_joint - log_norm[:, None])
-        nj = resp.sum(axis=0)
-        nj = np.maximum(nj, 1e-300)
+        resp = e / total
+        nj = np.maximum(resp.sum(axis=1), 1e-300)
         w = nj / n
-        mu = (resp * x[:, None]).sum(axis=0) / nj
-        d = x[:, None] - mu[None, :]
-        var = (resp * d * d).sum(axis=0) / nj
-        var = np.maximum(var, var_floor)
+        mu = (resp * x).sum(axis=1) / nj
+        d = x[None, :] - mu[:, None]
+        var = np.maximum((resp * d * d).sum(axis=1) / nj, var_floor)
     return w, mu, var, trace, converged
 
 

@@ -86,7 +86,7 @@ GOLDEN = {
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "cv-gmm-aic": {
-        "report.json": "7e095c8fb12762dea57923ffec1c48acab741d4bb31b39162607cb5a0a21f92c",
+        "report.json": "bbe24b2a7b2f98968e1268fdfa67267fb5065740d8f44c07256fc5357b012c78",
         "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
     },
     "cv-mixed-b2b-kl": {
@@ -98,11 +98,11 @@ GOLDEN = {
         "roc.csv": "50fe2adbc3017e369903bee4b964d327ce23fe75c82b881587e6031eb00a6075",
     },
     "cv-mixed-svm-divs": {
-        "report.json": "afeeb032074de0f4ed40c191ddcb697dd49da0487f612c375ebc6198dab5140e",
+        "report.json": "d9ddc335f4ce7daf7ed8248eaaa0f3220bed76976d82a46d2f1db0cf24204e5b",
         "roc.csv": "d1dbfea9f7e38f760f9633fe099e2c060fbae1ec639855f07bac1c9507987226",
     },
     "cv-mixed-svm-divs-importance": {
-        "report.json": "8935592c90c483efaf67befead1b0fdc6bc08302016340a38f48d1f1d261e597",
+        "report.json": "f01cd121c97c6541924b822bddfa3ac1e2fc3e1c1c0d9ff6202f80a4c9c14548",
         "roc.csv": "3144890353f2ab420deccad8afb6e339ab03aea1cded7168cbb0cd529e821481",
     },
     "cv-svm-divs": {
@@ -126,7 +126,7 @@ GOLDEN = {
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-gmm-aic": {
-        "report.json": "f38a400c725030ab2badf531916c887c67f7058d0ed47c920bdaae709f396f3c",
+        "report.json": "48381dbb33983c47ffe1e162615bdeb1d6f62a462370cc1e1e9133cec8df4092",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-rd-bh": {
