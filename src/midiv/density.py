@@ -616,12 +616,9 @@ def _em_stack(runs, n: int, k: int, tol: float, accelerate: bool) -> list:
     evaluates the EM map once for each row: an E-step at the row's point,
     then the M-step from it.
     """
-    variances: dict[int, float] = {}  # the restarts of a sample share its array
-    for x, _ in runs:
-        if id(x) not in variances:
-            variances[id(x)] = float(np.var(x))
-    sample_var = np.array([variances[id(x)] for x, _ in runs])
-    x = np.array([run[0] for run in runs])[:, None, :]
+    x = np.array([run[0] for run in runs])
+    sample_var = np.var(x, axis=1)  # each row's, as np.var of the row alone
+    x = x[:, None, :]
     var_floor = 1e-6 * sample_var[:, None]
     w = np.full((len(runs), k), 1.0 / k)
     mu = np.array([means for _, means in runs])
