@@ -541,18 +541,23 @@ def _kmeanspp_starts(jobs) -> list:
     ``_kmeanspp_means`` with a generator on the seed.
 
     The runs of one (n, k) group take each step together on (runs, n)
-    arrays. Each generator draws its first index and then the k - 1
-    uniforms that ``Generator.choice`` would draw one at a time, and an
-    index is read as ``choice`` reads it: ``cdf = cumsum(d2 / total)``,
-    ``cdf /= cdf[-1]``, the count of ``cdf <= u``. A run whose distance
-    total is not positive and finite at some step draws differently there,
-    so it is redone by ``_kmeanspp_means`` from a fresh generator.
+    arrays of at most ``_EM_BLOCK`` elements. Each generator draws its
+    first index and then the k - 1 uniforms that ``Generator.choice`` would
+    draw one at a time, and an index is read as ``choice`` reads it:
+    ``cdf = cumsum(d2 / total)``, ``cdf /= cdf[-1]``, the count of
+    ``cdf <= u``. A run whose distance total is not positive and finite at
+    some step draws differently there, so it is redone by
+    ``_kmeanspp_means`` from a fresh generator.
     """
     starts: list = [None] * len(jobs)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (x, k, _) in enumerate(jobs):
         groups.setdefault((x.size, k), []).append(i)
-    for (n, k), members in groups.items():
+    blocks = []
+    for (n, k), group in groups.items():
+        step = max(1, _EM_BLOCK // n)
+        blocks += [(n, k, group[i : i + step]) for i in range(0, len(group), step)]
+    for n, k, members in blocks:
         x = np.array([jobs[i][0] for i in members])
         rngs = [np.random.default_rng(jobs[i][2]) for i in members]
         rows = np.arange(len(members))

@@ -839,10 +839,13 @@ class TestKmeansppRunningMinimum:
                 want = kmeanspp_oracle(x, k, np.random.default_rng(seed))
                 assert np.array_equal(got, want)
 
-    def test_batched_starts_have_the_one_run_bits(self, monkeypatch):
-        # Mixed (n, k) groups, k up to 8. In the (6, 3) and (6, 5) groups
-        # only the runs on the two-valued sample reach a distance total of 0,
-        # and only those are redone one by one.
+    @pytest.mark.parametrize("block", [density._EM_BLOCK, 100, 1])
+    def test_batched_starts_have_the_one_run_bits(self, monkeypatch, block):
+        # Mixed (n, k) groups, k up to 8, whole or cut into blocks of 100
+        # elements (1 to 16 runs) or of one run. In the (6, 3) and (6, 5)
+        # groups only the runs on the two-valued sample reach a distance
+        # total of 0, and only those are redone one by one.
+        monkeypatch.setattr(density, "_EM_BLOCK", block)
         samples = em_samples(43, (6, 15, 15, 60, 333))
         samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
         jobs = [(x, k, np.random.SeedSequence([i, k, r])) for i, x in enumerate(samples)
