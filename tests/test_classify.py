@@ -895,9 +895,11 @@ class TestLinearSvmBits:
     def test_margins_within_the_rounding_bound(self):
         # Two bags of one label at lam = 1: the first step sets w = y x and
         # b = y, so the second margin is 1 + x . x' in either order. With
-        # x = (1, v) and x' = (-fl(u v), u) a sequential dot gives exactly 1;
-        # a fused multiply-add gives 1 less the rounding error of u v, which
-        # lies below 1 for about one pair in five.
+        # x = (1, v) and x' = (-fl(u v), u) a sequential dot gives exactly 1.
+        # A dot with a fused multiply-add, as numpy's is on x86-64 with FMA,
+        # gives 1 less the rounding error of u v, below 1 for about one pair
+        # in five; there the numpy loop takes a step that a sequential dot
+        # would skip.
         rng = np.random.default_rng(41)
         near = 0
         for seed in range(40):
