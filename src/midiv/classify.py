@@ -12,10 +12,10 @@ the trapezoidal ROC area.
 
 Bags are fitted in one fit phase (``_fit_bags``) and scored in one score
 phase (``_score_bags``). The score phase takes blocks of bags as the rows
-of (rows, points) arrays, so the bags' draws and own densities are worked
-out, each reference density is evaluated and each divergence reduced once
-per block rather than once per bag; a bag's scores are the same bits
-whatever block it lands in.
+of (rows, points) arrays, so the bags' own densities and each reference
+density are evaluated and each divergence reduced once per block rather
+than once per bag, while each sampled bag draws its own points; a bag's
+scores are the same bits whatever block it lands in.
 """
 
 from __future__ import annotations
@@ -329,9 +329,8 @@ def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
     Per dimension, each bag keeps its own point set, under ``spec``'s
     integrator: a Riemann grid over its own support, or importance draws
     from the seed stream ``"dim"``
-    (``"feat"`` for the svm-divs features). The points are the rows of one
-    array: the bags' importance draws are made together, with only the
-    generator calls per bag (``density._draws``), the bags' own densities are
+    (``"feat"`` for the svm-divs features), each bag by its own ``sample``.
+    The points are the rows of one array: the bags' own densities are
     evaluated together (``density._pdf_rows``), each reference density is
     evaluated once on all rows and each measure reduced once, row by row.
     Divergences are summed over dimensions before the rd ratio and the b2b

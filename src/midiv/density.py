@@ -14,12 +14,11 @@ every density on ascending points, which keeps the Epanechnikov searches
 in order.
 
 Many small bags are handled as rows. ``_fit_kdes`` builds the Epanechnikov
-tables of the samples of one length as the rows of a few blocks, ``_draws``
-samples a block of KDEs of one kind (one point set per row) and
+tables of the samples of one length as the rows of a few blocks, and
 ``_pdf_rows`` evaluates a block of Epanechnikov bag densities, each at its
-own row of points; any other block goes row by row. ``DensityModel.sample``
-and ``.pdf`` are the one-row case, and a row's values do not depend on the
-other rows.
+own row of points; any other block goes row by row. ``DensityModel.pdf`` is
+the one-row case, and a row's values do not depend on the other rows. Every
+draw is a model's own ``DensityModel.sample``, one bag at a time.
 
 Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
 every candidate size of every sample passed to one call is a row of a few
@@ -338,28 +337,29 @@ class DensityModel:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, n: int, seed) -> np.ndarray:
+        """``n`` draws from the density, deterministic given ``seed``.
+
+        The generator calls, in this order, are the contract that keeps
+        outputs byte-identical: a generator from ``seed``; for a KDE the
+        center indices ``integers(0, centers.size, size=n)``, then the
+        kernel draws, ``standard_normal(n)`` (Gaussian) or the inverse CDF
+        of ``random(n)`` (Epanechnikov), and the sample is center +
+        bandwidth * kernel draw; for a GMM the component indices
+        ``choice(k, size=n, p=weights)``, then ``standard_normal(n)``.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind != GMM:
-            return _draws([self], n, [seed])[0]
         rng = np.random.default_rng(seed)
-        w = self.components[:, 0]
-        comp = rng.choice(w.size, size=n, p=w / w.sum())
-        mu = self.components[comp, 1]
-        sd = np.sqrt(self.components[comp, 2])
-        return mu + sd * rng.standard_normal(n)
-
-
-def _end_to_end(arrays, *indices) -> np.ndarray:
-    """``arrays`` laid end to end along their last axis as one array. Each
-    (rows, points) array of ``indices``, whose row r indexes the last axis of
-    ``arrays[r]``, is shifted in place to index the joined array."""
-    if len(arrays) == 1:
-        return arrays[0]
-    start = np.cumsum([0] + [a.shape[-1] for a in arrays[:-1]])[:, None]
-    for index in indices:
-        index += start
-    return np.concatenate(arrays, axis=-1)
+        if self.kind == GMM:
+            w = self.components[:, 0]
+            comp = rng.choice(w.size, size=n, p=w / w.sum())
+            mu = self.components[comp, 1]
+            sd = np.sqrt(self.components[comp, 2])
+            return mu + sd * rng.standard_normal(n)
+        centers = self.centers[rng.integers(0, self.centers.size, size=n)]
+        if self.kind == KDE_GAUSSIAN:
+            return centers + self.bandwidth * rng.standard_normal(n)
+        return centers + self.bandwidth * _epanechnikov_ppf(rng.random(n))
 
 
 def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
@@ -373,12 +373,16 @@ def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
     the call holds at most four arrays of the size of ``x`` at once.
     """
     if len(models) == 1:
-        j = models[0]._table[0, :-1].searchsorted(x, side="right")
+        table = models[0]._table
+        j = table[0, :-1].searchsorted(x, side="right")
     else:
         j = np.empty(x.shape, dtype=np.intp)
         for r, m in enumerate(models):
             j[r] = m._table[0, :-1].searchsorted(x[r], side="right")
-    b, q2, q1, q0 = _end_to_end([m._table for m in models], j)
+        # the tables end to end, each row's indices shifted into its own
+        j += np.cumsum([0] + [m._table.shape[1] for m in models[:-1]])[:, None]
+        table = np.concatenate([m._table for m in models], axis=1)
+    b, q2, q1, q0 = table
     # q0 + t (q1 + t q2) with t = x - b
     t = b.take(j)
     np.subtract(x, t, out=t)
@@ -404,38 +408,6 @@ def _pdf_rows(models, x: np.ndarray) -> np.ndarray:
     if kinds == {KDE_EPANECHNIKOV}:
         return _epan_pdf(models, x)
     return np.array([m.pdf(row) for m, row in zip(models, x, strict=True)])
-
-
-def _draws(models, n: int, seeds) -> np.ndarray:
-    """(rows, n): row r is ``models[r].sample(n, seeds[r])``.
-
-    In a block of KDEs of one kind the generator calls run one row at a
-    time, in ``sample``'s order: the row's generator from its seed, the
-    center indices, then the kernel draws (uniform for the Epanechnikov
-    inverse CDF, standard normal for the Gaussian). The centers are then
-    gathered and the kernel draws transformed and scaled once for the whole
-    block. In any other block each row (a GMM, a KDE among rows of another
-    kind, or any object with a ``sample``) calls its own ``sample``.
-    """
-    kinds = {m.kind if isinstance(m, DensityModel) else None for m in models}
-    if kinds not in ({KDE_EPANECHNIKOV}, {KDE_GAUSSIAN}):
-        return np.array([m.sample(n, seed) for m, seed in zip(models, seeds, strict=True)])
-    (kind,) = kinds
-    index = np.empty((len(models), n), dtype=np.int64)
-    u = np.empty((len(models), n))
-    for r, (m, seed) in enumerate(zip(models, seeds, strict=True)):
-        rng = np.random.default_rng(seed)
-        index[r] = rng.integers(0, m.centers.size, size=n)
-        if kind == KDE_GAUSSIAN:
-            rng.standard_normal(out=u[r])
-        else:
-            rng.random(out=u[r])
-    if kind == KDE_EPANECHNIKOV:
-        u = _epanechnikov_ppf(u)
-    centers = _end_to_end([m.centers for m in models], index)
-    # center + bandwidth * kernel draw
-    u *= np.array([m.bandwidth for m in models])[:, None]
-    return np.add(centers[index], u, out=u)
 
 
 @dataclass(frozen=True)
@@ -869,12 +841,12 @@ def _result_or_error(k: int, best):
         return exc
 
 
-def _fit_gmms(samples, ks, seeds, tol: float, accelerate: bool) -> list:
+def _fit_gmms(samples, ks, seeds) -> list:
     """``fit_gmm`` of every (sample, k, seed) job, all restarts in one ``_em`` call.
 
     A job that cannot be fitted gets its ``ValueError`` in its place.
     """
-    best = _best_runs(samples, ks, seeds, tol, accelerate)
+    best = _best_runs(samples, ks, seeds, _STRICT_TOL, accelerate=True)
     return [_result_or_error(k, fit) for k, fit in zip(ks, best)]
 
 
@@ -927,8 +899,6 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
         [samples[i] for i, _, _ in winners],
         [k for _, k, _ in winners],
         [seed for _, _, seed in winners],
-        _STRICT_TOL,
-        accelerate=True,
     )
     for (i, _, _), fit in zip(winners, refits):
         results[i] = fit
@@ -941,19 +911,18 @@ def _unwrap(result):
     return result
 
 
-def fit_gmm(
-    samples: Sequence[float], k: int, seed, tol: float = _STRICT_TOL
-) -> tuple[DensityModel, EmFitReport]:
+def fit_gmm(samples: Sequence[float], k: int, seed) -> tuple[DensityModel, EmFitReport]:
     """Fit a k-component univariate GMM by EM, deterministic given seed.
 
-    Runs three SQUAREM-accelerated EM fits of at most 500 EM-map evaluations
-    from k-means++ initializations and keeps the best final log-likelihood.
+    Runs three SQUAREM-accelerated EM fits from k-means++ initializations, each
+    until the log-likelihood moves by at most 1e-8 relative or for at most 500
+    EM-map evaluations, and keeps the best final log-likelihood.
     A variance floor of 1e-6 times the sample variance is applied at every
     M-step. The report's ``iterations`` counts the evaluations, rejected
     extrapolations included; its trace holds the log-likelihood of every
     point the fit moved to, and never decreases beyond rounding.
     """
-    return _unwrap(_fit_gmms([samples], [k], [seed], tol, accelerate=True)[0])
+    return _unwrap(_fit_gmms([samples], [k], [seed])[0])
 
 
 def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel, EmFitReport]:
@@ -965,7 +934,7 @@ def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel
     likelihood gains that routinely beat the AIC penalty, which breaks the
     selection. These fits are plain EM, three restarts of at most 500
     iterations each. The winning size is then refitted by ``fit_gmm`` at
-    its strict default tolerance, SQUAREM-accelerated, and that converged
+    its strict tolerance (1e-8), SQUAREM-accelerated, and that converged
     fit is returned.
     """
     return _unwrap(_select_gmms([samples], k_max, [seed])[0])

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import GMM, DensityModel, _draws, _pdf_rows
+from .density import GMM, DensityModel, _pdf_rows
 
 __all__ = [
     "DivergenceSpec",
@@ -195,15 +195,15 @@ def evaluation_rows(f_bags, spec: DivergenceSpec, seeds=None):
     ``spec`` names its integrator (see ``DivergenceSpec.for_bag``). A row's
     midpoint Riemann grid spans its bag's ``support_hint``, which holds the
     kernel's reach: every integrand carries the bag density, so that is
-    the whole domain. Importance sampling draws ``spec.n_imp`` points from
-    each bag density, one of ``seeds`` each (widths None), every row at
-    once (see ``density._draws``), and sorts each row; only it reads the
-    seeds (``spec.reads_seeds``).
+    the whole domain. Importance sampling draws each row by its bag
+    density's own ``sample(spec.n_imp, seed)``, one of ``seeds`` each
+    (widths None), and sorts it; only it reads the seeds
+    (``spec.reads_seeds``).
     """
     if spec.integrator is None:
         raise ValueError("evaluation_rows needs a spec that names its integrator")
     if spec.reads_seeds:
-        x = _draws(f_bags, spec.n_imp, seeds)
+        x = np.array([f.sample(spec.n_imp, seed) for f, seed in zip(f_bags, seeds, strict=True)])
         x.sort(axis=-1)
         return x, None
     lo, hi = np.array([m.support_hint for m in f_bags], dtype=float).T

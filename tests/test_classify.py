@@ -673,7 +673,7 @@ class TestStackedScorePhase:
             raise AssertionError("called in a Riemann score phase")
 
         monkeypatch.setattr(classify, "derive_seed", forbidden)
-        monkeypatch.setattr(dv, "_draws", forbidden)
+        monkeypatch.setattr(DensityModel, "sample", forbidden)
         methods = CLASS_METHODS if per_dim else METHODS[:5]
         got = classify._score_bags(fits, seeds, DivergenceSpec(), refs, methods, per_dim)
         assert all(len(got[m]) == len(probes) for m in methods)
@@ -707,8 +707,8 @@ class TestStackedScorePhase:
     @pytest.mark.parametrize("kind", ["kde-epan", "kde-gauss"])
     def test_kde_blocks_take_the_stacked_path(self, kind, monkeypatch):
         """Per-row calls would give the same bits, so only the calls tell:
-        a block of KDE bags is drawn without a ``sample`` call, and an
-        Epanechnikov block's bag densities are one ``_epan_pdf`` call."""
+        each bag is drawn by its own ``sample`` call, and an Epanechnikov
+        block's bag densities are one ``_epan_pdf`` call."""
         rng = np.random.default_rng(49)
         est = EstimatorConfig(kind)
         refs = classify._fit_references(mixed_dataset(rng, d=1), est, 1, b2b=False)
@@ -734,10 +734,11 @@ class TestStackedScorePhase:
         assert DEFAULT_SCORE_BLOCK // spec.points > len(probes)  # one block holds them all
         classify._score_bags(fits, seeds, spec, refs, ("ckl",))
         on_bags = [(name, ids) for name, ids in calls if set(ids) & set(bags)]
+        drawn = [("sample", [b]) for b in bags]
         if kind == "kde-epan":
-            assert on_bags == [("_epan_pdf", bags)]
+            assert on_bags == drawn + [("_epan_pdf", bags)]
         else:  # a Gaussian bag's density is its own pdf call
-            assert on_bags == [("pdf", [b]) for b in bags]
+            assert on_bags == drawn + [("pdf", [b]) for b in bags]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_fitted_pipeline_equal_with_one_bag_blocks(self, method, monkeypatch):

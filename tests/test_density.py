@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from midiv import density
 from midiv.core import Label
+from midiv.divergence import DivergenceSpec, evaluation_rows
 from midiv.seeds import as_seed_sequence
 from midiv.simulate import SimConfig, sample_experiment
 from midiv.density import (
@@ -689,7 +690,8 @@ def bits(a):
 
 
 def kde_sample_oracle(model, n, seed):
-    """The one-model KDE sampler, as it was before the stacked one."""
+    """The KDE sampler's generator calls and arithmetic, written out:
+    ``DensityModel.sample`` gives its bits."""
     rng = np.random.default_rng(seed)
     base = model.centers[rng.integers(0, model.centers.size, size=n)]
     if model.kind == KDE_GAUSSIAN:
@@ -714,8 +716,8 @@ class TestStackedKdeFits:
     """Samples of one length fitted as the rows of one array: the bandwidth
     rule, the support and the Epanechnikov tables are each sample's own, bit
     for bit, and a sample that cannot be fitted gets fit_kde's error in its
-    place. Blocks of fitted bags are drawn from and evaluated as rows with
-    each bag's own bits."""
+    place. Each fitted bag draws the sampler oracle's bits, and blocks of
+    fitted bags are evaluated as rows with each bag's own bits."""
 
     @given(
         lengths=st.lists(st.integers(2, 60), min_size=1, max_size=10),
@@ -737,9 +739,8 @@ class TestStackedKdeFits:
             else:
                 assert np.array_equal(bits(fit._table), bits(one._table))
         seeds = [as_seed_sequence(int(s)) for s in rng.integers(0, 2**63, len(fits))]
-        draws = density._draws(fits, 100, seeds)
+        draws = np.array([fit.sample(100, s) for fit, s in zip(fits, seeds)])
         for fit, s, row in zip(fits, seeds, draws):
-            assert np.array_equal(bits(row), bits(fit.sample(100, s)))
             assert np.array_equal(bits(row), bits(kde_sample_oracle(fit, 100, s)))
         # each bag at its own sorted draws, with points beyond its support
         x = np.sort(draws, axis=1)
@@ -759,9 +760,12 @@ class TestStackedKdeFits:
         gmm = fit_gmm(rng.standard_normal(40), 2, seed=1)[0]
         models = [epan[0], _Duck(epan[1]), gauss, gmm, epan[1], epan[2]]
         seeds = list(range(len(models)))
-        draws = density._draws(models, 64, seeds)
+        # every row is its own model's draws, sorted
+        spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=128)
+        draws, widths = evaluation_rows(models, spec, seeds)
+        assert widths is None
         for model, s, row in zip(models, seeds, draws):
-            assert np.array_equal(bits(row), bits(model.sample(64, s)))
+            assert np.array_equal(bits(row), bits(np.sort(model.sample(128, s))))
         values = density._pdf_rows(models, draws)
         for model, row, got in zip(models, draws, values):
             assert np.array_equal(bits(got), bits(model.pdf(row)))
