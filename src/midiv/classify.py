@@ -28,7 +28,7 @@ import numpy as np
 
 from . import divergence as dv
 from .core import Bag, Dataset, Label, PcaTransform, apply_pca, fit_pca
-from .density import _fit_kdes, _select_gmms, DensityModel
+from .density import _blocks, _fit_kdes, _select_gmms, DensityModel
 from .divergence import DivergenceSpec
 from .seeds import derive_label, derive_seed
 from .simulate import SimConfig, sample_experiment
@@ -173,7 +173,7 @@ def _fit_densities(samples, estimator: EstimatorConfig, seeds, pooled: bool = Fa
     a bag and the plain sd for a ``pooled`` class sample (see
     ``silverman_bandwidth``). Under ``gmm-aic`` every EM of every sample runs
     in a few stacked loops (see ``density._em``), and under KDE the samples
-    of one length are fitted as the rows of one array (see
+    of one length are fitted as the rows of a few blocks (see
     ``density._fit_kdes``). A sample that cannot be fitted gets its
     ``ValueError`` in its place."""
     if estimator.kind == "gmm-aic":
@@ -307,19 +307,14 @@ def _score_bags(fits, seeds, spec, refs, methods, per_dim=False) -> dict[str, li
     at most ``_SCORE_BLOCK`` evaluation points, and a bag's scores are the
     same bits whatever block it is in. Nothing is fitted here.
     """
-    groups = {}
-    for i, models in enumerate(fits):
-        groups.setdefault(spec.for_bag(models), []).append(i)
     scores = {m: [None] * len(fits) for m in methods}
-    for bag_spec, index in groups.items():
-        rows = max(1, _SCORE_BLOCK // bag_spec.points)
-        for start in range(0, len(index), rows):
-            block = index[start : start + rows]
-            values = _score_block([fits[i] for i in block], [seeds[i] for i in block], bag_spec,
-                                  refs, methods, per_dim)
-            for m in methods:
-                for i, value in zip(block, values[m]):
-                    scores[m][i] = value
+    bag_specs = [spec.for_bag(models) for models in fits]
+    for bag_spec, block in _blocks(bag_specs, _SCORE_BLOCK, lambda s: s.points):
+        values = _score_block([fits[i] for i in block], [seeds[i] for i in block], bag_spec,
+                              refs, methods, per_dim)
+        for m in methods:
+            for i, value in zip(block, values[m]):
+                scores[m][i] = value
     return scores
 
 

@@ -13,22 +13,23 @@ or the number of the other points. The divergence estimators evaluate
 every density on ascending points, which keeps the Epanechnikov searches
 in order.
 
-Many small bags are handled as rows. ``_fit_kdes`` builds the Epanechnikov
-tables of the samples of one length as the rows of a few blocks, and
-``_pdf_rows`` evaluates a block of Epanechnikov bag densities, each at its
-own row of points; any other block goes row by row. ``DensityModel.pdf`` is
-the one-row case, and a row's values do not depend on the other rows. Every
-draw is a model's own ``DensityModel.sample``, one bag at a time.
+Many small bags are handled as rows, grouped by shape and cut into blocks
+of bounded memory (``_blocks``). ``_fit_kdes`` fits the samples of one
+length block by block, and ``_pdf_rows`` evaluates a block of Epanechnikov
+bag densities, each at its own row of points; any other block goes row by
+row. ``DensityModel.pdf`` is the one-row case, and a row's values do not
+depend on the other rows. Every draw is a model's own
+``DensityModel.sample``, one bag at a time.
 
 Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
 every candidate size of every sample passed to one call is a row of a few
-stacked loops, one per sample length and size, so the Python overhead of a
-fit phase does not grow with its number of runs. The runs' k-means++
-starts are drawn the same way, one step for every run of a length and size
-at once (``_kmeanspp_starts``). A row's sums over samples are numpy's
-pairwise sums of that row alone, so a run's result is the same bits
-whatever is fitted with it; ``fit_gmm`` and ``select_gmm`` fit one sample
-through the same path. A fit to convergence (``fit_gmm`` and the refit of
+stacked loops, one per block of a sample length and size, so the Python
+overhead of a fit phase does not grow with its number of runs. A block
+draws its rows' k-means++ starts on the samples it then iterates, one step
+for all its rows at once (``_kmeanspp_starts``). A row's sums over samples
+are numpy's pairwise sums of that row alone, so a run's result is the same
+bits whatever is fitted with it; ``fit_gmm`` and ``select_gmm`` fit one
+sample through the same path. A fit to convergence (``fit_gmm`` and the refit of
 ``select_gmm``'s winning size) is accelerated by SQUAREM extrapolation with
 a monotone safeguard (``_Squarem``); the early-stopped fits that compare
 sizes are plain EM, since their early stop is what keeps the selection from
@@ -101,6 +102,20 @@ def _epanechnikov_ppf(p: np.ndarray) -> np.ndarray:
     return np.clip(u, -1.0, 1.0)
 
 
+def _blocks(keys, limit: int, size):
+    """``(key, indices)`` blocks of the positions of ``keys``: each key's
+    positions in order, its keys in first-seen order, cut into blocks of at
+    most ``max(1, limit // size(key))`` positions (a key of size 0 in
+    blocks of ``limit``)."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for key, members in groups.items():
+        step = max(1, limit // max(1, size(key)))
+        for start in range(0, len(members), step):
+            yield key, members[start : start + step]
+
+
 def silverman_bandwidth(samples: np.ndarray, kind: str, robust: bool = True) -> float:
     """Rule-of-thumb bandwidth h = C * sigma * n^(-1/5).
 
@@ -112,6 +127,8 @@ def silverman_bandwidth(samples: np.ndarray, kind: str, robust: bool = True) -> 
     ``KDE_EPANECHNIKOV``; h decreases strictly with n for fixed spread.
     """
     x = np.asarray(samples, dtype=float).reshape(1, -1)
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
     return _unwrap(_bandwidths(x, kind, robust)[0])
 
 
@@ -263,8 +280,8 @@ class DensityModel:
             raise ValueError(f"invalid support_hint {self.support_hint}")
         object.__setattr__(self, "support_hint", (lo, hi))
         if self.kind in (KDE_EPANECHNIKOV, KDE_GAUSSIAN):
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise ValueError("KDE bandwidth must be positive")
+            if self.bandwidth is None or not 0 < self.bandwidth < math.inf:
+                raise ValueError("KDE bandwidth must be positive and finite")
             centers = np.asarray(self.centers, dtype=float).ravel()
             if centers.size < 1 or not np.isfinite(centers).all():
                 raise ValueError("KDE centers must be a non-empty finite array")
@@ -279,6 +296,8 @@ class DensityModel:
             comp = np.atleast_2d(np.asarray(self.components, dtype=float))
             if comp.shape[1] != 3:
                 raise ValueError("GMM components must be rows of (weight, mean, variance)")
+            if not np.isfinite(comp).all():
+                raise ValueError("GMM components must be finite")
             w, var = comp[:, 0], comp[:, 2]
             if np.any(var <= 0):
                 raise ValueError("GMM variances must be positive")
@@ -440,18 +459,16 @@ def fit_kde(
 
 def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool) -> list:
     """``fit_kde`` of every sample: the samples of one length are the rows
-    of one array for the bandwidth rule, the support and the Epanechnikov
-    tables. A sample that cannot be fitted gets its ``ValueError`` in its
+    of a few blocks of at most ``_TABLE_BLOCK`` centers, each checked, given
+    its bandwidths and support and built into its Epanechnikov tables as one
+    array. A sample that cannot be fitted gets its ``ValueError`` in its
     place."""
     if kernel not in ("EPANECHNIKOV", "GAUSSIAN"):
         raise ValueError(f"kernel must be 'EPANECHNIKOV' or 'GAUSSIAN', got {kernel!r}")
     kind = f"KDE_{kernel}"
     flat = [np.asarray(x, dtype=float).ravel() for x in samples]
-    groups: dict[int, list[int]] = {}
-    for i, x in enumerate(flat):
-        groups.setdefault(x.size, []).append(i)
     out: list = [None] * len(flat)
-    for n, members in groups.items():
+    for n, members in _blocks([x.size for x in flat], _TABLE_BLOCK, lambda n: n):
         x = np.array([flat[i] for i in members]).reshape(len(members), n)
         fitted = np.isfinite(x).all(axis=1) & (n > 0)
         for i in np.array(members)[~fitted]:
@@ -472,13 +489,9 @@ def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool)
             out[members[r]] = hs[r] if np.isnan(h[r]) else ValueError(
                 f"invalid support_hint {tuple(support[r].tolist())}")
         x.setflags(write=False)
-        rows = np.flatnonzero(ok).tolist()
-        tables = [None] * len(rows)
-        if kind == KDE_EPANECHNIKOV:
-            step = max(1, _TABLE_BLOCK // n)
-            tables = [t for i in range(0, len(rows), step)
-                      for t in _epan_tables(x[rows[i : i + step]], h[rows[i : i + step]])]
-        for r, table in zip(rows, tables):
+        rows = np.flatnonzero(ok)
+        tables = _epan_tables(x[rows], h[rows]) if kind == KDE_EPANECHNIKOV else [None] * rows.size
+        for r, table in zip(rows.tolist(), tables):
             out[members[r]] = _fitted_kde(kind, tuple(support[r].tolist()), hs[r], x[r], table)
     return out
 
@@ -508,84 +521,71 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _kmeanspp_starts(jobs) -> list:
-    """The run ``(x, means)`` of every job ``(x, k, seed)``: the bits of
-    ``_kmeanspp_means`` with a generator on the seed.
+def _kmeanspp_starts(x: np.ndarray, k: int, seeds) -> np.ndarray:
+    """The (rows, k) k-means++ means of the rows of the (rows, n) array
+    ``x``, row r with a generator on ``seeds[r]``: the bits of
+    ``_kmeanspp_means``.
 
-    The runs of one (n, k) group take each step together on (runs, n)
-    arrays of at most ``_EM_BLOCK`` elements. Each generator draws its
-    first index and then the k - 1 uniforms that ``Generator.choice`` would
-    draw one at a time, and an index is read as ``choice`` reads it:
+    The rows take each step together. Each generator draws its first index
+    and then the k - 1 uniforms that ``Generator.choice`` would draw one at
+    a time, and an index is read as ``choice`` reads it:
     ``cdf = cumsum(d2 / total)``, ``cdf /= cdf[-1]``, the count of
-    ``cdf <= u``. A run whose distance total is not positive and finite at
+    ``cdf <= u``. A row whose distance total is not positive and finite at
     some step draws differently there, so it is redone by
     ``_kmeanspp_means`` from a fresh generator.
     """
-    starts: list = [None] * len(jobs)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (x, k, _) in enumerate(jobs):
-        groups.setdefault((x.size, k), []).append(i)
-    blocks = []
-    for (n, k), group in groups.items():
-        step = max(1, _EM_BLOCK // n)
-        blocks += [(n, k, group[i : i + step]) for i in range(0, len(group), step)]
-    for n, k, members in blocks:
-        x = np.array([jobs[i][0] for i in members])
-        rngs = [np.random.default_rng(jobs[i][2]) for i in members]
-        rows = np.arange(len(members))
-        means = np.empty((len(members), k))
-        means[:, 0] = x[rows, [rng.integers(n) for rng in rngs]]
-        u = np.array([rng.random(k - 1) for rng in rngs])
-        d2 = np.full(x.shape, np.inf)  # each sample's squared distance to its nearest mean
-        redo = np.zeros(len(members), dtype=bool)
-        for j in range(1, k):
-            np.minimum(d2, (x - means[:, j - 1 : j]) ** 2, out=d2)
-            total = d2.sum(axis=1)
-            redo |= ~((total > 0) & (total < np.inf))
-            with np.errstate(divide="ignore", invalid="ignore"):  # rows to redo only
-                cdf = np.cumsum(d2 / total[:, None], axis=1)
-                cdf /= cdf[:, -1:]
-            means[:, j] = x[rows, np.count_nonzero(cdf <= u[:, j - 1 : j], axis=1)]
-        for r, i in enumerate(members):
-            x_i, _, seed = jobs[i]
-            starts[i] = (x_i, _kmeanspp_means(x_i, k, np.random.default_rng(seed))
-                         if redo[r] else means[r])
-    return starts
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = np.arange(len(x))
+    means = np.empty((len(x), k))
+    means[:, 0] = x[rows, [rng.integers(x.shape[1]) for rng in rngs]]
+    u = np.array([rng.random(k - 1) for rng in rngs])
+    d2 = np.full(x.shape, np.inf)  # each sample's squared distance to its nearest mean
+    redo = np.zeros(len(x), dtype=bool)
+    for j in range(1, k):
+        np.minimum(d2, (x - means[:, j - 1 : j]) ** 2, out=d2)
+        total = d2.sum(axis=1)
+        redo |= ~((total > 0) & (total < np.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows to redo only
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        means[:, j] = x[rows, np.count_nonzero(cdf <= u[:, j - 1 : j], axis=1)]
+    for r in np.flatnonzero(redo):
+        means[r] = _kmeanspp_means(x[r], k, np.random.default_rng(seeds[r]))
+    return means
 
 
-def _em(runs, tol: float, accelerate: bool = False) -> list:
-    """EM for every run ``(x, means)`` in ``runs`` at once: ``(w, mu, var,
-    log-likelihood trace, converged, evaluations)`` per run, in order.
+def _em(jobs, tol: float, accelerate: bool = False) -> list:
+    """EM for every job ``(x, k, seed)`` in ``jobs`` at once: ``(w, mu, var,
+    log-likelihood trace, converged, evaluations)`` per job, in order.
 
-    A run fits ``means.size`` components to the sample ``x``, starting from
-    those means, and stops once one EM step changes its log-likelihood by at
-    most ``tol`` relative to the last value, or after ``_EM_MAX_ITER``
-    evaluations of the EM map. With ``accelerate`` the runs take SQUAREM
-    cycles (see ``_Squarem``); the trace then holds the log-likelihood of
-    every point the run moved to, and ``evaluations`` also counts the
-    extrapolations it rejected. Runs of one sample length n and size k are
-    stacked as rows of (rows, k, n) arrays, at most ``_EM_BLOCK`` elements
-    each, and iterated together; a row leaves the stack when it stops. Each
-    row is summed on its own, in a fixed order, so a run's result is the
-    same bits whatever is stacked with it. Padding runs to a common k would
-    not keep that: it changes how the sums over components round.
+    A job fits k components to the sample ``x`` from the k-means++ means of
+    a generator on ``seed``, and stops once one EM step changes its
+    log-likelihood by at most ``tol`` relative to the last value, or after
+    ``_EM_MAX_ITER`` evaluations of the EM map. With ``accelerate`` the runs
+    take SQUAREM cycles (see ``_Squarem``); the trace then holds the
+    log-likelihood of every point the run moved to, and ``evaluations`` also
+    counts the extrapolations it rejected. Jobs of one sample length n and
+    size k are stacked as the rows of blocks of at most ``_EM_BLOCK``
+    elements per (rows, k, n) array: a block draws its rows' starts on the
+    stacked samples, then iterates them together, and a row leaves the
+    stack when it stops. Each row is summed on its own, in a fixed order, so
+    a run's result is the same bits whatever is stacked with it. Padding
+    runs to a common k would not keep that: it changes how the sums over
+    components round.
     """
-    out: list = [None] * len(runs)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (x, means) in enumerate(runs):
-        groups.setdefault((x.size, means.size), []).append(i)
-    for (n, k), members in groups.items():
-        per_block = max(1, _EM_BLOCK // (n * k))
-        for start in range(0, len(members), per_block):
-            block = members[start : start + per_block]
-            fits = _em_stack([runs[i] for i in block], n, k, tol, accelerate)
-            for i, fit in zip(block, fits):
-                out[i] = fit
+    out: list = [None] * len(jobs)
+    keys = [(x.size, k) for x, k, _ in jobs]
+    for (_, k), block in _blocks(keys, _EM_BLOCK, lambda key: key[0] * key[1]):
+        x = np.array([jobs[i][0] for i in block])
+        means = _kmeanspp_starts(x, k, [jobs[i][2] for i in block])
+        for i, fit in zip(block, _em_stack(x, means, tol, accelerate)):
+            out[i] = fit
     return out
 
 
-def _em_stack(runs, n: int, k: int, tol: float, accelerate: bool) -> list:
-    """``_em`` for runs that all have sample length ``n`` and size ``k``.
+def _em_stack(x: np.ndarray, mu: np.ndarray, tol: float, accelerate: bool) -> list:
+    """``_em`` for the rows of the (rows, n) samples ``x``, from the (rows, k)
+    starting means ``mu``.
 
     The arrays are (rows, k, n), so every elementwise step runs along n and
     every sum over samples is numpy's pairwise sum of one contiguous row;
@@ -593,22 +593,21 @@ def _em_stack(runs, n: int, k: int, tol: float, accelerate: bool) -> list:
     evaluates the EM map once for each row: an E-step at the row's point,
     then the M-step from it.
     """
-    x = np.array([run[0] for run in runs])
+    (count, n), k = x.shape, mu.shape[1]
     sample_var = np.var(x, axis=1)  # each row's, as np.var of the row alone
     x = x[:, None, :]
     var_floor = 1e-6 * sample_var[:, None]
-    w = np.full((len(runs), k), 1.0 / k)
-    mu = np.array([means for _, means in runs])
+    w = np.full((count, k), 1.0 / k)
     var = np.repeat(sample_var[:, None], k, axis=1)
-    rows = np.arange(len(runs))  # the runs still iterating, in stack order
-    lls = np.empty((len(runs), 8))  # each run's log-likelihood per evaluation, widened as needed
-    evaluations = np.full(len(runs), _EM_MAX_ITER)
-    stopped = np.empty((3, len(runs), k))  # w, mu and var of each run when it stops
-    converged = np.zeros(len(runs), dtype=bool)
-    prev = np.full(len(runs), np.nan)  # each row's last value on its trace
-    squarem = _Squarem(len(runs), k) if accelerate else None
+    rows = np.arange(count)  # the runs still iterating, in stack order
+    lls = np.empty((count, 8))  # each run's log-likelihood per evaluation, widened as needed
+    evaluations = np.full(count, _EM_MAX_ITER)
+    stopped = np.empty((3, count, k))  # w, mu and var of each run when it stops
+    converged = np.zeros(count, dtype=bool)
+    prev = np.full(count, np.nan)  # each row's last value on its trace
+    squarem = _Squarem(count, k) if accelerate else None
     # The loop's only (rows, k, n) arrays: every step writes into one of them.
-    log_joint = np.empty((len(runs), k, n))
+    log_joint = np.empty((count, k, n))
     resp = np.empty_like(log_joint)
     for it in range(_EM_MAX_ITER):
         # log(w) - 0.5 * log(2 pi var) - 0.5 / var * d * d with d = x - mu
@@ -808,8 +807,9 @@ def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
 
 def _best_runs(samples, ks, seeds, tol: float, accelerate: bool) -> list:
     """The best restart of every (sample, k, seed) job by final log-likelihood,
-    every restart in one ``_em`` call. A job whose sample cannot be fitted
-    gets its ``ValueError`` in its place."""
+    every restart in one ``_em`` call, which also draws the restarts'
+    k-means++ starts from the job seed's children. A job whose sample cannot
+    be fitted gets its ``ValueError`` in its place."""
     results: list = [None] * len(samples)
     jobs, owners = [], []
     for i, (sample, k, seed) in enumerate(zip(samples, ks, seeds, strict=True)):
@@ -821,7 +821,7 @@ def _best_runs(samples, ks, seeds, tol: float, accelerate: bool) -> list:
         for child in as_seed_sequence(seed).spawn(_EM_RESTARTS):
             jobs.append((x, k, child))
             owners.append(i)
-    fits = _em(_kmeanspp_starts(jobs), tol, accelerate)
+    fits = _em(jobs, tol, accelerate)
     for start in range(0, len(jobs), _EM_RESTARTS):
         best = None
         for fit in fits[start : start + _EM_RESTARTS]:

@@ -102,6 +102,15 @@ class TestBandwidthRule:
             x, KDE_GAUSSIAN, robust=False
         )
 
+    @pytest.mark.parametrize("kind", [KDE_EPANECHNIKOV, KDE_GAUSSIAN])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_rejected(self, kind, bad):
+        # it gave NaN, and a RuntimeWarning for +-inf
+        x = np.random.default_rng(57).standard_normal(20)
+        x[7] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            silverman_bandwidth(x, kind)
+
 
 class TestFitGmm:
     def test_single_component_closed_form(self):
@@ -306,6 +315,23 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="variance"):
             DensityModel(kind=GMM, support_hint=(0, 1), components=[[1.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("components", [
+        [[np.nan, 0.0, 1.0]],  # abs(nan - 1) > 1e-12 is False: passed the sum check
+        [[0.5, 0.0, 1.0], [0.5, np.nan, 1.0]],  # gave a NaN pdf
+        [[1.0, 0.0, np.inf]],
+        [[1.0, -np.inf, 1.0]],
+    ])
+    def test_gmm_components_must_be_finite(self, components):
+        with pytest.raises(ValueError, match="GMM components must be finite"):
+            DensityModel(kind=GMM, support_hint=(0, 1), components=components)
+
+    @pytest.mark.parametrize("kind", [KDE_EPANECHNIKOV, KDE_GAUSSIAN])
+    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan, 0.0])
+    def test_kde_bandwidth_must_be_positive_and_finite(self, kind, bandwidth):
+        # an infinite Epanechnikov bandwidth gave a NaN pdf and infinite draws
+        with pytest.raises(ValueError, match="KDE bandwidth must be positive and finite"):
+            DensityModel(kind=kind, support_hint=(0, 1), bandwidth=bandwidth, centers=[0.5])
+
     def test_kde_requires_bandwidth(self):
         with pytest.raises(ValueError):
             DensityModel(kind=KDE_EPANECHNIKOV, support_hint=(0, 1), centers=[0.5])
@@ -430,15 +456,16 @@ class TestEpanechnikovPrecision:
 
 
 def _em_once(
-    x: np.ndarray, k: int, rng: np.random.Generator, tol: float
+    x: np.ndarray, k: int, seed, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool]:
-    """One plain EM run on (k, n) arrays, in the stacked loop's arithmetic:
-    each component's samples are one row, summed by ``.sum(axis=1)``."""
+    """One plain EM run on (k, n) arrays, in the stacked loop's arithmetic,
+    from the k-means++ start of a generator on ``seed``: each component's
+    samples are one row, summed by ``.sum(axis=1)``."""
     n = x.size
     sample_var = float(np.var(x))
     var_floor = 1e-6 * sample_var
     w = np.full(k, 1.0 / k)
-    mu = density._kmeanspp_means(x, k, rng)
+    mu = density._kmeanspp_means(x, k, np.random.default_rng(seed))
     var = np.full(k, sample_var)
     trace: list[float] = []
     converged = False
@@ -465,12 +492,10 @@ def _em_once(
     return w, mu, var, trace, converged
 
 
-def squarem_once(x, k, rng, tol):
+def squarem_once(x, k, seed, tol):
     """One accelerated run, alone in its stack, as ``_em_once`` returns it
     plus its EM-map evaluations."""
-    w, mu, var, trace, converged, evaluations = density._em(
-        [(x, density._kmeanspp_means(x, k, rng))], tol, accelerate=True
-    )[0]
+    w, mu, var, trace, converged, evaluations = density._em([(x, k, seed)], tol, accelerate=True)[0]
     return w, mu, var, trace.tolist(), converged, evaluations
 
 
@@ -479,7 +504,7 @@ def oracle_fit(x, k, seed, tol=1e-8, em=squarem_once):
     default accelerated runs, each in a stack of its own."""
     best = None
     for child in as_seed_sequence(seed).spawn(3):
-        fit = em(x, k, np.random.default_rng(child), tol)
+        fit = em(x, k, child, tol)
         if best is None or fit[3][-1] > best[3][-1]:
             best = fit
     w, mu, var, trace, converged = best[:5]
@@ -515,11 +540,6 @@ def em_samples(seed, sizes):
             for n in sizes]
 
 
-def start(x, k, seed):
-    """A run of ``density._em``: the sample and its k-means++ start from ``seed``."""
-    return x, density._kmeanspp_means(x, k, np.random.default_rng(seed))
-
-
 def assert_same_fits(got, want):
     assert len(got) == len(want)
     for (w, mu, var, trace, converged, evaluations), expected in zip(got, want):
@@ -540,18 +560,16 @@ class TestStackedEm:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_one_run_loop(self, k, tol):
         runs = [(x, k, 10 * i + r) for i, x in enumerate(em_samples(k, [40] * 4)) for r in range(3)]
-        got = density._em([start(x, k, s) for x, k, s in runs], tol)
-        want = [_em_once(x, k, np.random.default_rng(s), tol) for x, k, s in runs]
+        got = density._em(runs, tol)
+        want = [_em_once(x, k, s, tol) for x, k, s in runs]
         assert_same_fits(got, want)
 
     def test_strict_runs_reach_the_cap(self):
         xs = em_samples(7, [40] * 6)
-        fits = density._em([start(x, k, i) for i, x in enumerate(xs) for k in (3, 4)],
-                           density._STRICT_TOL)
+        fits = density._em([(x, k, i) for i, x in enumerate(xs) for k in (3, 4)], density._STRICT_TOL)
         capped = [fit[5] == density._EM_MAX_ITER and not fit[4] for fit in fits]
         assert any(capped) and not all(capped)
-        want = [_em_once(x, k, np.random.default_rng(i), density._STRICT_TOL)
-                for i, x in enumerate(xs) for k in (3, 4)]
+        want = [_em_once(x, k, i, density._STRICT_TOL) for i, x in enumerate(xs) for k in (3, 4)]
         assert_same_fits(fits, want)
 
     @pytest.mark.parametrize("block", [density._EM_BLOCK, 100, 1])
@@ -564,8 +582,8 @@ class TestStackedEm:
         order = np.random.default_rng(0).permutation(len(runs))
         runs = [runs[i] for i in order]
         for tol in (density._SELECTION_TOL, density._STRICT_TOL):
-            got = density._em([start(x, k, s) for x, k, s in runs], tol)
-            want = [_em_once(x, k, np.random.default_rng(s), tol) for x, k, s in runs]
+            got = density._em(runs, tol)
+            want = [_em_once(x, k, s, tol) for x, k, s in runs]
             assert_same_fits(got, want)
 
     @pytest.mark.parametrize("n", [12, 30])
@@ -615,7 +633,7 @@ def plain_and_squarem():
     """Every restart of ``restart_jobs`` at the strict tolerance, plain and
     accelerated, each in one stacked call."""
     jobs = restart_jobs()
-    runs = [start(x, k, s) for x, k, seeds in jobs for s in seeds]
+    runs = [(x, k, s) for x, k, seeds in jobs for s in seeds]
     return (jobs, density._em(runs, density._STRICT_TOL),
             density._em(runs, density._STRICT_TOL, accelerate=True))
 
@@ -626,7 +644,7 @@ class TestSquarem:
     @pytest.mark.parametrize("block", [100, 1])
     def test_stacked_equals_one_row_per_stack(self, monkeypatch, block):
         xs = em_samples(11, [12, 25, 25, 40, 12, 40, 300])
-        runs = [start(x, k, 10 * i + k) for i, x in enumerate(xs) for k in range(1, 6) if x.size >= 3 * k]
+        runs = [(x, k, 10 * i + k) for i, x in enumerate(xs) for k in range(1, 6) if x.size >= 3 * k]
         runs = [runs[i] for i in np.random.default_rng(1).permutation(len(runs))]
         whole = density._em(runs, density._STRICT_TOL, accelerate=True)
         monkeypatch.setattr(density, "_EM_BLOCK", block)
@@ -817,6 +835,62 @@ class TestStackedKdeFits:
             "bandwidth must be positive",
         ]
 
+    @pytest.mark.parametrize("block", [density._TABLE_BLOCK, 100, 1])
+    @pytest.mark.parametrize("kernel", ["EPANECHNIKOV", "GAUSSIAN"])
+    def test_blocks_keep_every_bit_and_error(self, monkeypatch, kernel, block):
+        # 25 samples of length 10 are one block by default, blocks of 10
+        # rows at 100 centers and of one row at 1; the failures are spread
+        # over the blocks, and one length fails in every row.
+        rng = np.random.default_rng(55)
+        samples = [rng.standard_normal(n) * rng.uniform(0.1, 9.0) for n in [10] * 25 + [3, 7, 3]]
+        samples[4] = np.full(10, 2.0)  # zero variance
+        samples[13][5] = np.nan
+        samples[21][0] = np.inf
+        samples += [[], [1.0], [np.nan] * 4, [-np.inf] * 4]
+        whole = density._fit_kdes(samples, kernel, None, True)
+        monkeypatch.setattr(density, "_TABLE_BLOCK", block)
+        got = density._fit_kdes(samples, kernel, None, True)
+        for x, fit, first in zip(samples, got, whole, strict=True):
+            try:
+                want = fit_kde(x, kernel)
+            except ValueError as exc:
+                assert isinstance(fit, ValueError) and str(fit) == str(first) == str(exc)
+                continue
+            for model in (want, first):
+                assert (fit.kind, fit.support_hint, fit.bandwidth) == (
+                    model.kind, model.support_hint, model.bandwidth)
+                assert np.array_equal(bits(fit.centers), bits(model.centers))
+                if kernel == "EPANECHNIKOV":
+                    assert np.array_equal(bits(fit._table), bits(model._table))
+                else:
+                    assert fit._table is None
+        assert [isinstance(f, ValueError) for f in got].count(True) == 7
+
+
+class TestBlocks:
+    """``density._blocks``, the grouping and blocking of every stacked phase."""
+
+    @pytest.mark.parametrize("limit", [1, 7, 40, 1000])
+    def test_every_index_once_in_order_within_the_bound(self, limit):
+        keys = np.random.default_rng(56).choice([0, 1, 3, 10, 50], size=200).tolist()
+        blocks = list(density._blocks(keys, limit, lambda key: key))
+        assert sorted(i for _, block in blocks for i in block) == list(range(len(keys)))
+        firsts = []
+        for key, block in blocks:
+            assert block and all(keys[i] == key for i in block)
+            assert len(block) <= max(1, limit // max(1, key))
+            if key not in firsts:
+                firsts.append(key)
+        assert firsts == list(dict.fromkeys(keys))  # keys in first-seen order
+        for key in firsts:  # and each key's indices in order, block after block
+            joined = [i for k, block in blocks if k == key for i in block]
+            assert joined == [i for i, k in enumerate(keys) if k == key]
+
+    def test_zero_size_key_and_no_keys(self):
+        assert list(density._blocks([(0, 2), (0, 2), (0, 2)], 2, lambda key: key[0])) == [
+            ((0, 2), [0, 1]), ((0, 2), [2])]
+        assert list(density._blocks([], 8, lambda key: 1 // 0)) == []
+
 
 def kmeanspp_oracle(x, k, rng):
     """k-means++ starts with every step's (n, j) distance array rebuilt."""
@@ -845,11 +919,10 @@ class TestKmeansppRunningMinimum:
 
     @pytest.mark.parametrize("block", [density._EM_BLOCK, 100, 1])
     def test_batched_starts_have_the_one_run_bits(self, monkeypatch, block):
-        # Mixed (n, k) groups, k up to 8, whole or cut into blocks of 100
-        # elements (1 to 16 runs) or of one run. In the (6, 3) and (6, 5)
-        # groups only the runs on the two-valued sample reach a distance
-        # total of 0, and only those are redone one by one.
-        monkeypatch.setattr(density, "_EM_BLOCK", block)
+        # Mixed (n, k) groups, k up to 8, each stacked whole or cut into
+        # blocks of 100 elements (1 to 16 runs) or of one run. In the (6, 3)
+        # and (6, 5) groups only the runs on the two-valued sample reach a
+        # distance total of 0, and only those are redone one by one.
         samples = em_samples(43, (6, 15, 15, 60, 333))
         samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
         jobs = [(x, k, np.random.SeedSequence([i, k, r])) for i, x in enumerate(samples)
@@ -859,10 +932,14 @@ class TestKmeansppRunningMinimum:
         one_run = density._kmeanspp_means
         monkeypatch.setattr(density, "_kmeanspp_means",
                             lambda x, k, rng: redone.append((x.size, k)) or one_run(x, k, rng))
-        starts = density._kmeanspp_starts(jobs)
-        for (x, k, seed), (x_run, means) in zip(jobs, starts, strict=True):
-            assert x_run is x
-            assert np.array_equal(means, kmeanspp_oracle(x, k, np.random.default_rng(seed)))
+        for (_, k), members in density._blocks([(x.size, k) for x, k, _ in jobs], block,
+                                               lambda key: key[0]):
+            x = np.array([jobs[i][0] for i in members])
+            starts = density._kmeanspp_starts(x, k, [jobs[i][2] for i in members])
+            assert starts.shape == (len(members), k)
+            for i, means in zip(members, starts):
+                x_i, _, seed = jobs[i]
+                assert np.array_equal(means, kmeanspp_oracle(x_i, k, np.random.default_rng(seed)))
         assert sorted(redone) == [(6, 3)] * 3 + [(6, 5)] * 3
 
 
