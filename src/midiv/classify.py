@@ -28,7 +28,7 @@ import numpy as np
 
 from . import divergence as dv
 from .core import Bag, Dataset, Label, PcaTransform, apply_pca, fit_pca
-from .density import _blocks, _fit_kdes, _select_gmms, DensityModel
+from .density import _blocks, _fit_kdes, _pdf_pair, _select_gmms, DensityModel
 from .divergence import DivergenceSpec
 from .seeds import derive_label, derive_seed
 from .simulate import SimConfig, sample_experiment
@@ -305,13 +305,21 @@ def _score_bags(fits, seeds, spec, refs, methods, per_dim=False) -> dict[str, li
     training-bag densities, by ``_score_block``, under the integrator that
     ``spec.for_bag`` gives it: the bags of each integrator go in blocks of
     at most ``_SCORE_BLOCK`` evaluation points, and a bag's scores are the
-    same bits whatever block it is in. Nothing is fitted here.
+    same bits whatever block it is in. The two class densities of each
+    dimension are looked up together (``density._pdf_pair``), by one
+    search set up once here for all the phase's points. Nothing is fitted
+    here.
     """
     scores = {m: [None] * len(fits) for m in methods}
+    f_pos, f_neg, train_bags = refs
     bag_specs = [spec.for_bag(models) for models in fits]
+    pairs = None
+    if any(m in CLASS_METHODS for m in methods):
+        points = sum(s.points for s in bag_specs)
+        pairs = [_pdf_pair(p, n, points) for p, n in zip(f_pos, f_neg)]
     for bag_spec, block in _blocks(bag_specs, _SCORE_BLOCK, lambda s: s.points):
         values = _score_block([fits[i] for i in block], [seeds[i] for i in block], bag_spec,
-                              refs, methods, per_dim)
+                              (pairs, train_bags), methods, per_dim)
         for m in methods:
             for i, value in zip(block, values[m]):
                 scores[m][i] = value
@@ -325,33 +333,33 @@ def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
     integrator: a Riemann grid over its own support, or importance draws
     from the seed stream ``"dim"``
     (``"feat"`` for the svm-divs features), each bag by its own ``sample``.
-    The points are the rows of one array: the bags' own densities are
-    evaluated together (``density._pdf_rows``), each reference density is
-    evaluated once on all rows and each measure reduced once, row by row.
+    ``refs`` is ``(pairs, train_bags)``: per dimension, the class densities'
+    lookup from ``density._pdf_pair`` (None if no method needs them), and
+    the b2b training bags. The points are the rows of one array: the bags'
+    own densities are evaluated together (``density._pdf_rows``), the two
+    class densities by one lookup, each training-bag density once on all
+    rows, and each measure reduced once, row by row.
     Divergences are summed over dimensions before the rd ratio and the b2b
     minima are taken. With ``per_dim`` each method maps to its per-dimension
     values instead: the svm-divs features.
     """
-    f_pos, f_neg, train_bags = refs
+    pairs, train_bags = refs
     train_pos = np.array([lab == Label.POS for lab, _ in train_bags], dtype=bool)
-    need_class = any(m in CLASS_METHODS for m in methods)
     b2b = [m for m in methods if m.startswith("b2b")]
     # Summed from 0.0 in dimension order; another order moves scores in the last bits.
     totals = dict.fromkeys(methods, 0.0)
     columns = {m: [] for m in methods}
     for d in range(len(fits[0])):
-        class_refs = (f_pos[d], f_neg[d])
         train_refs = tuple(models[d] for _, models in train_bags)
         bag_models = [models[d] for models in fits]
         children = None  # a Riemann grid reads no seed, so none is derived
         if spec.reads_seeds:
             children = [derive_seed(seed, "feat" if per_dim else "dim", d) for seed in seeds]
         x, dx = dv.evaluation_rows(bag_models, spec, children)
-        refs_at = (class_refs if need_class else ()) + train_refs
-        values = dv.iter_densities(x, bag_models, refs_at)
+        values = dv.iter_densities(x, bag_models, train_refs)
         fb = next(values)
-        if need_class:
-            fp, fn = next(values), next(values)
+        if pairs is not None:
+            fp, fn = pairs[d](x)
         terms = {}
         for m in methods:
             if m == "ckl":

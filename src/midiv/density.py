@@ -18,7 +18,9 @@ of bounded memory (``_blocks``). ``_fit_kdes`` fits the samples of one
 length block by block, and ``_pdf_rows`` evaluates a block of Epanechnikov
 bag densities, each at its own row of points; any other block goes row by
 row. ``DensityModel.pdf`` is the one-row case, and a row's values do not
-depend on the other rows. Every draw is a model's own
+depend on the other rows. Two Epanechnikov densities at the same points,
+the two classes of a score phase, share one search of their merged
+breakpoints (``_pdf_pair``). Every draw is a model's own
 ``DensityModel.sample``, one bag at a time.
 
 Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
@@ -141,16 +143,22 @@ def _bandwidths(x: np.ndarray, kind: str, robust: bool) -> list:
     if n < 2:
         message = "bandwidth rule needs at least 2 samples; pass an explicit bandwidth"
         return [ValueError(message) for _ in range(rows)]
-    sigma = sd = np.std(x, ddof=1, axis=1)
-    if robust:
-        q75, q25 = np.percentile(x, [75, 25], axis=1)
-        iqr = q75 - q25
-        scaled = iqr / 1.349
-        sigma = np.where((iqr > 0) & (scaled < sd), scaled, sd)
-    c = 1.06 if kind == KDE_GAUSSIAN else 2.345
-    h = c * sigma * n ** (-0.2)
-    message = "zero sample variance, bandwidth rule degenerates; pass an explicit bandwidth"
-    return [ValueError(message) if s <= 0 else b for s, b in zip(sigma.tolist(), h.tolist())]
+    # A spread beyond the float range overflows (to inf, or to NaN where
+    # overflowed sums cancel); such a row is rejected below, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = np.std(x, ddof=1, axis=1)
+        sigma = sd = np.where(np.isnan(sd), np.inf, sd)
+        if robust:
+            q75, q25 = np.percentile(x, [75, 25], axis=1)
+            iqr = q75 - q25
+            scaled = iqr / 1.349
+            sigma = np.where((iqr > 0) & (scaled < sd), scaled, sd)
+        c = 1.06 if kind == KDE_GAUSSIAN else 2.345
+        h = c * sigma * n ** (-0.2)
+    zero = "zero sample variance, bandwidth rule degenerates; pass an explicit bandwidth"
+    over = "sample spread overflows, bandwidth rule degenerates; pass an explicit bandwidth"
+    return [ValueError(zero) if s <= 0 else b if b < math.inf else ValueError(over)
+            for s, b in zip(sigma.tolist(), h.tolist())]
 
 
 def _epan_tables(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -386,10 +394,8 @@ def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
     KDE ``models[r]``; the rows' center counts may differ.
 
     Each point's piece is searched in its row's breakpoints, row by row, and
-    the piece's quadratic is evaluated by one Horner step on every row at
-    once (see ``_epan_tables``). The arithmetic is elementwise, so a value is
-    the same bits whatever else is evaluated with it. It runs in place, and
-    the call holds at most four arrays of the size of ``x`` at once.
+    the pieces' quadratics are evaluated by one ``_epan_horner`` call on
+    every row at once.
     """
     if len(models) == 1:
         table = models[0]._table
@@ -401,6 +407,17 @@ def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
         # the tables end to end, each row's indices shifted into its own
         j += np.cumsum([0] + [m._table.shape[1] for m in models[:-1]])[:, None]
         table = np.concatenate([m._table for m in models], axis=1)
+    return _epan_horner(table, j, x)
+
+
+def _epan_horner(table: np.ndarray, j: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Epanechnikov KDE of ``table`` at the points ``x``, each in the
+    piece ``j`` of the same shape that a right-sided search of its
+    breakpoints gives: the piece's quadratic by one Horner step (see
+    ``_epan_tables``). The arithmetic is elementwise, so a value is the same
+    bits whatever else is evaluated with it. It runs in place, and holds at
+    most three arrays of the size of ``x`` besides ``j``.
+    """
     b, q2, q1, q0 = table
     # q0 + t (q1 + t q2) with t = x - b
     t = b.take(j)
@@ -411,9 +428,43 @@ def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
     out += q
     out *= t
     q0.take(j, out=q, mode="clip")  # every index is in range; "raise" would buffer the output
-    del j
     out += q
     return np.maximum(out, 0.0, out=out)
+
+
+def _pdf_pair(a, b, points: int):
+    """A function of (rows, points) arrays ``x``, of ``points`` points in
+    all, that gives ``(a.pdf(x), b.pdf(x))``, the same bits.
+
+    When ``a`` and ``b`` are both Epanechnikov KDEs, the points are searched
+    once, in the sorted union of the two tables' breakpoints, built here
+    once. A point's position k in the union is the count of breakpoints at
+    or left of it, so ``a``'s piece is the count of ``a``'s among them
+    (read from one count array) and ``b``'s is k less that count: the pieces
+    that a search of each table gives. Each table then takes its own Horner
+    step. Building the union costs about what searching its own size in
+    points saves, so fewer ``points`` than that (one bag's, say) and any
+    other pair of densities call each density's own ``pdf``.
+    """
+    epan = all(isinstance(m, DensityModel) and m.kind == KDE_EPANECHNIKOV for m in (a, b))
+    if not epan or points < a._table.shape[1] + b._table.shape[1] - 2:
+        return lambda x: (a.pdf(x), b.pdf(x))
+    both = np.concatenate([a._table[0, :-1], b._table[0, :-1]])
+    order = both.argsort(kind="stable")  # two sorted runs, merged
+    union = both[order]
+    counts = np.zeros(union.size + 1, dtype=np.intp)  # a's breakpoints before each position
+    np.cumsum(order < a._table.shape[1] - 1, out=counts[1:])
+    del both, order
+
+    def pdfs(x):
+        j = union.searchsorted(x, side="right")
+        ja = counts.take(j)
+        j -= ja  # b's pieces
+        fa = _epan_horner(a._table, ja, x)
+        del ja
+        return fa, _epan_horner(b._table, j, x)
+
+    return pdfs
 
 
 def _pdf_rows(models, x: np.ndarray) -> np.ndarray:
@@ -771,7 +822,11 @@ def _gmm_sample(samples, k: int) -> np.ndarray:
         raise ValueError(f"need at least {3 * k} samples to fit k={k} components, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    if np.var(x) <= 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        var = np.var(x)
+    if not var < np.inf:
+        raise ValueError("sample variance overflows; GMM fit is degenerate")
+    if var <= 0:
         raise ValueError("zero sample variance; GMM fit is degenerate")
     return x
 

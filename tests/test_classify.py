@@ -26,7 +26,7 @@ from midiv.classify import (
     score_bag,
     train_linear_svm,
 )
-from midiv import classify, density
+from midiv import classify, density, seeds
 from midiv.classify import CLASS_METHODS, EvalReport, _stratified_folds
 from midiv.core import Bag, Dataset, Label
 from midiv.density import DensityModel
@@ -1064,6 +1064,33 @@ class TestEvaluateHoldout:
         assert report.fold_accuracies == (report.accuracy,) and report.auc_fold_mean is None
         doc = report.to_json_dict()
         assert set(doc) >= {"scores", "labels", "auc", "accuracy", "roc", "folds", "seed"}
+
+
+class TestLabelsHashedWhenRead:
+    """A per-bag seed label is hashed the first time a seed is derived from
+    it: a bag that draws nothing and fits no mixture hashes none."""
+
+    @pytest.mark.parametrize("kind, integrator, read", [
+        ("kde-epan", None, False), ("kde-epan", "IMPORTANCE", True), ("gmm-aic", None, True)])
+    def test_holdout_hashes_one_label_per_bag_that_reads_its_seed(
+            self, kind, integrator, read, monkeypatch):
+        train, test = sample_experiment(SimConfig.preset("sim2", n_instances=10), 4, 4, 10, seed=6)
+        spec = DivergenceSpec(integrator=integrator, n_imp=128)
+        pipeline = PipelineConfig("ckl", EstimatorConfig(kind), spec)
+        want = evaluate_holdout(train, test, pipeline, seed=3)
+        hashed = []
+        entropy = seeds._entropy
+        monkeypatch.setattr(seeds, "_entropy", lambda parts: hashed.append(parts) or entropy(parts))
+        got = evaluate_holdout(train, test, pipeline, seed=3)
+        assert got == want
+        labels = sorted(p[-1] for p in hashed if p[1:2] in (("score",), ("train-score",)))
+        bags = [b.id for b in train.bags + test.bags]
+        if read:
+            assert labels == sorted(bags)
+        else:  # every bag of this default run is on its grid
+            fits = classify._fit_bags(test.bags, pipeline.estimator, [0] * len(test.bags))
+            assert {spec.for_bag(m).integrator for m in fits} == {"RIEMANN"}
+            assert labels == []
 
 
 class TestRunSimStudy:

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -24,6 +26,9 @@ from midiv.density import (
 )
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
+# Finite samples whose spread overflows float64: the sd is inf, or NaN where
+# the overflowed sums cancel.
+OVERFLOWING = ([1e200, -1e200, 0.0, 1.0, 2.0, 3.0], [1.7e308, 1.7e308, -1.7e308, -1.7e308, 0.0, 1.0])
 
 
 def numeric_integral(model, n_grid=10_000):
@@ -110,6 +115,25 @@ class TestBandwidthRule:
         x[7] = bad
         with pytest.raises(ValueError, match="samples must be finite"):
             silverman_bandwidth(x, kind)
+
+    @pytest.mark.parametrize("kernel", ["EPANECHNIKOV", "GAUSSIAN"])
+    @pytest.mark.parametrize("x", OVERFLOWING)
+    def test_overflowing_spread_is_rejected_without_warning(self, x, kernel):
+        # it warned "overflow encountered in square"; the plain sd then
+        # failed with "invalid support_hint (-inf, inf)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sample spread overflows"):
+                fit_kde(x, kernel, robust_sigma=False)
+            with pytest.raises(ValueError, match="sample spread overflows"):
+                silverman_bandwidth(x, f"KDE_{kernel}", robust=False)
+            if x[0] == 1e200:  # the robust rule takes the IQR, which is finite
+                h = fit_kde(x, "EPANECHNIKOV").bandwidth
+                assert h == 3.036971077685978
+                assert fit_kde(x, kernel).support_hint == (-1e200 - h, 1e200 + h)
+            else:  # its IQR overflows too
+                with pytest.raises(ValueError, match="sample spread overflows"):
+                    fit_kde(x, kernel)
 
 
 class TestFitGmm:
@@ -205,6 +229,24 @@ class TestSelectGmm:
     def test_error_when_every_k_fails(self):
         with pytest.raises(ValueError, match="no GMM size"):
             select_gmm([1.0, 2.0], 2, seed=0)
+
+    @pytest.mark.parametrize("x", OVERFLOWING)
+    def test_overflowing_variance_is_rejected_without_warning(self, x):
+        # fit_gmm raised IndexError and select_gmm "Probabilities contain
+        # NaN", each after an overflow warning
+        good = np.random.default_rng(61).standard_normal(40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sample variance overflows"):
+                fit_gmm(x, 1, seed=0)
+            with pytest.raises(ValueError, match="no GMM size in 1..2 could be fitted: sample "
+                                                 "variance overflows"):
+                select_gmm(x, 2, seed=0)
+            got = density._select_gmms([x, good, x], 2, [3, 4, 5])
+        assert [type(g) for g in got[::2]] == [ValueError] * 2
+        model, report = select_gmm(good, 2, seed=4)
+        assert np.array_equal(bits(got[1][0].components), bits(model.components))
+        assert got[1][1] == report
 
 
 class TestEvalAndSample:
@@ -975,3 +1017,78 @@ class TestSelectionReadsTheAic:
         monkeypatch.setattr(density, "_gmm_result", lambda k, fit: reject_two(2, fit))
         with pytest.raises(ValueError, match=r"no GMM size in 1..3 could be fitted: rejected"):
             select_gmm(x, 3, seed=5)
+
+
+class TestPdfPair:
+    """Two class densities looked up together by one search of their merged
+    breakpoints give each density's own ``pdf``, bit for bit."""
+
+    @staticmethod
+    def rows(a, b, rng):
+        """(rows, 256) blocks: two bags with one support (tied rows), each
+        bag's importance draws, both tables' breakpoints, points beyond both
+        supports, and a random mix."""
+        spec = DivergenceSpec(integrator="RIEMANN", n_imp=256)
+        bags = [fit_kde(rng.normal(mu, 0.3, 10)) for mu in (-1.0, 0.0, 2.0)]
+        grid, _ = evaluation_rows([bags[0], bags[0], bags[1]], spec)
+        drawn, _ = evaluation_rows(bags, replace(spec, integrator="IMPORTANCE"), [7, 8, 9])
+        breaks = np.concatenate([a._table[0], b._table[0]])
+        on_breaks = np.sort(rng.choice(breaks, (2, 256)), axis=1)
+        lo = min(a.support_hint[0], b.support_hint[0])
+        hi = max(a.support_hint[1], b.support_hint[1])
+        outside = np.concatenate([np.linspace(lo - 50.0, lo - 1e-9, 128),
+                                  np.linspace(hi + 1e-9, hi + 50.0, 128)])
+        mixed = np.sort(np.concatenate([rng.choice(breaks, 100), rng.uniform(lo - 1, hi + 1, 156)]))
+        return np.vstack([grid, drawn, on_breaks, outside, mixed])
+
+    @pytest.mark.parametrize("sizes", [(50, 10_000), (10_000, 50), (50, 50)])
+    def test_each_row_is_each_densitys_own_pdf(self, sizes):
+        rng = np.random.default_rng(62)
+        a, b = (fit_kde(rng.standard_normal(n) * s + s, robust_sigma=False)
+                for n, s in zip(sizes, (1.0, 2.0)))
+        x = self.rows(a, b, rng)
+        assert np.array_equal(x[0], x[1])
+        pair = density._pdf_pair(a, b, math.inf)
+        fa, fb = pair(x)
+        assert fa.shape == fb.shape == x.shape
+        for row, got_a, got_b in zip(x, fa, fb):
+            assert np.array_equal(bits(got_a), bits(a.pdf(row)))
+            assert np.array_equal(bits(got_b), bits(b.pdf(row)))
+            one_a, one_b = pair(row[None, :])  # a 1-row block
+            assert np.array_equal(bits(one_a[0]), bits(got_a))
+            assert np.array_equal(bits(one_b[0]), bits(got_b))
+        assert (fa[6:8] > 0).any() and (fb[6:8] > 0).any()  # on the breakpoints
+        assert not fa[8].any() and not fb[8].any()  # beyond both supports
+
+    def test_one_density_twice(self):
+        a = fit_kde(np.random.default_rng(63).standard_normal(40))
+        x = np.linspace(*a.support_hint, 256)[None, :]
+        fa, fb = density._pdf_pair(a, a, math.inf)(x)
+        assert np.array_equal(bits(fa), bits(a.pdf(x))) and np.array_equal(bits(fb), bits(fa))
+
+    def test_other_kinds_call_their_own_pdf(self):
+        rng = np.random.default_rng(64)
+        epan = fit_kde(rng.standard_normal(30))
+        others = [fit_kde(rng.standard_normal(30), "GAUSSIAN"),
+                  fit_gmm(rng.standard_normal(30), 2, 1)[0], _Duck(epan)]
+        x = np.sort(rng.uniform(-4.0, 4.0, (3, 64)), axis=1)
+        for other in others:
+            for a, b in ((epan, other), (other, epan)):
+                fa, fb = density._pdf_pair(a, b, math.inf)(x)
+                assert np.array_equal(bits(fa), bits(a.pdf(x)))
+                assert np.array_equal(bits(fb), bits(b.pdf(x)))
+
+    def test_fewer_points_than_breakpoints_call_each_pdf(self, monkeypatch):
+        # Building the merged index costs about what searching its size saves.
+        rng = np.random.default_rng(65)
+        a, b = fit_kde(rng.standard_normal(100)), fit_kde(rng.standard_normal(60))
+        x = np.sort(rng.uniform(-3.0, 3.0, (2, 160)), axis=1)
+        want = a.pdf(x), b.pdf(x)
+        calls = []
+        pdf = DensityModel.pdf
+        monkeypatch.setattr(DensityModel, "pdf", lambda m, x: calls.append(id(m)) or pdf(m, x))
+        for points, called in ((319, [id(a), id(b)]), (320, []), (math.inf, [])):
+            calls.clear()
+            got = density._pdf_pair(a, b, points)(x)
+            assert calls == called
+            assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))

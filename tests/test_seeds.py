@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from midiv import seeds
 from midiv.seeds import derive_label, derive_seed
 
 PARENTS = [(0,), (7, "bag", "b001"), ("sim1", 2, 3, 0, 1.5), (np.int64(3), True, "score")]
@@ -33,3 +34,15 @@ class TestHashLabels:
     def test_a_plain_string_is_not_a_label(self):
         label = derive_label(4, "score", "b1")
         assert state(derive_seed(str(label), "dim", 0)) != state(derive_seed(label, "dim", 0))
+
+    def test_hashed_once_when_first_read(self, monkeypatch):
+        hashed = []
+        entropy = seeds._entropy
+        monkeypatch.setattr(seeds, "_entropy", lambda parts: hashed.append(parts) or entropy(parts))
+        label = derive_label(4, "score", "b1")
+        assert hashed == []
+        text = str(label)
+        assert type(text) is str and hashed == [(4, "score", "b1")]
+        assert label == text and label != "b1" and hash(label) == hash(text)
+        derive_seed(label, "dim", 0)
+        assert hashed[1:] == [(label, "dim", 0)]  # the child's own hash only
