@@ -23,19 +23,20 @@ the two classes of a score phase, share one search of their merged
 breakpoints (``_pdf_pair``). Every draw is a model's own
 ``DensityModel.sample``, one bag at a time.
 
-Gaussian mixtures are fitted by one stacked EM (``_em``): every restart of
-every candidate size of every sample passed to one call is a row of a few
+Gaussian mixtures are fitted by one stacked EM (``_em``): every run of a
+fit phase, from the start (w, mu, var) it is given, is a row of a few
 stacked loops, one per block of a sample length and size, so the Python
-overhead of a fit phase does not grow with its number of runs. A block
-draws its rows' k-means++ starts on the samples it then iterates, one step
-for all its rows at once (``_kmeanspp_starts``). A row's sums over samples
-are numpy's pairwise sums of that row alone, so a run's result is the same
-bits whatever is fitted with it; ``fit_gmm`` and ``select_gmm`` fit one
-sample through the same path. A fit to convergence (``fit_gmm`` and the refit of
-``select_gmm``'s winning size) is accelerated by SQUAREM extrapolation with
-a monotone safeguard (``_Squarem``); the early-stopped fits that compare
-sizes are plain EM, since their early stop is what keeps the selection from
-rewarding spurious maximizers.
+overhead of a fit phase does not grow with its number of runs. A row's sums
+over samples are numpy's pairwise sums of that row alone, so a run's result
+is the same bits whatever is fitted with it; ``fit_gmm`` and ``select_gmm``
+fit one sample through the same path. The restarts of a fit start from
+k-means++ means that one generator on the fit's seed draws one after
+another; the fits of a block of one sample length and size draw theirs
+together (``_kmeanspp_starts``). A fit to convergence (``fit_gmm``, and the
+continuation of ``select_gmm``'s winning run) is accelerated by SQUAREM
+extrapolation with a monotone safeguard (``_Squarem``); the early-stopped
+fits that compare sizes are plain EM, since their early stop is what keeps
+the selection from rewarding spurious maximizers.
 """
 
 from __future__ import annotations
@@ -68,12 +69,13 @@ GMM = "GMM"
 # beyond one bandwidth; the Gaussian kernel is negligible beyond five.
 _SUPPORT_PAD = {KDE_EPANECHNIKOV: 1.0, KDE_GAUSSIAN: 5.0}
 _GMM_SUPPORT_SIGMAS = 5.0
-# EM: k-means++ restarts per fit, the iteration cap, the early-stopping
-# tolerance at which select_gmm compares candidate sizes and the strict one
-# of every other fit.
+# EM: k-means++ restarts per fit, the iteration cap, and the stopping
+# tolerances per sample (a run stops once one EM step changes its
+# log-likelihood by at most tol * n): the early one at which select_gmm
+# compares candidate sizes and the strict one of every fit to convergence.
 _EM_RESTARTS = 3
 _EM_MAX_ITER = 500
-_SELECTION_TOL = 3e-4
+_SELECTION_TOL = 7e-4
 _STRICT_TOL = 1e-8
 # Elements per (rows, k, n) array of the stacked EM: it bounds the memory a
 # fit phase of many samples takes at once.
@@ -573,23 +575,29 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _kmeanspp_starts(x: np.ndarray, k: int, seeds) -> np.ndarray:
-    """The (rows, k) k-means++ means of the rows of the (rows, n) array
-    ``x``, row r with a generator on ``seeds[r]``: the bits of
-    ``_kmeanspp_means``.
+    """The (jobs, ``_EM_RESTARTS``, 3, k) starts (w, mu, var) of the fits of
+    the rows of the (jobs, n) array ``x``: equal weights, the row's variance,
+    and the means of ``_kmeanspp_means`` called once per restart on one
+    generator on the job's seed, ``seeds[j]``.
 
-    The rows take each step together. Each generator draws its first index
-    and then the k - 1 uniforms that ``Generator.choice`` would draw one at
-    a time, and an index is read as ``choice`` reads it:
+    Every restart takes each step together. It draws its first index and
+    then the k - 1 uniforms that ``Generator.choice`` would draw one at a
+    time, and an index is read as ``choice`` reads it:
     ``cdf = cumsum(d2 / total)``, ``cdf /= cdf[-1]``, the count of
-    ``cdf <= u``. A row whose distance total is not positive and finite at
-    some step draws differently there, so it is redone by
-    ``_kmeanspp_means`` from a fresh generator.
+    ``cdf <= u``. A restart whose distance total is not positive and finite
+    at some step draws differently there, so its job is redone by
+    ``_kmeanspp_means`` from a fresh generator on its seed.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = [(rng.integers(x.shape[1]), rng.random(k - 1)) for rng in rngs for _ in range(_EM_RESTARTS)]
+    starts = np.empty((len(x), _EM_RESTARTS, 3, k))
+    starts[:, :, 0] = 1.0 / k
+    starts[:, :, 2] = np.var(x, axis=1)[:, None, None]  # each row's, as np.var of the row alone
+    x = np.repeat(x, _EM_RESTARTS, axis=0)
     rows = np.arange(len(x))
     means = np.empty((len(x), k))
-    means[:, 0] = x[rows, [rng.integers(x.shape[1]) for rng in rngs]]
-    u = np.array([rng.random(k - 1) for rng in rngs])
+    means[:, 0] = x[rows, [first for first, _ in draws]]
+    u = np.array([uniforms for _, uniforms in draws])
     d2 = np.full(x.shape, np.inf)  # each sample's squared distance to its nearest mean
     redo = np.zeros(len(x), dtype=bool)
     for j in range(1, k):
@@ -600,43 +608,48 @@ def _kmeanspp_starts(x: np.ndarray, k: int, seeds) -> np.ndarray:
             cdf = np.cumsum(d2 / total[:, None], axis=1)
             cdf /= cdf[:, -1:]
         means[:, j] = x[rows, np.count_nonzero(cdf <= u[:, j - 1 : j], axis=1)]
-    for r in np.flatnonzero(redo):
-        means[r] = _kmeanspp_means(x[r], k, np.random.default_rng(seeds[r]))
-    return means
+    means = means.reshape(len(rngs), _EM_RESTARTS, k)
+    for j in np.flatnonzero(redo.reshape(len(rngs), _EM_RESTARTS).any(axis=1)):
+        rng = np.random.default_rng(seeds[j])
+        means[j] = [_kmeanspp_means(x[j * _EM_RESTARTS], k, rng) for _ in range(_EM_RESTARTS)]
+    starts[:, :, 1] = means
+    return starts
 
 
 def _em(jobs, tol: float, accelerate: bool = False) -> list:
-    """EM for every job ``(x, k, seed)`` in ``jobs`` at once: ``(w, mu, var,
+    """EM for every job ``(x, start)`` in ``jobs`` at once: ``(w, mu, var,
     log-likelihood trace, converged, evaluations)`` per job, in order.
 
-    A job fits k components to the sample ``x`` from the k-means++ means of
-    a generator on ``seed``, and stops once one EM step changes its
-    log-likelihood by at most ``tol`` relative to the last value, or after
-    ``_EM_MAX_ITER`` evaluations of the EM map. With ``accelerate`` the runs
-    take SQUAREM cycles (see ``_Squarem``); the trace then holds the
-    log-likelihood of every point the run moved to, and ``evaluations`` also
-    counts the extrapolations it rejected. Jobs of one sample length n and
-    size k are stacked as the rows of blocks of at most ``_EM_BLOCK``
-    elements per (rows, k, n) array: a block draws its rows' starts on the
-    stacked samples, then iterates them together, and a row leaves the
-    stack when it stops. Each row is summed on its own, in a fixed order, so
-    a run's result is the same bits whatever is stacked with it. Padding
-    runs to a common k would not keep that: it changes how the sums over
-    components round.
+    A job fits the k components of ``start``, a (w, mu, var) of k each, to
+    the sample ``x`` of n values, and stops once one EM step changes its
+    log-likelihood by at most ``tol * n``, or after ``_EM_MAX_ITER``
+    evaluations of the EM map. With ``accelerate`` the runs take SQUAREM
+    cycles (see ``_Squarem``); the trace then holds the log-likelihood of
+    every point the run moved to, and ``evaluations`` also counts the
+    extrapolations it rejected. Jobs of one n and k are stacked as the rows
+    of blocks of at most ``_EM_BLOCK`` elements per (rows, k, n) array,
+    iterated together, and a row leaves the stack when it stops. Each row is
+    summed on its own, in a fixed order, so a run's result is the same bits
+    whatever is stacked with it. Runs padded to a common k with inert
+    components (log-weight -inf in every E-step, SQUAREM norms taken per k)
+    keep those bits too, but in one stack they saved only 11 % of the plain
+    and 6 % of the accelerated EM time of the ``table1-gmm`` benchmark.
+    Padding to a common n would not keep them: it changes how the sums over
+    samples round.
     """
     out: list = [None] * len(jobs)
-    keys = [(x.size, k) for x, k, _ in jobs]
-    for (_, k), block in _blocks(keys, _EM_BLOCK, lambda key: key[0] * key[1]):
+    keys = [(x.size, len(start[0])) for x, start in jobs]
+    for _, block in _blocks(keys, _EM_BLOCK, lambda key: key[0] * key[1]):
         x = np.array([jobs[i][0] for i in block])
-        means = _kmeanspp_starts(x, k, [jobs[i][2] for i in block])
-        for i, fit in zip(block, _em_stack(x, means, tol, accelerate)):
+        start = np.array([jobs[i][1] for i in block])
+        for i, fit in zip(block, _em_stack(x, start, tol, accelerate)):
             out[i] = fit
     return out
 
 
-def _em_stack(x: np.ndarray, mu: np.ndarray, tol: float, accelerate: bool) -> list:
-    """``_em`` for the rows of the (rows, n) samples ``x``, from the (rows, k)
-    starting means ``mu``.
+def _em_stack(x: np.ndarray, start: np.ndarray, tol: float, accelerate: bool) -> list:
+    """``_em`` for the rows of the (rows, n) samples ``x``, from the (rows, 3,
+    k) starts ``start``.
 
     The arrays are (rows, k, n), so every elementwise step runs along n and
     every sum over samples is numpy's pairwise sum of one contiguous row;
@@ -644,12 +657,10 @@ def _em_stack(x: np.ndarray, mu: np.ndarray, tol: float, accelerate: bool) -> li
     evaluates the EM map once for each row: an E-step at the row's point,
     then the M-step from it.
     """
-    (count, n), k = x.shape, mu.shape[1]
-    sample_var = np.var(x, axis=1)  # each row's, as np.var of the row alone
+    (count, n), k = x.shape, start.shape[2]
+    var_floor = 1e-6 * np.var(x, axis=1)[:, None]  # each row's, as np.var of the row alone
     x = x[:, None, :]
-    var_floor = 1e-6 * sample_var[:, None]
-    w = np.full((count, k), 1.0 / k)
-    var = np.repeat(sample_var[:, None], k, axis=1)
+    w, mu, var = start.transpose(1, 0, 2)
     rows = np.arange(count)  # the runs still iterating, in stack order
     lls = np.empty((count, 8))  # each run's log-likelihood per evaluation, widened as needed
     evaluations = np.full(count, _EM_MAX_ITER)
@@ -680,10 +691,10 @@ def _em_stack(x: np.ndarray, mu: np.ndarray, tol: float, accelerate: bool) -> li
         kept, em_step = (None, True) if squarem is None else squarem.judge(phase, ll)
         if kept is not None:
             lls[rows[~kept], it] = np.nan
-        # The relative change is only compared where the previous value is
-        # finite; where it is not, its arithmetic must not warn.
+        # The change is only compared where the previous value is finite;
+        # where it is not, its arithmetic must not warn.
         with np.errstate(invalid="ignore"):
-            done = em_step & np.isfinite(prev) & (np.abs(ll - prev) <= tol * np.maximum(1.0, np.abs(prev)))
+            done = em_step & np.isfinite(prev) & (np.abs(ll - prev) <= tol * n)
         prev = ll if kept is None else np.where(kept, ll, prev)
         if done.any():
             stopped[:, rows[done]] = w[done], mu[done], var[done]
@@ -861,10 +872,11 @@ def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
 
 
 def _best_runs(samples, ks, seeds, tol: float, accelerate: bool) -> list:
-    """The best restart of every (sample, k, seed) job by final log-likelihood,
-    every restart in one ``_em`` call, which also draws the restarts'
-    k-means++ starts from the job seed's children. A job whose sample cannot
-    be fitted gets its ``ValueError`` in its place."""
+    """The best of the ``_EM_RESTARTS`` runs of every (sample, k, seed) job by
+    final log-likelihood, every run in one ``_em`` call. The jobs' starts
+    are drawn by ``_kmeanspp_starts``, in the blocks of one sample length and
+    size that ``_em`` stacks. A job whose sample cannot be fitted gets its
+    ``ValueError`` in its place."""
     results: list = [None] * len(samples)
     jobs, owners = [], []
     for i, (sample, k, seed) in enumerate(zip(samples, ks, seeds, strict=True)):
@@ -873,16 +885,17 @@ def _best_runs(samples, ks, seeds, tol: float, accelerate: bool) -> list:
         except ValueError as exc:
             results[i] = exc
             continue
-        for child in as_seed_sequence(seed).spawn(_EM_RESTARTS):
-            jobs.append((x, k, child))
-            owners.append(i)
-    fits = _em(jobs, tol, accelerate)
-    for start in range(0, len(jobs), _EM_RESTARTS):
-        best = None
-        for fit in fits[start : start + _EM_RESTARTS]:
-            if best is None or fit[3][-1] > best[3][-1]:
-                best = fit
-        results[owners[start]] = best
+        jobs.append((x, k, seed))
+        owners.append(i)
+    runs: list = [None] * len(jobs)
+    keys = [(x.size, k) for x, k, _ in jobs]
+    for (_, k), block in _blocks(keys, _EM_BLOCK, lambda key: key[0] * key[1] * _EM_RESTARTS):
+        starts = _kmeanspp_starts(np.array([jobs[j][0] for j in block]), k, [jobs[j][2] for j in block])
+        for j, job_starts in zip(block, starts):
+            runs[j] = [(jobs[j][0], start) for start in job_starts]
+    fits = iter(_em([run for job in runs for run in job], tol, accelerate))
+    for i in owners:  # max keeps the first of equal bests
+        results[i] = max((next(fits) for _ in range(_EM_RESTARTS)), key=lambda fit: fit[3][-1])
     return results
 
 
@@ -896,18 +909,9 @@ def _result_or_error(k: int, best):
         return exc
 
 
-def _fit_gmms(samples, ks, seeds) -> list:
-    """``fit_gmm`` of every (sample, k, seed) job, all restarts in one ``_em`` call.
-
-    A job that cannot be fitted gets its ``ValueError`` in its place.
-    """
-    best = _best_runs(samples, ks, seeds, _STRICT_TOL, accelerate=True)
-    return [_result_or_error(k, fit) for k, fit in zip(ks, best)]
-
-
 def _select_gmms(samples, k_max: int, seeds) -> list:
     """``select_gmm`` of every sample, one seed each: every selection fit in one
-    ``_em`` call, then every refit in another.
+    ``_em`` call, then the continuation of every winning run in another.
 
     A candidate size's AIC is read from its best run's log-likelihood; only
     the sizes that could win are built into a model, in AIC order, and a
@@ -927,7 +931,7 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
     )
     results: list = [None] * len(samples)
     winners = []
-    for i, row in enumerate(children):
+    for i in range(len(samples)):
         fits = dict(zip(sizes, selection[i * k_max : (i + 1) * k_max]))
         aics = {
             k: 2.0 * (3 * k - 1) - 2.0 * float(fit[3][-1])
@@ -942,21 +946,14 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
             last_error = next((e for e in reversed(errors) if isinstance(e, ValueError)), None)
             results[i] = ValueError(f"no GMM size in 1..{k_max} could be fitted: {last_error}")
             continue
-        # The refit draws the next _EM_RESTARTS children of the winning size's
-        # seed, after the ones its selection fit used.
-        child = row[best_k - 1]
-        refit_seed = np.random.SeedSequence(
-            child.entropy, spawn_key=child.spawn_key, pool_size=child.pool_size,
-            n_children_spawned=_EM_RESTARTS,
-        )
-        winners.append((i, best_k, refit_seed))
-    refits = _fit_gmms(
-        [samples[i] for i, _, _ in winners],
-        [k for _, k, _ in winners],
-        [seed for _, _, seed in winners],
-    )
-    for (i, _, _), fit in zip(winners, refits):
-        results[i] = fit
+        winners.append((i, best_k, fits[best_k]))
+    continued = _em([(_gmm_sample(samples[i], k), fit[:3]) for i, k, fit in winners],
+                    _STRICT_TOL, accelerate=True)
+    for (i, k, fit), (w, mu, var, trace, converged, evaluations) in zip(winners, continued):
+        # A converged run stopped at its trace's last point, where the
+        # continuation's trace starts; one at the cap stopped one step past it.
+        trace = np.concatenate([fit[3], trace[1:] if fit[4] else trace])
+        results[i] = _result_or_error(k, (w, mu, var, trace, converged, fit[5] + evaluations))
     return results
 
 
@@ -969,27 +966,33 @@ def _unwrap(result):
 def fit_gmm(samples: Sequence[float], k: int, seed) -> tuple[DensityModel, EmFitReport]:
     """Fit a k-component univariate GMM by EM, deterministic given seed.
 
-    Runs three SQUAREM-accelerated EM fits from k-means++ initializations, each
-    until the log-likelihood moves by at most 1e-8 relative or for at most 500
-    EM-map evaluations, and keeps the best final log-likelihood.
+    Runs three SQUAREM-accelerated EM fits from k-means++ initializations,
+    all drawn from one generator on ``seed``, each until one EM step moves
+    the log-likelihood by at most 1e-8 per sample or for at most 500 EM-map
+    evaluations, and keeps the best final log-likelihood.
     A variance floor of 1e-6 times the sample variance is applied at every
     M-step. The report's ``iterations`` counts the evaluations, rejected
     extrapolations included; its trace holds the log-likelihood of every
     point the fit moved to, and never decreases beyond rounding.
     """
-    return _unwrap(_fit_gmms([samples], [k], [seed])[0])
+    fit = _best_runs([samples], [k], [as_seed_sequence(seed)], _STRICT_TOL, accelerate=True)[0]
+    return _unwrap(_result_or_error(k, fit))
 
 
 def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel, EmFitReport]:
     """Fit k = 1..k_max and return the fit with minimum AIC (ties: smaller k).
 
-    Candidate sizes are compared with early-stopped EM fits (tolerance
-    3e-4): running every candidate to full convergence lets spurious
-    maximizers (single-point spikes, split components) squeeze out tiny
-    likelihood gains that routinely beat the AIC penalty, which breaks the
-    selection. These fits are plain EM, three restarts of at most 500
-    iterations each. The winning size is then refitted by ``fit_gmm`` at
-    its strict tolerance (1e-8), SQUAREM-accelerated, and that converged
-    fit is returned.
+    Candidate sizes are compared with early-stopped EM fits, which stop once
+    one EM step moves the log-likelihood by at most 7e-4 per sample: running
+    every candidate to full convergence lets spurious maximizers
+    (single-point spikes, split components) squeeze out tiny likelihood
+    gains that routinely beat the AIC penalty, which breaks the selection.
+    These fits are plain EM, three restarts of at most 500 iterations each,
+    as in ``fit_gmm``. The winning size's best run is then continued from
+    where it stopped to ``fit_gmm``'s strict tolerance (1e-8 per sample),
+    SQUAREM-accelerated, and that fit is returned. Its report
+    covers the whole run: ``iterations`` counts the selection run's
+    evaluations and the continuation's, and the trace is the selection
+    run's, continued.
     """
     return _unwrap(_select_gmms([samples], k_max, [seed])[0])

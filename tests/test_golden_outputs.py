@@ -86,8 +86,8 @@ GOLDEN = {
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "cv-gmm-aic": {
-        "report.json": "bbe24b2a7b2f98968e1268fdfa67267fb5065740d8f44c07256fc5357b012c78",
-        "roc.csv": "bfbb19579a3d04eb6fb3cea63477e6cc2ad77904adad0b7a140923a022876897",
+        "report.json": "53850b5186bc8171a8a4dc1b018ec530cc6986349f5c472812ea43e892e36e45",
+        "roc.csv": "133265ac7e58a43ba9253e17c067cb2a07ec8f8e6850292d2be527deac2ae2df",
     },
     "cv-mixed-b2b-kl": {
         "report.json": "c07d665ba467ea5357509d1a510e91183643cc19f0575e31ffe0e719a1fc27ad",
@@ -126,7 +126,7 @@ GOLDEN = {
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-gmm-aic": {
-        "report.json": "48381dbb33983c47ffe1e162615bdeb1d6f62a462370cc1e1e9133cec8df4092",
+        "report.json": "7f6d45a656fb74d518dcba4a4d903eb4cbe06dff14f0a869f784af300edf15a6",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-rd-bh": {
@@ -172,8 +172,8 @@ GOLDEN = {
         "train.csv": "de32e10d82705c7bcffc5335a8d53a23e980222f3af3fc7436a4f51e1b199d22",
     },
     "table1-gmm-aic": {
-        "table_long.csv": "a1db6b79bea5dc12e6a95f9282f8097d715d790b8d96705b9dae044ab926a064",
-        "table_wide.csv": "5f480a1ffe2ae2d35e4887176ca14285e46eb80e6e7c3c921e6ea64daf8cd0b4",
+        "table_long.csv": "8c74782877f8def9adc48ffb703225f7c4a2896717db754b6f08368ca6bfe204",
+        "table_wide.csv": "aaa01994da985387e8d9bce6576cd430de78dd5acf6ad2855708c95b32e7fa66",
     },
     "table1-kde-epan": {
         "table_long.csv": "11c7f3fc57aeec020bfb7ab634cdd3f43011001efc75d2ebf0e40cab41b9521c",
