@@ -167,37 +167,26 @@ def _threshold_policy(policy) -> str | float:
     return value
 
 
-def _fit_densities(samples, estimator: EstimatorConfig, seeds, pooled: bool = False) -> list:
-    """The density of every sample, one seed each, in one call: a GMM chosen
-    by AIC, or a KDE whose rule-of-thumb bandwidth uses the robust spread for
-    a bag and the plain sd for a ``pooled`` class sample (see
-    ``silverman_bandwidth``). Under ``gmm-aic`` every EM of every sample runs
-    in a few stacked loops (see ``density._em``), and under KDE the samples
-    of one length are fitted as the rows of a few blocks (see
-    ``density._fit_kdes``). A sample that cannot be fitted gets its
-    ``ValueError`` in its place."""
-    if estimator.kind == "gmm-aic":
-        fits = _select_gmms(samples, estimator.k_max, seeds)
-        return [fit if isinstance(fit, ValueError) else fit[0] for fit in fits]
-    kernel = "EPANECHNIKOV" if estimator.kind == "kde-epan" else "GAUSSIAN"
-    return _fit_kdes(samples, kernel, estimator.bandwidth, robust_sigma=not pooled)
-
-
 def _fit_columns(
     arrays, estimator: EstimatorConfig, seeds, labels: tuple, names, pooled: bool = False
 ) -> list[tuple[DensityModel, ...]]:
-    """One density per column of each 2-D array, column d of ``arrays[i]`` from
-    ``derive_seed(seeds[i], *labels, d)``: the one ``_fit_densities`` call of a
-    fit phase, for class and bag densities alike. Only a GMM fit reads its
-    seed, so the KDE estimators derive none. The first array, in order, with
-    a column that cannot be fitted raises that error, prefixed with its entry
-    of ``names``."""
+    """One density per column of each 2-D array, for a whole fit phase of
+    class or bag densities: a GMM chosen by AIC, column d of ``arrays[i]``
+    from ``derive_seed(seeds[i], *labels, d)``, every EM in a few stacked
+    loops (see ``density._em``); or a KDE, fitted by blocks of one length
+    (``density._fit_kdes``), whose rule-of-thumb bandwidth uses the robust
+    spread for a bag and the plain sd for a ``pooled`` class sample. The
+    first array, in order, with a column that cannot be fitted raises that
+    error, prefixed with its entry of ``names``."""
     columns = [(x, seed, d) for x, seed in zip(arrays, seeds, strict=True) for d in range(x.shape[1])]
+    samples = [x[:, d] for x, _, d in columns]
     if estimator.kind == "gmm-aic":
         column_seeds = [derive_seed(seed, *labels, d) for _, seed, d in columns]
+        fits = (fit if isinstance(fit, ValueError) else fit[0]
+                for fit in _select_gmms(samples, estimator.k_max, column_seeds))
     else:
-        column_seeds = [None] * len(columns)
-    fits = iter(_fit_densities([x[:, d] for x, _, d in columns], estimator, column_seeds, pooled))
+        kernel = "EPANECHNIKOV" if estimator.kind == "kde-epan" else "GAUSSIAN"
+        fits = iter(_fit_kdes(samples, kernel, estimator.bandwidth, robust_sigma=not pooled))
     out = []
     for x, name in zip(arrays, names, strict=True):
         models = tuple(next(fits) for _ in range(x.shape[1]))

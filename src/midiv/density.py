@@ -31,17 +31,19 @@ over samples are numpy's pairwise sums of that row alone, so a run's result
 is the same bits whatever is fitted with it; ``fit_gmm`` and ``select_gmm``
 fit one sample through the same path. The restarts of a fit start from
 k-means++ means that one generator on the fit's seed draws one after
-another; the fits of a block of one sample length and size draw theirs
-together (``_kmeanspp_starts``). A fit to convergence (``fit_gmm``, and the
-continuation of ``select_gmm``'s winning run) is accelerated by SQUAREM
-extrapolation with a monotone safeguard (``_Squarem``); the early-stopped
-fits that compare sizes are plain EM, since their early stop is what keeps
-the selection from rewarding spurious maximizers.
+another; the fits of a block of one sample length and size, degenerate
+ones too, draw theirs together (``_kmeanspp_starts``). A fit to
+convergence (``fit_gmm``, and the continuation of ``select_gmm``'s winning
+run) is accelerated by SQUAREM extrapolation with a monotone safeguard
+(``_Squarem``); the early-stopped fits that compare sizes are plain EM,
+since their early stop is what keeps the selection from rewarding spurious
+maximizers.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -188,7 +190,7 @@ def _epan_tables(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     about the piece's breakpoint are then the window's spread about its
     mean plus the mean's distance, which loses no digits to the anchor.
     The coefficients scale as 1 / h^3: a bandwidth beyond about 1e100, or
-    below 1e-100, under- or overflows them.
+    below 1e-100, under- or overflows them (see ``_epan_bandwidths``).
     """
     rows, n = x.shape
     h = h[:, None]
@@ -266,6 +268,16 @@ def _epan_tables(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return table
 
 
+def _epan_bandwidths(n: int, hs: list) -> list:
+    """``hs``, bandwidths or ``ValueError``s, with each finite bandwidth that
+    an Epanechnikov table of n centers cannot hold, one whose 0.75 / (n h^3)
+    is not a finite normal float, replaced by its ``ValueError``."""
+    return [h if isinstance(h, ValueError) or h == math.inf  # left to the support check
+            or sys.float_info.min <= 0.75 / (n * h) / h / h < math.inf
+            else ValueError(f"bandwidth {h!r} is out of range for an Epanechnikov KDE of {n} "
+                            "centers: 0.75 / (n h^3) must be a finite normal float") for h in hs]
+
+
 @dataclass(frozen=True, slots=True)
 class DensityModel:
     """An evaluable, sampleable univariate density (KDE or GMM).
@@ -300,6 +312,7 @@ class DensityModel:
             object.__setattr__(self, "centers", centers)
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
             if self.kind == KDE_EPANECHNIKOV:
+                _unwrap(_epan_bandwidths(centers.size, [self.bandwidth])[0])
                 table = _epan_tables(centers[None, :], np.array([self.bandwidth]))[0]
                 object.__setattr__(self, "_table", table)
         elif self.kind == GMM:
@@ -326,7 +339,7 @@ class DensityModel:
         scalar = x.ndim == 0
         xf = np.atleast_1d(x).ravel()
         if self.kind == KDE_EPANECHNIKOV:
-            out = _epan_pdf([self], xf[None, :])
+            out = _pdf_rows([self], xf[None, :])
         elif self.kind == KDE_GAUSSIAN:
             out = self._gauss_pdf(xf)
         else:
@@ -391,27 +404,6 @@ class DensityModel:
         return centers + self.bandwidth * _epanechnikov_ppf(rng.random(n))
 
 
-def _epan_pdf(models, x: np.ndarray) -> np.ndarray:
-    """Row r of the (rows, points) array ``x`` evaluated by the Epanechnikov
-    KDE ``models[r]``; the rows' center counts may differ.
-
-    Each point's piece is searched in its row's breakpoints, row by row, and
-    the pieces' quadratics are evaluated by one ``_epan_horner`` call on
-    every row at once.
-    """
-    if len(models) == 1:
-        table = models[0]._table
-        j = table[0, :-1].searchsorted(x, side="right")
-    else:
-        j = np.empty(x.shape, dtype=np.intp)
-        for r, m in enumerate(models):
-            j[r] = m._table[0, :-1].searchsorted(x[r], side="right")
-        # the tables end to end, each row's indices shifted into its own
-        j += np.cumsum([0] + [m._table.shape[1] for m in models[:-1]])[:, None]
-        table = np.concatenate([m._table for m in models], axis=1)
-    return _epan_horner(table, j, x)
-
-
 def _epan_horner(table: np.ndarray, j: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Epanechnikov KDE of ``table`` at the points ``x``, each in the
     piece ``j`` of the same shape that a right-sided search of its
@@ -472,14 +464,23 @@ def _pdf_pair(a, b, points: int):
 def _pdf_rows(models, x: np.ndarray) -> np.ndarray:
     """Row r of the (rows, points) array ``x`` evaluated by ``models[r]``.
 
-    A block of Epanechnikov KDEs is one ``_epan_pdf`` call; in any other
-    block each row (a GMM, a Gaussian KDE, or any object with a ``pdf``)
-    calls its own ``pdf``.
+    A block of Epanechnikov KDEs searches each row in its own table's
+    breakpoints (one table in one search), and one ``_epan_horner`` call
+    evaluates every row; in any other block each row (a GMM, a Gaussian KDE,
+    or any object with a ``pdf``) calls its own ``pdf``.
     """
     kinds = {m.kind if isinstance(m, DensityModel) else None for m in models}
-    if kinds == {KDE_EPANECHNIKOV}:
-        return _epan_pdf(models, x)
-    return np.array([m.pdf(row) for m, row in zip(models, x, strict=True)])
+    if kinds != {KDE_EPANECHNIKOV}:
+        return np.array([m.pdf(row) for m, row in zip(models, x, strict=True)])
+    if len(models) == 1:
+        table = models[0]._table
+        return _epan_horner(table, table[0, :-1].searchsorted(x, side="right"), x)
+    j = np.empty(x.shape, dtype=np.intp)
+    for r, m in enumerate(models):
+        j[r] = m._table[0, :-1].searchsorted(x[r], side="right")
+    # the tables end to end, each row's indices shifted into its own
+    j += np.cumsum([0] + [m._table.shape[1] for m in models[:-1]])[:, None]
+    return _epan_horner(np.concatenate([m._table for m in models], axis=1), j, x)
 
 
 @dataclass(frozen=True)
@@ -534,6 +535,8 @@ def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool)
         else:
             h = float(bandwidth)
             hs = [h if h > 0 else ValueError("bandwidth must be positive") for _ in members]
+        if kind == KDE_EPANECHNIKOV:
+            hs = _epan_bandwidths(n, hs)
         h = np.array([np.nan if isinstance(h, ValueError) else h for h in hs])
         pad = _SUPPORT_PAD[kind] * h
         support = np.column_stack([x.min(axis=1) - pad, x.max(axis=1) + pad])
@@ -560,33 +563,18 @@ def _fitted_kde(kind: str, support_hint, bandwidth: float, centers, table) -> De
     return model
 
 
-def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    means = np.empty(k)
-    means[0] = x[rng.integers(x.size)]
-    d2 = np.full(x.size, np.inf)  # each sample's squared distance to its nearest mean
-    for j in range(1, k):
-        np.minimum(d2, (x - means[j - 1]) ** 2, out=d2)
-        total = d2.sum()
-        if total <= 0:
-            means[j] = x[rng.integers(x.size)]
-        else:
-            means[j] = x[rng.choice(x.size, p=d2 / total)]
-    return means
-
-
 def _kmeanspp_starts(x: np.ndarray, k: int, seeds) -> np.ndarray:
     """The (jobs, ``_EM_RESTARTS``, 3, k) starts (w, mu, var) of the fits of
     the rows of the (jobs, n) array ``x``: equal weights, the row's variance,
-    and the means of ``_kmeanspp_means`` called once per restart on one
-    generator on the job's seed, ``seeds[j]``.
+    and k-means++ means that the job's restarts draw one after another from
+    one generator on its seed, ``seeds[j]``.
 
-    Every restart takes each step together. It draws its first index and
-    then the k - 1 uniforms that ``Generator.choice`` would draw one at a
-    time, and an index is read as ``choice`` reads it:
-    ``cdf = cumsum(d2 / total)``, ``cdf /= cdf[-1]``, the count of
-    ``cdf <= u``. A restart whose distance total is not positive and finite
-    at some step draws differently there, so its job is redone by
-    ``_kmeanspp_means`` from a fresh generator on its seed.
+    Every restart takes each step together. It draws its first index, then
+    the k - 1 uniforms that ``Generator.choice`` would draw one at a time,
+    and an index is read as ``choice`` reads it from the squared distances
+    d2 to the nearest means: ``cdf = cumsum(d2 / total)``,
+    ``cdf /= cdf[-1]``, the count of ``cdf <= u``. A total of 0 (every
+    sample on a drawn mean) reads the index floor(u n).
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = [(rng.integers(x.shape[1]), rng.random(k - 1)) for rng in rngs for _ in range(_EM_RESTARTS)]
@@ -599,20 +587,16 @@ def _kmeanspp_starts(x: np.ndarray, k: int, seeds) -> np.ndarray:
     means[:, 0] = x[rows, [first for first, _ in draws]]
     u = np.array([uniforms for _, uniforms in draws])
     d2 = np.full(x.shape, np.inf)  # each sample's squared distance to its nearest mean
-    redo = np.zeros(len(x), dtype=bool)
     for j in range(1, k):
         np.minimum(d2, (x - means[:, j - 1 : j]) ** 2, out=d2)
         total = d2.sum(axis=1)
-        redo |= ~((total > 0) & (total < np.inf))
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows to redo only
+        with np.errstate(divide="ignore", invalid="ignore"):  # a total of 0, read below
             cdf = np.cumsum(d2 / total[:, None], axis=1)
             cdf /= cdf[:, -1:]
-        means[:, j] = x[rows, np.count_nonzero(cdf <= u[:, j - 1 : j], axis=1)]
-    means = means.reshape(len(rngs), _EM_RESTARTS, k)
-    for j in np.flatnonzero(redo.reshape(len(rngs), _EM_RESTARTS).any(axis=1)):
-        rng = np.random.default_rng(seeds[j])
-        means[j] = [_kmeanspp_means(x[j * _EM_RESTARTS], k, rng) for _ in range(_EM_RESTARTS)]
-    starts[:, :, 1] = means
+        index = np.count_nonzero(cdf <= u[:, j - 1 : j], axis=1)
+        index[total <= 0] = u[total <= 0, j - 1] * x.shape[1]
+        means[:, j] = x[rows, index]
+    starts[:, :, 1] = means.reshape(len(rngs), _EM_RESTARTS, k)
     return starts
 
 
@@ -835,8 +819,11 @@ def _gmm_sample(samples, k: int) -> np.ndarray:
         raise ValueError("samples must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         var = np.var(x)
+        spread = x.size * (x.max() - x.min()) ** 2  # a bound on the k-means++ distance totals
     if not var < np.inf:
         raise ValueError("sample variance overflows; GMM fit is degenerate")
+    if not spread < np.inf:
+        raise ValueError("squared sample spread overflows; GMM fit is degenerate")
     if var <= 0:
         raise ValueError("zero sample variance; GMM fit is degenerate")
     return x

@@ -708,7 +708,8 @@ class TestStackedScorePhase:
     def test_kde_blocks_take_the_stacked_path(self, kind, monkeypatch):
         """Per-row calls would give the same bits, so only the calls tell:
         each bag is drawn by its own ``sample`` call, and an Epanechnikov
-        block's bag densities are one ``_epan_pdf`` call."""
+        block's bag densities are one ``_pdf_rows`` call, with no ``pdf``
+        call per bag."""
         rng = np.random.default_rng(49)
         est = EstimatorConfig(kind)
         refs = classify._fit_references(mixed_dataset(rng, d=1), est, 1, b2b=False)
@@ -729,16 +730,16 @@ class TestStackedScorePhase:
 
         spy(DensityModel, "sample", lambda args: args[:1])
         spy(DensityModel, "pdf", lambda args: args[:1])
-        spy(density, "_epan_pdf", lambda args: args[0])
+        spy(dv, "_pdf_rows", lambda args: args[0])
         spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=128)
         assert DEFAULT_SCORE_BLOCK // spec.points > len(probes)  # one block holds them all
         classify._score_bags(fits, seeds, spec, refs, ("ckl",))
         on_bags = [(name, ids) for name, ids in calls if set(ids) & set(bags)]
         drawn = [("sample", [b]) for b in bags]
         if kind == "kde-epan":
-            assert on_bags == drawn + [("_epan_pdf", bags)]
+            assert on_bags == drawn + [("_pdf_rows", bags)]
         else:  # a Gaussian bag's density is its own pdf call
-            assert on_bags == drawn + [("pdf", [b]) for b in bags]
+            assert on_bags == drawn + [("_pdf_rows", bags)] + [("pdf", [b]) for b in bags]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_fitted_pipeline_equal_with_one_bag_blocks(self, method, monkeypatch):
@@ -826,8 +827,7 @@ class TestScoreBagMatchesPublicDivergences:
             f_pos, f_neg = model.f_pos[0], model.f_neg[0]
             for i, bag in enumerate(test.bags):
                 s = derive_seed(3, i)
-                fit_seed = derive_seed(s, "bagfit", 0)
-                bag_model = classify._fit_densities([bag.column(0)], est, [fit_seed])[0]
+                bag_model = classify._fit_bags([bag], est, [s])[0][0]  # seed (s, "bagfit", 0)
                 points_seed = derive_seed(s, "dim", 0)
                 if method == "ckl":
                     expected = -ckl(bag_model, f_neg, f_pos, spec, points_seed).value

@@ -2,12 +2,14 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from midiv import classify, cli
-from midiv.classify import EstimatorConfig
+from midiv import classify, cli, fit_classifier, load_dataset, score_bag
+from midiv.classify import EstimatorConfig, PipelineConfig
 from midiv.cli import REFERENCE_AUC100, RunManifest, build_parser, main
 from midiv.divergence import DivergenceSpec
+from midiv.seeds import derive_seed
 
 
 def digest(path):
@@ -166,7 +168,7 @@ class TestEvaluateCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("a density was fitted")
 
-        monkeypatch.setattr(classify, "_fit_densities", no_fit)
+        monkeypatch.setattr(classify, "_fit_columns", no_fit)
         out = tmp_path / "o"
         code = run(["evaluate", "--train", sim_files / "train.csv", "--test",
                     sim_files / "test.csv", "--method", method, "--threshold", threshold,
@@ -412,6 +414,31 @@ class TestReplay:
         redo = tmp_path / "redo"
         assert run(["replay", path, "-o", redo]) == 0
         assert digest(first / "report.json") == digest(redo / "report.json")
+
+    def test_replay_gmm_aic_on_integer_valued_bags(self, tmp_path):
+        # Bags of 3 to 5 distinct integers, 15 instances each: the k-means++
+        # starts of every size above a bag's distinct values reach a
+        # distance total of 0.
+        rng = np.random.default_rng(57)
+        for name, prefix in (("train", "t"), ("test", "p")):
+            lines = ["bag_id,label,x"]
+            for i in range(8):
+                d = int(rng.integers(3, 6))
+                values = rng.permutation(np.concatenate([np.arange(d), rng.integers(0, d, 15 - d)]))
+                lines += [f"{prefix}{i},{int(i < 4)},{v}" for v in (values + 2 * (i < 4)).tolist()]
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        first = tmp_path / "first"
+        assert run(["evaluate", "--train", tmp_path / "train.csv", "--test", tmp_path / "test.csv",
+                    "--estimator", "gmm-aic", "--seed", "5", "-o", first]) == 0
+        redo = tmp_path / "redo"
+        assert run(["replay", first / "manifest.json", "-o", redo]) == 0
+        assert digest(first / "report.json") == digest(redo / "report.json")
+        # each test bag scores alone as in its block
+        pipeline = PipelineConfig(estimator=EstimatorConfig("gmm-aic"))
+        model = fit_classifier(load_dataset(tmp_path / "train.csv"), pipeline, derive_seed(5, "fit"))
+        test = load_dataset(tmp_path / "test.csv")
+        alone = [score_bag(model, bag, derive_seed(5, "score", bag.id)) for bag in test.bags]
+        assert json.loads((first / "report.json").read_text())["scores"] == alone
 
 
 def test_parser_defaults_are_the_dataclass_defaults():

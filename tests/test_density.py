@@ -136,6 +136,24 @@ class TestBandwidthRule:
                     fit_kde(x, kernel)
 
 
+    @pytest.mark.parametrize("h", [1e-120, 1e200])
+    def test_bandwidth_outside_the_table_range_is_rejected(self, h):
+        # 1e-120 gave NaN at every point, after three RuntimeWarnings, and
+        # 1e200 gave 0 at every point
+        x = [0.0, 1.0, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="out of range for an Epanechnikov KDE of 3"):
+                fit_kde(x, bandwidth=h)
+            with pytest.raises(ValueError, match="out of range for an Epanechnikov KDE of 3"):
+                DensityModel(KDE_EPANECHNIKOV, (-1.0, 3.0), bandwidth=h, centers=x)
+            # a row of a block fails alone; the rule's bandwidth scales with the data
+            got = density._fit_kdes([x, np.multiply(x, h)], "EPANECHNIKOV", None, True)
+            assert fit_kde(np.multiply(x, h), "GAUSSIAN").bandwidth > 0
+        assert got[0].bandwidth == fit_kde(x).bandwidth
+        assert "out of range for an Epanechnikov KDE" in str(got[1])
+
+
 class TestFitGmm:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(1)
@@ -230,17 +248,23 @@ class TestSelectGmm:
         with pytest.raises(ValueError, match="no GMM size"):
             select_gmm([1.0, 2.0], 2, seed=0)
 
-    @pytest.mark.parametrize("x", OVERFLOWING)
-    def test_overflowing_variance_is_rejected_without_warning(self, x):
+    @pytest.mark.parametrize(
+        "x, what",
+        [(x, "sample variance") for x in OVERFLOWING]
+        + [([8e153, -8e153, 0.0, 1.0, 2.0, 3.0], "squared sample spread")],
+        ids=["x0", "x1", "x2"],
+    )
+    def test_overflowing_variance_is_rejected_without_warning(self, x, what):
         # fit_gmm raised IndexError and select_gmm "Probabilities contain
-        # NaN", each after an overflow warning
+        # NaN", each after an overflow warning. The last sample's variance
+        # (2.1e307) is finite, but its k-means++ distance totals overflowed.
         good = np.random.default_rng(61).standard_normal(40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="sample variance overflows"):
+            with pytest.raises(ValueError, match=f"{what} overflows"):
                 fit_gmm(x, 1, seed=0)
-            with pytest.raises(ValueError, match="no GMM size in 1..2 could be fitted: sample "
-                                                 "variance overflows"):
+            with pytest.raises(ValueError, match=f"no GMM size in 1..2 could be fitted: {what} "
+                                                 "overflows"):
                 select_gmm(x, 2, seed=0)
             got = density._select_gmms([x, good, x], 2, [3, 4, 5])
         assert [type(g) for g in got[::2]] == [ValueError] * 2
@@ -529,10 +553,10 @@ class TestEpanechnikovPrecision:
 # the stacked EM against the one-run loop it replaced
 
 
-def seeded_start(x, k, rng):
+def seeded_start(x, k, rng, zero_totals=None):
     """A k-means++ start (w, mu, var) as a fit draws it from ``rng``: equal
     weights, the means of ``kmeanspp_oracle`` and the sample variance."""
-    return np.full(k, 1.0 / k), kmeanspp_oracle(x, k, rng), np.full(k, np.var(x))
+    return np.full(k, 1.0 / k), kmeanspp_oracle(x, k, rng, zero_totals), np.full(k, np.var(x))
 
 
 def seeded_runs(xs_ks_seeds):
@@ -1003,48 +1027,41 @@ class TestBlocks:
         assert list(density._blocks([], 8, lambda key: 1 // 0)) == []
 
 
-def kmeanspp_oracle(x, k, rng):
-    """k-means++ starts with every step's (n, j) distance array rebuilt."""
+def kmeanspp_oracle(x, k, rng, zero_totals=None):
+    """k-means++ starts with every step's (n, j) distance array rebuilt. A
+    step whose distance total is 0 takes floor(u n) of the uniform u that
+    ``choice`` would have drawn; each run with such a step is listed in
+    ``zero_totals`` as (n, k)."""
     means = np.empty(k)
     means[0] = x[rng.integers(x.size)]
+    zero = False
     for j in range(1, k):
         d2 = np.min((x[:, None] - means[None, :j]) ** 2, axis=1)
         total = d2.sum()
         if total <= 0:
-            means[j] = x[rng.integers(x.size)]
+            means[j] = x[int(rng.random() * x.size)]
+            zero = True
         else:
             means[j] = x[rng.choice(x.size, p=d2 / total)]
+    if zero and zero_totals is not None:
+        zero_totals.append((x.size, k))
     return means
 
 
 class TestKmeansppRunningMinimum:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-    def test_same_draws_as_rebuilt_distances(self, k):
-        samples = em_samples(43, (15, 60, 333))
-        samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))  # later steps see total 0
-        for x in samples:
-            for seed in range(6):
-                got = density._kmeanspp_means(x, k, np.random.default_rng(seed))
-                want = kmeanspp_oracle(x, k, np.random.default_rng(seed))
-                assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("block", [density._EM_BLOCK, 100, 1])
-    def test_batched_starts_have_the_one_run_bits(self, monkeypatch, block):
+    def test_batched_starts_have_the_one_run_bits(self, block):
         # Mixed (n, k) groups, k up to 8, each stacked whole or cut into
         # blocks of 100 elements (1 to 16 jobs) or of one job. A job's
         # restarts are the oracle's draws one after another on one generator.
         # In the (6, 3) and (6, 5) groups only the restarts on the two-valued
-        # sample reach a distance total of 0, and only that job is redone,
-        # one restart after another.
+        # sample reach a distance total of 0, and every one of them does.
         samples = em_samples(43, (6, 15, 15, 60, 333))
         samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
         jobs = [(x, k, np.random.SeedSequence([i, k])) for i, x in enumerate(samples)
                 for k in (1, 2, 3, 5, 8) if k <= x.size]
         jobs = [jobs[i] for i in np.random.default_rng(2).permutation(len(jobs))]
-        redone = []
-        one_run = density._kmeanspp_means
-        monkeypatch.setattr(density, "_kmeanspp_means",
-                            lambda x, k, rng: redone.append((x.size, k)) or one_run(x, k, rng))
+        zero_totals = []
         for (_, k), members in density._blocks([(x.size, k) for x, k, _ in jobs], block,
                                                lambda key: key[0]):
             x = np.array([jobs[i][0] for i in members])
@@ -1054,9 +1071,10 @@ class TestKmeansppRunningMinimum:
                 x_i, _, seed = jobs[i]
                 rng = np.random.default_rng(seed)
                 for start in job_starts:
-                    for got, want in zip(start, seeded_start(x_i, k, rng), strict=True):
+                    expected = seeded_start(x_i, k, rng, zero_totals)
+                    for got, want in zip(start, expected, strict=True):
                         assert np.array_equal(got, want)
-        assert sorted(redone) == [(6, 3)] * 3 + [(6, 5)] * 3
+        assert sorted(zero_totals) == [(6, 3)] * 3 + [(6, 5)] * 3
 
 
 class TestSelectionReadsTheAic:
