@@ -1049,6 +1049,20 @@ def kmeanspp_oracle(x, k, rng, zero_totals=None):
 
 
 class TestKmeansppRunningMinimum:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_same_draws_as_rebuilt_distances(self, k):
+        # One job alone in its stack: its restarts are the oracle's draws one
+        # after another on a generator on its seed.
+        samples = em_samples(43, (15, 60, 333))
+        samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))  # later steps see total 0
+        for x in samples:
+            for seed in range(6):
+                (got,) = density._kmeanspp_starts(x[None, :], k, [seed])
+                rng = np.random.default_rng(seed)
+                for start in got:
+                    for g, want in zip(start, seeded_start(x, k, rng), strict=True):
+                        assert np.array_equal(g, want)
+
     @pytest.mark.parametrize("block", [density._EM_BLOCK, 100, 1])
     def test_batched_starts_have_the_one_run_bits(self, block):
         # Mixed (n, k) groups, k up to 8, each stacked whole or cut into
