@@ -2,13 +2,13 @@
 
 Six methods share one convention: a bag's score is low when the bag looks
 positive. ``rd_kl``/``rd_bh`` threshold the ratio of bag-to-class
-divergences, ``ckl`` thresholds the class-conditional KL score (oriented
-so that bag mass covered only by the positive class pulls the score down,
-see ``_score_block``), ``b2b_kl``/``b2b_bh`` score by minimum bag-to-bag
-dissimilarity against each class, and ``svm_divs`` feeds per-dimension
-divergences into a linear SVM and scores by signed margin. AUC is computed
-exactly via the rank (Mann-Whitney) statistic and cross-checked against
-the trapezoidal ROC area.
+divergences, ``ckl`` thresholds minus the class-conditional KL against the
+negative class weighted by the positive (bag mass covered only by the
+positive class pulls it down), ``b2b_kl``/``b2b_bh`` score by minimum
+bag-to-bag dissimilarity against each class, and ``svm_divs`` feeds
+per-dimension divergences into a linear SVM and scores by signed margin.
+AUC is computed exactly via the rank (Mann-Whitney) statistic and
+cross-checked against the trapezoidal ROC area.
 
 Bags are fitted in one fit phase (``_fit_bags``) and scored in one score
 phase (``_score_bags``). The score phase takes blocks of bags as the rows
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import divergence as dv
 from .core import Bag, Dataset, Label, PcaTransform, apply_pca, fit_pca
-from .density import _blocks, _fit_kdes, _pdf_pair, _select_gmms, DensityModel
+from .density import _blocks, _fit_kdes, _pdf_pair, _pdf_rows, _select_gmms, DensityModel
 from .divergence import DivergenceSpec
 from .seeds import derive_label, derive_seed
 from .simulate import SimConfig, sample_experiment
@@ -281,9 +281,7 @@ class ClassModel:
 # stays where one-bag scoring had it.
 _SCORE_BLOCK = 1 << 13
 
-_REDUCERS = {
-    "rd_kl": dv.reduce_kl, "rd_bh": dv.reduce_bh, "b2b_kl": dv.reduce_kl, "b2b_bh": dv.reduce_bh
-}
+_REDUCERS = {"kl": dv.reduce_kl, "bh": dv.reduce_bh}
 
 
 def _score_bags(fits, seeds, spec, refs, methods, per_dim=False) -> dict[str, list]:
@@ -334,46 +332,34 @@ def _score_block(fits, seeds, spec, refs, methods, per_dim) -> dict[str, list]:
     """
     pairs, train_bags = refs
     train_pos = np.array([lab == Label.POS for lab, _ in train_bags], dtype=bool)
-    b2b = [m for m in methods if m.startswith("b2b")]
     # Summed from 0.0 in dimension order; another order moves scores in the last bits.
     totals = dict.fromkeys(methods, 0.0)
     columns = {m: [] for m in methods}
     for d in range(len(fits[0])):
-        train_refs = tuple(models[d] for _, models in train_bags)
         bag_models = [models[d] for models in fits]
         children = None  # a Riemann grid reads no seed, so none is derived
         if spec.reads_seeds:
             children = [derive_seed(seed, "feat" if per_dim else "dim", d) for seed in seeds]
         x, dx = dv.evaluation_rows(bag_models, spec, children)
-        values = dv.iter_densities(x, bag_models, train_refs)
-        fb = next(values)
-        if pairs is not None:
-            fp, fn = pairs[d](x)
-        terms = {}
+        fb = _pdf_rows(bag_models, x)
+        classes = () if pairs is None else pairs[d](x)
+        terms = {m: [] for m in methods}
+        if "ckl" in methods:  # reference f_neg, weighting f_pos: positive-looking bags score low
+            terms["ckl"] = -dv.reduce_ckl(fb, classes[1], classes[0], spec, dx).value
+        # One reference at a time, reduced by each method that reads it: the
+        # class densities, or each training bag's on all rows, one per block.
+        train = (models[d].pdf(x) for _, models in train_bags)
+        for prefix, references in (("rd", classes), ("b2b", train)):
+            reducing = [m for m in methods if m.startswith(prefix)]
+            for fr in references:
+                for m in reducing:
+                    terms[m].append(_REDUCERS[m.split("_")[1]](fb, fr, spec, dx).value)
         for m in methods:
-            if m == "ckl":
-                # The bag is compared to the negative class, conditioned on the
-                # positive: minus the integral of (f_pos/f_neg) * f_bag *
-                # log(f_bag/f_neg). Bag mass in positive-only coverage then
-                # drives the score strongly down, mass in negative-only coverage
-                # drives it up, and regions unseen by both classes contribute
-                # nothing, which is what makes the method robust to sparse
-                # training sets.
-                terms[m] = -dv.reduce_ckl(fb, fn, fp, spec, dx).value
-            elif m.startswith("rd"):
-                pair = [_REDUCERS[m](fb, fr, spec, dx).value for fr in (fp, fn)]
-                terms[m] = np.column_stack(pair)
-        # one training bag's densities at a time: a block holds one of them
-        b2b_terms = {m: [] for m in b2b}
-        for fr in values:
-            for m in b2b:
-                b2b_terms[m].append(_REDUCERS[m](fb, fr, spec, dx).value)
-        terms.update((m, np.column_stack(t)) for m, t in b2b_terms.items())
-        for m in methods:
+            divs = terms[m] if m == "ckl" else np.column_stack(terms[m])
             if per_dim:
-                columns[m].append(_finish(m, terms[m], train_pos))
+                columns[m].append(_finish(m, divs, train_pos))
             else:
-                totals[m] = totals[m] + terms[m]
+                totals[m] = totals[m] + divs
     if per_dim:
         return {m: list(np.column_stack(columns[m])) for m in methods}
     return {m: _finish(m, totals[m], train_pos).tolist() for m in methods}

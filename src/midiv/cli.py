@@ -268,8 +268,12 @@ def cmd_table1(args, argv) -> int:
     return 0
 
 
-def _reference_for(scenario: str, pos: int, neg: int, method: str):
-    return REFERENCE_AUC100.get((scenario, pos, neg), {}).get(method)
+def _formatted(scenario: str, cell, method: str) -> tuple:
+    """A cell's AUC·100 for ``method``, its published reference and their
+    difference, as table text ("" for a reference the paper does not give)."""
+    value = 100.0 * cell.mean_auc[method]
+    ref = REFERENCE_AUC100.get((scenario, cell.pos, cell.neg), {}).get(method)
+    return f"{value:.2f}", "" if ref is None else ref, "" if ref is None else f"{value - ref:+.2f}"
 
 
 def _write_table_long(results, methods, path: Path) -> None:
@@ -279,49 +283,25 @@ def _write_table_long(results, methods, path: Path) -> None:
         for res in results:
             for cell in res.cells:
                 for m in methods:
-                    val = 100.0 * cell.mean_auc[m]
-                    ref = _reference_for(res.scenario, cell.pos, cell.neg, m)
-                    writer.writerow(
-                        [
-                            res.scenario,
-                            cell.pos,
-                            cell.neg,
-                            m,
-                            f"{val:.2f}",
-                            "" if ref is None else ref,
-                            "" if ref is None else f"{val - ref:+.2f}",
-                        ]
-                    )
+                    writer.writerow([res.scenario, cell.pos, cell.neg, m,
+                                     *_formatted(res.scenario, cell, m)])
 
 
 def _write_table_wide(results, methods, path: Path) -> None:
-    """Published-table layout: one row per scenario x pos, neg x method columns."""
+    """Published-table layout: one row per scenario x pos, neg x method columns.
+
+    Every scenario has a cell at each (pos, neg) of the grid."""
     negs = sorted({cell.neg for res in results for cell in res.cells})
-    header = ["scenario", "pos"]
-    for neg in negs:
-        header += [f"{m}_neg{neg}" for m in methods]
-    for neg in negs:
-        header += [f"diff_{m}_neg{neg}" for m in methods]
+    columns = [f"{m}_neg{neg}" for neg in negs for m in methods]
+    header = ["scenario", "pos", *columns, *(f"diff_{c}" for c in columns)]
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for res in results:
             for pos in sorted({c.pos for c in res.cells}):
-                row = [res.scenario, pos]
                 by_neg = {c.neg: c for c in res.cells if c.pos == pos}
-                for neg in negs:
-                    for m in methods:
-                        cell = by_neg.get(neg)
-                        row.append("" if cell is None else f"{100.0 * cell.mean_auc[m]:.2f}")
-                for neg in negs:
-                    for m in methods:
-                        cell = by_neg.get(neg)
-                        ref = _reference_for(res.scenario, pos, neg, m)
-                        if cell is None or ref is None:
-                            row.append("")
-                        else:
-                            row.append(f"{100.0 * cell.mean_auc[m] - ref:+.2f}")
-                writer.writerow(row)
+                row = [_formatted(res.scenario, by_neg[neg], m) for neg in negs for m in methods]
+                writer.writerow([res.scenario, pos, *(r[0] for r in row), *(r[2] for r in row)])
 
 
 def cmd_replay(args, argv) -> int:

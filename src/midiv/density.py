@@ -268,14 +268,22 @@ def _epan_tables(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return table
 
 
-def _epan_bandwidths(n: int, hs: list) -> list:
-    """``hs``, bandwidths or ``ValueError``s, with each finite bandwidth that
-    an Epanechnikov table of n centers cannot hold, one whose 0.75 / (n h^3)
-    is not a finite normal float, replaced by its ``ValueError``."""
-    return [h if isinstance(h, ValueError) or h == math.inf  # left to the support check
-            or sys.float_info.min <= 0.75 / (n * h) / h / h < math.inf
-            else ValueError(f"bandwidth {h!r} is out of range for an Epanechnikov KDE of {n} "
-                            "centers: 0.75 / (n h^3) must be a finite normal float") for h in hs]
+def _epan_bandwidths(x: np.ndarray, hs: list) -> list:
+    """``hs``, bandwidths or ``ValueError``s, one per row of the (rows, n)
+    centers ``x``, with each finite bandwidth that its row's Epanechnikov
+    table cannot hold replaced by its ``ValueError``: one whose 0.75 / (n h^3)
+    is not a finite normal float, or one that leaves some center c equal to
+    c - h or c + h, whose piece would then be empty and its mass lost."""
+    n = x.shape[1]
+    out = f"is out of range for an Epanechnikov KDE of {n} centers"
+    hs = [h if isinstance(h, ValueError) or h == math.inf  # left to the support check
+          or sys.float_info.min <= 0.75 / (n * h) / h / h < math.inf
+          else ValueError(f"bandwidth {h!r} {out}: 0.75 / (n h^3) must be a finite normal float")
+          for h in hs]
+    bw = np.array([math.nan if isinstance(h, ValueError) else h for h in hs])[:, None]
+    lost = ((x - bw == x) | (x + bw == x)).any(axis=1).tolist()
+    return [ValueError(f"bandwidth {h!r} {out}: c - h and c + h must differ from each center c")
+            if gone else h for h, gone in zip(hs, lost)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,7 +320,7 @@ class DensityModel:
             object.__setattr__(self, "centers", centers)
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
             if self.kind == KDE_EPANECHNIKOV:
-                _unwrap(_epan_bandwidths(centers.size, [self.bandwidth])[0])
+                _unwrap(_epan_bandwidths(centers[None, :], [self.bandwidth])[0])
                 table = _epan_tables(centers[None, :], np.array([self.bandwidth]))[0]
                 object.__setattr__(self, "_table", table)
         elif self.kind == GMM:
@@ -536,7 +544,7 @@ def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool)
             h = float(bandwidth)
             hs = [h if h > 0 else ValueError("bandwidth must be positive") for _ in members]
         if kind == KDE_EPANECHNIKOV:
-            hs = _epan_bandwidths(n, hs)
+            hs = _epan_bandwidths(x, hs)
         h = np.array([np.nan if isinstance(h, ValueError) else h for h in hs])
         pad = _SUPPORT_PAD[kind] * h
         support = np.column_stack([x.min(axis=1) - pad, x.max(axis=1) + pad])

@@ -6,10 +6,10 @@ Three measures are provided:
   density of the log ratio bag/reference.
 * ``bhattacharyya`` — minus the log of the overlap integral of the two
   square-rooted densities (symmetric).
-* ``ckl`` — class-conditional KL: the KL integrand against the positive
-  class weighted pointwise by the ratio negative/positive, so regions
-  unseen by both classes stop contributing while regions seen only in the
-  negative class are amplified. Designed for sparse training sets.
+* ``ckl`` — class-conditional KL: the KL integrand against a reference
+  density weighted pointwise by the ratio weighting/reference, so regions
+  unseen by both densities stop contributing while regions seen only by
+  the weighting density are amplified. Designed for sparse training sets.
 
 Integrals are approximated by midpoint Riemann sums over the bag density's
 support hint, or by importance sampling with the bag density itself as the
@@ -47,7 +47,6 @@ __all__ = [
     "bhattacharyya",
     "ckl",
     "evaluation_rows",
-    "iter_densities",
     "reduce_kl",
     "reduce_bh",
     "reduce_ckl",
@@ -163,10 +162,11 @@ class DivergenceScore:
 # itself (cell width ``dx`` None; the estimate is a mean).
 # The core works on rows: a caller scoring many bags stacks one point set per
 # bag as the rows of (rows, points) arrays. ``evaluation_rows`` makes the
-# points, ``iter_densities`` evaluates there each bag's own density on its row
-# and each reference density on every row, and the ``reduce_*`` functions turn
-# those values into scores. So each reference density is evaluated and each
-# measure reduced once for all the bags, and every measure shares the points.
+# points, ``density._pdf_rows`` evaluates each bag's own density on its row,
+# each reference density's own ``pdf`` evaluates it on every row, and the
+# ``reduce_*`` functions turn those values into scores. So each reference
+# density is evaluated and each measure reduced once for all the bags, and
+# every measure shares the points.
 # The public ``kl``, ``bhattacharyya`` and ``ckl`` are the one-row case.
 # Every row's points are in ascending order, the one order of the core: an
 # integral does not depend on it, and the Epanechnikov lookups then walk their
@@ -209,18 +209,6 @@ def evaluation_rows(f_bags, spec: DivergenceSpec, seeds=None):
     lo, hi = np.array([m.support_hint for m in f_bags], dtype=float).T
     dx = (hi - lo) / spec.grid_points
     return lo[:, None] + dx[:, None] * (np.arange(spec.grid_points) + 0.5), dx
-
-
-def iter_densities(x: np.ndarray, f_bags, refs):
-    """The densities at the (rows, points) array ``x``, in the order of ``x``:
-    first the bag densities, ``f_bags[r]`` on row r (by ``density._pdf_rows``),
-    then each density of ``refs`` on every row, by its own ``pdf``. A
-    generator: a caller that reduces each density as it comes holds one at a
-    time.
-    """
-    yield _pdf_rows(f_bags, x)
-    for ref in refs:
-        yield ref.pdf(x)
 
 
 def _ess(weights: np.ndarray, count) -> np.ndarray:
@@ -318,25 +306,25 @@ def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowSc
     return RowScores(-np.log(overlap), clipped, ess)
 
 
-def _ckl_weight(fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, clipped: np.ndarray):
-    """The cKL weight ``fn/fp``, ``fp`` floored and the ratio clipped at
+def _ckl_weight(fr: np.ndarray, fw: np.ndarray, spec: DivergenceSpec, clipped: np.ndarray):
+    """The cKL weight ``fw/fr``, ``fr`` floored and the ratio clipped at
     ``spec.ratio_clip``; clipped points are marked in ``clipped`` in place."""
-    w = np.maximum(fp, _DENSITY_FLOOR)
-    np.divide(fn, w, out=w)
+    w = np.maximum(fr, _DENSITY_FLOOR)
+    np.divide(fw, w, out=w)
     clipped |= w > spec.ratio_clip
     return np.minimum(w, spec.ratio_clip, out=w)
 
 
 def reduce_ckl(
-    fb: np.ndarray, fp: np.ndarray, fn: np.ndarray, spec: DivergenceSpec, dx
+    fb: np.ndarray, fr: np.ndarray, fw: np.ndarray, spec: DivergenceSpec, dx
 ) -> RowScores:
-    """Class-conditional KL per row of the bag against ``fp``, weighted by ``fn/fp``.
+    """Class-conditional KL per row against the reference ``fr``, weighted by ``fw/fr``.
 
     The weight is clipped at ``spec.ratio_clip``. Unlike KL the value may be
     negative. Both integrators skip points where the bag density vanishes.
     """
-    logratio, clipped = _kl_pointwise(fb, fp, spec)
-    w = _ckl_weight(fp, fn, spec, clipped)
+    logratio, clipped = _kl_pointwise(fb, fr, spec)
+    w = _ckl_weight(fr, fw, spec, clipped)
     terms = np.multiply(w, logratio, out=logratio) if dx is None else w * fb * logratio
     return _on_bag_support(fb, terms, clipped, w, dx)
 
@@ -349,7 +337,7 @@ def rd_value(num, den):
 def _one_row(reduce, f_bag: DensityModel, refs, spec: DivergenceSpec, seed) -> DivergenceScore:
     """A public measure: ``reduce`` on one point set under ``f_bag``."""
     x, dx = evaluation_rows([f_bag], spec.for_bag([f_bag]), [seed])
-    return reduce(*iter_densities(x, [f_bag], refs), spec, dx).row(0)
+    return reduce(_pdf_rows([f_bag], x), *(f.pdf(x) for f in refs), spec, dx).row(0)
 
 
 def kl(f_bag: DensityModel, f_ref: DensityModel, spec: DivergenceSpec, seed) -> DivergenceScore:
@@ -369,18 +357,19 @@ def bhattacharyya(
 
 def ckl(
     f_bag: DensityModel,
-    f_pos: DensityModel,
-    f_neg: DensityModel,
+    f_ref: DensityModel,
+    f_weight: DensityModel,
     spec: DivergenceSpec,
     seed,
 ) -> DivergenceScore:
-    """Class-conditional KL of the bag against the positive class.
+    """Class-conditional KL of the bag against the reference density.
 
-    The KL integrand against ``f_pos`` is weighted pointwise by
-    ``f_neg/f_pos`` (clipped at ``spec.ratio_clip``). Unlike KL the value
-    may be negative.
+    The KL integrand against ``f_ref`` is weighted pointwise by
+    ``f_weight/f_ref`` (clipped at ``spec.ratio_clip``). Unlike KL the value
+    may be negative. The classifier's cKL score is minus this, with the
+    negative class as ``f_ref`` and the positive as ``f_weight``.
     """
-    return _one_row(reduce_ckl, f_bag, (f_pos, f_neg), spec, seed)
+    return _one_row(reduce_ckl, f_bag, (f_ref, f_weight), spec, seed)
 
 
 # --------------------------------------------------------------------------
@@ -404,15 +393,16 @@ _UNCLIPPED = DivergenceSpec(ratio_clip=math.inf)
 class PropertyScenario:
     """Histogram densities on a shared grid plus the probed subregions.
 
-    Row s of the (stages, bins) arrays ``f_bag``, ``f_pos`` and ``f_neg`` is
-    the point of the limit sequence at ``params[s]`` (its epsilon or M).
+    Row s of the (stages, bins) arrays ``f_bag``, ``f_ref`` and ``f_weight``
+    is the point of the limit sequence at ``params[s]`` (its epsilon or M).
+    KL and BH take ``f_ref`` as reference; cKL weights it by ``f_weight``.
     """
 
     edges: np.ndarray
     params: np.ndarray
     f_bag: np.ndarray
-    f_pos: np.ndarray
-    f_neg: np.ndarray
+    f_ref: np.ndarray
+    f_weight: np.ndarray
     region_main: np.ndarray  # bool mask over bins: X_M or X_eps
     region_mirror: np.ndarray | None = None  # X*_M (ratio-reversed), P1 only
 
@@ -425,7 +415,7 @@ class PropertyScenario:
         if np.ndim(self.params) != 1 or len(self.params) < 1:
             raise ValueError("scenario params must be a 1-D array of at least one stage")
         shape = (len(self.params), len(edges) - 1)
-        for arr in (self.f_bag, self.f_pos, self.f_neg):
+        for arr in (self.f_bag, self.f_ref, self.f_weight):
             if np.shape(arr) != shape:
                 raise ValueError("scenario grids mismatched: density shape != (stages, bins)")
         for name, mask in (("region", self.region_main), ("mirror", self.region_mirror)):
@@ -449,12 +439,12 @@ class CheckReport:
 def _property_terms(scenario: PropertyScenario, measure: str, spec: DivergenceSpec) -> np.ndarray:
     """A measure's (stages, bins) terms times the bin widths: the KL or cKL
     Riemann integrand of the scorer at ``spec``, or BH's affinity deficit."""
-    fb, fp, fn = (np.asarray(f, float) for f in (scenario.f_bag, scenario.f_pos, scenario.f_neg))
+    fb, fr, fw = (np.asarray(f, float) for f in (scenario.f_bag, scenario.f_ref, scenario.f_weight))
     if measure == "BH":
-        terms = fb - np.sqrt(fb * fp)
+        terms = fb - np.sqrt(fb * fr)
     else:
-        logratio, clipped = _kl_pointwise(fb, fp, spec)
-        w = 1.0 if measure == "KL" else _ckl_weight(fp, fn, spec, clipped)
+        logratio, clipped = _kl_pointwise(fb, fr, spec)
+        w = 1.0 if measure == "KL" else _ckl_weight(fr, fw, spec, clipped)
         terms = w * fb * logratio
     return terms * np.diff(np.asarray(scenario.edges, dtype=float))
 
@@ -551,8 +541,8 @@ def p1_scenario() -> PropertyScenario:
         edges=edges,
         params=2.0 / eps[:, 0],  # the bag-to-reference ratio on region A
         f_bag=_histograms(edges, (a, 2.0), (b, eps), (c1, 1.6), (c2, 0.4)),
-        f_pos=_histograms(edges, (a, eps), (b, 2.0), (c1, 0.4), (c2, 1.6)),
-        f_neg=_histograms(edges, (slice(None), 1.0)),
+        f_ref=_histograms(edges, (a, eps), (b, 2.0), (c1, 0.4), (c2, 1.6)),
+        f_weight=_histograms(edges, (slice(None), 1.0)),
         region_main=_mask(a),
         region_mirror=_mask(b),
     )
@@ -572,8 +562,8 @@ def p2_scenario() -> PropertyScenario:
         edges=edges,
         params=eps[:, 0],
         f_bag=_histograms(edges, (bag_bins, 5.0), (far_bins, eps)),
-        f_pos=_histograms(edges, (slice(None), _TINY), (bag_bins, 2.5), (far_bins, 2.5)),
-        f_neg=_histograms(edges, (slice(None), 1.0)),
+        f_ref=_histograms(edges, (slice(None), _TINY), (bag_bins, 2.5), (far_bins, 2.5)),
+        f_weight=_histograms(edges, (slice(None), 1.0)),
         region_main=_mask(far_bins),
     )
 
@@ -581,8 +571,8 @@ def p2_scenario() -> PropertyScenario:
 def p3_scenario() -> PropertyScenario:
     """A bag region unseen by both classes (the sparse-training case).
 
-    On the probe region the positive class density is eps and the negative
-    class density eps^2 (both below eps, the negative vanishing at least as
+    On the probe region the reference density is eps and the weighting
+    density eps^2 (both below eps, the weighting vanishing at least as
     fast), while the bag keeps mass 0.2 there.
     """
     edges = np.linspace(0.0, 1.0, _N_BINS + 1)
@@ -595,8 +585,8 @@ def p3_scenario() -> PropertyScenario:
         edges=edges,
         params=eps[:, 0],
         f_bag=_histograms(edges, (bag_bins, 4.0), (unseen, 1.0)),
-        f_pos=_histograms(edges, (lo, 1.5), (hi, 1.0), (unseen, eps)),
-        f_neg=_histograms(edges, (lo, 1.0), (hi, 1.5), (unseen, eps * eps)),
+        f_ref=_histograms(edges, (lo, 1.5), (hi, 1.0), (unseen, eps)),
+        f_weight=_histograms(edges, (lo, 1.0), (hi, 1.5), (unseen, eps * eps)),
         region_main=_mask(unseen),
     )
 

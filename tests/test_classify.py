@@ -29,7 +29,7 @@ from midiv.classify import (
 from midiv import classify, density, seeds
 from midiv.classify import CLASS_METHODS, EvalReport, _stratified_folds
 from midiv.core import Bag, Dataset, Label
-from midiv.density import DensityModel
+from midiv.density import DensityModel, _pdf_rows
 from midiv import divergence as dv
 from midiv.divergence import DivergenceSpec, ckl
 from midiv.seeds import derive_seed
@@ -730,7 +730,7 @@ class TestStackedScorePhase:
 
         spy(DensityModel, "sample", lambda args: args[:1])
         spy(DensityModel, "pdf", lambda args: args[:1])
-        spy(dv, "_pdf_rows", lambda args: args[0])
+        spy(classify, "_pdf_rows", lambda args: args[0])
         spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=128)
         assert DEFAULT_SCORE_BLOCK // spec.points > len(probes)  # one block holds them all
         classify._score_bags(fits, seeds, spec, refs, ("ckl",))
@@ -834,11 +834,27 @@ class TestScoreBagMatchesPublicDivergences:
                 else:
                     reduce = dv.reduce_kl if method == "rd_kl" else dv.reduce_bh
                     x, dx = dv.evaluation_rows([bag_model], spec, [points_seed])
-                    fb, fp, fn = dv.iter_densities(x, [bag_model], (f_pos, f_neg))
+                    fb, fp, fn = _pdf_rows([bag_model], x), f_pos.pdf(x), f_neg.pdf(x)
                     expected = dv.rd_value(
                         reduce(fb, fp, spec, dx).value[0], reduce(fb, fn, spec, dx).value[0]
                     )
                 assert score_bag(model, bag, s) == expected, (method, bag.id)
+
+    @pytest.mark.parametrize("integrator", [None, "IMPORTANCE"])
+    def test_ckl_score_is_minus_ckl_against_the_negative_class(self, integrator):
+        # The classifier's cKL takes the negative class as reference and the
+        # positive as weighting; the public ckl names both roles.
+        spec = DivergenceSpec(integrator=integrator, n_imp=200)
+        est = EstimatorConfig()
+        train, test = sample_experiment(SimConfig.preset("sim1", n_instances=30), 3, 3, 4, seed=6)
+        model = fit_classifier(train, PipelineConfig("ckl", est, spec, threshold=0.0), seed=12)
+        for i, bag in enumerate(test.bags):
+            s = derive_seed(5, i)
+            f_bag = classify._fit_bags([bag], est, [s])[0][0]
+            points_seed = derive_seed(s, "dim", 0)
+            named = ckl(f_bag, f_ref=model.f_neg[0], f_weight=model.f_pos[0], spec=spec,
+                        seed=points_seed)
+            assert score_bag(model, bag, s) == -named.value, bag.id
 
 
 class TestSvmConfig:

@@ -128,9 +128,13 @@ class TestBandwidthRule:
             with pytest.raises(ValueError, match="sample spread overflows"):
                 silverman_bandwidth(x, f"KDE_{kernel}", robust=False)
             if x[0] == 1e200:  # the robust rule takes the IQR, which is finite
-                h = fit_kde(x, "EPANECHNIKOV").bandwidth
+                h = silverman_bandwidth(x, KDE_EPANECHNIKOV)
                 assert h == 3.036971077685978
-                assert fit_kde(x, kernel).support_hint == (-1e200 - h, 1e200 + h)
+                if kernel == "EPANECHNIKOV":  # h is below the float spacing at +-1e200
+                    with pytest.raises(ValueError, match="c - h and c \\+ h must differ"):
+                        fit_kde(x, kernel)
+                else:
+                    assert fit_kde(x, kernel).support_hint == (-1e200 - h, 1e200 + h)
             else:  # its IQR overflows too
                 with pytest.raises(ValueError, match="sample spread overflows"):
                     fit_kde(x, kernel)
@@ -152,6 +156,22 @@ class TestBandwidthRule:
             assert fit_kde(np.multiply(x, h), "GAUSSIAN").bandwidth > 0
         assert got[0].bandwidth == fit_kde(x).bandwidth
         assert "out of range for an Epanechnikov KDE" in str(got[1])
+
+    @pytest.mark.parametrize("x, h", [([0.0, 1.0, 2.0], 1e-100), ([1e10, 1e10 + 1, 1e10 + 2], 1e-7)])
+    def test_bandwidth_below_the_float_spacing_at_a_center_is_rejected(self, x, h):
+        # c + h == c left the center an empty piece and lost its mass: the
+        # first gave [2.5e99, 0, 0] at its centers, the second 0 at each
+        message = "out of range for an Epanechnikov KDE of 3 centers: c - h and c \\+ h must differ"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                fit_kde(x, bandwidth=h)
+            with pytest.raises(ValueError, match=message):
+                DensityModel(KDE_EPANECHNIKOV, (x[0] - 1.0, x[-1] + 1.0), bandwidth=h, centers=x)
+            # a row of a block fails alone: centers at 0 hold any such bandwidth
+            got = density._fit_kdes([np.zeros(3), x], "EPANECHNIKOV", h, True)
+        assert got[0].bandwidth == h
+        assert "c - h and c + h must differ from each center" in str(got[1])
 
 
 class TestFitGmm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from midiv import divergence as dv
-from midiv.density import DensityModel, GMM, fit_gmm, fit_kde
+from midiv.density import DensityModel, GMM, _pdf_rows, fit_gmm, fit_kde
 from midiv.divergence import DivergenceSpec, bhattacharyya, ckl, kl
 
 
@@ -24,7 +24,7 @@ def one_row(reduce, *values, spec, dx):
 def rd(f_bag, f_pos, f_neg, reduce, spec, seed):
     """The rd ratio of ``reduce`` on one point set over the bag and both classes."""
     x, dx = dv.evaluation_rows([f_bag], spec, [seed])
-    fb, fp, fn = dv.iter_densities(x, [f_bag], (f_pos, f_neg))
+    fb, fp, fn = _pdf_rows([f_bag], x), f_pos.pdf(x), f_neg.pdf(x)
     num, den = (reduce(fb, fr, spec, dx).row(0).value for fr in (fp, fn))
     return dv.rd_value(num, den)
 
@@ -409,7 +409,7 @@ class TestMaskedReductionMatchesCompactedFormula:
         bags = [two_cluster_bag(kind, rng) for _ in range(3)]
         spec = DivergenceSpec(integrator="RIEMANN", grid_points=512, ratio_clip=clip)
         x, dx = dv.evaluation_rows(bags, spec)
-        fb, fp, fn = dv.iter_densities(x, bags, (f_pos, f_neg))
+        fb, fp, fn = _pdf_rows(bags, x), f_pos.pdf(x), f_neg.pdf(x)
         self.check(fb, fp, fn, spec, dx)
 
     @pytest.mark.parametrize("clip", CLIPS)
@@ -420,7 +420,7 @@ class TestMaskedReductionMatchesCompactedFormula:
         bags = [fitted_triple(kind, rng)[0] for _ in range(3)]
         spec = DivergenceSpec(integrator="IMPORTANCE", n_imp=700, ratio_clip=clip)
         x, dx = dv.evaluation_rows(bags, spec, [3, 4, 5])
-        fb, fp, fn = dv.iter_densities(x, bags, (f_pos, f_neg))
+        fb, fp, fn = _pdf_rows(bags, x), f_pos.pdf(x), f_neg.pdf(x)
         for r, zeros in enumerate((1, 37, 350)):
             fb[r, rng.choice(fb.shape[-1], zeros, replace=False)] = 0.0
         self.check(fb, fp, fn, spec, dx)
@@ -532,7 +532,7 @@ class TestSortedEvaluationIsInvisible:
     def test_densities_at_keeps_draw_order(self, kind):
         models = fitted_triple(kind, np.random.default_rng(8))
         x = np.array([models[0].sample(700, seed=s) for s in (3, 4)])
-        values = tuple(dv.iter_densities(x, [models[0]] * 2, models[1:]))
+        values = (_pdf_rows([models[0]] * 2, x), *(m.pdf(x) for m in models[1:]))
         assert len(values) == len(models)
         for model, f in zip(models, values):
             assert np.array_equal(f, model.pdf(x))

@@ -39,7 +39,7 @@ from numpy.polynomial.legendre import leggauss
 from midiv import classify
 from midiv import divergence as dv
 from midiv.classify import EstimatorConfig, run_sim_study
-from midiv.density import GMM, KDE_EPANECHNIKOV, DensityModel, fit_kde
+from midiv.density import GMM, KDE_EPANECHNIKOV, DensityModel, _pdf_rows, fit_kde
 from midiv.divergence import DivergenceSpec
 from midiv.simulate import SCENARIOS, SimConfig, sample_experiment
 
@@ -104,7 +104,7 @@ def _integral(measure: str, fb, refs_at, weights, spec) -> float:
 
 def quad_oracle(f_bag, f_ref, measure: str, spec: DivergenceSpec) -> Oracle:
     """KL or BH of ``f_bag`` against the density ``f_ref``, or cKL against
-    the pair ``f_ref = (f_pos, f_neg)`` (as ``divergence.ckl``), by
+    the pair ``f_ref = (reference, weighting)`` (as ``divergence.ckl``), by
     Gauss-Legendre quadrature over the bag's support (see the module
     docstring); the value of the fine rule, and its gap to the coarse one."""
     refs = tuple(f_ref) if measure == "CKL" else (f_ref,)
@@ -229,7 +229,7 @@ def _importance_rows(f_bag, f_pos, f_neg, spec, measure, f_ref) -> np.ndarray:
     seed by seed)."""
     seeds = list(range(IMPORTANCE_SEEDS))
     x, dx = dv.evaluation_rows([f_bag] * len(seeds), spec, seeds)
-    fb, fp, fn = dv.iter_densities(x, [f_bag] * len(seeds), (f_pos, f_neg))
+    fb, fp, fn = _pdf_rows([f_bag] * len(seeds), x), f_pos.pdf(x), f_neg.pdf(x)
     at = {id(f_pos): fp, id(f_neg): fn}
     if measure == "CKL":
         return dv.reduce_ckl(fb, at[id(f_ref[0])], at[id(f_ref[1])], spec, dx).value

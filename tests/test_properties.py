@@ -95,15 +95,15 @@ class TestScorerTerms:
     def test_term_sums_are_the_reducers_values(self, scenario, spec):
         sc = scenario()
         dx = np.full(len(sc.params), sc.edges[1] - sc.edges[0])  # uniform bins, one width per row
-        fb, fp, fn = sc.f_bag, sc.f_pos, sc.f_neg
+        fb, fr, fw = sc.f_bag, sc.f_ref, sc.f_weight
         np.testing.assert_allclose(
             _property_terms(sc, "KL", spec).sum(axis=-1),
-            reduce_kl(fb, fp, spec, dx).value,
+            reduce_kl(fb, fr, spec, dx).value,
             rtol=1e-12,
         )
         np.testing.assert_allclose(
             _property_terms(sc, "CKL", spec).sum(axis=-1),
-            reduce_ckl(fb, fp, fn, spec, dx).value,
+            reduce_ckl(fb, fr, fw, spec, dx).value,
             rtol=1e-12,
         )
 
@@ -124,13 +124,13 @@ class TestWhatTheClipCosts:
 
 
 class TestClassifierCklOrientation:
-    """The classifier scores cKL against the negative class, weighted by
-    f_pos/f_neg: the default scenarios with the class roles swapped."""
+    """The classifier takes the negative class as cKL's reference and the
+    positive as its weighting: the default scenarios with the roles swapped."""
 
     @pytest.mark.parametrize("property_id, holds", [("P1", False), ("P2", True), ("P3", False)])
     def test_swapped_class_roles(self, property_id, holds):
         sc = default_scenario(property_id)
-        swapped = dataclasses.replace(sc, f_pos=sc.f_neg, f_neg=sc.f_pos)
+        swapped = dataclasses.replace(sc, f_ref=sc.f_weight, f_weight=sc.f_ref)
         assert check_property(property_id, swapped).passed["CKL"] is holds
 
 
@@ -171,7 +171,7 @@ class TestTwoNegativeClassConstruction:
 class TestScenarioValidation:
     def test_mismatched_density_length(self):
         edges = np.linspace(0, 1, 11)
-        densities = dict(f_bag=np.ones((1, 9)), f_pos=np.ones((1, 10)), f_neg=np.ones((1, 10)))
+        densities = dict(f_bag=np.ones((1, 9)), f_ref=np.ones((1, 10)), f_weight=np.ones((1, 10)))
         with pytest.raises(ValueError, match="mismatch"):
             PropertyScenario(
                 edges=edges, params=np.ones(1), **densities, region_main=np.zeros(10, bool)
@@ -179,7 +179,7 @@ class TestScenarioValidation:
 
     def test_mismatched_region_mask(self):
         edges = np.linspace(0, 1, 11)
-        densities = dict(f_bag=np.ones((1, 10)), f_pos=np.ones((1, 10)), f_neg=np.ones((1, 10)))
+        densities = dict(f_bag=np.ones((1, 10)), f_ref=np.ones((1, 10)), f_weight=np.ones((1, 10)))
         with pytest.raises(ValueError, match="mismatch"):
             PropertyScenario(
                 edges=edges, params=np.ones(1), **densities, region_main=np.zeros(4, bool)
