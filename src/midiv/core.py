@@ -9,7 +9,9 @@ without copies.
 BAG_CSV is the canonical on-disk format: UTF-8 (a leading byte order mark
 is skipped), comma separated, header ``bag_id,label,f1,...,fd``, one
 instance per row, label in ``{0,1,NA}``. Rows of one bag need not be
-contiguous but must agree on the label.
+contiguous but must agree on the label. ``load_dataset`` reads a valid file
+once, in chunks parsed a column at a time; on any fault it reads the file
+again, row by row, to name the first faulty record.
 """
 
 from __future__ import annotations
@@ -135,102 +137,85 @@ class Dataset:
 _LOAD_CHUNK = 1024  # records read, checked and parsed as one set of columns
 
 
-def _read_chunk(path: Path, reader, size: int):
-    """Up to ``size`` records of ``reader``, the file line each ends on, and an error or None.
-
-    A decoding or CSV error stops the chunk. It comes back as a DatasetError
-    naming the file, so the caller can check the records before it first.
-    """
-    rows, lines = [], []
-    try:
-        for row in islice(reader, size):
-            rows.append(row)
-            lines.append(reader.line_num)
-    except UnicodeDecodeError as exc:
-        return rows, lines, DatasetError(f"{path}: not UTF-8 text: {exc.reason}")
-    except csv.Error as exc:
-        return rows, lines, DatasetError(f"{path}:{reader.line_num}: {exc}")
-    return rows, lines, None
-
-
 def _is_blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _columns(rows: list[list[str]], dim: int, label_of: dict):
-    """A chunk's bag ids, labels and ``(n, dim)`` values, column by column.
+def _parse_chunk(rows: list[list[str]], dim: int, label_of: dict, code_of: dict, bag_labels: list):
+    """A chunk's bag codes and ``(n, dim)`` values, parsed column by column.
 
-    Blank records are skipped. Returns None if any record is faulty.
-    ``label_of`` caches the parse of each label text across chunks.
+    Blank records are skipped. A bag is appended, with its label, where it
+    first appears. Raises ValueError, and appends no bag, if any record is
+    faulty. ``label_of`` caches the parse of each label text across chunks.
     """
     if set(map(len, rows)) != {dim + 2}:
         rows = [row for row in rows if not _is_blank(row)]
         if any(len(row) != dim + 2 for row in rows):
-            return None
+            raise ValueError("a record has the wrong number of fields")
         if not rows:
-            return [], [], np.empty((0, dim))
+            return np.empty(0, np.intp), np.empty((0, dim))
     ids, texts, *features = zip(*rows)
     for text in set(texts).difference(label_of):
-        try:
-            label_of[text] = Label.from_field(text)
-        except DatasetError:
-            return None
+        label_of[text] = Label.from_field(text)
     values = np.empty((len(rows), dim))
-    try:
-        for j, column in enumerate(features):
-            values[:, j] = np.fromiter(map(float, column), float, len(rows))
-    except ValueError:
-        return None
+    for j, column in enumerate(features):
+        values[:, j] = np.fromiter(map(float, column), float, len(rows))
     if not np.isfinite(values).all():
-        return None
-    return list(map(str.strip, ids)), list(map(label_of.__getitem__, texts)), values
-
-
-def _bag_codes(ids: list[str], labels: list, code_of: dict, bag_labels: list):
-    """Each row's bag index; a new bag is appended, with its label, where it first appears.
-
-    Returns None, and appends nothing, if a row's label is not its bag's
-    first label.
-    """
+        raise ValueError("non-finite feature value")
+    ids = list(map(str.strip, ids))
+    labels = list(map(label_of.__getitem__, texts))
     first = dict(zip(reversed(ids), reversed(labels)))  # each bag's first label in this chunk,
     for bag_id in first:
         if bag_id in code_of:  # or in an earlier one
             first[bag_id] = bag_labels[code_of[bag_id]]
     if list(map(first.__getitem__, ids)) != labels:
-        return None
+        raise ValueError("conflicting labels within a bag")
     for bag_id in dict.fromkeys(ids):
         if bag_id not in code_of:
             code_of[bag_id] = len(bag_labels)
             bag_labels.append(first[bag_id])
-    return np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
+    return np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids)), values
 
 
-def _raise_first_fault(path: Path, dim: int, rows, lines, code_of: dict, bag_labels: list) -> NoReturn:
-    """Raise the DatasetError of a chunk's first faulty record, in file order.
+def _raise_first_fault(path: Path) -> NoReturn:
+    """Read ``path`` again from the top, one record at a time, and raise the
+    DatasetError of its first fault, naming the line that record ends on.
 
-    This row-by-row check formats every message about a data record. Bags
-    of earlier chunks are checked against the first label they were read with.
+    Every message about a faulty file's text is formatted here.
     """
-    first: dict[str, Label | None] = {}
-    for row, lineno in zip(rows, lines):
-        if _is_blank(row):
-            continue  # tolerate blank lines
-        bag_id = row[0].strip()
-        if len(row) - 2 != dim:
-            raise DatasetError(
-                f"{path}:{lineno}: dimension mismatch for bag {bag_id!r}: "
-                f"expected {dim} features, got {len(row) - 2}"
-            )
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            label = Label.from_field(row[1])
-            values = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from None
-        if not all(map(math.isfinite, values)):
-            raise DatasetError(f"{path}:{lineno}: non-finite feature value")
-        known = code_of.get(bag_id)
-        if first.setdefault(bag_id, label if known is None else bag_labels[known]) != label:
-            raise DatasetError(f"{path}: conflicting labels within bag {bag_id!r}")
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if len(header) < 3 or header[0] != "bag_id" or header[1] != "label":
+                raise DatasetError(f"{path}: header must be bag_id,label,f1,...,fd, got {header}")
+            dim = len(header) - 2
+            first: dict[str, Label | None] = {}  # each bag's first label
+            for row in reader:
+                if _is_blank(row):
+                    continue  # tolerate blank lines
+                bag_id = row[0].strip()
+                if len(row) - 2 != dim:
+                    raise DatasetError(
+                        f"{path}:{reader.line_num}: dimension mismatch for bag {bag_id!r}: "
+                        f"expected {dim} features, got {len(row) - 2}"
+                    )
+                try:
+                    label = Label.from_field(row[1])
+                    values = [float(v) for v in row[2:]]
+                except ValueError as exc:
+                    raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise DatasetError(f"{path}:{reader.line_num}: non-finite feature value")
+                if first.setdefault(bag_id, label) != label:
+                    raise DatasetError(f"{path}: conflicting labels within bag {bag_id!r}")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
     raise AssertionError(f"{path}: the column check found a fault the row check does not")
 
 
@@ -242,39 +227,30 @@ def load_dataset(path: str | Path) -> Dataset:
     label: mixing 0/1, or labelled and NA rows, within one bag is an error.
     A leading UTF-8 byte order mark is skipped.
 
-    Records are checked and parsed in chunks, a column at a time. A chunk
-    with a fault is checked again row by row, so the error is the one of the
-    first faulty record in the file.
+    Records are read, checked and parsed in chunks, a column at a time, and
+    a valid file is read once. On any fault the file is read again from the
+    top, row by row, so the error is the one of the first faulty record.
     """
     path = Path(path)
     code_of: dict[str, int] = {}  # bag id -> bag index, in order of first appearance
     bag_labels: list[Label | None] = []  # by bag index: the bag's label
     label_of: dict[str, Label | None] = {}
     codes, values = [], []
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header, _, error = _read_chunk(path, reader, 1)
-        if error is not None:
-            raise error
-        if not header:
-            raise DatasetError(f"{path}: empty file")
-        header = [h.strip() for h in header[0]]
-        if len(header) < 3 or header[0] != "bag_id" or header[1] != "label":
-            raise DatasetError(f"{path}: header must be bag_id,label,f1,...,fd, got {header}")
-        dim = len(header) - 2
-
-        while True:
-            rows, lines, error = _read_chunk(path, reader, _LOAD_CHUNK)
-            parsed = _columns(rows, dim, label_of)
-            chunk_codes = None if parsed is None else _bag_codes(*parsed[:2], code_of, bag_labels)
-            if chunk_codes is None:
-                _raise_first_fault(path, dim, rows, lines, code_of, bag_labels)
-            codes.append(chunk_codes)
-            values.append(parsed[2])
-            if error is not None:
-                raise error
-            if len(rows) < _LOAD_CHUNK:
-                break
+    try:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            if len(header) < 3 or header[0] != "bag_id" or header[1] != "label":
+                raise ValueError("missing or bad header")
+            dim = len(header) - 2
+            while rows := list(islice(reader, _LOAD_CHUNK)):
+                chunk_codes, chunk_values = _parse_chunk(rows, dim, label_of, code_of, bag_labels)
+                codes.append(chunk_codes)
+                values.append(chunk_values)
+    except (ValueError, csv.Error):  # a decoding error is a ValueError too
+        codes = None  # raise outside this handler, so the error chains to no other
+    if codes is None:
+        _raise_first_fault(path)
 
     if not bag_labels:
         raise DatasetError(f"{path}: no data rows")

@@ -368,10 +368,12 @@ class DensityModel:
             ub, tb = u[: stop - start], t[: stop - start]
             # exp(-0.5 * u * u) with u = (x - c) / h, in that order: each
             # point's row sum is then the same bits whatever the block.
-            np.subtract(x[start:stop, None], centers, out=ub)
-            np.divide(ub, h, out=ub)
-            np.multiply(ub, -0.5, out=tb)
-            np.multiply(tb, ub, out=tb)
+            # A far point's u or square overflows to inf, and exp makes it 0.
+            with np.errstate(over="ignore"):
+                np.subtract(x[start:stop, None], centers, out=ub)
+                np.divide(ub, h, out=ub)
+                np.multiply(ub, -0.5, out=tb)
+                np.multiply(tb, ub, out=tb)
             np.exp(tb, out=tb)
             tb.sum(axis=1, out=out[start:stop])
         out /= n * h * _SQRT_2PI
@@ -381,8 +383,10 @@ class DensityModel:
         w = self.components[:, 0]
         mu = self.components[:, 1]
         var = self.components[:, 2]
-        d = x[:, None] - mu[None, :]
-        return (w / np.sqrt(2.0 * np.pi * var) * np.exp(-0.5 * d * d / var)).sum(axis=1)
+        with np.errstate(over="ignore"):  # a far point's d or d * d overflows to inf; exp makes it 0
+            d = x[:, None] - mu[None, :]
+            z = -0.5 * d * d / var
+        return (w / np.sqrt(2.0 * np.pi * var) * np.exp(z)).sum(axis=1)
 
     # -- sampling ----------------------------------------------------------
 
@@ -911,7 +915,8 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
     A candidate size's AIC is read from its best run's log-likelihood; only
     the sizes that could win are built into a model, in AIC order, and a
     size whose model ``_gmm_result`` rejects is passed over. A sample that
-    cannot be fitted gets its ``ValueError`` in its place.
+    cannot be fitted gets a ``ValueError`` in its place, with the error of its
+    smallest failing size: k = 1 fails whenever every size does, for the most basic cause.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -938,8 +943,8 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
         best_k = next(valid, None)
         if best_k is None:
             errors = [_result_or_error(k, fit) for k, fit in fits.items()]
-            last_error = next((e for e in reversed(errors) if isinstance(e, ValueError)), None)
-            results[i] = ValueError(f"no GMM size in 1..{k_max} could be fitted: {last_error}")
+            first_error = next((e for e in errors if isinstance(e, ValueError)), None)
+            results[i] = ValueError(f"no GMM size in 1..{k_max} could be fitted: {first_error}")
             continue
         winners.append((i, best_k, fits[best_k]))
     continued = _em([(_gmm_sample(samples[i], k), fit[:3]) for i, k, fit in winners],

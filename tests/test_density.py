@@ -264,9 +264,21 @@ class TestSelectGmm:
             hits += report.component_count == 2
         assert hits >= 18
 
-    def test_error_when_every_k_fails(self):
-        with pytest.raises(ValueError, match="no GMM size"):
-            select_gmm([1.0, 2.0], 2, seed=0)
+    @pytest.mark.parametrize(
+        "x, k_max, cause",
+        [
+            ([1.0, 2.0], 2, "need at least 3 samples"),
+            ([3.0] * 10, 5, "zero sample variance"),
+            ([1e200] + list(range(9)), 5, "sample variance overflows"),
+            ([1.0, 2.0], 5, "need at least 3 samples"),
+        ],
+        ids=["two-k2", "constant", "overflowing", "two-k5"],
+    )
+    def test_error_when_every_k_fails(self, x, k_max, cause):
+        # The error is the smallest size's: every sample of fewer than 15
+        # values used to read "need at least 15 samples to fit k=5 components".
+        with pytest.raises(ValueError, match=f"no GMM size in 1..{k_max} could be fitted: {cause}"):
+            select_gmm(x, k_max, seed=0)
 
     @pytest.mark.parametrize(
         "x, what",
@@ -348,6 +360,17 @@ class TestEvalAndSample:
         ]
         for model in models:
             assert 0.99 <= numeric_integral(model) <= 1.001
+
+    def test_gaussian_kde_far_from_its_centers_without_warning(self):
+        # (x - c) / h and its square overflowed to inf, with a warning, before exp made them 0.
+        assert 0.0 < fit_kde(OVERFLOWING[0], "GAUSSIAN").pdf([1e200])[0] < np.inf
+        model = fit_kde([0.0, 1.0, 2.0], "GAUSSIAN", bandwidth=1e-200)
+        assert np.array_equal(model.pdf([0.0, 1.0]), [1.0 / (3e-200 * math.sqrt(2.0 * math.pi))] * 2)
+        assert np.array_equal(model.pdf([1e150]), [0.0])
+
+    def test_gmm_far_from_its_components_without_warning(self):
+        model, _ = select_gmm(np.random.default_rng(62).standard_normal(50), 3, seed=0)
+        assert np.array_equal(model.pdf([1e200, -1e300]), [0.0, 0.0])
 
     def test_sampler_determinism(self):
         model = fit_kde(np.arange(10.0), "EPANECHNIKOV")
