@@ -268,18 +268,26 @@ def _epan_tables(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return table
 
 
-def _epan_bandwidths(x: np.ndarray, hs: list) -> list:
+def _kde_bandwidths(kind: str, x: np.ndarray, hs: list) -> list:
     """``hs``, bandwidths or ``ValueError``s, one per row of the (rows, n)
-    centers ``x``, with each finite bandwidth that its row's Epanechnikov
-    table cannot hold replaced by its ``ValueError``: one whose 0.75 / (n h^3)
-    is not a finite normal float, or one that leaves some center c equal to
-    c - h or c + h, whose piece would then be empty and its mass lost."""
+    centers ``x``, with each finite bandwidth that a KDE of ``kind`` cannot
+    hold replaced by its ``ValueError``. A Gaussian KDE's largest value,
+    1 / (h sqrt(2 pi)) with every center at one point, must be finite, and
+    a center's share of it over n a normal float. An Epanechnikov table's
+    0.75 / (n h^3) must be a finite normal float, and no center c may equal
+    c - h or c + h (its piece would be empty and its mass lost)."""
     n = x.shape[1]
+    kept = [isinstance(h, ValueError) or h == math.inf for h in hs]  # left to the support check
+    if kind == KDE_GAUSSIAN:
+        out = f"is out of range for a Gaussian KDE of {n} centers: 1 / (h sqrt(2 pi)) must be finite"
+        return [h if keep or (1.0 / (h * _SQRT_2PI) < math.inf
+                              and 1.0 / (n * h * _SQRT_2PI) >= sys.float_info.min)
+                else ValueError(f"bandwidth {h!r} {out} and 1 / (n h sqrt(2 pi)) a normal float")
+                for h, keep in zip(hs, kept)]
     out = f"is out of range for an Epanechnikov KDE of {n} centers"
-    hs = [h if isinstance(h, ValueError) or h == math.inf  # left to the support check
-          or sys.float_info.min <= 0.75 / (n * h) / h / h < math.inf
+    hs = [h if keep or sys.float_info.min <= 0.75 / (n * h) / h / h < math.inf
           else ValueError(f"bandwidth {h!r} {out}: 0.75 / (n h^3) must be a finite normal float")
-          for h in hs]
+          for h, keep in zip(hs, kept)]
     bw = np.array([math.nan if isinstance(h, ValueError) else h for h in hs])[:, None]
     lost = ((x - bw == x) | (x + bw == x)).any(axis=1).tolist()
     return [ValueError(f"bandwidth {h!r} {out}: c - h and c + h must differ from each center c")
@@ -315,14 +323,9 @@ class DensityModel:
             centers = np.asarray(self.centers, dtype=float).ravel()
             if centers.size < 1 or not np.isfinite(centers).all():
                 raise ValueError("KDE centers must be a non-empty finite array")
-            centers = centers.copy()
-            centers.setflags(write=False)
-            object.__setattr__(self, "centers", centers)
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
-            if self.kind == KDE_EPANECHNIKOV:
-                _unwrap(_epan_bandwidths(centers[None, :], [self.bandwidth])[0])
-                table = _epan_tables(centers[None, :], np.array([self.bandwidth]))[0]
-                object.__setattr__(self, "_table", table)
+            fit = _unwrap(_fit_kdes([centers], self.kind.removeprefix("KDE_"), self.bandwidth, True)[0])
+            for name in ("centers", "bandwidth", "_table"):
+                object.__setattr__(self, name, getattr(fit, name))
         elif self.kind == GMM:
             comp = np.atleast_2d(np.asarray(self.components, dtype=float))
             if comp.shape[1] != 3:
@@ -547,8 +550,7 @@ def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool)
         else:
             h = float(bandwidth)
             hs = [h if h > 0 else ValueError("bandwidth must be positive") for _ in members]
-        if kind == KDE_EPANECHNIKOV:
-            hs = _epan_bandwidths(x, hs)
+        hs = _kde_bandwidths(kind, x, hs)
         h = np.array([np.nan if isinstance(h, ValueError) else h for h in hs])
         pad = _SUPPORT_PAD[kind] * h
         support = np.column_stack([x.min(axis=1) - pad, x.max(axis=1) + pad])

@@ -42,7 +42,6 @@ from .density import GMM, DensityModel, _pdf_rows
 __all__ = [
     "DivergenceSpec",
     "DivergenceScore",
-    "RowScores",
     "kl",
     "bhattacharyya",
     "ckl",
@@ -138,21 +137,6 @@ def _named(spec: DivergenceSpec, integrator: str) -> DivergenceSpec:
     return replace(spec, integrator=integrator)
 
 
-@dataclass(frozen=True)
-class DivergenceScore:
-    """One bag-vs-reference divergence value with estimator diagnostics."""
-
-    value: float
-    clipped_fraction: float
-    ess: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.clipped_fraction <= 1.0:
-            raise ValueError("clipped_fraction must lie in [0, 1]")
-        if self.ess is not None and not self.ess > 0.0:
-            raise ValueError("ess must be positive")
-
-
 # --------------------------------------------------------------------------
 # the estimator core
 #
@@ -175,17 +159,24 @@ class DivergenceScore:
 # bits.
 
 
-class RowScores(NamedTuple):
-    """Divergence values and their diagnostics, one per row of points (``ess``
-    is None on a Riemann grid)."""
+class DivergenceScore(NamedTuple):
+    """Divergence values and their estimator diagnostics: one entry per row
+    of points from the ``reduce_*`` functions (``ess`` None on a Riemann
+    grid), and floats from ``kl``, ``bhattacharyya`` and ``ckl`` (``row``)."""
 
-    value: np.ndarray
-    clipped_fraction: np.ndarray
-    ess: np.ndarray | None
+    value: np.ndarray | float
+    clipped_fraction: np.ndarray | float
+    ess: np.ndarray | float | None = None
 
     def row(self, r: int) -> DivergenceScore:
+        """Row ``r`` as floats, its clipped fraction in [0, 1] and its ESS None or positive."""
+        fraction = float(self.clipped_fraction[r])
         ess = None if self.ess is None else float(self.ess[r])
-        return DivergenceScore(float(self.value[r]), float(self.clipped_fraction[r]), ess)
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("clipped_fraction must lie in [0, 1]")
+        if ess is not None and not ess > 0.0:
+            raise ValueError("ess must be positive")
+        return DivergenceScore(float(self.value[r]), fraction, ess)
 
 
 def evaluation_rows(f_bags, spec: DivergenceSpec, seeds=None):
@@ -233,7 +224,7 @@ def _bag_support(fb, dx):
     return active, count
 
 
-def _on_bag_support(fb, terms, clipped, weights, dx) -> RowScores:
+def _on_bag_support(fb, terms, clipped, weights, dx) -> DivergenceScore:
     """Per row: the integral of ``terms``, the fraction of ``clipped`` points
     and the ESS of the importance ``weights`` (None: unit weights), over the
     points where the bag density is positive.
@@ -257,7 +248,7 @@ def _on_bag_support(fb, terms, clipped, weights, dx) -> RowScores:
         else:
             np.copyto(weights, 0.0, where=off)
             ess = _ess(weights, count)
-    return RowScores(value, fraction, ess)
+    return DivergenceScore(value, fraction, ess)
 
 
 def _kl_pointwise(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec):
@@ -271,7 +262,7 @@ def _kl_pointwise(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec):
     return np.minimum(logratio, cap, out=logratio), clipped
 
 
-def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowScores:
+def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> DivergenceScore:
     """KL information per row, from the bag and reference densities at its
     points: (rows, points) arrays, with ``dx`` None or one width per row.
 
@@ -286,7 +277,7 @@ def reduce_kl(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowSc
     return scores._replace(value=np.maximum(scores.value, 0.0))
 
 
-def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowScores:
+def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> DivergenceScore:
     """Bhattacharyya distance per row; the overlap integral is clamped into (0, 1].
 
     A row with no point where the bag density is positive raises
@@ -303,21 +294,22 @@ def reduce_bh(fb: np.ndarray, fr: np.ndarray, spec: DivergenceSpec, dx) -> RowSc
         overlap = np.sqrt(fb * fr).sum(axis=-1) * dx
     clipped = ((overlap > 1.0) | (overlap < _TINY)).astype(float)
     overlap = np.minimum(np.maximum(overlap, _TINY), 1.0)
-    return RowScores(-np.log(overlap), clipped, ess)
+    return DivergenceScore(-np.log(overlap), clipped, ess)
 
 
 def _ckl_weight(fr: np.ndarray, fw: np.ndarray, spec: DivergenceSpec, clipped: np.ndarray):
     """The cKL weight ``fw/fr``, ``fr`` floored and the ratio clipped at
     ``spec.ratio_clip``; clipped points are marked in ``clipped`` in place."""
     w = np.maximum(fr, _DENSITY_FLOOR)
-    np.divide(fw, w, out=w)
+    with np.errstate(over="ignore"):  # an overflowed ratio is clipped below
+        np.divide(fw, w, out=w)
     clipped |= w > spec.ratio_clip
     return np.minimum(w, spec.ratio_clip, out=w)
 
 
 def reduce_ckl(
     fb: np.ndarray, fr: np.ndarray, fw: np.ndarray, spec: DivergenceSpec, dx
-) -> RowScores:
+) -> DivergenceScore:
     """Class-conditional KL per row against the reference ``fr``, weighted by ``fw/fr``.
 
     The weight is clipped at ``spec.ratio_clip``. Unlike KL the value may be

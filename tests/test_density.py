@@ -140,22 +140,34 @@ class TestBandwidthRule:
                     fit_kde(x, kernel)
 
 
-    @pytest.mark.parametrize("h", [1e-120, 1e200])
-    def test_bandwidth_outside_the_table_range_is_rejected(self, h):
-        # 1e-120 gave NaN at every point, after three RuntimeWarnings, and
-        # 1e200 gave 0 at every point
+    @pytest.mark.parametrize("kernel, h", [("EPANECHNIKOV", 1e-120), ("EPANECHNIKOV", 1e200),
+                                           ("GAUSSIAN", 1e-310), ("GAUSSIAN", 1e308)])
+    def test_bandwidth_outside_the_table_range_is_rejected(self, kernel, h):
+        # Epanechnikov: 1e-120 gave NaN at every point, after three
+        # RuntimeWarnings, and 1e200 gave 0 at every point. Gaussian: 1e-310
+        # gave [inf, 0] at [0, 0.5] after an overflow, and 1e308 overflowed
+        # its support pad.
         x = [0.0, 1.0, 2.0]
+        name = "a Gaussian" if kernel == "GAUSSIAN" else "an Epanechnikov"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="out of range for an Epanechnikov KDE of 3"):
-                fit_kde(x, bandwidth=h)
-            with pytest.raises(ValueError, match="out of range for an Epanechnikov KDE of 3"):
-                DensityModel(KDE_EPANECHNIKOV, (-1.0, 3.0), bandwidth=h, centers=x)
-            # a row of a block fails alone; the rule's bandwidth scales with the data
-            got = density._fit_kdes([x, np.multiply(x, h)], "EPANECHNIKOV", None, True)
-            assert fit_kde(np.multiply(x, h), "GAUSSIAN").bandwidth > 0
-        assert got[0].bandwidth == fit_kde(x).bandwidth
-        assert "out of range for an Epanechnikov KDE" in str(got[1])
+            with pytest.raises(ValueError, match=f"out of range for {name} KDE of 3"):
+                fit_kde(x, kernel, bandwidth=h)
+            with pytest.raises(ValueError, match=f"out of range for {name} KDE of 3"):
+                DensityModel(f"KDE_{kernel}", (-1.0, 3.0), bandwidth=h, centers=x)
+            # more centers do not bring it into range: at 1e-310 the Gaussian
+            # peak 1 / (h sqrt(2 pi)) overflows however many centers share it
+            with pytest.raises(ValueError, match=f"out of range for {name} KDE of 100"):
+                fit_kde(np.arange(100.0), kernel, bandwidth=h)
+            # A row of a block fails alone; the rule's bandwidth scales with the
+            # data. A Gaussian one that fails comes from the IQR of a sample whose
+            # variance overflows: below about 1e-154 the variance underflows to 0.
+            scaled = np.multiply(x, h if kernel == "EPANECHNIKOV" else 5e307)
+            got = density._fit_kdes([x, scaled], kernel, None, True)
+            if kernel == "EPANECHNIKOV":
+                assert fit_kde(scaled, "GAUSSIAN").bandwidth > 0
+        assert got[0].bandwidth == fit_kde(x, kernel).bandwidth
+        assert f"out of range for {name} KDE" in str(got[1])
 
     @pytest.mark.parametrize("x, h", [([0.0, 1.0, 2.0], 1e-100), ([1e10, 1e10 + 1, 1e10 + 2], 1e-7)])
     def test_bandwidth_below_the_float_spacing_at_a_center_is_rejected(self, x, h):

@@ -169,6 +169,7 @@ class TestKl:
         # the proposal equals the bag density, so the weights are all one
         spec = DivergenceSpec(integrator="IMPORTANCE")
         score = kl(gaussian(0, 1), gaussian(1, 1), spec, seed=1)
+        assert isinstance(score, dv.DivergenceScore) and type(score.value) is float
         assert score.ess == spec.n_imp
 
     def test_value_non_negative(self):
@@ -293,6 +294,27 @@ class TestCkl:
         assert score.clipped_fraction > 0.9
         assert np.isfinite(score.value)
 
+    def test_overflowing_weight_is_clipped_without_warning(self):
+        # A Gaussian class KDE at bandwidth 1e-300 reaches about 1e299 at its
+        # centers, and its ratio to the floored reference overflowed with a
+        # RuntimeWarning before the clip.
+        spec = DivergenceSpec()
+        fb, fr, fw = (np.array([v]) for v in ([0.5, 0.5], [0.0, 0.5], [1e299, 0.5]))
+        clipped = np.zeros(fb.shape, dtype=bool)
+        assert dv._ckl_weight(fr, fw, spec, clipped).tolist() == [[spec.ratio_clip, 1.0]]
+        assert clipped.tolist() == [[True, False]]
+        score = dv.reduce_ckl(fb, fr, fw, spec, None).row(0)
+        cap = spec.ratio_clip
+        assert score.value == pytest.approx(cap * math.log(cap) / 2, rel=1e-12)
+        assert score.clipped_fraction == 0.5
+
+    @pytest.mark.parametrize("fraction, ess, message", [
+        (0.5, math.nan, "ess must be positive"), (1.5, 3.0, r"clipped_fraction must lie in \[0, 1\]")])
+    def test_row_rejects_diagnostics_out_of_range(self, fraction, ess, message):
+        scores = dv.DivergenceScore(np.array([0.1]), np.array([fraction]), np.array([ess]))
+        with pytest.raises(ValueError, match=message):
+            scores.row(0)
+
     def test_low_ess_warning_when_weights_concentrate(self):
         # f_neg has compact support covering ~1% of the bag's mass, so only
         # a handful of importance weights are nonzero
@@ -385,6 +407,7 @@ class TestMaskedReductionMatchesCompactedFormula:
         assert (fb == 0).any(axis=-1).all()
         got_kl, want_kl = dv.reduce_kl(fb, fp, spec, dx), compacted_kl(fb, fp, spec, dx)
         got_ckl, want_ckl = dv.reduce_ckl(fb, fp, fn, spec, dx), compacted_ckl(fb, fp, fn, spec, dx)
+        assert isinstance(got_kl, dv.DivergenceScore) and isinstance(got_ckl, dv.DivergenceScore)
         for got, want in ((got_kl, want_kl), (got_ckl, want_ckl)):
             np.testing.assert_allclose(got.value, want[0], rtol=1e-12, atol=0)
             assert np.array_equal(got.clipped_fraction, want[1])
