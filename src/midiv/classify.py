@@ -168,22 +168,19 @@ def _threshold_policy(policy) -> str | float:
 
 
 def _fit_columns(
-    arrays, estimator: EstimatorConfig, seeds, labels: tuple, names, pooled: bool = False
+    arrays, estimator: EstimatorConfig, names, pooled: bool = False
 ) -> list[tuple[DensityModel, ...]]:
     """One density per column of each 2-D array, for a whole fit phase of
-    class or bag densities: a GMM chosen by AIC, column d of ``arrays[i]``
-    from ``derive_seed(seeds[i], *labels, d)``, every EM in a few stacked
+    class or bag densities: a GMM chosen by AIC, every EM in a few stacked
     loops (see ``density._em``); or a KDE, fitted by blocks of one length
     (``density._fit_kdes``), whose rule-of-thumb bandwidth uses the robust
-    spread for a bag and the plain sd for a ``pooled`` class sample. The
-    first array, in order, with a column that cannot be fitted raises that
-    error, prefixed with its entry of ``names``."""
-    columns = [(x, seed, d) for x, seed in zip(arrays, seeds, strict=True) for d in range(x.shape[1])]
-    samples = [x[:, d] for x, _, d in columns]
+    spread for a bag and the plain sd for a ``pooled`` class sample. No fit
+    reads a seed. The first array, in order, with a column that cannot be
+    fitted raises that error, prefixed with its entry of ``names``."""
+    samples = [x[:, d] for x in arrays for d in range(x.shape[1])]
     if estimator.kind == "gmm-aic":
-        column_seeds = [derive_seed(seed, *labels, d) for _, seed, d in columns]
         fits = (fit if isinstance(fit, ValueError) else fit[0]
-                for fit in _select_gmms(samples, estimator.k_max, column_seeds))
+                for fit in _select_gmms(samples, estimator.k_max))
     else:
         kernel = "EPANECHNIKOV" if estimator.kind == "kde-epan" else "GAUSSIAN"
         fits = iter(_fit_kdes(samples, kernel, estimator.bandwidth, robust_sigma=not pooled))
@@ -198,7 +195,7 @@ def _fit_columns(
 
 
 def fit_class_densities(
-    train: Dataset, estimator: EstimatorConfig, seed
+    train: Dataset, estimator: EstimatorConfig
 ) -> tuple[tuple[DensityModel, ...], tuple[DensityModel, ...]]:
     """One density per dimension per class, fitted to pooled class instances."""
     out = []
@@ -206,20 +203,19 @@ def fit_class_densities(
         pooled = train.pooled_instances(label)
         if pooled.shape[0] == 0:
             raise ValueError(f"training set has no {label.name} bags")
-        labels = ("class", label.name)
-        out += _fit_columns([pooled], estimator, [seed], labels, [f"class {label.name}"], True)
+        out += _fit_columns([pooled], estimator, [f"class {label.name}"], True)
     return out[0], out[1]
 
 
-def _fit_bags(bags, estimator: EstimatorConfig, seeds) -> list[tuple[DensityModel, ...]]:
-    """The fit phase: every bag's per-dimension densities, one seed per bag.
+def _fit_bags(bags, estimator: EstimatorConfig) -> list[tuple[DensityModel, ...]]:
+    """The fit phase: every bag's per-dimension densities.
 
     Scored bags, the training bags behind a LOOCV threshold or the svm-divs
     features, and the b2b reference bags are all fitted here.
     """
     arrays = [bag.instances for bag in bags]
     names = [f"bag {bag.id!r}" for bag in bags]
-    return _fit_columns(arrays, estimator, seeds, ("bagfit",), names)
+    return _fit_columns(arrays, estimator, names)
 
 
 @dataclass(frozen=True)
@@ -262,7 +258,7 @@ class ClassModel:
         svm = p.method == "svm_divs"
         method = p.svm_measure if svm else p.method
         refs = (self.f_pos, self.f_neg, self.train_bags)
-        fits = _fit_bags(bags, p.estimator, seeds)
+        fits = _fit_bags(bags, p.estimator)
         values = _score_bags(fits, seeds, p.spec, refs, (method,), svm)[method]
         if not svm:
             return values
@@ -425,7 +421,7 @@ def train_linear_svm(
     return np.array(w), b
 
 
-def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool):
+def _fit_references(train: Dataset, estimator: EstimatorConfig, b2b: bool):
     """Class densities and, for the b2b methods, every training bag's densities.
 
     Every training bag must be labelled: the class fits skip an unlabelled
@@ -434,9 +430,9 @@ def _fit_references(train: Dataset, estimator: EstimatorConfig, seed, b2b: bool)
     for bag in train.bags:
         if bag.label is None:
             raise ValueError(f"training bag {bag.id!r} is unlabelled")
-    f_pos, f_neg = fit_class_densities(train, estimator, derive_seed(seed, "class-fit"))
+    f_pos, f_neg = fit_class_densities(train, estimator)
     ref_bags = train.bags if b2b else ()
-    fits = _fit_bags(ref_bags, estimator, [derive_label(seed, "b2b", bag.id) for bag in ref_bags])
+    fits = _fit_bags(ref_bags, estimator)
     return f_pos, f_neg, tuple((bag.label, models) for bag, models in zip(ref_bags, fits))
 
 
@@ -457,7 +453,7 @@ def fit_classifier(train: Dataset, pipeline: PipelineConfig, seed) -> ClassModel
         pca = fit_pca(train, pipeline.pca_components)
         train = apply_pca(pca, train)
     method = pipeline.method
-    refs = _fit_references(train, pipeline.estimator, seed, method.startswith("b2b"))
+    refs = _fit_references(train, pipeline.estimator, method.startswith("b2b"))
     f_pos, f_neg, train_bags = refs
     model = ClassModel(pipeline, pca, f_pos, f_neg, train_bags=train_bags)
     svm = method == "svm_divs"
@@ -466,11 +462,8 @@ def fit_classifier(train: Dataset, pipeline: PipelineConfig, seed) -> ClassModel
     measure = pipeline.svm_measure if svm else method
     stream = "train-bag" if svm else "train-score"
     seeds = [derive_label(seed, stream, bag.id) for bag in train.bags]
-    if train_bags and pipeline.estimator.kind != "gmm-aic":
-        # A KDE fit does not read its seed: the b2b references are these fits.
-        fits = [models for _, models in train_bags]
-    else:
-        fits = _fit_bags(train.bags, pipeline.estimator, seeds)
+    # No fit reads a seed: the b2b references are these fits.
+    fits = [models for _, models in train_bags] or _fit_bags(train.bags, pipeline.estimator)
     scores = _score_bags(fits, seeds, pipeline.spec, refs, (measure,), per_dim=svm)[measure]
     if not svm:
         return replace(model, threshold=choose_threshold(scores, [b.label for b in train.bags]))
@@ -755,9 +748,9 @@ def _run_study_cell(
     for rep in range(repetitions):
         cell_seed = derive_seed(seed, config.scenario, pos, neg, rep)
         train, test = sample_experiment(config, pos, neg, n_test, cell_seed)
-        refs = _fit_references(train, estimator, cell_seed, need_b2b)
+        refs = _fit_references(train, estimator, need_b2b)
         seeds = [derive_label(cell_seed, "bag", bag.id) for bag in test.bags]
-        scores = _score_bags(_fit_bags(test.bags, estimator, seeds), seeds, spec, refs, methods)
+        scores = _score_bags(_fit_bags(test.bags, estimator), seeds, spec, refs, methods)
         labels = [bag.label for bag in test.bags]
         for m in methods:
             rep_aucs[m].append(auc(scores[m], labels))

@@ -29,10 +29,9 @@ stacked loops, one per block of a sample length and size, so the Python
 overhead of a fit phase does not grow with its number of runs. A row's sums
 over samples are numpy's pairwise sums of that row alone, so a run's result
 is the same bits whatever is fitted with it; ``fit_gmm`` and ``select_gmm``
-fit one sample through the same path. The restarts of a fit start from
-k-means++ means that one generator on the fit's seed draws one after
-another; the fits of a block of one sample length and size, degenerate
-ones too, draw theirs together (``_kmeanspp_starts``). A fit to
+fit one sample through the same path. A fit reads no seed: it sorts its
+sample, and its restarts start from functions of the sorted values alone
+(``_gmm_starts``), so it depends only on the sample's multiset. A fit to
 convergence (``fit_gmm``, and the continuation of ``select_gmm``'s winning
 run) is accelerated by SQUAREM extrapolation with a monotone safeguard
 (``_Squarem``); the early-stopped fits that compare sizes are plain EM,
@@ -48,8 +47,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .seeds import as_seed_sequence
 
 __all__ = [
     "KDE_EPANECHNIKOV",
@@ -71,14 +68,15 @@ GMM = "GMM"
 # beyond one bandwidth; the Gaussian kernel is negligible beyond five.
 _SUPPORT_PAD = {KDE_EPANECHNIKOV: 1.0, KDE_GAUSSIAN: 5.0}
 _GMM_SUPPORT_SIGMAS = 5.0
-# EM: k-means++ restarts per fit, the iteration cap, and the stopping
-# tolerances per sample (a run stops once one EM step changes its
-# log-likelihood by at most tol * n): the early one at which select_gmm
-# compares candidate sizes and the strict one of every fit to convergence.
+# EM: restarts per fit (one per ``_gmm_starts`` rule), the iteration cap,
+# and the stopping tolerances per sample (a run stops once one EM step
+# changes its log-likelihood by at most tol * n): the early one at which
+# select_gmm compares candidate sizes and the strict one of every fit.
 _EM_RESTARTS = 3
 _EM_MAX_ITER = 500
 _SELECTION_TOL = 7e-4
 _STRICT_TOL = 1e-8
+_LLOYD_MAX_ITER = 100  # Lloyd steps of a fit's third start, short of a fixed point
 # Elements per (rows, k, n) array of the stacked EM: it bounds the memory a
 # fit phase of many samples takes at once.
 _EM_BLOCK = 1 << 16
@@ -152,6 +150,10 @@ def _bandwidths(x: np.ndarray, kind: str, robust: bool) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         sd = np.std(x, ddof=1, axis=1)
         sigma = sd = np.where(np.isnan(sd), np.inf, sd)
+        # An sd of 0 with max > min is an underflow: take it on the row over its range.
+        spread = x.max(axis=1) - x.min(axis=1)
+        tiny = (sd == 0) & (spread > 0)
+        sd[tiny] = np.std(x[tiny] / spread[tiny, None], ddof=1, axis=1) * spread[tiny]
         if robust:
             q75, q25 = np.percentile(x, [75, 25], axis=1)
             iqr = q75 - q25
@@ -553,7 +555,8 @@ def _fit_kdes(samples, kernel: str, bandwidth: float | None, robust_sigma: bool)
         hs = _kde_bandwidths(kind, x, hs)
         h = np.array([np.nan if isinstance(h, ValueError) else h for h in hs])
         pad = _SUPPORT_PAD[kind] * h
-        support = np.column_stack([x.min(axis=1) - pad, x.max(axis=1) + pad])
+        with np.errstate(over="ignore"):  # a support past the float range is rejected below
+            support = np.column_stack([x.min(axis=1) - pad, x.max(axis=1) + pad])
         ok = np.isfinite(support).all(axis=1)  # a NaN bandwidth is a failed rule
         for r in np.flatnonzero(~ok):
             out[members[r]] = hs[r] if np.isnan(h[r]) else ValueError(
@@ -577,40 +580,44 @@ def _fitted_kde(kind: str, support_hint, bandwidth: float, centers, table) -> De
     return model
 
 
-def _kmeanspp_starts(x: np.ndarray, k: int, seeds) -> np.ndarray:
+def _gmm_starts(x: np.ndarray, k: int) -> np.ndarray:
     """The (jobs, ``_EM_RESTARTS``, 3, k) starts (w, mu, var) of the fits of
-    the rows of the (jobs, n) array ``x``: equal weights, the row's variance,
-    and k-means++ means that the job's restarts draw one after another from
-    one generator on its seed, ``seeds[j]``.
-
-    Every restart takes each step together. It draws its first index, then
-    the k - 1 uniforms that ``Generator.choice`` would draw one at a time,
-    and an index is read as ``choice`` reads it from the squared distances
-    d2 to the nearest means: ``cdf = cumsum(d2 / total)``,
-    ``cdf /= cdf[-1]``, the count of ``cdf <= u``. A total of 0 (every
-    sample on a drawn mean) reads the index floor(u n).
+    the sorted rows of the (jobs, n) array ``x``: equal weights, the row's
+    variance, and the means of k equal-count groups, the centers of k
+    equal-width bins, or 1-D Lloyd (k-means) from the first, run to a fixed
+    point or for ``_LLOYD_MAX_ITER`` steps. A cell's mean comes from the
+    row's prefix sums about its midrange. A Lloyd step cuts the row halfway
+    between consecutive means (a value on a cut goes right, the cells'
+    edges kept non-decreasing) and keeps the old mean of an empty cell.
+    Every step is elementwise per row: a row's starts are its own bits.
     """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = [(rng.integers(x.shape[1]), rng.random(k - 1)) for rng in rngs for _ in range(_EM_RESTARTS)]
-    starts = np.empty((len(x), _EM_RESTARTS, 3, k))
+    jobs, n = x.shape
+    lo, hi = x[:, :1], x[:, -1:]
+    anchor = lo + 0.5 * (hi - lo)
+    sums = np.zeros((jobs, n + 1))
+    np.cumsum(x - anchor, axis=1, out=sums[:, 1:])
+
+    def means(edges, old):  # each cell's mean, or ``old`` where the cell is empty
+        count = np.diff(edges, axis=1)
+        total = np.diff(np.take_along_axis(sums, edges, axis=1), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(count > 0, total / count + anchor, old)
+
+    starts = np.empty((jobs, _EM_RESTARTS, 3, k))
     starts[:, :, 0] = 1.0 / k
     starts[:, :, 2] = np.var(x, axis=1)[:, None, None]  # each row's, as np.var of the row alone
-    x = np.repeat(x, _EM_RESTARTS, axis=0)
-    rows = np.arange(len(x))
-    means = np.empty((len(x), k))
-    means[:, 0] = x[rows, [first for first, _ in draws]]
-    u = np.array([uniforms for _, uniforms in draws])
-    d2 = np.full(x.shape, np.inf)  # each sample's squared distance to its nearest mean
-    for j in range(1, k):
-        np.minimum(d2, (x - means[:, j - 1 : j]) ** 2, out=d2)
-        total = d2.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a total of 0, read below
-            cdf = np.cumsum(d2 / total[:, None], axis=1)
-            cdf /= cdf[:, -1:]
-        index = np.count_nonzero(cdf <= u[:, j - 1 : j], axis=1)
-        index[total <= 0] = u[total <= 0, j - 1] * x.shape[1]
-        means[:, j] = x[rows, index]
-    starts[:, :, 1] = means.reshape(len(rngs), _EM_RESTARTS, k)
+    edges = np.tile(np.arange(k + 1) * n // k, (jobs, 1))  # equal counts; Lloyd moves the inner edges
+    mu = starts[:, 0, 1] = means(edges, 0.0)
+    starts[:, 1, 1] = lo + (np.arange(k) + 0.5) * ((hi - lo) / k)
+    for _ in range(_LLOYD_MAX_ITER):
+        cuts = mu[:, :-1] + 0.5 * (mu[:, 1:] - mu[:, :-1])
+        edges[:, 1:-1] = np.count_nonzero(x[:, None, :] < cuts[:, :, None], axis=2)
+        np.maximum.accumulate(edges, axis=1, out=edges)
+        moved = means(edges, mu)
+        if np.array_equal(moved, mu):
+            break
+        mu = moved
+    starts[:, 2, 1] = mu
     return starts
 
 
@@ -823,7 +830,7 @@ class _Squarem:
 
 
 def _gmm_sample(samples, k: int) -> np.ndarray:
-    """``samples`` as a flat float array, checked for a k-component fit."""
+    """``samples`` as a sorted flat float array, checked for a k-component fit."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(samples, dtype=float).ravel()
@@ -831,9 +838,10 @@ def _gmm_sample(samples, k: int) -> np.ndarray:
         raise ValueError(f"need at least {3 * k} samples to fit k={k} components, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
+    x = np.sort(x)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         var = np.var(x)
-        spread = x.size * (x.max() - x.min()) ** 2  # a bound on the k-means++ distance totals
+        spread = x.size * (x[-1] - x[0]) ** 2  # a bound on EM's sums of squared distances
     if not var < np.inf:
         raise ValueError("sample variance overflows; GMM fit is degenerate")
     if not spread < np.inf:
@@ -872,26 +880,26 @@ def _gmm_result(k: int, fit) -> tuple[DensityModel, EmFitReport]:
     return model, report
 
 
-def _best_runs(samples, ks, seeds, tol: float, accelerate: bool) -> list:
-    """The best of the ``_EM_RESTARTS`` runs of every (sample, k, seed) job by
+def _best_runs(samples, ks, tol: float, accelerate: bool) -> list:
+    """The best of the ``_EM_RESTARTS`` runs of every (sample, k) job by
     final log-likelihood, every run in one ``_em`` call. The jobs' starts
-    are drawn by ``_kmeanspp_starts``, in the blocks of one sample length and
+    are built by ``_gmm_starts``, in the blocks of one sample length and
     size that ``_em`` stacks. A job whose sample cannot be fitted gets its
     ``ValueError`` in its place."""
     results: list = [None] * len(samples)
     jobs, owners = [], []
-    for i, (sample, k, seed) in enumerate(zip(samples, ks, seeds, strict=True)):
+    for i, (sample, k) in enumerate(zip(samples, ks, strict=True)):
         try:
             x = _gmm_sample(sample, k)
         except ValueError as exc:
             results[i] = exc
             continue
-        jobs.append((x, k, seed))
+        jobs.append((x, k))
         owners.append(i)
     runs: list = [None] * len(jobs)
-    keys = [(x.size, k) for x, k, _ in jobs]
+    keys = [(x.size, k) for x, k in jobs]
     for (_, k), block in _blocks(keys, _EM_BLOCK, lambda key: key[0] * key[1] * _EM_RESTARTS):
-        starts = _kmeanspp_starts(np.array([jobs[j][0] for j in block]), k, [jobs[j][2] for j in block])
+        starts = _gmm_starts(np.array([jobs[j][0] for j in block]), k)
         for j, job_starts in zip(block, starts):
             runs[j] = [(jobs[j][0], start) for start in job_starts]
     fits = iter(_em([run for job in runs for run in job], tol, accelerate))
@@ -910,9 +918,9 @@ def _result_or_error(k: int, best):
         return exc
 
 
-def _select_gmms(samples, k_max: int, seeds) -> list:
-    """``select_gmm`` of every sample, one seed each: every selection fit in one
-    ``_em`` call, then the continuation of every winning run in another.
+def _select_gmms(samples, k_max: int) -> list:
+    """``select_gmm`` of every sample: every selection fit in one ``_em``
+    call, then the continuation of every winning run in another.
 
     A candidate size's AIC is read from its best run's log-likelihood; only
     the sizes that could win are built into a model, in AIC order, and a
@@ -922,15 +930,9 @@ def _select_gmms(samples, k_max: int, seeds) -> list:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    children = [as_seed_sequence(seed).spawn(k_max) for seed in seeds]
     sizes = range(1, k_max + 1)
-    selection = _best_runs(
-        [sample for sample in samples for _ in sizes],
-        [k for _ in samples for k in sizes],
-        [child for row in children for child in row],
-        _SELECTION_TOL,
-        accelerate=False,
-    )
+    selection = _best_runs([sample for sample in samples for _ in sizes],
+                           [k for _ in samples for k in sizes], _SELECTION_TOL, accelerate=False)
     results: list = [None] * len(samples)
     winners = []
     for i in range(len(samples)):
@@ -965,36 +967,39 @@ def _unwrap(result):
     return result
 
 
-def fit_gmm(samples: Sequence[float], k: int, seed) -> tuple[DensityModel, EmFitReport]:
-    """Fit a k-component univariate GMM by EM, deterministic given seed.
+def fit_gmm(samples: Sequence[float], k: int) -> tuple[DensityModel, EmFitReport]:
+    """Fit a k-component univariate GMM by EM; the fit reads no seed and
+    depends only on the multiset of ``samples``, not on their order.
 
-    Runs three SQUAREM-accelerated EM fits from k-means++ initializations,
-    all drawn from one generator on ``seed``, each until one EM step moves
-    the log-likelihood by at most 1e-8 per sample or for at most 500 EM-map
-    evaluations, and keeps the best final log-likelihood.
+    Runs three SQUAREM-accelerated EM fits on the sorted sample, from equal
+    weights, the sample variance and the means of k equal-count groups, the
+    centers of k equal-width bins, or 1-D Lloyd (k-means) from the first,
+    each until one EM step moves the log-likelihood by at most 1e-8 per
+    sample or for at most 500 EM-map evaluations, and keeps the best final
+    log-likelihood (the first of equal ones).
     A variance floor of 1e-6 times the sample variance is applied at every
     M-step. The report's ``iterations`` counts the evaluations, rejected
     extrapolations included; its trace holds the log-likelihood of every
     point the fit moved to, and never decreases beyond rounding.
     """
-    fit = _best_runs([samples], [k], [as_seed_sequence(seed)], _STRICT_TOL, accelerate=True)[0]
+    fit = _best_runs([samples], [k], _STRICT_TOL, accelerate=True)[0]
     return _unwrap(_result_or_error(k, fit))
 
 
-def select_gmm(samples: Sequence[float], k_max: int, seed) -> tuple[DensityModel, EmFitReport]:
-    """Fit k = 1..k_max and return the fit with minimum AIC (ties: smaller k).
+def select_gmm(samples: Sequence[float], k_max: int) -> tuple[DensityModel, EmFitReport]:
+    """Fit k = 1..k_max and return the fit with minimum AIC (ties: smaller k);
+    like ``fit_gmm``'s, the result depends only on the multiset of ``samples``.
 
     Candidate sizes are compared with early-stopped EM fits, which stop once
     one EM step moves the log-likelihood by at most 7e-4 per sample: running
     every candidate to full convergence lets spurious maximizers
     (single-point spikes, split components) squeeze out tiny likelihood
     gains that routinely beat the AIC penalty, which breaks the selection.
-    These fits are plain EM, three restarts of at most 500 iterations each,
-    as in ``fit_gmm``. The winning size's best run is then continued from
+    These fits are plain EM, from ``fit_gmm``'s three starts, of at most 500
+    iterations each. The winning size's best run is then continued from
     where it stopped to ``fit_gmm``'s strict tolerance (1e-8 per sample),
-    SQUAREM-accelerated, and that fit is returned. Its report
-    covers the whole run: ``iterations`` counts the selection run's
-    evaluations and the continuation's, and the trace is the selection
-    run's, continued.
+    SQUAREM-accelerated, and that fit is returned. Its report covers the
+    whole run: ``iterations`` counts the selection run's evaluations and the
+    continuation's, and the trace is the selection run's, continued.
     """
-    return _unwrap(_select_gmms([samples], k_max, [seed])[0])
+    return _unwrap(_select_gmms([samples], k_max)[0])

@@ -2,10 +2,10 @@
 
 All randomness in the experiment harness flows from one root seed; module
 and per-task seeds are derived by hashing stable labels, so adding a task
-(a method, a grid cell) never shifts the random streams of the others. A
-per-bag seed travels as a hash label (``derive_label``), hashed only once
-something reads it, so a bag whose scoring draws nothing and fits no
-mixture hashes nothing.
+(a method, a grid cell) never shifts the random streams of the others.
+Only draws read a seed (the simulator, the folds, the SVM and importance
+sampling), never a density fit. A per-bag seed travels as a hash label
+(``derive_label``), hashed only once an importance draw reads it.
 """
 
 from __future__ import annotations

@@ -178,7 +178,7 @@ class TestCriterion7EmAndAic:
             n = int(rng.integers(30, 300))
             x = rng.standard_normal(n) * rng.uniform(0.5, 3.0) + rng.uniform(-2, 2)
             k = int(rng.integers(1, 4))
-            _, rep = fit_gmm(x, k, seed=run)
+            _, rep = fit_gmm(x, k)
             trace = np.array(rep.log_likelihood_trace)
             assert np.all(np.diff(trace) >= -1e-9), f"run {run}: decreasing trace"
         report("7a (EM log-likelihood non-decreasing, 100 runs)", True)
@@ -187,13 +187,13 @@ class TestCriterion7EmAndAic:
         one = 0
         for seed in range(50):
             x = np.random.default_rng(seed).standard_normal(500)
-            _, rep = select_gmm(x, 3, seed=seed)
+            _, rep = select_gmm(x, 3)
             one += rep.component_count == 1
         two = 0
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
             x = np.concatenate([rng.standard_normal(250) - 5, rng.standard_normal(250) + 5])
-            _, rep = select_gmm(x, 4, seed=seed)
+            _, rep = select_gmm(x, 4)
             two += rep.component_count == 2
         ok = one >= 45 and two >= 45
         report("7b (AIC selects k=1 and k=2 in >=90% of runs)", ok, f"k=1: {one}/50, k=2: {two}/50")

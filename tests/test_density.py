@@ -1,3 +1,4 @@
+import bisect
 import math
 import tracemalloc
 import warnings
@@ -169,6 +170,27 @@ class TestBandwidthRule:
         assert got[0].bandwidth == fit_kde(x, kernel).bandwidth
         assert f"out of range for {name} KDE" in str(got[1])
 
+    def test_support_past_the_float_range_is_rejected_without_warning(self):
+        # max + 5 h overflowed to inf with "overflow encountered in add"
+        # before the model was rejected.
+        with pytest.raises(ValueError, match="invalid support_hint"):
+            fit_kde([1.7e308], "GAUSSIAN", bandwidth=1e307)
+        with pytest.raises(ValueError, match="invalid support_hint"):
+            DensityModel(KDE_GAUSSIAN, (0.0, 1.79e308), bandwidth=1e307, centers=[1.7e308])
+
+    @pytest.mark.parametrize("robust", [True, False])
+    def test_spread_whose_squares_underflow_has_a_bandwidth(self, robust):
+        # The squared deviations underflowed to an sd of 0, and the rule
+        # reported "zero sample variance".
+        x = np.array([0.0, 1e-200, 2e-200])
+        h = fit_kde(x, "GAUSSIAN", robust_sigma=robust).bandwidth
+        want = 1e-200 * fit_kde(x * 1e200, "GAUSSIAN", robust_sigma=robust).bandwidth
+        assert h == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert fit_kde(x, "GAUSSIAN", bandwidth=1e-200).pdf([1e-200])[0] > 0.0
+        # 0.75 / (n h^3) overflows
+        with pytest.raises(ValueError, match="out of range for an Epanechnikov KDE of 3"):
+            fit_kde(x, robust_sigma=robust)
+
     @pytest.mark.parametrize("x, h", [([0.0, 1.0, 2.0], 1e-100), ([1e10, 1e10 + 1, 1e10 + 2], 1e-7)])
     def test_bandwidth_below_the_float_spacing_at_a_center_is_rejected(self, x, h):
         # c + h == c left the center an empty piece and lost its mass: the
@@ -190,7 +212,7 @@ class TestFitGmm:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(100) * 2.0 + 3.0
-        model, report = fit_gmm(x, 1, seed=0)
+        model, report = fit_gmm(x, 1)
         w, mu, var = model.components[0]
         assert w == pytest.approx(1.0)
         assert mu == pytest.approx(x.mean(), abs=1e-9)
@@ -200,7 +222,7 @@ class TestFitGmm:
     def test_two_component_recovery(self):
         rng = np.random.default_rng(2)
         x = np.concatenate([rng.standard_normal(250) - 5.0, rng.standard_normal(250) + 5.0])
-        model, _ = fit_gmm(x, 2, seed=42)
+        model, _ = fit_gmm(x, 2)
         means = sorted(model.components[:, 1])
         weights = model.components[:, 0]
         assert abs(means[0] + 5.0) < 0.5 and abs(means[1] - 5.0) < 0.5
@@ -209,7 +231,7 @@ class TestFitGmm:
     def test_aic_arithmetic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(60)
-        _, report = fit_gmm(x, 2, seed=1)
+        _, report = fit_gmm(x, 2)
         p = 3 * 2 - 1
         assert report.aic == pytest.approx(2 * p - 2 * report.log_likelihood, abs=1e-12)
 
@@ -218,52 +240,41 @@ class TestFitGmm:
         for seed in range(20):
             x = rng.standard_normal(rng.integers(30, 200)) * rng.uniform(0.5, 3)
             for k in (1, 2, 3):
-                _, report = fit_gmm(x, k, seed=seed)
+                _, report = fit_gmm(x, k)
                 trace = np.array(report.log_likelihood_trace)
                 assert np.all(np.diff(trace) >= -1e-9)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(120)
-        m1, r1 = fit_gmm(x, 2, seed=9)
-        m2, r2 = fit_gmm(x, 2, seed=9)
+        m1, r1 = fit_gmm(x, 2)
+        m2, r2 = fit_gmm(x, 2)
         np.testing.assert_array_equal(m1.components, m2.components)
         assert r1.log_likelihood == r2.log_likelihood
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least"):
-            fit_gmm([1.0, 2.0, 3.0, 4.0, 5.0], 2, seed=0)
-
-    @pytest.mark.parametrize("fit", [partial(fit_gmm, k=3), partial(select_gmm, k_max=4)])
-    def test_same_seed_sequence_twice_gives_same_fit(self, fit):
-        # spawn used to advance the caller's SeedSequence, so a second call
-        # with the same object drew other EM starts.
-        x = np.random.default_rng(12).standard_normal(200)
-        ss = np.random.SeedSequence(7)
-        (m1, r1), (m2, r2) = fit(x, seed=ss), fit(x, seed=ss)
-        np.testing.assert_array_equal(m1.components, m2.components)
-        assert r1.log_likelihood_trace == r2.log_likelihood_trace
-        assert ss.n_children_spawned == 0
+            fit_gmm([1.0, 2.0, 3.0, 4.0, 5.0], 2)
 
     def test_k_below_one(self):
         with pytest.raises(ValueError):
-            fit_gmm(np.arange(10.0), 0, seed=0)
+            fit_gmm(np.arange(10.0), 0)
 
 
 class TestSelectGmm:
     def test_k_max_one_matches_single_fit(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(90)
-        model, report = select_gmm(x, 1, seed=0)
+        model, report = select_gmm(x, 1)
         assert report.component_count == 1
-        direct, _ = fit_gmm(x, 1, seed=0)
+        direct, _ = fit_gmm(x, 1)
         np.testing.assert_allclose(model.components[:, 1], direct.components[:, 1], atol=1e-9)
 
     def test_prefers_one_component_on_gaussian(self):
         hits = 0
         for seed in range(20):
             x = np.random.default_rng(seed).standard_normal(500)
-            _, report = select_gmm(x, 3, seed=seed)
+            _, report = select_gmm(x, 3)
             hits += report.component_count == 1
         assert hits >= 18
 
@@ -272,7 +283,7 @@ class TestSelectGmm:
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             x = np.concatenate([rng.standard_normal(250) - 5, rng.standard_normal(250) + 5])
-            _, report = select_gmm(x, 4, seed=seed)
+            _, report = select_gmm(x, 4)
             hits += report.component_count == 2
         assert hits >= 18
 
@@ -290,7 +301,7 @@ class TestSelectGmm:
         # The error is the smallest size's: every sample of fewer than 15
         # values used to read "need at least 15 samples to fit k=5 components".
         with pytest.raises(ValueError, match=f"no GMM size in 1..{k_max} could be fitted: {cause}"):
-            select_gmm(x, k_max, seed=0)
+            select_gmm(x, k_max)
 
     @pytest.mark.parametrize(
         "x, what",
@@ -306,13 +317,13 @@ class TestSelectGmm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"{what} overflows"):
-                fit_gmm(x, 1, seed=0)
+                fit_gmm(x, 1)
             with pytest.raises(ValueError, match=f"no GMM size in 1..2 could be fitted: {what} "
                                                  "overflows"):
-                select_gmm(x, 2, seed=0)
-            got = density._select_gmms([x, good, x], 2, [3, 4, 5])
+                select_gmm(x, 2)
+            got = density._select_gmms([x, good, x], 2)
         assert [type(g) for g in got[::2]] == [ValueError] * 2
-        model, report = select_gmm(good, 2, seed=4)
+        model, report = select_gmm(good, 2)
         assert np.array_equal(bits(got[1][0].components), bits(model.components))
         assert got[1][1] == report
 
@@ -338,8 +349,8 @@ class TestSelectionFreeOfUnits:
         train, _ = sample_experiment(SimConfig.preset(scenario), 1, 1, 1, seed)
         x = train.pooled_instances(Label.POS)[:, 0]
         a = 10.0**log_a
-        model, report = select_gmm(x, 5, seed)
-        mapped, mapped_report = select_gmm(a * x + b, 5, seed)
+        model, report = select_gmm(x, 5)
+        mapped, mapped_report = select_gmm(a * x + b, 5)
         assert mapped_report.component_count == report.component_count
         w, mu, var = model.components.T
         got_w, got_mu, got_var = mapped.components.T
@@ -347,6 +358,30 @@ class TestSelectionFreeOfUnits:
         np.testing.assert_allclose(got_w, w, rtol=0, atol=self.TOL)
         np.testing.assert_allclose((got_mu - b) / a, mu, rtol=0, atol=self.TOL * scale)
         np.testing.assert_allclose(np.sqrt(got_var) / a, np.sqrt(var), rtol=0, atol=self.TOL * scale)
+
+
+class TestFitsReadOnlyTheMultiset:
+    """A GMM fit is a function of the multiset of its sample: any order of
+    the sample gives the same bits, and no seed is read. The k-means++
+    starts this replaced picked sample values by their index in the order
+    given, from a generator on the fit's seed."""
+
+    @given(scenario=st.sampled_from(["sim1", "sim2", "sim3", "sim4", "sim5", "sim6"]),
+           seed=st.integers(0, 999), decimals=st.sampled_from([None, 1]),
+           order=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_any_order_of_the_sample_gives_the_same_fit(self, scenario, seed, decimals, order):
+        train, _ = sample_experiment(SimConfig.preset(scenario, n_instances=30), 1, 1, 1, seed)
+        x = train.pooled_instances(Label.POS)[:, 0]
+        if decimals is not None:  # ties
+            x = np.round(x, decimals)
+        orders = (x[::-1], x[np.random.default_rng(order).permutation(x.size)])
+        for fit in (partial(fit_gmm, k=2), partial(select_gmm, k_max=5)):
+            model, report = fit(x)
+            for shuffled in orders:
+                got, got_report = fit(shuffled)
+                assert np.array_equal(bits(got.components), bits(model.components))
+                assert got_report == report
 
 
 class TestEvalAndSample:
@@ -368,7 +403,7 @@ class TestEvalAndSample:
         models = [
             fit_kde(x, "EPANECHNIKOV"),
             fit_kde(x, "GAUSSIAN"),
-            fit_gmm(x, 2, seed=0)[0],
+            fit_gmm(x, 2)[0],
         ]
         for model in models:
             assert 0.99 <= numeric_integral(model) <= 1.001
@@ -381,7 +416,7 @@ class TestEvalAndSample:
         assert np.array_equal(model.pdf([1e150]), [0.0])
 
     def test_gmm_far_from_its_components_without_warning(self):
-        model, _ = select_gmm(np.random.default_rng(62).standard_normal(50), 3, seed=0)
+        model, _ = select_gmm(np.random.default_rng(62).standard_normal(50), 3)
         assert np.array_equal(model.pdf([1e200, -1e300]), [0.0, 0.0])
 
     def test_sampler_determinism(self):
@@ -407,7 +442,7 @@ class TestEvalAndSample:
         models = [
             fit_kde(x, "EPANECHNIKOV"),
             fit_kde(x, "GAUSSIAN"),
-            fit_gmm(x, 2, seed=3)[0],
+            fit_gmm(x, 2)[0],
         ]
         for model in models:
             draws = np.sort(model.sample(100_000, seed=11))
@@ -451,7 +486,7 @@ class TestGaussianKernelBits:
         rng = np.random.default_rng(12)
         samples = np.concatenate([rng.standard_normal(150) - 2, rng.standard_normal(150) + 2])
         if kind == GMM:
-            model = fit_gmm(samples, 2, seed=4)[0]
+            model = fit_gmm(samples, 2)[0]
         else:
             model = fit_kde(samples, kind.removeprefix("KDE_"))
         x = rng.uniform(-7.0, 7.0, 5000)
@@ -608,15 +643,45 @@ class TestEpanechnikovPrecision:
 # the stacked EM against the one-run loop it replaced
 
 
-def seeded_start(x, k, rng, zero_totals=None):
-    """A k-means++ start (w, mu, var) as a fit draws it from ``rng``: equal
-    weights, the means of ``kmeanspp_oracle`` and the sample variance."""
-    return np.full(k, 1.0 / k), kmeanspp_oracle(x, k, rng, zero_totals), np.full(k, np.var(x))
+def starts_oracle(x, k):
+    """The three EM starts (w, mu, var) of a k-component fit of ``x``, one
+    value at a time in Python floats: the oracle of ``density._gmm_starts``.
+    On the sorted sample, each start has equal weights and the sample
+    variance. Its means are those of k equal-count groups (from prefix sums
+    about the midrange), the centers of k equal-width bins, and 1-D Lloyd
+    from the first: cut halfway between consecutive means, a value on a cut
+    going right, each cell's mean or, for an empty cell, the old one, until
+    a step moves no mean or ``_LLOYD_MAX_ITER`` steps."""
+    values = np.sort(x).tolist()
+    n, lo, hi = len(values), values[0], values[-1]
+    anchor = lo + 0.5 * (hi - lo)
+    sums = [0.0]
+    for v in values:
+        sums.append(sums[-1] + (v - anchor))
+
+    def means(edges, old):
+        return [(sums[b] - sums[a]) / (b - a) + anchor if b > a else old[j]
+                for j, (a, b) in enumerate(zip(edges, edges[1:]))]
+
+    groups = means([j * n // k for j in range(k + 1)], None)
+    bins = [lo + (j + 0.5) * ((hi - lo) / k) for j in range(k)]
+    lloyd = groups
+    for _ in range(density._LLOYD_MAX_ITER):
+        edges = [0]
+        for a, b in zip(lloyd, lloyd[1:]):
+            edges.append(max(edges[-1], bisect.bisect_left(values, a + 0.5 * (b - a))))
+        moved = means(edges + [n], lloyd)
+        if moved == lloyd:
+            break
+        lloyd = moved
+    var = np.var(np.sort(x))
+    return [(np.full(k, 1.0 / k), np.array(mu), np.full(k, var)) for mu in (groups, bins, lloyd)]
 
 
-def seeded_runs(xs_ks_seeds):
-    """An ``_em`` job ``(x, start)`` per (x, k, seed), from a generator on the seed."""
-    return [(x, seeded_start(x, k, np.random.default_rng(s))) for x, k, s in xs_ks_seeds]
+def start_runs(xs_ks):
+    """The ``_em`` jobs ``(x, start)`` of the fits of each (x, k): the sorted
+    sample from each of its three starts."""
+    return [(np.sort(x), start) for x, k in xs_ks for start in starts_oracle(x, k)]
 
 
 def _em_once(
@@ -660,15 +725,13 @@ def squarem_once(x, start, tol):
     return w, mu, var, trace.tolist(), converged, evaluations
 
 
-def oracle_run(x, k, seed, tol=1e-8, em=squarem_once):
-    """fit_gmm's best run of three ``em`` runs from the starts that one
-    generator on ``seed`` draws one after another: by default accelerated
-    runs, each in a stack of its own. A plain run counts one evaluation per
-    trace value."""
-    rng = np.random.default_rng(seed)
+def oracle_run(x, k, tol=1e-8, em=squarem_once):
+    """fit_gmm's best run of three ``em`` runs on the sorted sample, from
+    the starts of ``starts_oracle``: by default accelerated runs, each in a
+    stack of its own. A plain run counts one evaluation per trace value."""
     best = None
-    for _ in range(3):
-        fit = em(x, seeded_start(x, k, rng), tol)
+    for sample, start in start_runs([(x, k)]):
+        fit = em(sample, start, tol)
         if best is None or fit[3][-1] > best[3][-1]:
             best = fit
     return (*best[:5], best[5] if len(best) > 5 else len(best[3]))
@@ -684,25 +747,24 @@ def oracle_result(k, run):
     return np.column_stack([w / w.sum(), mu, var]), report
 
 
-def oracle_fit(x, k, seed, tol=1e-8, em=squarem_once):
+def oracle_fit(x, k, tol=1e-8, em=squarem_once):
     """fit_gmm's components and report (see ``oracle_run``)."""
-    return oracle_result(k, oracle_run(x, k, seed, tol, em))
+    return oracle_result(k, oracle_run(x, k, tol, em))
 
 
-def oracle_select(x, k_max, seed):
+def oracle_select(x, k_max):
     """select_gmm's components and report: AIC over early-stopped plain-EM
     fits, then the winner's best run continued, accelerated, to the strict
     tolerance. A converged run's last point is the continuation's first."""
-    children = as_seed_sequence(seed).spawn(k_max)
     best, best_aic = None, np.inf
     for k in range(1, k_max + 1):
         if x.size >= 3 * k:
-            run = oracle_run(x, k, children[k - 1], tol=7e-4, em=_em_once)
+            run = oracle_run(x, k, tol=7e-4, em=_em_once)
             aic = oracle_result(k, run)[1].aic
             if aic < best_aic:
                 best, best_aic = (k, run), aic
     k, (w, mu, var, trace, converged, evaluations) = best
-    more = squarem_once(x, (w, mu, var), 1e-8)
+    more = squarem_once(np.sort(x), (w, mu, var), 1e-8)
     if converged:
         assert more[3][0] == trace[-1]
     trace = trace + more[3][1 if converged else 0 :]
@@ -735,14 +797,14 @@ class TestStackedEm:
     @pytest.mark.parametrize("tol", [density._SELECTION_TOL, density._STRICT_TOL])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_one_run_loop(self, k, tol):
-        runs = seeded_runs([(x, k, 10 * i + r) for i, x in enumerate(em_samples(k, [40] * 4)) for r in range(3)])
+        runs = start_runs([(x, k) for x in em_samples(k, [40] * 4)])
         got = density._em(runs, tol)
         want = [_em_once(x, start, tol) for x, start in runs]
         assert_same_fits(got, want)
 
     def test_strict_runs_reach_the_cap(self):
         xs = em_samples(7, [40] * 6)
-        runs = seeded_runs([(x, k, i) for i, x in enumerate(xs) for k in (3, 4)])
+        runs = start_runs([(x, k) for x in xs for k in (3, 4)])
         fits = density._em(runs, density._STRICT_TOL)
         capped = [fit[5] == density._EM_MAX_ITER and not fit[4] for fit in fits]
         assert any(capped) and not all(capped)
@@ -755,7 +817,7 @@ class TestStackedEm:
         # elements holds 1 to 8 rows, and a block of 1 one row.
         monkeypatch.setattr(density, "_EM_BLOCK", block)
         xs = em_samples(11, [12, 25, 25, 40, 12, 40])
-        runs = seeded_runs([(x, k, 10 * i + k) for i, x in enumerate(xs) for k in range(1, 6) if x.size >= 3 * k])
+        runs = start_runs([(x, k) for x in xs for k in range(1, 6) if x.size >= 3 * k])
         order = np.random.default_rng(0).permutation(len(runs))
         runs = [runs[i] for i in order]
         for tol in (density._SELECTION_TOL, density._STRICT_TOL):
@@ -767,41 +829,40 @@ class TestStackedEm:
     def test_fit_gmm_and_select_gmm_reports(self, n):
         # fit_gmm and the continuation of select_gmm are accelerated;
         # select_gmm's size selection is plain EM, bit for bit.
-        for seed, x in enumerate(em_samples(n, [n] * 3)):
+        for x in em_samples(n, [n] * 3):
             for k in (1, 2, 4):
-                model, report = fit_gmm(x, k, seed=seed)
-                components, expected = oracle_fit(x, k, seed)
+                model, report = fit_gmm(x, k)
+                components, expected = oracle_fit(x, k)
                 assert np.array_equal(model.components, components)
                 assert report == expected
                 assert report.log_likelihood_trace == expected.log_likelihood_trace
-            model, report = select_gmm(x, 5, seed=seed)
-            components, expected = oracle_select(x, 5, seed)
+            model, report = select_gmm(x, 5)
+            components, expected = oracle_select(x, 5)
             assert np.array_equal(model.components, components)
             assert report == expected
             assert report.log_likelihood_trace == expected.log_likelihood_trace
 
     def test_batched_select_matches_one_sample_calls(self):
         xs = em_samples(5, [12, 30, 30, 2]) + [np.full(20, 1.5)]
-        batch = density._select_gmms(xs, 5, list(range(len(xs))))
-        for i, (x, fit) in enumerate(zip(xs, batch)):
+        batch = density._select_gmms(xs, 5)
+        for x, fit in zip(xs, batch):
             if isinstance(fit, ValueError):
                 with pytest.raises(ValueError) as info:
-                    select_gmm(x, 5, seed=i)
+                    select_gmm(x, 5)
                 assert str(info.value) == str(fit)
                 continue
-            model, report = select_gmm(x, 5, seed=i)
+            model, report = select_gmm(x, 5)
             assert np.array_equal(model.components, fit[0].components)
             assert report == fit[1]
         assert [isinstance(fit, ValueError) for fit in batch] == [False] * 3 + [True] * 2
 
 
 def restart_jobs():
-    """(x, k, seeds of its three restarts): the samples of ``TestStackedEm``,
+    """(x, k) fits, three restarts each: the samples of ``TestStackedEm``,
     the ones where strict plain runs reach the cap, and one of class size."""
-    jobs = [(x, k, [10 * i + r for r in range(3)])
-            for k in range(1, 6) for i, x in enumerate(em_samples(k, [40] * 4))]
-    jobs += [(x, k, [i, 100 + i, 200 + i]) for i, x in enumerate(em_samples(7, [40] * 6)) for k in (3, 4)]
-    jobs += [(x, k, [k, 10 + k, 20 + k]) for x in em_samples(3, [500]) for k in (2, 3, 4)]
+    jobs = [(x, k) for k in range(1, 6) for x in em_samples(k, [40] * 4)]
+    jobs += [(x, k) for x in em_samples(7, [40] * 6) for k in (3, 4)]
+    jobs += [(x, k) for x in em_samples(3, [500]) for k in (2, 3, 4)]
     return jobs
 
 
@@ -810,7 +871,7 @@ def plain_and_squarem():
     """Every restart of ``restart_jobs`` at the strict tolerance, plain and
     accelerated, each in one stacked call."""
     jobs = restart_jobs()
-    runs = seeded_runs([(x, k, s) for x, k, seeds in jobs for s in seeds])
+    runs = start_runs(jobs)
     return (jobs, density._em(runs, density._STRICT_TOL),
             density._em(runs, density._STRICT_TOL, accelerate=True))
 
@@ -821,7 +882,7 @@ class TestSquarem:
     @pytest.mark.parametrize("block", [100, 1])
     def test_stacked_equals_one_row_per_stack(self, monkeypatch, block):
         xs = em_samples(11, [12, 25, 25, 40, 12, 40, 300])
-        runs = seeded_runs([(x, k, 10 * i + k) for i, x in enumerate(xs) for k in range(1, 6) if x.size >= 3 * k])
+        runs = start_runs([(x, k) for x in xs for k in range(1, 6) if x.size >= 3 * k])
         runs = [runs[i] for i in np.random.default_rng(1).permutation(len(runs))]
         whole = density._em(runs, density._STRICT_TOL, accelerate=True)
         monkeypatch.setattr(density, "_EM_BLOCK", block)
@@ -845,10 +906,10 @@ class TestSquarem:
         # loops stop once one EM step gains at most that much, from different
         # points, so either may stop that far short of the other.
         jobs, plain, fits = plain_and_squarem
-        for j, (x, k, seeds) in enumerate(jobs):
+        for j, (x, k) in enumerate(jobs):
             want = max(fit[3][-1] for fit in plain[3 * j : 3 * j + 3])
             got = max(fit[3][-1] for fit in fits[3 * j : 3 * j + 3])
-            assert got >= want - density._STRICT_TOL * x.size, (k, seeds)
+            assert got >= want - density._STRICT_TOL * x.size, (j, k)
 
     def test_fewer_evaluations_and_no_more_runs_at_the_cap(self, plain_and_squarem):
         _, plain, fits = plain_and_squarem
@@ -860,10 +921,10 @@ class TestSquarem:
     def test_select_gmm_continues_its_winning_selection_run(self, n):
         # The trace is the winner's best selection run, then the strict
         # continuation from where that run stopped, which only climbs.
-        for seed, x in enumerate(em_samples(n, [n] * 4)):
-            _, report = select_gmm(x, 5, seed=seed)
+        for x in em_samples(n, [n] * 4):
+            _, report = select_gmm(x, 5)
             k = report.component_count
-            run = oracle_run(x, k, as_seed_sequence(seed).spawn(5)[k - 1], density._SELECTION_TOL, _em_once)
+            run = oracle_run(x, k, density._SELECTION_TOL, _em_once)
             trace = np.array(report.log_likelihood_trace)
             assert trace[: len(run[3])].tolist() == run[3]
             assert np.all(np.diff(trace) >= -1e-13 * np.abs(trace[:-1]))
@@ -875,7 +936,7 @@ class TestSquarem:
         # Without acceleration the strict refit stopped at the 500-evaluation
         # cap on 3 of these 6 pooled negative classes (25 bags x 50 instances).
         train, _ = sample_experiment(SimConfig.preset("sim1"), 10, 25, 1, seed)
-        _, report = select_gmm(train.pooled_instances(Label.NEG)[:, 0], 5, seed)
+        _, report = select_gmm(train.pooled_instances(Label.NEG)[:, 0], 5)
         assert report.converged
 
 
@@ -965,7 +1026,7 @@ class TestStackedKdeFits:
         epan = density._fit_kdes([rng.standard_normal(n) for n in (5, 31, 5)], "EPANECHNIKOV",
                                  None, True)
         gauss = fit_kde(rng.standard_normal(9), "GAUSSIAN")
-        gmm = fit_gmm(rng.standard_normal(40), 2, seed=1)[0]
+        gmm = fit_gmm(rng.standard_normal(40), 2)[0]
         models = [epan[0], _Duck(epan[1]), gauss, gmm, epan[1], epan[2]]
         seeds = list(range(len(models)))
         # every row is its own model's draws, sorted
@@ -1082,68 +1143,59 @@ class TestBlocks:
         assert list(density._blocks([], 8, lambda key: 1 // 0)) == []
 
 
-def kmeanspp_oracle(x, k, rng, zero_totals=None):
-    """k-means++ starts with every step's (n, j) distance array rebuilt. A
-    step whose distance total is 0 takes floor(u n) of the uniform u that
-    ``choice`` would have drawn; each run with such a step is listed in
-    ``zero_totals`` as (n, k)."""
-    means = np.empty(k)
-    means[0] = x[rng.integers(x.size)]
-    zero = False
-    for j in range(1, k):
-        d2 = np.min((x[:, None] - means[None, :j]) ** 2, axis=1)
-        total = d2.sum()
-        if total <= 0:
-            means[j] = x[int(rng.random() * x.size)]
-            zero = True
-        else:
-            means[j] = x[rng.choice(x.size, p=d2 / total)]
-    if zero and zero_totals is not None:
-        zero_totals.append((x.size, k))
-    return means
+class TestDeterministicStarts:
+    """``density._gmm_starts`` gives every row the bits of ``starts_oracle``,
+    whatever block it is in."""
 
+    @staticmethod
+    def samples():
+        xs = em_samples(43, (6, 15, 15, 60, 333))
+        xs.append(np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0]))  # ties; k = 3 and 5 empty Lloyd cells
+        xs.append(np.round(em_samples(44, [200])[0], 0))  # a few values, many ties
+        return xs
 
-class TestKmeansppRunningMinimum:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-    def test_same_draws_as_rebuilt_distances(self, k):
-        # One job alone in its stack: its restarts are the oracle's draws one
-        # after another on a generator on its seed.
-        samples = em_samples(43, (15, 60, 333))
-        samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))  # later steps see total 0
-        for x in samples:
-            for seed in range(6):
-                (got,) = density._kmeanspp_starts(x[None, :], k, [seed])
-                rng = np.random.default_rng(seed)
-                for start in got:
-                    for g, want in zip(start, seeded_start(x, k, rng), strict=True):
-                        assert np.array_equal(g, want)
+    def test_one_row_is_the_oracle(self, k):
+        for x in self.samples():
+            if k <= x.size:
+                (got,) = density._gmm_starts(np.sort(x)[None, :], k)
+                for start, want in zip(got, starts_oracle(x, k), strict=True):
+                    for g, w in zip(start, want, strict=True):
+                        assert np.array_equal(bits(g), bits(w))
 
+    @pytest.mark.parametrize("cap", [None, 1])
     @pytest.mark.parametrize("block", [density._EM_BLOCK, 100, 1])
-    def test_batched_starts_have_the_one_run_bits(self, block):
+    def test_batched_starts_have_the_one_row_bits(self, monkeypatch, block, cap):
         # Mixed (n, k) groups, k up to 8, each stacked whole or cut into
-        # blocks of 100 elements (1 to 16 jobs) or of one job. A job's
-        # restarts are the oracle's draws one after another on one generator.
-        # In the (6, 3) and (6, 5) groups only the restarts on the two-valued
-        # sample reach a distance total of 0, and every one of them does.
-        samples = em_samples(43, (6, 15, 15, 60, 333))
-        samples.append(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
-        jobs = [(x, k, np.random.SeedSequence([i, k])) for i, x in enumerate(samples)
-                for k in (1, 2, 3, 5, 8) if k <= x.size]
+        # blocks of 100 elements (1 to 16 jobs) or of one job; with a cap of
+        # one Lloyd step, rows stop short of their fixed points.
+        if cap is not None:
+            monkeypatch.setattr(density, "_LLOYD_MAX_ITER", cap)
+        xs = self.samples()
+        jobs = [(np.sort(x), k) for x in xs for k in (1, 2, 3, 5, 8) if k <= x.size]
         jobs = [jobs[i] for i in np.random.default_rng(2).permutation(len(jobs))]
-        zero_totals = []
-        for (_, k), members in density._blocks([(x.size, k) for x, k, _ in jobs], block,
+        for (_, k), members in density._blocks([(x.size, k) for x, k in jobs], block,
                                                lambda key: key[0]):
-            x = np.array([jobs[i][0] for i in members])
-            starts = density._kmeanspp_starts(x, k, [jobs[i][2] for i in members])
+            starts = density._gmm_starts(np.array([jobs[i][0] for i in members]), k)
             assert starts.shape == (len(members), density._EM_RESTARTS, 3, k)
             for i, job_starts in zip(members, starts):
-                x_i, _, seed = jobs[i]
-                rng = np.random.default_rng(seed)
-                for start in job_starts:
-                    expected = seeded_start(x_i, k, rng, zero_totals)
-                    for got, want in zip(start, expected, strict=True):
-                        assert np.array_equal(got, want)
-        assert sorted(zero_totals) == [(6, 3)] * 3 + [(6, 5)] * 3
+                for start, want in zip(job_starts, starts_oracle(*jobs[i]), strict=True):
+                    for g, w in zip(start, want, strict=True):
+                        assert np.array_equal(bits(g), bits(w))
+
+    def test_lloyd_start_is_a_fixed_point(self):
+        # Each Lloyd mean is the mean of the values nearer to it than to
+        # its neighbours, unless its cell is empty.
+        for x in self.samples():
+            for k in (2, 3, 5):
+                if 3 * k <= x.size:
+                    x_sorted = np.sort(x)
+                    mu = density._gmm_starts(x_sorted[None, :], k)[0, 2, 1]
+                    cuts = mu[:-1] + 0.5 * (mu[1:] - mu[:-1])
+                    cells = np.searchsorted(cuts, x_sorted, side="right")
+                    for j in range(k):
+                        if (cells == j).any():
+                            assert mu[j] == pytest.approx(x_sorted[cells == j].mean(), rel=1e-12, abs=1e-12)
 
 
 class TestSelectionReadsTheAic:
@@ -1158,7 +1210,7 @@ class TestSelectionReadsTheAic:
         built = []
         result = density._gmm_result
         monkeypatch.setattr(density, "_gmm_result", lambda k, fit: built.append(k) or result(k, fit))
-        _, report = select_gmm(self.sample(), 4, seed=5)
+        _, report = select_gmm(self.sample(), 4)
         assert report.component_count == 2 and built == [2, 2]
 
     def test_rejected_size_is_passed_over(self, monkeypatch):
@@ -1171,13 +1223,12 @@ class TestSelectionReadsTheAic:
             return result(k, fit)
 
         monkeypatch.setattr(density, "_gmm_result", reject_two)
-        _, report = select_gmm(x, 3, seed=5)
-        children = as_seed_sequence(5).spawn(3)
-        aics = {k: oracle_fit(x, k, children[k - 1], tol=7e-4, em=_em_once)[1].aic for k in (1, 3)}
+        _, report = select_gmm(x, 3)
+        aics = {k: oracle_fit(x, k, tol=7e-4, em=_em_once)[1].aic for k in (1, 3)}
         assert report.component_count == min(aics, key=aics.get)
         monkeypatch.setattr(density, "_gmm_result", lambda k, fit: reject_two(2, fit))
         with pytest.raises(ValueError, match=r"no GMM size in 1..3 could be fitted: rejected"):
-            select_gmm(x, 3, seed=5)
+            select_gmm(x, 3)
 
 
 class TestPdfPair:
@@ -1231,7 +1282,7 @@ class TestPdfPair:
         rng = np.random.default_rng(64)
         epan = fit_kde(rng.standard_normal(30))
         others = [fit_kde(rng.standard_normal(30), "GAUSSIAN"),
-                  fit_gmm(rng.standard_normal(30), 2, 1)[0], _Duck(epan)]
+                  fit_gmm(rng.standard_normal(30), 2)[0], _Duck(epan)]
         x = np.sort(rng.uniform(-4.0, 4.0, (3, 64)), axis=1)
         for other in others:
             for a, b in ((epan, other), (other, epan)):

@@ -504,7 +504,7 @@ def fitted_triple(kind, rng):
     pos = np.concatenate([rng.standard_normal(60), rng.standard_normal(60) + 3.0])
     neg = rng.standard_normal(120) * 1.5 - 1.0
     if kind == "GMM":
-        return tuple(fit_gmm(x, 2, seed=i)[0] for i, x in enumerate((bag, pos, neg)))
+        return tuple(fit_gmm(x, 2)[0] for x in (bag, pos, neg))
     return tuple(fit_kde(x, kind) for x in (bag, pos, neg))
 
 
@@ -514,7 +514,7 @@ def two_cluster_bag(kind, rng, gap=200.0):
     bag = rng.standard_normal(30) + 0.5
     bag[15:] += gap
     if kind == "GMM":
-        return fit_gmm(bag, 2, seed=0)[0]
+        return fit_gmm(bag, 2)[0]
     return fit_kde(bag, kind, bandwidth=0.5)
 
 

@@ -86,7 +86,7 @@ GOLDEN = {
         "roc.csv": "f4c6bbe6003136ef8c6455b144d4602d4ab15ab076af68fd15b99c5caa109489",
     },
     "cv-gmm-aic": {
-        "report.json": "53850b5186bc8171a8a4dc1b018ec530cc6986349f5c472812ea43e892e36e45",
+        "report.json": "fb3c288c79a80c8201c6acad9e5a610cf10e9da9091eecb2d9ea5a53702831a5",
         "roc.csv": "133265ac7e58a43ba9253e17c067cb2a07ec8f8e6850292d2be527deac2ae2df",
     },
     "cv-mixed-b2b-kl": {
@@ -126,7 +126,7 @@ GOLDEN = {
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-gmm-aic": {
-        "report.json": "7f6d45a656fb74d518dcba4a4d903eb4cbe06dff14f0a869f784af300edf15a6",
+        "report.json": "78eac7b378bd0ae67ba538fe42a713ba2342b1f2417ff1c17e4c9e0fdf335c82",
         "roc.csv": "d951bf2daf02f51d01c22854f45dc62a2fb2758c6015f105d62672ac970f09ac",
     },
     "holdout-rd-bh": {
@@ -172,8 +172,8 @@ GOLDEN = {
         "train.csv": "de32e10d82705c7bcffc5335a8d53a23e980222f3af3fc7436a4f51e1b199d22",
     },
     "table1-gmm-aic": {
-        "table_long.csv": "8c74782877f8def9adc48ffb703225f7c4a2896717db754b6f08368ca6bfe204",
-        "table_wide.csv": "aaa01994da985387e8d9bce6576cd430de78dd5acf6ad2855708c95b32e7fa66",
+        "table_long.csv": "d6fd397bd1c577652381060efea3dd2981caf8874ae5f68f89eee73fa53ad678",
+        "table_wide.csv": "6d1d80a27449cd1d024581c4facdcffae9eda01b08fd675af08ad490dd15040c",
     },
     "table1-kde-epan": {
         "table_long.csv": "11c7f3fc57aeec020bfb7ab634cdd3f43011001efc75d2ebf0e40cab41b9521c",

@@ -162,9 +162,8 @@ def scenario_models(scenario: str, kind: str):
     them."""
     est = EstimatorConfig(kind)
     train, test = sample_experiment(SimConfig.preset(scenario), 5, 10, TEST_BAGS, seed=3)
-    f_pos, f_neg = classify.fit_class_densities(train, est, 0)
-    seeds = list(range(TEST_BAGS))
-    bags = [models[0] for models in classify._fit_bags(test.bags, est, seeds)]
+    f_pos, f_neg = classify.fit_class_densities(train, est)
+    bags = [models[0] for models in classify._fit_bags(test.bags, est)]
     return f_pos[0], f_neg[0], bags
 
 
